@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 from sympy import isprime, primitive_root
 from sympy.ntheory.residue_ntheory import sqrt_mod
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
 
 from .cyclo import CycloNum
 from .groupcore import Group, format_cycles, pinv, pmul
 
 DEFAULT_CLASS_BUDGET = 64
-DEFAULT_SPLIT_BUDGET = 32
+SPLIT_BUDGET = 32
 
 
 class Degenerate(RuntimeError):
@@ -68,9 +70,6 @@ class ClassMultiplicationTensor:
     def c(self, i: int, j: int, k: int) -> int:
         return self._counts[i][j].get(k, 0)
 
-    def sparse(self, i: int, j: int) -> dict[int, int]:
-        return dict(self._counts[i][j])
-
     def matrix(self, i: int) -> list[list[int]]:
         """Dense matrix A_i with A_i[j][k] = c_ijk; central characters are
         its simultaneous eigenvectors."""
@@ -80,10 +79,6 @@ class ClassMultiplicationTensor:
             for k, v in self._counts[i][j].items():
                 out[j][k] = v
         return out
-
-
-def class_tensor(group: Group) -> ClassMultiplicationTensor:
-    return ClassMultiplicationTensor(group)
 
 
 # -- table container ----------------------------------------------------------------
@@ -201,43 +196,8 @@ def _restrict(a, basis, l):
     return [[aug[s][d + t] for t in range(d)] for s in range(d)]
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b, l):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % l
-    return out
-
-
-def _poly_mod(a, b, l):
-    a = a[:]
-    inv = pow(b[-1], l - 2, l)
-    while len(a) >= len(b) and _poly_trim(a):
-        f = a[-1] * inv % l
-        off = len(a) - len(b)
-        for i, y in enumerate(b):
-            a[off + i] = (a[off + i] - f * y) % l
-        _poly_trim(a)
-    return a
-
-
-def _poly_gcd(a, b, l):
-    a, b = _poly_trim(a[:]), _poly_trim(b[:])
-    while b:
-        a, b = b, _poly_mod(a, b, l)
-    inv = pow(a[-1], l - 2, l)
-    return [x * inv % l for x in a]
-
-
 def _min_poly(b, l):
-    """Minimal polynomial (ascending, monic) via Krylov annihilators of the
+    """Minimal polynomial (descending, monic) via Krylov annihilators of the
     standard basis vectors; their lcm is the minimal polynomial."""
     d = len(b)
     mp = [1]
@@ -266,35 +226,14 @@ def _min_poly(b, l):
             rows.append((vec, combo))
             w = _mat_vec(b, w, l)
             power += 1
-        inv = pow(ann[-1], l - 2, l)
-        ann = [x * inv % l for x in ann]
-        g = _poly_gcd(mp, ann, l)
-        mp = _poly_mul(mp, _poly_div(ann, g, l), l)  # lcm(mp, ann)
+        mp = gf_lcm(mp, ann[::-1], l, ZZ)
     return mp
 
 
-def _poly_div(a, b, l):
-    a = a[:]
-    q = [0] * (len(a) - len(b) + 1)
-    inv = pow(b[-1], l - 2, l)
-    while len(a) >= len(b) and _poly_trim(a):
-        f = a[-1] * inv % l
-        off = len(a) - len(b)
-        q[off] = f
-        for i, y in enumerate(b):
-            a[off + i] = (a[off + i] - f * y) % l
-        _poly_trim(a)
-    return _poly_trim(q) or [0]
-
-
 def _poly_roots(p, l):
-    """Roots in F_l of a squarefree polynomial that splits into linear
-    factors; ascending order."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor_sqf
-
-    desc = [int(c) % l for c in reversed(p)]
-    _, factors = gf_factor_sqf(desc, l, ZZ)
+    """Roots in F_l of a squarefree polynomial (descending coefficients) that
+    splits into linear factors; ascending order."""
+    _, factors = gf_factor_sqf(p, l, ZZ)
     roots = []
     for f in factors:
         if len(f) != 2:
@@ -303,12 +242,12 @@ def _poly_roots(p, l):
     return sorted(roots)
 
 
-def _separate(mats, l, rng, budget):
+def _separate(mats, l, rng):
     """Common eigenvectors of the commuting matrices mats over F_l, found by
     refining invariant subspaces along random linear combinations."""
     r = len(mats)
     spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    for _ in range(budget):
+    for _ in range(SPLIT_BUDGET):
         if all(len(s) == 1 for s in spaces):
             break
         lam = [rng.randrange(l) for _ in range(r)]
@@ -353,8 +292,7 @@ def _dixon_prime(order: int, exponent: int) -> int:
 
 
 def character_table(group: Group, *, seed: int = 0,
-                    class_budget: int = DEFAULT_CLASS_BUDGET,
-                    split_budget: int = DEFAULT_SPLIT_BUDGET) -> CharacterTable:
+                    class_budget: int = DEFAULT_CLASS_BUDGET) -> CharacterTable:
     classes = group.classes
     r = len(classes)
     if r > class_budget:
@@ -366,7 +304,7 @@ def character_table(group: Group, *, seed: int = 0,
     tensor = ClassMultiplicationTensor(group)
     mats = [tensor.matrix(i) for i in range(r)]
     rng = random.Random(seed)
-    vecs = _separate(mats, l, rng, split_budget)
+    vecs = _separate(mats, l, rng)
 
     sizes = [c.size for c in classes]
     size_inv = [pow(s, l - 2, l) for s in sizes]

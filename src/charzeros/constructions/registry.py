@@ -1,6 +1,6 @@
 """The registry of buildable groups: recipes, validation hooks, Out orders.
 
-Registry entries live in data/registry.txt (grammar below).  Each build is
+Registry entries live in data/registry.txt (grammar in its header).  Each build is
 followed by its validation hooks; a hook failure means the construction or
 the shipped generator data is wrong, so it raises instead of returning a
 questionable group.
@@ -17,10 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from importlib import resources
 
-from ..groupcore import Group, parse_cycles
+from ..groupcore import DEFAULT_ORDER_BUDGET, Group, parse_group_file, perm_order
 from . import builders
-
-SOURCES = ("PROJECTIVE_LINE", "LINEAR_ACTION", "DATA_GENERATORS")
 
 
 class RegistryError(ValueError):
@@ -34,10 +32,7 @@ class ValidationFailed(RuntimeError):
 @dataclass(frozen=True)
 class GroupRecipe:
     name: str
-    source: str
     params: dict = field(default_factory=dict)
-    degree: int | None = None
-    gen_lines: tuple[str, ...] = ()
     data_file: str | None = None
     expected_order: int = 0
     expected_out_order: int = 1
@@ -60,16 +55,14 @@ def _parse_registry(text: str) -> dict[str, GroupRecipe]:
         name = cur["name"]
         if name in out:
             raise RegistryError(f"duplicate group {name!r}")
-        if cur["source"] not in SOURCES:
-            raise RegistryError(f"{name}: unknown source {cur['source']!r}")
+        if cur["data"] is None and "family" not in cur["params"]:
+            raise RegistryError(f"{name}: needs a data file or a param family")
         if not cur["order"]:
             raise RegistryError(f"{name}: missing order")
         out[name] = GroupRecipe(
-            name=name, source=cur["source"], params=cur["params"],
-            degree=cur["degree"], gen_lines=tuple(cur["gens"]),
-            data_file=cur["data"], expected_order=cur["order"],
-            expected_out_order=cur["out"], expected_center=cur["center"],
-            checks=tuple(cur["checks"]))
+            name=name, params=cur["params"], data_file=cur["data"],
+            expected_order=cur["order"], expected_out_order=cur["out"],
+            expected_center=cur["center"], checks=tuple(cur["checks"]))
         cur = None
 
     for raw in text.splitlines():
@@ -80,21 +73,14 @@ def _parse_registry(text: str) -> dict[str, GroupRecipe]:
         rest = rest.strip()
         if key == "group":
             flush()
-            cur = {"name": rest, "source": None, "params": {}, "degree": None,
-                   "gens": [], "data": None, "order": 0, "out": 1,
-                   "center": None, "checks": []}
+            cur = {"name": rest, "params": {}, "data": None, "order": 0,
+                   "out": 1, "center": None, "checks": []}
             continue
         if cur is None:
             raise RegistryError(f"directive outside a group block: {line!r}")
-        if key == "source":
-            cur["source"] = rest
-        elif key == "param":
+        if key == "param":
             k, _, v = rest.partition(" ")
             cur["params"][k] = int(v) if v.strip().isdigit() else v.strip()
-        elif key == "degree":
-            cur["degree"] = int(rest)
-        elif key == "gen":
-            cur["gens"].append(rest)
         elif key == "data":
             cur["data"] = rest
         elif key == "order":
@@ -153,21 +139,15 @@ _FAMILIES = {
 }
 
 
-def _construct(recipe: GroupRecipe) -> Group:
-    if recipe.source == "DATA_GENERATORS":
-        if recipe.data_file:
-            from ..groupcore import parse_group_file
-            g = parse_group_file(_data_text(recipe.data_file))
-            return Group(g.generators, degree=g.degree, name=recipe.name)
-        if recipe.degree is None or not recipe.gen_lines:
-            raise RegistryError(f"{recipe.name}: missing degree/gen lines")
-        gens = [parse_cycles(s, recipe.degree) for s in recipe.gen_lines]
-        return Group(gens, degree=recipe.degree, name=recipe.name)
-    fam = recipe.params.get("family")
-    if fam not in _FAMILIES:
-        raise RegistryError(f"{recipe.name}: unknown family {fam!r}")
-    g = _FAMILIES[fam](recipe.params)
-    return Group(g.generators, degree=g.degree, name=recipe.name)
+def _construct(recipe: GroupRecipe, max_order: int) -> Group:
+    if recipe.data_file:
+        g = parse_group_file(_data_text(recipe.data_file))
+    else:
+        fam = recipe.params.get("family")
+        if fam not in _FAMILIES:
+            raise RegistryError(f"{recipe.name}: unknown family {fam!r}")
+        g = _FAMILIES[fam](recipe.params)
+    return Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)
 
 
 def _validate(recipe: GroupRecipe, g: Group):
@@ -206,16 +186,17 @@ def _validate(recipe: GroupRecipe, g: Group):
         elif kind == "center_cyclic":
             zs = g.class_set_elements(g.center_classes)
             n = len(zs)
-            if not any(g.element_order(x) == n for x in zs):
+            if not any(perm_order(x) == n for x in zs):
                 fail("center is not cyclic")
         else:
             fail(f"unknown check {kind!r}")
 
 
-def build(name_or_recipe) -> Group:
-    """Construct a registry group and run its validation hooks."""
+def build(name_or_recipe, max_order: int = DEFAULT_ORDER_BUDGET) -> Group:
+    """Construct a registry group and run its validation hooks; enumerating
+    more than max_order elements raises OrderBudgetExceeded."""
     recipe = (name_or_recipe if isinstance(name_or_recipe, GroupRecipe)
               else find_recipe(name_or_recipe))
-    g = _construct(recipe)
+    g = _construct(recipe, max_order)
     _validate(recipe, g)
     return g

@@ -142,18 +142,6 @@ class CycloNum:
         k = order // self.order
         return CycloNum(order, {e * k: c for e, c in self.coeffs.items()}, reduced=True)
 
-    def contract(self, order: int) -> "CycloNum":
-        """Inverse of embed: rewrite in Q(zeta_order) for a divisor of self.order."""
-        if self.order % order:
-            raise ValueError("contraction target must divide the order")
-        k = self.order // order
-        out = {}
-        for e, c in self.coeffs.items():
-            if e % k:
-                raise ValueError("element does not lie in the requested subfield")
-            out[e // k] = c
-        return CycloNum(order, out)
-
     # -- arithmetic --------------------------------------------------------
 
     def _aligned(self, other: "CycloNum") -> tuple["CycloNum", "CycloNum", int]:
@@ -273,18 +261,3 @@ def _coerce(x, order: int) -> CycloNum:
         return CycloNum.rational(x, order)
     raise TypeError(f"cannot coerce {type(x).__name__} to CycloNum")
 
-
-def cyclo_add(a: CycloNum, b: CycloNum) -> CycloNum:
-    return a + b
-
-
-def cyclo_mul(a: CycloNum, b: CycloNum) -> CycloNum:
-    return a * b
-
-
-def cyclo_conj(a: CycloNum) -> CycloNum:
-    return a.conjugate()
-
-
-def is_zero(a: CycloNum) -> bool:
-    return a.is_zero()

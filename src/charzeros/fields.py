@@ -17,6 +17,8 @@ from __future__ import annotations
 from functools import cache
 
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_compose_mod, gf_mul, gf_pow_mod, gf_rem
 
 
 class NotPrime(ValueError):
@@ -27,37 +29,7 @@ class TooLarge(ValueError):
     pass
 
 
-MAX_Q = 2**16
-
-
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """Product of coefficient lists (ascending) reduced mod (mod, p)."""
-    f = len(mod) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, f - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(f):
-                out[i - f + j] = (out[i - f + j] - c * mod[j]) % p
-    out = out[:f]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_powmod(a: list[int], k: int, mod: list[int], p: int) -> list[int]:
-    r = [1]
-    while k:
-        if k & 1:
-            r = _poly_mulmod(r, a, mod, p)
-        a = _poly_mulmod(a, a, mod, p)
-        k >>= 1
-    return r
+MAX_Q = 1024
 
 
 def _word_to_poly(word: tuple[int, ...], p: int) -> list[int]:
@@ -83,7 +55,7 @@ def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
         raise TooLarge(f"p^f exceeds {MAX_Q}")
     qm1 = p**f - 1
     prime_parts = sympy.primefactors(qm1)
-    subs = [(d, list(conway_polynomial(p, d)), qm1 // (p**d - 1))
+    subs = [(conway_polynomial(p, d)[::-1], qm1 // (p**d - 1))
             for d in sympy.divisors(f) if d < f]
 
     def candidates():
@@ -98,27 +70,21 @@ def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
                 return
             word[i] += 1
 
-    x = [0, 1]
+    x = [1, 0]
     for word in candidates():
         mod = _word_to_poly(word, p)
         if mod[0] == 0:
             continue
+        desc = mod[::-1]
         # primitivity of x: order exactly q-1 (this also forces irreducibility)
-        if _poly_powmod(x, qm1, mod, p) != [1]:
+        if gf_pow_mod(x, qm1, desc, p, ZZ) != [1]:
             continue
-        if any(_poly_powmod(x, qm1 // l, mod, p) == [1] for l in prime_parts):
+        if any(gf_pow_mod(x, qm1 // l, desc, p, ZZ) == [1] for l in prime_parts):
             continue
-        ok = True
-        for _, sub, e in subs:
-            y = _poly_powmod(x, e, mod, p)
-            acc = [0]
-            for c in reversed(sub):
-                acc = _poly_mulmod(acc, y, mod, p)
-                acc[0] = (acc[0] + c) % p
-            if acc != [0]:
-                ok = False
-                break
-        if ok:
+        # norm compatibility: each subfield's Conway polynomial vanishes at
+        # the matching power of x
+        if all(not gf_compose_mod(sub, gf_pow_mod(x, e, desc, p, ZZ), desc, p, ZZ)
+               for sub, e in subs):
             return tuple(mod)
     raise AssertionError(f"no Conway polynomial found for ({p}, {f})")
 
@@ -132,16 +98,11 @@ class FqField:
         self.q = p**f
         self.modulus = conway_polynomial(p, f)
         q = self.q
-        if q <= 1024:
-            self._mul = [[self._mul_raw(a, b) for b in range(q)] for a in range(q)]
-        else:
-            self._mul = None
-        inv = [0] * q
-        for a in range(1, q):
-            if not inv[a]:
-                b = self._find_inv(a)
-                inv[a], inv[b] = b, a
-        self._inv = inv
+        mod = self.modulus[::-1]
+        polys = [self._digits(a)[::-1] for a in range(q)]
+        self._mul = [[self._encode(gf_rem(gf_mul(x, y, p, ZZ), mod, p, ZZ)[::-1])
+                      for y in polys] for x in polys]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
         # x itself is primitive for f >= 2; for f = 1 the modulus is x - g
         self.generator = self.p if f >= 2 else (-self.modulus[0]) % self.p
 
@@ -176,19 +137,8 @@ class FqField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(self._digits(a), self._digits(b),
-                            list(self.modulus), self.p)
-        return self._encode(prod + [0] * (self.f - len(prod)))
-
     def mul(self, a: int, b: int) -> int:
-        if self._mul is not None:
-            return self._mul[a][b]
-        return self._mul_raw(a, b)
-
-    def _find_inv(self, a: int) -> int:
-        r = _poly_powmod(self._digits(a), self.q - 2, list(self.modulus), self.p)
-        return self._encode(r + [0] * (self.f - len(r)))
+        return self._mul[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:

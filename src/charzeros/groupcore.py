@@ -148,7 +148,7 @@ def check_perm(images, degree: int) -> Perm:
 #   name STRING       optional, at most once
 #   (c1 c2 ...)...    one generator per line, disjoint cycles, 1-based points
 
-def parse_group_file(text: str) -> "Group":
+def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group":
     degree = None
     name = None
     gens: list[Perm] = []
@@ -179,7 +179,7 @@ def parse_group_file(text: str) -> "Group":
             gens.append(parse_cycles(line, degree))
     if degree is None:
         raise GroupFileError("missing degree directive")
-    return Group(gens, degree=degree, name=name)
+    return Group(gens, degree=degree, name=name, max_order=max_order)
 
 
 def format_group_file(group: "Group") -> str:
@@ -372,9 +372,6 @@ class Group:
                         work.append(k)
         return frozenset(s)
 
-    def normal_closure_classes(self, elements) -> frozenset[int]:
-        return self.closed_class_set({self.class_index[x] for x in elements})
-
     def class_set_elements(self, s) -> set[Perm]:
         out: set[Perm] = set()
         for i in s:
@@ -392,7 +389,7 @@ class Group:
             ai = pinv(a)
             for b in gens:
                 comms.add(pmul(pmul(ai, pinv(b)), pmul(a, b)))
-        return self.normal_closure_classes(comms)
+        return self.closed_class_set({self.class_index[x] for x in comms})
 
     @cached_property
     def is_perfect(self) -> bool:
@@ -445,10 +442,9 @@ class Group:
             return False
         return self.quotient(self.center_classes).is_simple
 
-    def quotient_with_map(self, class_set) -> tuple["Group", dict[Perm, int]]:
+    def quotient(self, class_set) -> "Group":
         """Quotient by the normal subgroup formed by the given classes,
-        realized by the action on cosets (ordered by lex-least member).
-        Also returns the projection as an element -> coset index map."""
+        realized by the action on cosets (ordered by lex-least member)."""
         s = frozenset(class_set)
         for i in s:
             if not self.class_support(i, i) <= s or 0 not in s:
@@ -469,27 +465,4 @@ class Group:
             ag = a.__getitem__
             gen_images.append(tuple(coset_of[tuple(map(ag, r))] for r in reps))
         nm = f"{self.name}/N{len(n_elems)}" if self.name else None
-        q = Group(gen_images, degree=len(reps), name=nm, max_order=self.max_order)
-        return q, coset_of
-
-    def quotient(self, class_set) -> "Group":
-        return self.quotient_with_map(class_set)[0]
-
-    # -- element-level conveniences ------------------------------------------
-
-    def element_order(self, x: Perm) -> int:
-        return perm_order(x)
-
-    def random_elements(self, rng, count: int) -> list[Perm]:
-        """Deterministic sample from the sorted element list."""
-        elems = self._sorted_elements
-        return [elems[rng.randrange(len(elems))] for _ in range(count)]
-
-
-def direct_product(a: Group, b: Group, name: str | None = None) -> Group:
-    """Outer direct product acting on the disjoint union of the two point sets."""
-    na, nb = a.degree, b.degree
-    gens = [g + tuple(range(na, na + nb)) for g in a.generators]
-    gens += [tuple(range(na)) + tuple(x + na for x in g) for g in b.generators]
-    return Group(gens, degree=na + nb, name=name,
-                 max_order=max(a.max_order, b.max_order))
+        return Group(gen_images, degree=len(reps), name=nm, max_order=self.max_order)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-from math import gcd
+from math import lcm
 
 from sympy import primefactors
 
@@ -33,13 +33,6 @@ def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
 
 def _central_classes(t: CharacterTable) -> tuple[int, ...]:
     return tuple(j for j, c in enumerate(t.classes) if c.size == 1)
-
-
-def _lcm(values) -> int:
-    out = 1
-    for v in values:
-        out = out * v // gcd(out, v)
-    return out
 
 
 # -- property star -------------------------------------------------------------------
@@ -125,7 +118,7 @@ def star_check(t: CharacterTable, row: int, *,
 
     central = _central_classes(t)
     z = sum(t.classes[j].size for j in central)
-    z_exp = _lcm(t.classes[j].element_order for j in central)
+    z_exp = lcm(*(t.classes[j].element_order for j in central))
     if z == 1:
         cond_iii = True
         notes.append("centre is trivial")

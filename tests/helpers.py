@@ -45,6 +45,27 @@ def brute_normal_class_sets(group: Group) -> set[frozenset[int]]:
     return out
 
 
+def brute_min_poly_degree(b: list[list[int]], l: int) -> int:
+    """Least k such that I, B, ..., B^k are linearly dependent over F_l,
+    by row-reducing the flattened powers one at a time."""
+    d = len(b)
+    power = [[int(i == j) for j in range(d)] for i in range(d)]
+    rows: list[list[int]] = []  # reduced flattened powers, pivot first
+    for k in range(d + 1):
+        v = [x % l for row in power for x in row]
+        for r in rows:
+            lead = next(i for i, x in enumerate(r) if x)
+            if v[lead]:
+                f = v[lead] * pow(r[lead], -1, l)
+                v = [(x - f * y) % l for x, y in zip(v, r)]
+        if not any(v):
+            return k
+        rows.append(v)
+        power = [[sum(power[i][t] * b[t][j] for t in range(d)) % l
+                  for j in range(d)] for i in range(d)]
+    raise AssertionError("Cayley-Hamilton bounds the degree by the size")
+
+
 class OracleFailure(RuntimeError):
     pass
 

@@ -1,14 +1,16 @@
 import dataclasses
 import json
 import math
+import random
 
 import pytest
 
 from charzeros.chartab import (
     BudgetExceeded,
+    ClassMultiplicationTensor,
     TableFileError,
+    _min_poly,
     character_table,
-    class_tensor,
     is_faithful,
     kernel_of,
     load_table,
@@ -20,6 +22,7 @@ from charzeros.chartab import (
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
 from charzeros.groupcore import pmul
+from helpers import brute_min_poly_degree
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
 
@@ -41,7 +44,7 @@ def brute_tensor(group):
 def test_class_tensor_matches_brute():
     for name in ["C6", "A5"]:
         g = build(name)
-        tensor = class_tensor(g)
+        tensor = ClassMultiplicationTensor(g)
         brute = brute_tensor(g)
         r = g.num_classes
         for i in range(r):
@@ -52,12 +55,47 @@ def test_class_tensor_matches_brute():
 
 def test_class_tensor_cyclic3():
     g = build("C3")
-    tensor = class_tensor(g)
+    tensor = ClassMultiplicationTensor(g)
     # classes are ordered identity, shift, shift^2, so indices add mod 3
     for i in range(3):
         for j in range(3):
             for k in range(3):
                 assert tensor.c(i, j, k) == (1 if (i + j) % 3 == k else 0)
+
+
+def _sample_matrices(rng, l):
+    """Seeded matrices up to 8x8 over F_l: dense random ones, whose minimal
+    polynomial is usually the characteristic one, and structured ones
+    (repeated diagonal values, repeated blocks, rank one, scalars) whose
+    minimal polynomial is a proper lcm of the Krylov annihilators."""
+    for d in range(1, 9):
+        yield [[rng.randrange(l) for _ in range(d)] for _ in range(d)]
+        vals = [rng.randrange(3) for _ in range(d)]
+        yield [[vals[i] if i == j else 0 for j in range(d)] for i in range(d)]
+        u = [rng.randrange(l) for _ in range(d)]
+        v = [rng.randrange(l) for _ in range(d)]
+        yield [[x * y % l for y in v] for x in u]
+        yield [[7 * (i == j) for j in range(d)] for i in range(d)]
+        if d % 2 == 0:
+            h = d // 2
+            blk = [[rng.randrange(l) for _ in range(h)] for _ in range(h)]
+            yield [[blk[i % h][j % h] if i // h == j // h else 0
+                    for j in range(d)] for i in range(d)]
+
+
+def test_min_poly_matches_brute():
+    l = 101
+    rng = random.Random(7)
+    for b in _sample_matrices(rng, l):
+        d = len(b)
+        mp = _min_poly(b, l)
+        assert mp[0] == 1  # monic, descending coefficients
+        assert len(mp) - 1 == brute_min_poly_degree(b, l), b
+        acc = [[0] * d for _ in range(d)]  # Horner: acc = acc*B + c*I
+        for c in mp:
+            acc = [[(sum(acc[i][t] * b[t][j] for t in range(d)) + c * (i == j)) % l
+                    for j in range(d)] for i in range(d)]
+        assert not any(any(row) for row in acc), b
 
 
 def test_cyclic_tables_are_root_powers(get_table, get_group):

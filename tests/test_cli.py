@@ -1,10 +1,12 @@
 """End-to-end checks of the command-line surface through main(argv)."""
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
+import charzeros
 from charzeros.cli import main
 from charzeros.groupcore import parse_group_file
 
@@ -149,6 +151,23 @@ def test_budget_failures(capsys):
     assert rc == 1 and "budget" in err
 
 
+def test_order_budget_stops_enumeration(tmp_path, capsys):
+    # S10 has 3628800 elements; enumeration must stop at the default budget
+    f = tmp_path / "s10.grp"
+    f.write_text("degree 10\n(1 2 3 4 5 6 7 8 9 10)\n(1 2)\n")
+    rc, _, err = run(capsys, "zeros", str(f))
+    assert rc == 1 and "budget" in err
+
+
+def test_max_order_is_the_enumeration_budget(tmp_path, capsys):
+    f = tmp_path / "s5.grp"
+    f.write_text("degree 5\n(1 2 3 4 5)\n(1 2)\n")
+    rc, _, err = run(capsys, "zeros", str(f), "--max-order", "119")
+    assert rc == 1 and "budget" in err
+    rc, out, _ = run(capsys, "zeros", str(f), "--max-order", "120")
+    assert rc == 0 and "order 120" in out
+
+
 def test_numtheory_diophantine(capsys):
     rc, out, _ = run(capsys, "numtheory", "diophantine", "--part", "a",
                      "--bound", "1000")
@@ -214,9 +233,13 @@ def test_stdout_deterministic(capsys):
 
 def test_installed_script():
     exe = shutil.which("charzeros")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    proc = subprocess.run([exe, "numtheory", "zsigmondy", "2", "4"],
-                          capture_output=True, text=True, timeout=60)
+    # without the console script, run the module entry point of the package
+    # this test imported
+    cmd = [exe] if exe else [sys.executable, "-m", "charzeros.cli"]
+    src = str(Path(charzeros.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(cmd + ["numtheory", "zsigmondy", "2", "4"],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     assert "5" in proc.stdout

@@ -23,6 +23,7 @@ from charzeros.constructions import (
     unitary3,
 )
 from charzeros.constructions.registry import _parse_registry
+from charzeros.groupcore import perm_order
 from charzeros.numtheory import NotPrimePower
 
 
@@ -40,17 +41,18 @@ def test_registry_contents():
 
 
 def test_registry_grammar_rejections():
+    block = "group X\nparam family cyclic\nparam n 5\norder 5\n"
+    assert list(_parse_registry(block)) == ["X"]
     with pytest.raises(RegistryError):
-        _parse_registry("group X\nsource PROJECTIVE_LINE\norder 5\n"
-                        "group X\nsource PROJECTIVE_LINE\norder 5\n")
+        _parse_registry(block + block)
     with pytest.raises(RegistryError):
-        _parse_registry("source PROJECTIVE_LINE\n")
+        _parse_registry("param family cyclic\n")
     with pytest.raises(RegistryError):
-        _parse_registry("group X\nsource NOWHERE\norder 5\n")
+        _parse_registry("group X\norder 5\n")
     with pytest.raises(RegistryError):
-        _parse_registry("group X\nsource PROJECTIVE_LINE\n")
+        _parse_registry("group X\nparam family cyclic\nparam n 5\n")
     with pytest.raises(RegistryError):
-        _parse_registry("group X\nbogus 1\n")
+        _parse_registry(block + "bogus 1\n")
 
 
 def test_projective_line_orders():
@@ -92,7 +94,7 @@ def test_triple_cover():
     assert g.is_quasisimple
     z = g.class_set_elements(g.center_classes)
     assert len(z) == 3
-    assert any(g.element_order(x) == 3 for x in z)
+    assert any(perm_order(x) == 3 for x in z)
     q = g.quotient(g.center_classes)
     assert q.order == 360 and q.is_simple
 
@@ -163,18 +165,15 @@ def test_builder_rejections():
 
 
 def test_validation_hooks():
-    recipe = GroupRecipe(name="bogus", source="PROJECTIVE_LINE",
-                         params={"family": "psl2", "q": 5},
+    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
                          expected_order=61)
     with pytest.raises(ValidationFailed):
         build(recipe)
-    recipe = GroupRecipe(name="bogus", source="PROJECTIVE_LINE",
-                         params={"family": "psl2", "q": 5},
+    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
                          expected_order=60, expected_center=2)
     with pytest.raises(ValidationFailed):
         build(recipe)
-    recipe = GroupRecipe(name="bogus", source="PROJECTIVE_LINE",
-                         params={"family": "psl2", "q": 5},
+    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
                          expected_order=60, checks=(("orders", 1, 2),))
     with pytest.raises(ValidationFailed):
         build(recipe)

@@ -97,6 +97,13 @@ def test_conway_tower_compatibility():
     assert conway_polynomial(5, 1) == (3, 1)
     assert conway_polynomial(2, 2) == (1, 1, 1)
     assert conway_polynomial(3, 2) == (2, 2, 1)
+    # every other field a builder constructs or a test touches
+    assert conway_polynomial(2, 4) == (1, 1, 0, 0, 1)
+    assert conway_polynomial(2, 5) == (1, 0, 1, 0, 0, 1)
+    assert conway_polynomial(3, 3) == (1, 2, 0, 1)
+    assert conway_polynomial(5, 2) == (2, 4, 1)
+    assert conway_polynomial(7, 2) == (3, 6, 1)
+    assert conway_polynomial(31, 1) == (28, 1)
 
 
 def test_gf_rejections():
