@@ -1,7 +1,8 @@
 """Exact character tables by modular eigenvector separation.
 
 The table of a finite permutation group is computed from its class
-multiplication constants.  Over a prime field F_l with l = 1 (mod exp(G))
+multiplication constants, one matrix per class from `Group.class_matrix`
+(Dixon's method).  Over a prime field F_l with l = 1 (mod exp(G))
 the central characters are the simultaneous eigenvectors of the class
 matrices; once those are separated, each character degree follows from
 the orthogonality relations and every entry lifts uniquely to an exact
@@ -13,7 +14,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from sympy import isprime, primitive_root
 from sympy.ntheory.residue_ntheory import sqrt_mod
@@ -21,7 +24,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
 
 from .cyclo import CycloNum
-from .groupcore import Group, format_cycles, pinv, pmul
+from .groupcore import Group, format_cycles, parse_cycles, perm_order
 
 DEFAULT_CLASS_BUDGET = 64
 SPLIT_BUDGET = 32
@@ -39,48 +42,6 @@ class TableFileError(ValueError):
     """A serialized table was malformed or not in canonical form."""
 
 
-# -- class multiplication constants ------------------------------------------------
-
-class ClassMultiplicationTensor:
-    """Structure constants c_ijk = #{(x,y) in C_i x C_j : x*y = rep_k}.
-
-    Stored sparsely per (i,j).  Built in a single pass over the group:
-    for x in C_i the product x*y = rep_k forces y = x^-1 * rep_k, so each
-    (x, k) pair contributes to exactly one j.
-    """
-
-    def __init__(self, group: Group):
-        classes = group.classes
-        r = len(classes)
-        cls = group.class_index
-        reps = [c.rep for c in classes]
-        counts: list[list[dict[int, int]]] = [[{} for _ in range(r)] for _ in range(r)]
-        for x in group._sorted_elements:
-            i = cls[x]
-            xi = pinv(x)
-            row = counts[i]
-            for k, z in enumerate(reps):
-                j = cls[pmul(xi, z)]
-                cell = row[j]
-                cell[k] = cell.get(k, 0) + 1
-        self.num_classes = r
-        self.sizes = tuple(c.size for c in classes)
-        self._counts = counts
-
-    def c(self, i: int, j: int, k: int) -> int:
-        return self._counts[i][j].get(k, 0)
-
-    def matrix(self, i: int) -> list[list[int]]:
-        """Dense matrix A_i with A_i[j][k] = c_ijk; central characters are
-        its simultaneous eigenvectors."""
-        r = self.num_classes
-        out = [[0] * r for _ in range(r)]
-        for j in range(r):
-            for k, v in self._counts[i][j].items():
-                out[j][k] = v
-        return out
-
-
 # -- table container ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -95,10 +56,6 @@ class TableClass:
 
     def power(self, k: int) -> int:
         return self.powers[k % self.element_order]
-
-    @property
-    def inverse(self) -> int:
-        return self.powers[self.element_order - 1] if self.element_order > 1 else self.powers[0]
 
 
 @dataclass(frozen=True)
@@ -119,10 +76,6 @@ class CharacterTable:
         if v.denominator != 1:
             raise TableFileError(f"row {row} has non-integral degree {v}")
         return int(v)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(i) for i in range(len(self.rows)))
 
 
 def _entry_key(v: CycloNum):
@@ -301,8 +254,7 @@ def character_table(group: Group, *, seed: int = 0,
     m = group.exponent
     l = _dixon_prime(n, m)
 
-    tensor = ClassMultiplicationTensor(group)
-    mats = [tensor.matrix(i) for i in range(r)]
+    mats = [group.class_matrix(i) for i in range(r)]
     rng = random.Random(seed)
     vecs = _separate(mats, l, rng)
 
@@ -478,6 +430,37 @@ def table_to_text(t: CharacterTable) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _rep_order(rep: str) -> int:
+    """Order of a representative in cycle notation.  Points are renumbered by
+    rank first (0 stays 0, so parse_cycles still rejects it), which keeps the
+    cycle type and keeps the parse linear in the string however large a
+    point is."""
+    rank = {p: i for i, p in enumerate(sorted({0, *map(int, re.findall(r"\d+", rep))}))}
+    return perm_order(parse_cycles(re.sub(r"\d+", lambda d: str(rank[int(d[0])]), rep),
+                                   len(rank) - 1))
+
+
+def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -> None:
+    """Class data that every vanishing verdict reads, checked before any entry
+    is parsed; the exponent it pins down bounds what parsing an entry costs."""
+    r = len(classes)
+    for j, c in enumerate(classes):
+        o, powers = c.element_order, c.powers
+        if len(powers) != o or c.size * c.centralizer != order:
+            raise TableFileError(f"class {j}: inconsistent class summary")
+        if not all(0 <= p < r for p in powers) or powers[0] != 0 or powers[1 % o] != j:
+            raise TableFileError(f"class {j}: power map out of range or not "
+                                 f"anchored at the identity and the class itself")
+        if any(classes[p].element_order != o // gcd(o, k) for k, p in enumerate(powers)):
+            raise TableFileError(f"class {j}: power map disagrees with the class orders")
+        if _rep_order(c.rep) != o:
+            raise TableFileError(f"class {j}: representative does not have order {o}")
+    if order < 1 or sum(c.size for c in classes) != order:
+        raise TableFileError("class sizes do not sum to a positive group order")
+    if exponent != lcm(*(c.element_order for c in classes)) or order % exponent:
+        raise TableFileError("exponent is not the lcm of the class orders")
+
+
 def table_from_text(text: str) -> CharacterTable:
     try:
         obj = json.loads(text)
@@ -490,36 +473,21 @@ def table_from_text(text: str) -> CharacterTable:
         exponent = int(obj["exponent"])
         seed = int(obj["seed"])
         group = str(obj["group"])
-        classes = []
-        for c in obj["classes"]:
-            powers = tuple(int(x) for x in c["powers"])
-            tc = TableClass(size=int(c["size"]), element_order=int(c["order"]),
-                            centralizer=int(c["centralizer"]), rep=str(c["rep"]),
-                            powers=powers)
-            if len(powers) != tc.element_order or tc.size * tc.centralizer != order:
-                raise TableFileError("inconsistent class summary")
-            classes.append(tc)
+        classes = tuple(TableClass(size=int(c["size"]), element_order=int(c["order"]),
+                                   centralizer=int(c["centralizer"]), rep=str(c["rep"]),
+                                   powers=tuple(int(x) for x in c["powers"]))
+                        for c in obj["classes"])
+        _check_classes(classes, order, exponent)
         rows = []
         for row in obj["rows"]:
-            vals = tuple(CycloNum.from_obj(v) for v in row)
-            if len(vals) != len(classes):
+            if len(row) != len(classes):
                 raise TableFileError("row length does not match the class count")
-            if any(v.order != exponent for v in vals):
+            if any(v["m"] != exponent for v in row):
                 raise TableFileError("entry not embedded at the table exponent")
-            rows.append(vals)
-    except (KeyError, TypeError, ValueError) as exc:
+            rows.append(tuple(CycloNum.from_obj(v) for v in row))
+    except (LookupError, TypeError, ValueError) as exc:
         if isinstance(exc, TableFileError):
             raise
         raise TableFileError(f"malformed table file: {exc}") from None
     return CharacterTable(group=group, order=order, exponent=exponent, seed=seed,
-                          classes=tuple(classes), rows=tuple(rows))
-
-
-def save_table(t: CharacterTable, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(table_to_text(t))
-
-
-def load_table(path) -> CharacterTable:
-    with open(path) as fh:
-        return table_from_text(fh.read())
+                          classes=classes, rows=tuple(rows))

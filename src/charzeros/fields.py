@@ -134,9 +134,6 @@ class FqField:
             return a
         return self._encode((-x) % self.p for x in self._digits(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
@@ -166,14 +163,6 @@ class FqField:
 
     def frobenius(self, a: int) -> int:
         return self.pow(a, self.p)
-
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        for d in sympy.divisors(self.q - 1):
-            if self.pow(a, d) == 1:
-                return d
-        raise AssertionError("unreachable")
 
     def elements(self) -> range:
         return range(self.q)

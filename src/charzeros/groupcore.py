@@ -2,10 +2,16 @@
 
 Elements are image tuples on points 0..n-1; the product a*b acts as "apply b,
 then a".  Everything is enumerated explicitly under an order budget, which
-keeps every downstream computation exact and deterministic: classes are
-discovered by scanning elements in lex order, each class representative is
-its lex-least member, and the class list is sorted by (element order, class
-size, representative).
+keeps every downstream computation exact and deterministic.  The group keeps
+one element store, `elements`, a tuple in lex order.  Classes are discovered
+by scanning it, each class representative is its lex-least member, and the
+class list is sorted by (element order, class size, representative); the
+same scan fills `class_index`, the class number of every element.
+
+`class_matrix(i)` gives the class multiplication constants of one class,
+A_i[j][k] = #{(x, y) in C_i x C_j : x*y = rep_k}, from which the character
+table is computed.  It walks the inverse class once: for x in C_i the partner
+y = x^-1 * rep_k is fixed, so |C_i| * r products fill the matrix.
 
 Normal-subgroup machinery works on sets of class indices rather than element
 sets.  A union of classes containing the identity is a subgroup iff it is
@@ -218,11 +224,13 @@ class Group:
         self.max_order = max_order
         self._support_cache: dict[tuple[int, int], frozenset[int]] = {}
         self._power_cache: dict[tuple[int, int], int] = {}
+        self._matrix_cache: dict[int, list[list[int]]] = {}
 
     # -- enumeration ------------------------------------------------------
 
     @cached_property
-    def elements(self) -> frozenset[Perm]:
+    def elements(self) -> tuple[Perm, ...]:
+        """Every element, in lex order."""
         e = identity_perm(self.degree)
         elems = {e}
         frontier = [e]
@@ -241,21 +249,11 @@ class Group:
                                 f"group exceeds order budget {limit}")
                         nxt.append(y)
             frontier = nxt
-        return frozenset(elems)
+        return tuple(sorted(elems))
 
     @cached_property
     def order(self) -> int:
         return len(self.elements)
-
-    @cached_property
-    def _sorted_elements(self) -> list[Perm]:
-        return sorted(self.elements)
-
-    def __contains__(self, x) -> bool:
-        return x in self.elements
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self):
         nm = f" {self.name!r}" if self.name else ""
@@ -268,13 +266,14 @@ class Group:
         gens = self.generators
         ginv = [pinv(g) for g in gens]
         pairs = list(zip(gens, ginv))
-        assigned: set[Perm] = set()
+        index: dict[Perm, int] = {}  # element -> orbit number, in discovery order
         found: list[tuple[Perm, tuple[Perm, ...]]] = []
-        for x in self._sorted_elements:
-            if x in assigned:
+        for x in self.elements:
+            if x in index:
                 continue
+            n = len(found)
             orbit = [x]
-            assigned.add(x)
+            index[x] = n
             i = 0
             while i < len(orbit):
                 z = orbit[i]
@@ -282,22 +281,24 @@ class Group:
                 zg = z.__getitem__
                 for g, gi in pairs:
                     y = tuple(map(gi.__getitem__, map(zg, g)))
-                    if y not in assigned:
-                        assigned.add(y)
+                    if y not in index:
+                        index[y] = n
                         orbit.append(y)
             found.append((x, tuple(orbit)))
         found.sort(key=lambda t: (perm_order(t[0]), len(t[1]), t[0]))
+        renumber = {index[rep]: i for i, (rep, _) in enumerate(found)}
+        for x, n in index.items():
+            index[x] = renumber[n]
+        self.class_index = index
         return tuple(
             ConjugacyClass(i, rep, len(mem), perm_order(rep), mem)
             for i, (rep, mem) in enumerate(found))
 
     @cached_property
     def class_index(self) -> dict[Perm, int]:
-        out = {}
-        for c in self.classes:
-            for x in c.members:
-                out[x] = c.index
-        return out
+        """Class number of every element; filled in by the `classes` scan."""
+        self.classes
+        return self.__dict__["class_index"]
 
     @cached_property
     def num_classes(self) -> int:
@@ -306,9 +307,6 @@ class Group:
     @cached_property
     def exponent(self) -> int:
         return lcm(*(c.element_order for c in self.classes))
-
-    def class_of(self, x: Perm) -> int:
-        return self.class_index[x]
 
     def power_class(self, i: int, k: int) -> int:
         """Index of the class containing rep_i^k."""
@@ -323,6 +321,24 @@ class Group:
 
     def inverse_class(self, i: int) -> int:
         return self.power_class(i, -1)
+
+    def class_matrix(self, i: int) -> list[list[int]]:
+        """A_i[j][k] = c_ijk = #{(x, y) in C_i x C_j : x*y = rep_k}, cached.
+
+        x*y = rep_k forces y = x^-1 * rep_k, and x^-1 runs over the inverse
+        class, so each (x^-1, k) adds one to A_i[class of x^-1 * rep_k][k].
+        """
+        got = self._matrix_cache.get(i)
+        if got is None:
+            ci = self.class_index
+            reps = [c.rep for c in self.classes]
+            got = [[0] * len(reps) for _ in reps]
+            for u in self.classes[self.inverse_class(i)].members:
+                ug = u.__getitem__
+                for k, z in enumerate(reps):
+                    got[ci[tuple(map(ug, z))]][k] += 1
+            self._matrix_cache[i] = got
+        return got
 
     # -- class multiplication support ---------------------------------------
 
@@ -405,10 +421,6 @@ class Group:
         return frozenset(c.index for c in self.classes if c.size == 1)
 
     @cached_property
-    def center_elements(self) -> tuple[Perm, ...]:
-        return tuple(sorted(self.class_set_elements(self.center_classes)))
-
-    @cached_property
     def is_simple(self) -> bool:
         """No proper nontrivial normal subgroup (trivial group: not simple)."""
         if self.order == 1:
@@ -452,7 +464,7 @@ class Group:
         n_elems = sorted(self.class_set_elements(s))
         coset_of: dict[Perm, int] = {}
         reps: list[Perm] = []
-        for g in self._sorted_elements:
+        for g in self.elements:
             if g in coset_of:
                 continue
             idx = len(reps)

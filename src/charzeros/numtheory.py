@@ -62,13 +62,6 @@ def cyclotomic_poly_value(n: int, q: int) -> int:
     return val
 
 
-def exactly_divides(m: int, n: int) -> bool:
-    """True iff m | n but m^2 does not divide n."""
-    if m < 1 or n < 1:
-        raise ValueError("arguments must be >= 1")
-    return n % m == 0 and n % (m * m) != 0
-
-
 def mult_order(q: int, l: int) -> int:
     """Least d >= 1 with q^d = 1 (mod l), for prime l not dividing q."""
     if not sympy.isprime(l):

@@ -27,6 +27,15 @@ def brute_zsigmondy(q: int, n: int) -> int | None:
     return None
 
 
+def field_element_order(F, a: int) -> int:
+    """Multiplicative order of a nonzero field element, by repeated products."""
+    o, x = 1, a
+    while x != 1:
+        x = F.mul(x, a)
+        o += 1
+    return o
+
+
 def brute_normal_class_sets(group: Group) -> set[frozenset[int]]:
     """Identity-containing class unions that are subgroups, by literal closure.
 

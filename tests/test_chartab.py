@@ -7,14 +7,11 @@ import pytest
 
 from charzeros.chartab import (
     BudgetExceeded,
-    ClassMultiplicationTensor,
     TableFileError,
     _min_poly,
     character_table,
     is_faithful,
     kernel_of,
-    load_table,
-    save_table,
     table_from_text,
     table_to_text,
     verify_table,
@@ -42,25 +39,37 @@ def brute_tensor(group):
 
 
 def test_class_tensor_matches_brute():
-    for name in ["C6", "A5"]:
+    # PSL(2,7) has the non-real classes 7A/7B, where C_i and its inverse differ
+    for name in ["C6", "A5", "PSL(2,7)"]:
         g = build(name)
-        tensor = ClassMultiplicationTensor(g)
         brute = brute_tensor(g)
         r = g.num_classes
         for i in range(r):
+            a = g.class_matrix(i)
             for j in range(r):
                 for k in range(r):
-                    assert tensor.c(i, j, k) == brute.get((i, j, k), 0), (name, i, j, k)
+                    assert a[j][k] == brute.get((i, j, k), 0), (name, i, j, k)
 
 
 def test_class_tensor_cyclic3():
     g = build("C3")
-    tensor = ClassMultiplicationTensor(g)
     # classes are ordered identity, shift, shift^2, so indices add mod 3
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                assert tensor.c(i, j, k) == (1 if (i + j) % 3 == k else 0)
+                assert g.class_matrix(i)[j][k] == (1 if (i + j) % 3 == k else 0)
+
+
+def test_class_matrix_columns_sum_to_class_size(corpus, get_group):
+    # each x in C_i meets exactly one y with x*y = rep_k
+    for name in corpus:
+        g = get_group(name)
+        if g.order > 200:
+            continue
+        for i, c in enumerate(g.classes):
+            a = g.class_matrix(i)
+            assert all(sum(row[k] for row in a) == c.size
+                       for k in range(g.num_classes)), (name, i)
 
 
 def _sample_matrices(rng, l):
@@ -98,6 +107,10 @@ def test_min_poly_matches_brute():
         assert not any(any(row) for row in acc), b
 
 
+def _degrees(t):
+    return [t.degree(i) for i in range(len(t.rows))]
+
+
 def test_cyclic_tables_are_root_powers(get_table, get_group):
     for n in (2, 3, 4, 6, 12):
         t = get_table(f"C{n}")
@@ -108,22 +121,22 @@ def test_cyclic_tables_are_root_powers(get_table, get_group):
             want.add(tuple(CycloNum.root_of_unity(n, (row_pow * e) % n).embed(t.exponent)
                            for e in exps))
         assert set(tuple(r) for r in t.rows) == want
-        assert t.degrees == tuple([1] * n)
+        assert _degrees(t) == [1] * n
 
 
 def test_degree_pins(get_table):
-    assert get_table("A5").degrees == (1, 3, 3, 4, 5)
-    assert get_table("PSL(2,7)").degrees == (1, 3, 3, 6, 7, 8)
-    assert get_table("SL(2,5)").degrees == (1, 2, 2, 3, 3, 4, 4, 5, 6)
+    assert _degrees(get_table("A5")) == [1, 3, 3, 4, 5]
+    assert _degrees(get_table("PSL(2,7)")) == [1, 3, 3, 6, 7, 8]
+    assert _degrees(get_table("SL(2,5)")) == [1, 2, 2, 3, 3, 4, 4, 5, 6]
     # q even: q/2 characters of degree q-1 and (q-2)/2 of degree q+1
-    assert get_table("PSL(2,8)").degrees == (1, 7, 7, 7, 7, 8, 9, 9, 9)
-    assert get_table("A6").degrees == (1, 5, 5, 8, 8, 9, 10)
+    assert _degrees(get_table("PSL(2,8)")) == [1, 7, 7, 7, 7, 8, 9, 9, 9]
+    assert _degrees(get_table("A6")) == [1, 5, 5, 8, 8, 9, 10]
 
 
 def test_degrees_divide_order(get_table):
     for name in SMALL + ["PSL(2,8)", "PGL(2,9)", "A6"]:
         t = get_table(name)
-        for d in t.degrees:
+        for d in _degrees(t):
             assert t.order % d == 0, name
 
 
@@ -131,7 +144,7 @@ def test_row_canon(get_table):
     for name in SMALL:
         t = get_table(name)
         assert all(v == 1 for v in t.rows[0])
-        assert list(t.degrees) == sorted(t.degrees)
+        assert _degrees(t) == sorted(_degrees(t))
 
 
 def test_verify_table_passes(get_table):
@@ -202,7 +215,7 @@ def test_table_class_powers(get_table, get_group):
         for j, c in enumerate(t.classes):
             assert c.powers == tuple(g.power_class(j, k) for k in range(c.element_order))
             assert c.power(c.element_order) == c.powers[0] == 0
-            assert c.inverse == g.inverse_class(j)
+            assert c.power(-1) == g.inverse_class(j)
 
 
 def test_second_orthogonality_with_inverse_classes(get_table):
@@ -214,7 +227,7 @@ def test_second_orthogonality_with_inverse_classes(get_table):
             acc = CycloNum.zero(1)
             for row in t.rows:
                 acc = acc + row[k] * row[kk]
-            want = t.order // t.classes[k].size if t.classes[k].inverse == kk else 0
+            want = t.order // t.classes[k].size if t.classes[k].power(-1) == kk else 0
             assert acc == want
 
 
@@ -234,16 +247,13 @@ def test_budget():
         character_table(g, class_budget=5)
 
 
-def test_file_round_trip(get_table, tmp_path):
+def test_file_round_trip(get_table):
     for name in ["C6", "PSL(2,7)", "SL(2,5)"]:
         t = get_table(name)
         text = table_to_text(t)
         again = table_from_text(text)
         assert table_to_text(again) == text
-        assert again.rows == t.rows
-        path = tmp_path / "t.tbl"
-        save_table(t, path)
-        assert load_table(path).rows == t.rows
+        assert again == t
 
 
 def test_file_rejections(get_table):
@@ -278,3 +288,34 @@ def test_file_rejections(get_table):
     obj["classes"][1]["size"] = 2  # breaks size * centralizer == order
     with pytest.raises(TableFileError):
         table_from_text(json.dumps(obj))
+
+
+def test_file_rejects_inconsistent_class_data(get_table):
+    text = table_to_text(get_table("A5"))
+
+    def rejected(edit):
+        obj = json.loads(text)
+        edit(obj["classes"], obj)
+        with pytest.raises(TableFileError):
+            table_from_text(json.dumps(obj))
+
+    def relabel_3a_as_order_2(cls, obj):
+        # the power map [0, 2] stays consistent; only the rep's order is wrong
+        cls[2].update(order=2, powers=cls[2]["powers"][:2])
+
+    rejected(relabel_3a_as_order_2)
+    rejected(lambda cls, obj: cls[1].update(powers=[1, 1]))
+    rejected(lambda cls, obj: cls[3].update(powers=[0, 3, 4, 4, 2]))  # 5A^4 of order 3
+    rejected(lambda cls, obj: cls[1].update(rep="(1 2 3)"))
+    rejected(lambda cls, obj: cls[1].update(rep="(1 2)(2 3)"))
+    rejected(lambda cls, obj: cls[1].update(rep="(0 1)(2 3)"))
+    rejected(lambda cls, obj: cls[1].update(rep="(1 2)(3 4"))
+    rejected(lambda cls, obj: obj.update(exponent=60))
+    rejected(lambda cls, obj: obj.update(order=0, exponent=1, classes=[], rows=[]))
+    rejected(lambda cls, obj: obj.update(
+        exponent=1000000007 * 998244353,
+        rows=[[dict(v, m=obj["exponent"]) for v in row] for row in obj["rows"]]))
+    # a huge point costs what its digits cost, not a list that long
+    obj = json.loads(text)
+    obj["classes"][1]["rep"] = "(1 99999999999999999)(2 3)"
+    assert table_from_text(json.dumps(obj)).classes[1].rep == "(1 99999999999999999)(2 3)"

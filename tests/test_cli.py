@@ -69,6 +69,48 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert rc == 1 and "malformed table file" in err
 
 
+def _a5_table(tmp_path, capsys, edit):
+    f = tmp_path / "a5.json"
+    run(capsys, "table", "A5", "--out", str(f))
+    obj = json.loads(f.read_text())
+    edit(obj)
+    f.write_text(json.dumps(obj))
+    return f
+
+
+def test_verify_rejects_power_map_out_of_range(tmp_path, capsys):
+    def edit(obj):
+        obj["classes"][1]["powers"] = [0, 99]
+
+    rc, out, err = run(capsys, "verify", str(_a5_table(tmp_path, capsys, edit)))
+    assert (rc, out) == (1, "") and "power map" in err
+
+
+def test_verify_rejects_relabelled_class_order(tmp_path, capsys):
+    def edit(obj):
+        c = obj["classes"][3]  # 5A, relabelled as order 3
+        assert c["order"] == 5
+        c["order"] = 3
+        c["powers"] = c["powers"][:3]
+
+    rc, out, err = run(capsys, "verify", str(_a5_table(tmp_path, capsys, edit)))
+    assert (rc, out) == (1, "") and "class 3" in err
+
+
+def test_verify_rejects_huge_entry_level_in_bounded_time(tmp_path, capsys):
+    def edit(obj):
+        obj["rows"][1][1] = {"m": 1000000007 * 998244353, "c": [[0, 1, 1]]}
+
+    f = _a5_table(tmp_path, capsys, edit)
+    src = str(Path(charzeros.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from charzeros.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", "verify", str(f)],
+        capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "exponent" in proc.stderr
+
+
 def test_zeros_text(capsys):
     rc, out, _ = run(capsys, "zeros", "PSL(2,7)")
     assert rc == 0

@@ -78,7 +78,7 @@ def test_sl2():
     assert g.order == 120
     assert g.degree == 24  # nonzero vectors of F25
     assert g.is_quasisimple and not g.is_simple
-    assert len(g.center_elements) == 2
+    assert len(g.class_set_elements(g.center_classes)) == 2
 
 
 def test_alternating():
@@ -109,7 +109,7 @@ def test_twisted_m10():
 def test_cover_extension():
     g = build("3.A6:2_3")
     assert g.order == 2160
-    assert len(g.center_elements) == 3
+    assert len(g.class_set_elements(g.center_classes)) == 3
     assert g.class_set_order(g.derived_classes) == 1080
     q = g.quotient(g.center_classes)
     assert q.order == 720

@@ -11,7 +11,6 @@ from charzeros.numtheory import (
     UnsupportedFamily,
     cyclotomic_poly_value,
     diophantine_solutions,
-    exactly_divides,
     mult_order,
     outer_bound_holds,
     outer_bound_sweep,
@@ -52,15 +51,6 @@ def test_cyclotomic_examples():
     assert cyclotomic_poly_value(1, 7) == 6
     assert cyclotomic_poly_value(5, 2) == 31
     assert cyclotomic_poly_value(12, 3) == 73
-
-
-def test_exactly_divides():
-    assert exactly_divides(2, 6)
-    assert not exactly_divides(2, 12)
-    assert not exactly_divides(5, 50)
-    for m in range(1, 13):
-        for n in range(1, 100):
-            assert exactly_divides(m, n) == (n % m == 0 and n % (m * m) != 0)
 
 
 def test_mult_order():
