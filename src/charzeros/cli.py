@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .chartab import (
@@ -158,7 +159,7 @@ def _cmd_star(args) -> int:
     else:
         reports = list(star_survey(t, out_order=args.out_order))
     if args.format == "json":
-        sys.stdout.write(_json([r.to_obj() for r in reports]))
+        sys.stdout.write(_json([asdict(r) for r in reports]))
     else:
         sys.stdout.write("\n\n".join(r.text() for r in reports) + "\n")
     return 0
@@ -168,7 +169,7 @@ def _cmd_classify(args) -> int:
     t = _obtain_table(args.target, args)
     rep = classify_one_class(t)
     if args.format == "json":
-        sys.stdout.write(_json(rep.to_obj()))
+        sys.stdout.write(_json(asdict(rep)))
     else:
         print(rep.text())
     return 1 if rep.match is False else 0
@@ -220,7 +221,8 @@ def _cmd_suite(args) -> int:
     rows, survey = _suite_rows(args, failures)
     if args.format == "json":
         report = _json({"seed": args.seed, "groups": rows,
-                        "survey": survey.to_obj(), "ok": not failures})
+                        "survey": {**asdict(survey), "ok": survey.ok},
+                        "ok": not failures})
     else:
         flag = {True: "ok", False: "FAIL", None: "--"}
         lines = [f"{'group':<12} {'order':>6} {'cls':>3} {'table':<5} "
@@ -439,8 +441,11 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except TableFileError as exc:
+        print(f"error: malformed table file: {exc}", file=sys.stderr)
+        return 1
     except (ValidationFailed, Degenerate, BudgetExceeded,
-            OrderBudgetExceeded, TableFileError) as exc:
+            OrderBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RegistryError, GroupFileError, FileNotFoundError,

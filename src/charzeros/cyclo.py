@@ -111,11 +111,6 @@ class CycloNum:
         value = _cnorm(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
         return CycloNum(order, {0: value} if value else {}, reduced=True)
 
-    @staticmethod
-    def root_of_unity(order: int, e: int, coeff: Rational = 1) -> "CycloNum":
-        """coeff * zeta_order^e, reduced to the canonical basis."""
-        return CycloNum(order, {e: coeff})
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -6,7 +6,9 @@ keeps every downstream computation exact and deterministic.  The group keeps
 one element store, `elements`, a tuple in lex order.  Classes are discovered
 by scanning it, each class representative is its lex-least member, and the
 class list is sorted by (element order, class size, representative); the
-same scan fills `class_index`, the class number of every element.
+same scan fills `class_index`, the class number of every element.  Class
+members and `class_index` keys are the very tuples held in `elements`, so
+each permutation is stored once.
 
 `class_matrix(i)` gives the class multiplication constants of one class,
 A_i[j][k] = #{(x, y) in C_i x C_j : x*y = rep_k}, from which the character
@@ -18,7 +20,10 @@ sets.  A union of classes containing the identity is a subgroup iff it is
 closed under class multiplication, and the support of a class product
 K_i * K_j is read off from |C_i| products against a fixed representative of
 C_j, so normal closures cost a few class-support sweeps instead of a fresh
-element enumeration.
+element enumeration.  Simplicity is read off the same class sets: for a
+normal subgroup N, G/N is simple iff N is proper and N with any one class
+outside it closes to all of G.  With N = Z(G), the central classes, that
+decides quasisimplicity without building G/Z(G).
 """
 
 from __future__ import annotations
@@ -267,6 +272,8 @@ class Group:
         ginv = [pinv(g) for g in gens]
         pairs = list(zip(gens, ginv))
         index: dict[Perm, int] = {}  # element -> orbit number, in discovery order
+        # each element to itself: members and index keys reuse these objects
+        stored = {x: x for x in self.elements}
         found: list[tuple[Perm, tuple[Perm, ...]]] = []
         for x in self.elements:
             if x in index:
@@ -282,6 +289,7 @@ class Group:
                 for g, gi in pairs:
                     y = tuple(map(gi.__getitem__, map(zg, g)))
                     if y not in index:
+                        y = stored[y]
                         index[y] = n
                         orbit.append(y)
             found.append((x, tuple(orbit)))
@@ -388,12 +396,6 @@ class Group:
                         work.append(k)
         return frozenset(s)
 
-    def class_set_elements(self, s) -> set[Perm]:
-        out: set[Perm] = set()
-        for i in s:
-            out.update(self.classes[i].members)
-        return out
-
     # -- normal structure ----------------------------------------------------
 
     @cached_property
@@ -423,12 +425,16 @@ class Group:
     @cached_property
     def is_simple(self) -> bool:
         """No proper nontrivial normal subgroup (trivial group: not simple)."""
-        if self.order == 1:
-            return False
-        for c in self.classes[1:]:
-            if len(self.closed_class_set([c.index])) != self.num_classes:
-                return False
-        return True
+        return self._simple_over(frozenset([0]))
+
+    def _simple_over(self, base: frozenset[int]) -> bool:
+        """Whether G/N is simple, N the normal subgroup formed by the base
+        classes: N is proper, and N together with any one class outside it
+        has the whole group as its normal closure."""
+        r = self.num_classes
+        return len(base) < r and all(
+            len(self.closed_class_set(base | {i})) == r
+            for i in range(r) if i not in base)
 
     def normal_subgroups(self) -> list[frozenset[int]]:
         """All normal subgroups as class-index sets, ascending by order.
@@ -450,31 +456,5 @@ class Group:
 
     @cached_property
     def is_quasisimple(self) -> bool:
-        if not self.is_perfect:
-            return False
-        return self.quotient(self.center_classes).is_simple
-
-    def quotient(self, class_set) -> "Group":
-        """Quotient by the normal subgroup formed by the given classes,
-        realized by the action on cosets (ordered by lex-least member)."""
-        s = frozenset(class_set)
-        for i in s:
-            if not self.class_support(i, i) <= s or 0 not in s:
-                raise ValueError("class set is not a normal subgroup")
-        n_elems = sorted(self.class_set_elements(s))
-        coset_of: dict[Perm, int] = {}
-        reps: list[Perm] = []
-        for g in self.elements:
-            if g in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            gg = g.__getitem__
-            for x in n_elems:
-                coset_of[tuple(map(gg, x))] = idx
-        gen_images = []
-        for a in self.generators:
-            ag = a.__getitem__
-            gen_images.append(tuple(coset_of[tuple(map(ag, r))] for r in reps))
-        nm = f"{self.name}/N{len(n_elems)}" if self.name else None
-        return Group(gen_images, degree=len(reps), name=nm, max_order=self.max_order)
+        """Perfect, with G/Z(G) simple."""
+        return self.is_perfect and self._simple_over(self.center_classes)

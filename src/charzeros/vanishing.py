@@ -52,16 +52,6 @@ class StarReport:
     holds: bool
     notes: tuple[str, ...]
 
-    def to_obj(self) -> dict:
-        return {
-            "group": self.group, "row": self.row, "degree": self.degree,
-            "out_order": self.out_order,
-            "vanishing": [list(v) for v in self.vanishing],
-            "faithful": self.faithful, "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii, "cond_iii": self.cond_iii,
-            "p": self.p, "holds": self.holds, "notes": list(self.notes),
-        }
-
     def text(self) -> str:
         verdict = "holds" if self.holds else "fails"
         head = (f"{self.group} row {self.row} (degree {self.degree}): "
@@ -163,17 +153,6 @@ class BurnsideReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_obj(self) -> dict:
-        return {"group": self.group, "checked_rows": self.checked_rows,
-                "violations": list(self.violations), "ok": self.ok}
-
-    def text(self) -> str:
-        if self.ok:
-            return (f"{self.group}: every nonlinear row "
-                    f"({self.checked_rows} checked) vanishes somewhere")
-        return (f"{self.group}: rows {list(self.violations)} are nonlinear "
-                "but vanish nowhere")
-
 
 def burnside_check(t: CharacterTable) -> BurnsideReport:
     """Every row of degree > 1 must vanish on at least one class."""
@@ -201,20 +180,6 @@ class TwoPrimeReport:
     @property
     def ok(self) -> bool:
         return not self.flagged or self.excused
-
-    def to_obj(self) -> dict:
-        return {"group": self.group, "flagged": [list(f) for f in self.flagged],
-                "excused": self.excused, "ok": self.ok,
-                "notes": list(self.notes)}
-
-    def text(self) -> str:
-        if not self.flagged:
-            return (f"{self.group}: no single-vanishing-class row has a degree "
-                    "with two distinct prime factors")
-        rows = ", ".join(f"row {r} degree {d}" for r, d in self.flagged)
-        verdict = "excused as a known exception" if self.excused else "UNEXPECTED"
-        return "\n".join([f"{self.group}: {rows} ({verdict})"]
-                         + [f"  {n}" for n in self.notes])
 
 
 def two_prime_degree_check(t: CharacterTable,
@@ -248,16 +213,6 @@ class OneClassReport:
     expected: tuple[int, ...] | None
     match: bool | None
     notes: tuple[str, ...] = field(default=())
-
-    def to_obj(self) -> dict:
-        return {
-            "group": self.group,
-            "rows": [list(r) for r in self.rows],
-            "one_class_rows": [list(r) for r in self.one_class_rows],
-            "observed": list(self.observed),
-            "expected": None if self.expected is None else list(self.expected),
-            "match": self.match, "notes": list(self.notes),
-        }
 
     def text(self) -> str:
         if self.expected is None:
@@ -325,21 +280,6 @@ class SurveyReport:
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def to_obj(self) -> dict:
-        return {"ok": self.ok, "entries": [
-            {"group": e.group, "one_class_rows": [list(r) for r in e.one_class_rows],
-             "allowed": list(e.allowed), "ok": e.ok} for e in self.entries]}
-
-    def text(self) -> str:
-        lines = []
-        for e in self.entries:
-            got = ", ".join(f"row {r} degree {d}" for r, d in e.one_class_rows) or "none"
-            lines.append(f"{e.group}: single-vanishing-class rows: {got}; "
-                         f"allowed degrees {list(e.allowed)} "
-                         f"({'ok' if e.ok else 'VIOLATION'})")
-        lines.append("survey " + ("passed" if self.ok else "FAILED"))
-        return "\n".join(lines)
 
 
 def simple_one_class_survey(tables) -> SurveyReport:

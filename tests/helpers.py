@@ -48,7 +48,7 @@ def brute_normal_class_sets(group: Group) -> set[frozenset[int]]:
         total = sum(group.classes[i].size for i in s)
         if group.order % total:
             continue
-        elems = frozenset(group.class_set_elements(s))
+        elems = frozenset(x for i in s for x in group.classes[i].members)
         if all(pmul(a, b) in elems for a in elems for b in elems):
             out.add(s)
     return out
@@ -86,7 +86,7 @@ def _regular_class_sums(group: Group) -> list[np.ndarray]:
     sums = []
     for j in range(group.num_classes):
         mat = np.zeros((n, n))
-        for g in group.class_set_elements({j}):
+        for g in group.classes[j].members:
             for col, x in enumerate(elems):
                 mat[idx[pmul(g, x)], col] += 1.0
         sums.append(mat)
@@ -125,7 +125,7 @@ def _snap_row(group: Group, vals: list[complex], degree: int, m: int):
                 raise OracleFailure(f"non-integral multiplicity {acc}")
             total += c
             if c:
-                ent = ent + CycloNum.root_of_unity(o, t, c)
+                ent = ent + CycloNum(o, {t: c})
         if total != degree:
             raise OracleFailure("multiplicities do not sum to the degree")
         row.append(ent.embed(m))

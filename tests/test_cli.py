@@ -97,6 +97,19 @@ def test_verify_rejects_relabelled_class_order(tmp_path, capsys):
     assert (rc, out) == (1, "") and "class 3" in err
 
 
+def test_malformed_table_prefix_printed_once(tmp_path, capsys):
+    def edit(obj):
+        assert obj["classes"][1]["order"] == 2
+        obj["classes"][1]["rep"] = "(0 1)(2 3)"
+
+    f = str(_a5_table(tmp_path, capsys, edit))
+    rc, out, err = run(capsys, "verify", f)
+    assert (rc, out) == (1, "") and err.count("malformed table file") == 1
+    assert "point 0 outside degree 3" in err
+    rc, out, err = run(capsys, "zeros", f)
+    assert (rc, out) == (1, "") and err.count("malformed table file") == 1
+
+
 def test_verify_rejects_huge_entry_level_in_bounded_time(tmp_path, capsys):
     def edit(obj):
         obj["rows"][1][1] = {"m": 1000000007 * 998244353, "c": [[0, 1, 1]]}

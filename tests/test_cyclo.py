@@ -9,7 +9,7 @@ from charzeros.cyclo import CycloNum
 
 
 def zeta(n, e=1, c=1):
-    return CycloNum.root_of_unity(n, e, c)
+    return CycloNum(n, {e: c})
 
 
 def rand_cyclo(rng, m):

@@ -131,9 +131,9 @@ def test_derived_and_perfect(get_group):
 
 def test_center(get_group):
     a5 = get_group("A5")
-    assert len(a5.class_set_elements(a5.center_classes)) == 1
+    assert a5.class_set_order(a5.center_classes) == 1
     sl = get_group("SL(2,5)")
-    assert len(sl.class_set_elements(sl.center_classes)) == 2
+    assert sl.class_set_order(sl.center_classes) == 2
     assert len(sl.center_classes) == 2 and 0 in sl.center_classes
     assert all(sl.classes[i].size == 1 for i in sl.center_classes)
     assert {sl.classes[i].element_order for i in sl.center_classes} == {1, 2}
@@ -160,37 +160,40 @@ def test_is_quasisimple(get_group):
     assert get_group("SL(2,5)").is_quasisimple
     assert get_group("A5").is_quasisimple
     assert not get_group("C6").is_quasisimple
+    assert not get_group("C1").is_quasisimple
     assert not get_group("PGL(2,5)").is_quasisimple
 
 
-def test_quotient(get_group):
-    sl = get_group("SL(2,5)")
-    q = sl.quotient(sl.center_classes)
-    assert q.order == 60 and q.is_simple
-    # cosets of the centre, numbered in order of their lex-least members
-    elems = sorted(sl.elements)
-    centre = sl.class_set_elements(sl.center_classes)
-    coset_of: dict[tuple, int] = {}
-    reps: list[tuple] = []
-    for g in elems:
-        if g not in coset_of:
-            for x in centre:
-                coset_of[pmul(g, x)] = len(reps)
-            reps.append(g)
-    # the coset partition is a congruence
-    rng = random.Random(17)
-    for _ in range(100):
-        a, b = rng.choice(elems), rng.choice(elems)
-        assert coset_of[pmul(a, b)] == coset_of[pmul(reps[coset_of[a]], reps[coset_of[b]])]
-    # each quotient generator is the induced action on those cosets
-    for a, image in zip(sl.generators, q.generators):
-        assert image == tuple(coset_of[pmul(a, r)] for r in reps)
+def test_is_quasisimple_builds_no_group(get_group, monkeypatch):
+    # fresh groups, since building a registry group already asks the question
+    fresh = [Group(g.generators, degree=g.degree) for g in
+             map(get_group, ["A5", "SL(2,5)", "3.A6", "PSL(2,16)"])]
+
+    def no_group(*args, **kwargs):
+        raise AssertionError("a new Group was constructed")
+
+    monkeypatch.setattr(Group, "__init__", no_group)
+    assert all(g.is_quasisimple for g in fresh)
 
 
-def test_quotient_rejects_non_normal():
-    g = build("A5")
-    with pytest.raises(ValueError):
-        g.quotient({0, 1})
+def test_perfect_direct_square_is_not_quasisimple():
+    # A5 x A5 on 10 points: perfect with trivial centre, but each factor is
+    # a proper nontrivial normal subgroup
+    gens = [parse_cycles(c, 10) for c in
+            ("(1 2 3 4 5)", "(1 2 3)", "(6 7 8 9 10)", "(6 7 8)")]
+    g = Group(gens, degree=10)
+    assert g.order == 3600 and g.center_classes == frozenset([0])
+    assert g.is_perfect
+    assert not g.is_quasisimple and not g.is_simple
+    assert sorted(g.class_set_order(s) for s in g.normal_subgroups()) == [1, 60, 60, 3600]
+
+
+def test_class_members_share_element_objects(get_group):
+    for name in ["A5", "PSL(2,7)", "SL(2,5)"]:
+        g = get_group(name)
+        stored = {id(x) for x in g.elements}
+        assert all(id(x) in stored for c in g.classes for x in c.members), name
+        assert all(id(x) in stored for x in g.class_index), name
 
 
 def test_order_budget():
