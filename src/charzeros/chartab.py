@@ -23,7 +23,7 @@ from sympy.ntheory.residue_ntheory import sqrt_mod
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
 
-from .cyclo import CycloNum
+from .cyclo import CycloNum, hermitian_sum
 from .groupcore import Group, format_cycles, parse_cycles, perm_order
 
 DEFAULT_CLASS_BUDGET = 64
@@ -302,7 +302,7 @@ def character_table(group: Group, *, seed: int = 0,
             if sum(mult.values()) != d:
                 raise Degenerate("root-of-unity multiplicities do not sum "
                                  "to the degree")
-            row.append(CycloNum(o, mult).embed(m))
+            row.append(CycloNum(m, {t * (m // o): c for t, c in mult.items()}))
         rows.append((d, tuple(row)))
 
     rows.sort(key=lambda pair: _row_key(pair[0], pair[1]))
@@ -361,21 +361,25 @@ def verify_table(t: CharacterTable) -> TableReport:
                 bad.append(f"integrality {i},{j}: entry has a denominator")
 
     sizes = [c.size for c in t.classes]
+    rows_ok = True
     for i in range(r):
         for j in range(i, r):
-            acc = CycloNum.zero(1)
-            for k in range(r):
-                acc = acc + sizes[k] * (t.rows[i][k] * t.rows[j][k].conjugate())
             want = t.order if i == j else 0
-            if acc != want:
+            if hermitian_sum(t.rows[i], t.rows[j], sizes) != want:
                 bad.append(f"row-orth {i},{j}: inner product != {want}")
+                rows_ok = False
+    # For the square table X and D = diag(sizes), X D X* = |G| I makes X
+    # invertible with X* X = |G| D^-1: the column relations hold whenever the
+    # row relations do and the sizes divide a nonzero order.  They are summed
+    # only when they can fail, to name the failing columns.
+    if rows_ok and t.order and not any(t.order % s for s in sizes):
+        return TableReport(not bad, tuple(bad))
+    cols = [[row[k] for row in t.rows] for k in range(r)]
+    ones = [1] * r
     for k in range(r):
         for kk in range(k, r):
-            acc = CycloNum.zero(1)
-            for i in range(r):
-                acc = acc + t.rows[i][k] * t.rows[i][kk].conjugate()
             want = t.order // sizes[k] if k == kk else 0
-            if acc != want:
+            if hermitian_sum(cols[k], cols[kk], ones) != want:
                 bad.append(f"col-orth {k},{kk}: inner product != {want}")
     return TableReport(not bad, tuple(bad))
 
@@ -470,7 +474,7 @@ def table_from_text(text: str) -> CharacterTable:
             rows.append(tuple(CycloNum.from_obj(v) for v in row))
     except TableFileError:
         raise
-    except (LookupError, TypeError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise TableFileError(str(exc)) from None
     return CharacterTable(group=group, order=order, exponent=exponent, seed=seed,
                           classes=classes, rows=tuple(rows))

@@ -68,7 +68,8 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
 
 def _obtain_table(target: str, args) -> CharacterTable:
     """Registry name: build and compute.  File: a table file if it starts
-    with '{', otherwise a group file to compute from."""
+    with '{', which must pass verify_table, otherwise a group file to
+    compute from."""
     if target in registry_names():
         g = build(target, max_order=args.max_order)
     else:
@@ -79,7 +80,11 @@ def _obtain_table(target: str, args) -> CharacterTable:
                 f"known groups: {', '.join(sorted(registry_names()))}")
         text = p.read_text()
         if text.lstrip().startswith("{"):
-            return table_from_text(text)
+            t = table_from_text(text)
+            rep = verify_table(t)
+            if not rep.ok:
+                raise TableFileError(rep.violations[0])
+            return t
         g = parse_group_file(text, max_order=args.max_order)
     return character_table(g, seed=args.seed, class_budget=args.max_classes)
 
@@ -448,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             OrderBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RegistryError, GroupFileError, FileNotFoundError,
+    except (RegistryError, GroupFileError, OSError,
             NotPrimePower, PreconditionViolated, UnsupportedFamily,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,15 +1,20 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_m).
+"""Exact values in cyclotomic fields Q(zeta_m), held in canonical form.
 
 Elements are stored on a canonical integral basis assembled prime power by
 prime power: writing m = prod p^k and eta_p = zeta_m^(m/p^k), the basis
 consists of the products prod_p eta_p^(u_p) with 0 <= u_p < phi(p^k).  The
-representation is unique, so zero-testing is syntactic (empty coefficient
-map), and for o | m the basis of Q(zeta_o) maps into the basis of Q(zeta_m)
-under zeta_o -> zeta_m^(m/o), which keeps mixed-order sums sparse.
+representation is unique, so equality and zero-testing are syntactic (equal
+or empty coefficient maps), and for o | m the basis of Q(zeta_o) maps into
+the basis of Q(zeta_m) under zeta_o -> zeta_m^(m/o), so a value built at
+order m from powers of zeta_o stays sparse.
 
 A power zeta_m^e outside the basis reduces in one local step per offending
 prime: eta^(phi(p^k)+r) = -sum_{j<p-1} eta^(j*p^(k-1)+r), the relation
 Phi_{p^k}(eta) = 0 shifted by r < p^(k-1).
+
+There is no field arithmetic: the one computation on values is
+`hermitian_sum`, the weighted inner product that the orthogonality checks
+need, formed in the group ring Z[C_m] and reduced once.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
 
 Rational = int | Fraction
 
@@ -85,7 +89,11 @@ def _reduce(m: int, raw: dict[int, Rational]) -> dict[int, Rational]:
 
 
 class CycloNum:
-    """Immutable exact element of Q(zeta_m)."""
+    """Immutable exact element of Q(zeta_m), held in canonical form.
+
+    Values are compared only at one order: the entries of a table all share
+    the table exponent, and comparing values of different orders raises
+    instead of answering False."""
 
     __slots__ = ("order", "coeffs")
 
@@ -93,23 +101,16 @@ class CycloNum:
         if order < 1:
             raise ValueError("order must be >= 1")
         if not reduced:
-            coeffs = _reduce(order, {e % order: _cnorm(c) for e, c in coeffs.items() if c})
+            raw: dict[int, Rational] = {}
+            for e, c in coeffs.items():
+                e %= order
+                raw[e] = raw.get(e, 0) + c
+            coeffs = _reduce(order, raw)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(order: int = 1) -> "CycloNum":
-        return CycloNum(order, {}, reduced=True)
-
-    @staticmethod
-    def rational(value: Rational, order: int = 1) -> "CycloNum":
-        value = _cnorm(Fraction(value) if not isinstance(value, (int, Fraction)) else value)
-        return CycloNum(order, {0: value} if value else {}, reduced=True)
 
     # -- structure ---------------------------------------------------------
 
@@ -128,77 +129,6 @@ class CycloNum:
         """True iff every canonical-basis coefficient has denominator 1."""
         return all(isinstance(c, int) for c in self.coeffs.values())
 
-    def embed(self, order: int) -> "CycloNum":
-        """Image in Q(zeta_order) for a multiple of self.order (basis -> basis)."""
-        if order == self.order:
-            return self
-        if order % self.order:
-            raise ValueError("embedding target must be a multiple of the order")
-        k = order // self.order
-        return CycloNum(order, {e * k: c for e, c in self.coeffs.items()}, reduced=True)
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _aligned(self, other: "CycloNum") -> tuple["CycloNum", "CycloNum", int]:
-        m = lcm(self.order, other.order)
-        return self.embed(m), other.embed(m), m
-
-    def __add__(self, other) -> "CycloNum":
-        other = _coerce(other, self.order)
-        a, b, m = self._aligned(other)
-        out = dict(a.coeffs)
-        for e, c in b.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = _cnorm(s)
-            elif e in out:
-                del out[e]
-        return CycloNum(m, out, reduced=True)
-
-    def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, {e: -c for e, c in self.coeffs.items()}, reduced=True)
-
-    def __sub__(self, other) -> "CycloNum":
-        return self + (-_coerce(other, self.order))
-
-    def __mul__(self, other) -> "CycloNum":
-        other = _coerce(other, self.order)
-        a, b, m = self._aligned(other)
-        raw: dict[int, Rational] = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                if e >= m:
-                    e -= m
-                s = raw.get(e, 0) + c1 * c2
-                raw[e] = s
-        return CycloNum(m, {e: c for e, c in raw.items() if c})
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __rsub__(self, other) -> "CycloNum":
-        return _coerce(other, self.order) - self
-
-    def conjugate(self) -> "CycloNum":
-        """Complex conjugate: the Galois image zeta_m -> zeta_m^(-1)."""
-        m = self.order
-        return CycloNum(m, {(-e) % m: c for e, c in self.coeffs.items()})
-
-    def galois(self, k: int) -> "CycloNum":
-        """Galois image zeta_m -> zeta_m^k, gcd(k, m) = 1."""
-        m = self.order
-        if gcd(k, m) != 1:
-            raise ValueError("k must be coprime to the order")
-        return CycloNum(m, {(k * e) % m: c for e, c in self.coeffs.items()})
-
-    def approx(self) -> complex:
-        """Floating shadow of the exact value (guard rails only, never authority)."""
-        from cmath import exp, pi
-
-        z = exp(2j * pi / self.order)
-        return sum((c * z**e for e, c in self.coeffs.items()), 0j)
-
     # -- comparison / hashing / display -------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -206,15 +136,14 @@ class CycloNum:
             return self.is_rational() and self.coeffs.get(0, 0) == other
         if not isinstance(other, CycloNum):
             return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a.coeffs == b.coeffs
+        if other.order != self.order:
+            raise ValueError(f"cannot compare values of orders {self.order} and {other.order}")
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if self.is_rational():
             return hash(self.coeffs.get(0, 0))
-        g = gcd(self.order, *self.coeffs)
-        return hash((self.order // g,
-                     tuple(sorted((e // g, c) for e, c in self.coeffs.items()))))
+        return hash((self.order, tuple(sorted(self.coeffs.items()))))
 
     def __repr__(self):
         if self.is_zero():
@@ -243,16 +172,28 @@ class CycloNum:
                 raise ValueError("exponents must be ascending in [0, m)")
             prev = e
             coeffs[e] = _cnorm(Fraction(num, den))
-        val = CycloNum(m, dict(coeffs))
-        if val.coeffs != coeffs:
+        if _reduce(m, coeffs) != coeffs:
             raise ValueError("serialized element was not in canonical form")
-        return val
+        return CycloNum(m, coeffs, reduced=True)
 
 
-def _coerce(x, order: int) -> CycloNum:
-    if isinstance(x, CycloNum):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return CycloNum.rational(x, order)
-    raise TypeError(f"cannot coerce {type(x).__name__} to CycloNum")
+def hermitian_sum(xs, ys, weights) -> CycloNum:
+    """sum_k weights[k] * xs[k] * conj(ys[k]) for values of one order m.
 
+    The products are collected in the group ring Z[C_m], where zeta^a times
+    the conjugate of zeta^b is zeta^(a-b), and the sum is brought onto the
+    canonical basis by a single reduction: reduction is linear, so reducing
+    once equals reducing every product."""
+    m = xs[0].order
+    raw: dict[int, Rational] = {}
+    get = raw.get
+    for x, y, w in zip(xs, ys, weights, strict=True):
+        if x.order != m or y.order != m:
+            raise ValueError(f"values of orders {x.order} and {y.order} in a sum at order {m}")
+        ys_items = y.coeffs.items()
+        for a, c in x.coeffs.items():
+            wc = w * c
+            for b, d in ys_items:
+                e = a - b if a >= b else a - b + m
+                raw[e] = get(e, 0) + wc * d
+    return CycloNum(m, _reduce(m, raw), reduced=True)

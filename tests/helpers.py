@@ -115,33 +115,59 @@ def _snap_row(group: Group, vals: list[complex], degree: int, m: int):
     for j in range(group.num_classes):
         o = group.classes[j].element_order
         cycle = [vals[group.power_class(j, s)] for s in range(o)]
-        ent = CycloNum.zero(m)
-        total = 0
+        raw = {}
         for t in range(o):
             acc = sum(cycle[s] * np.exp(-2j * np.pi * s * t / o)
                       for s in range(o)) / o
             c = round(acc.real)
             if abs(acc - c) > 1e-6 or c < 0:
                 raise OracleFailure(f"non-integral multiplicity {acc}")
-            total += c
-            if c:
-                ent = ent + CycloNum(o, {t: c})
-        if total != degree:
+            raw[t * (m // o)] = c
+        if sum(raw.values()) != degree:
             raise OracleFailure("multiplicities do not sum to the degree")
-        row.append(ent.embed(m))
+        row.append(CycloNum(m, raw))
     return tuple(row)
+
+
+def _inner(m: int, xs, ys, weights) -> CycloNum:
+    """sum w * x * conj(y), summed in the group ring Z[C_m]
+    (zeta^a * conj(zeta^b) = zeta^(a-b)) and reduced by the constructor."""
+    raw = {}
+    for x, y, w in zip(xs, ys, weights):
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
+                e = (e1 - e2) % m
+                raw[e] = raw.get(e, 0) + w * c1 * c2
+    return CycloNum(m, raw)
 
 
 def _verify_exact(group: Group, rows) -> None:
     sizes = [c.size for c in group.classes]
-    n = group.order
+    n, m = group.order, group.exponent
     for a, ra in enumerate(rows):
         for b, rb in enumerate(rows):
-            acc = CycloNum.zero(1)
-            for j, sz in enumerate(sizes):
-                acc = acc + ra[j] * rb[j].conjugate() * sz
-            if acc != (n if a == b else 0):
+            if _inner(m, ra, rb, sizes) != (n if a == b else 0):
                 raise OracleFailure(f"rows {a},{b} not orthonormal")
+
+
+def brute_orth_violations(t) -> list[str]:
+    """The row-orth and col-orth lines of verify_table, with both relations
+    summed in full for every pair."""
+    r, m, n = len(t.classes), t.exponent, t.order
+    sizes = [c.size for c in t.classes]
+    out = []
+    for i in range(r):
+        for j in range(i, r):
+            want = n if i == j else 0
+            if _inner(m, t.rows[i], t.rows[j], sizes) != want:
+                out.append(f"row-orth {i},{j}: inner product != {want}")
+    cols = [[row[k] for row in t.rows] for k in range(r)]
+    for k in range(r):
+        for kk in range(k, r):
+            want = n // sizes[k] if k == kk else 0
+            if _inner(m, cols[k], cols[kk], [1] * r) != want:
+                out.append(f"col-orth {k},{kk}: inner product != {want}")
+    return out
 
 
 def brute_table_rows(group: Group, *, tries: int = 6):

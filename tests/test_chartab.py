@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from charzeros.chartab import (
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
 from charzeros.groupcore import pmul
-from helpers import brute_min_poly_degree
+from helpers import brute_min_poly_degree, brute_orth_violations
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
 
@@ -118,7 +119,7 @@ def test_cyclic_tables_are_root_powers(get_table, get_group):
         exps = [c.rep[0] for c in g.classes]  # image of point 0 is the power
         want = set()
         for row_pow in range(n):
-            want.add(tuple(CycloNum(n, {row_pow * e: 1}).embed(t.exponent)
+            want.add(tuple(CycloNum(t.exponent, {row_pow * e * (t.exponent // n): 1})
                            for e in exps))
         assert set(tuple(r) for r in t.rows) == want
         assert _degrees(t) == [1] * n
@@ -166,7 +167,8 @@ def test_verify_table_catches_tampered_entry(get_table):
 def test_verify_table_catches_degree_tamper(get_table):
     t = get_table("C5")
     rows = [list(r) for r in t.rows]
-    rows[1][0] = rows[1][0] * 2
+    v = rows[1][0]
+    rows[1][0] = CycloNum(v.order, {e: 2 * c for e, c in v.coeffs.items()})
     bad = dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
     rep = verify_table(bad)
     assert not rep.ok
@@ -175,14 +177,47 @@ def test_verify_table_catches_degree_tamper(get_table):
 
 
 def test_verify_table_catches_non_integral(get_table):
-    from fractions import Fraction
-
     t = get_table("C2")
     rows = [list(r) for r in t.rows]
-    rows[1][1] = rows[1][1] * Fraction(1, 2)
+    v = rows[1][1]
+    rows[1][1] = CycloNum(v.order, {e: Fraction(c, 2) for e, c in v.coeffs.items()})
     bad = dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
     rep = verify_table(bad)
     assert any(v.startswith("integrality") for v in rep.violations)
+
+
+def _other_values(v, rng):
+    """Canonical values different from v: shifted, negated, zeroed, Galois
+    images and random ones."""
+    m = v.order
+    out = [CycloNum(m, {**v.coeffs, 0: v.coeffs.get(0, 0) + 1}),
+           CycloNum(m, {e: -c for e, c in v.coeffs.items()}),
+           CycloNum(m, {})]
+    out += [CycloNum(m, {k * e: c for e, c in v.coeffs.items()})
+            for k in range(2, m) if math.gcd(k, m) == 1]
+    out += [CycloNum(m, {rng.randrange(m): rng.randrange(-3, 4) for _ in range(3)})
+            for _ in range(3)]
+    return [w for w in out if w != v]
+
+
+def test_verify_table_catches_any_single_entry_change(get_table):
+    # a changed entry in row i > 0 moves <chi_0, chi_i> by |C_j| times the
+    # change; a changed trivial-row entry breaks the all-ones row.  The
+    # orthogonality lines must be those of both relations summed in full.
+    rng = random.Random(12)
+    for name in ["A5", "PSL(2,7)", "SL(2,5)", "C6"]:
+        t = get_table(name)
+        assert brute_orth_violations(t) == []
+        for i, row in enumerate(t.rows):
+            for j, v in enumerate(row):
+                for w in _other_values(v, rng):
+                    rows = [list(r) for r in t.rows]
+                    rows[i][j] = w
+                    bad = dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
+                    rep = verify_table(bad)
+                    assert not rep.ok, (name, i, j, w)
+                    assert [x for x in rep.violations if "-orth " in x] == \
+                        brute_orth_violations(bad), (name, i, j, w)
 
 
 def test_kernels(get_table):
@@ -205,7 +240,9 @@ def test_galois_stability(get_table):
             if math.gcd(k, m) != 1:
                 continue
             for row in t.rows:
-                assert tuple(v.galois(k) for v in row) in rows, (name, k)
+                image = tuple(CycloNum(m, {k * e: c for e, c in v.coeffs.items()})
+                              for v in row)
+                assert image in rows, (name, k)
 
 
 def test_table_class_powers(get_table, get_group):
@@ -221,12 +258,15 @@ def test_table_class_powers(get_table, get_group):
 def test_second_orthogonality_with_inverse_classes(get_table):
     # sum over rows of chi(g) chi(h) is zero unless h is conjugate to g^-1
     t = get_table("PSL(2,7)")
-    r = len(t.classes)
+    r, m = len(t.classes), t.exponent
     for k in range(r):
         for kk in range(r):
-            acc = CycloNum.zero(1)
+            raw = {}  # the products summed in the group ring Z[C_m]
             for row in t.rows:
-                acc = acc + row[k] * row[kk]
+                for e1, c1 in row[k].coeffs.items():
+                    for e2, c2 in row[kk].coeffs.items():
+                        raw[e1 + e2] = raw.get(e1 + e2, 0) + c1 * c2
+            acc = CycloNum(m, raw)
             want = t.order // t.classes[k].size if t.classes[k].powers[-1] == kk else 0
             assert acc == want
 
@@ -280,6 +320,10 @@ def test_file_rejections(get_table):
     # a coefficient change keeps canonical form; it must fail verification
     tampered = table_from_text(json.dumps(obj))
     assert not verify_table(tampered).ok
+    obj = json.loads(table_to_text(t))
+    obj["rows"][1][1]["c"][0][2] = 0  # a zero denominator
+    with pytest.raises(TableFileError):
+        table_from_text(json.dumps(obj))
     obj = json.loads(table_to_text(t))
     obj["rows"][1][1]["m"] = 5  # wrong level for the table exponent
     with pytest.raises(TableFileError):

@@ -110,6 +110,26 @@ def test_malformed_table_prefix_printed_once(tmp_path, capsys):
     assert (rc, out) == (1, "") and err.count("malformed table file") == 1
 
 
+def test_table_file_verdicts_read_verified_tables(tmp_path, capsys):
+    def edit(obj):
+        obj["rows"][1][1] = {"m": obj["exponent"], "c": []}  # one entry set to 0
+
+    f = str(_a5_table(tmp_path, capsys, edit))
+    for verb in ("zeros", "star", "classify"):
+        rc, out, err = run(capsys, verb, f)
+        assert (rc, out) == (1, ""), verb
+        assert err.startswith("error: ") and err.count("\n") == 1, (verb, err)
+        assert "row-orth" in err, verb
+
+
+def test_os_errors_exit_2(tmp_path, capsys):
+    d = str(tmp_path)
+    for argv in (["verify", d], ["build", "A5", "--out", d], ["table", "C2", "--out", d]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
 def test_verify_rejects_huge_entry_level_in_bounded_time(tmp_path, capsys):
     def edit(obj):
         obj["rows"][1][1] = {"m": 1000000007 * 998244353, "c": [[0, 1, 1]]}

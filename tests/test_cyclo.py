@@ -4,12 +4,26 @@ from cmath import exp, pi
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charzeros.cyclo import CycloNum
+from charzeros.cyclo import CycloNum, hermitian_sum
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
 
 def zeta(n, e=1, c=1):
     return CycloNum(n, {e: c})
+
+
+def value(m, coeffs):
+    """Complex value of sum c * zeta_m^e, evaluated here, not by the module."""
+    return sum((complex(c) * exp(2j * pi * e / m) for e, c in coeffs.items()), 0j)
+
+
+def galois(v, k):
+    """The Galois image zeta -> zeta^k: an exponent map, then the constructor."""
+    return CycloNum(v.order, {k * e: c for e, c in v.coeffs.items()})
 
 
 def rand_cyclo(rng, m):
@@ -18,78 +32,129 @@ def rand_cyclo(rng, m):
     return CycloNum(m, coeffs)
 
 
+orders = st.integers(1, 72)
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def raw_terms(draw, m):
+    # exponents outside [0, m) and repeated residues must be summed, not dropped
+    return draw(st.dictionaries(st.integers(-2 * m, 3 * m), coefficients, max_size=6))
+
+
+@st.composite
+def order_and_raw(draw):
+    m = draw(orders)
+    return m, draw(raw_terms(m))
+
+
+@st.composite
+def hermitian_args(draw):
+    m = draw(orders)
+    n = draw(st.integers(1, 5))
+    xs = [CycloNum(m, draw(raw_terms(m))) for _ in range(n)]
+    ys = [CycloNum(m, draw(raw_terms(m))) for _ in range(n)]
+    ws = draw(st.lists(st.integers(-3, 60), min_size=n, max_size=n))
+    return m, xs, ys, ws
+
+
+@PROPERTY
+@given(order_and_raw())
+def test_constructor_keeps_the_complex_value(case):
+    m, raw = case
+    v = CycloNum(m, raw)
+    scale = 1 + sum(abs(c) for c in raw.values())
+    assert abs(value(m, v.coeffs) - value(m, raw)) < 1e-9 * scale * m
+
+
+@PROPERTY
+@given(order_and_raw())
+def test_constructor_output_is_canonical(case):
+    m, raw = case
+    v = CycloNum(m, raw)
+    assert all(0 <= e < m and c != 0 for e, c in v.coeffs.items())
+    assert CycloNum(m, dict(v.coeffs)).coeffs == v.coeffs
+    back = CycloNum.from_obj(json.loads(json.dumps(v.to_obj())))
+    assert back == v and back.coeffs == v.coeffs and back.to_obj() == v.to_obj()
+
+
+@PROPERTY
+@given(hermitian_args())
+def test_hermitian_sum_matches_brute(case):
+    m, xs, ys, ws = case
+    # one reduction per product, added canonical map by canonical map
+    brute: dict[int, Fraction] = {}
+    for x, y, w in zip(xs, ys, ws):
+        for a, c in x.coeffs.items():
+            for b, d in y.coeffs.items():
+                brute = _add(brute, CycloNum(m, {a - b: w * c * d}).coeffs)
+    got = hermitian_sum(xs, ys, ws)
+    assert got.order == m and got.coeffs == brute
+    want = sum((w * value(m, x.coeffs) * value(m, y.coeffs).conjugate()
+                for x, y, w in zip(xs, ys, ws)), 0j)
+    scale = 1 + sum(abs(w) * sum(map(abs, x.coeffs.values())) * sum(map(abs, y.coeffs.values()))
+                    for x, y, w in zip(xs, ys, ws))
+    assert abs(value(m, got.coeffs) - want) < 1e-9 * scale * m
+
+
+def _add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return out
+
+
 def test_constructors():
-    assert CycloNum.zero().is_zero()
-    assert CycloNum.rational(3) == 3
-    assert CycloNum.rational(Fraction(2, 3)).rational_value() == Fraction(2, 3)
+    assert CycloNum(1, {}).is_zero()
+    assert CycloNum(1, {0: 3}) == 3
+    assert CycloNum(1, {0: Fraction(2, 3)}).rational_value() == Fraction(2, 3)
+    assert CycloNum(6, {0: Fraction(4, 2)}).coeffs == {0: 2}
     assert zeta(1) == 1
     assert zeta(2) == -1
-    assert zeta(4) * zeta(4) == -1
+    assert zeta(4, 2) == -1
+    assert zeta(4, 1) == zeta(4, 5) == zeta(4, -3)
+    assert CycloNum(4, {1: 1, 5: 1}) == zeta(4, 1, 2)
 
 
 def test_roots_of_unity_relations():
     for n in range(2, 13):
-        total = CycloNum.zero()
-        for t in range(n):
-            total = total + zeta(n, t)
-        assert total.is_zero(), n
-        prod = zeta(n, 1)
-        for _ in range(n - 1):
-            prod = prod * zeta(n, 1)
-        assert prod == 1, n
+        assert CycloNum(n, {t: 1 for t in range(n)}).is_zero(), n
+        assert zeta(n, n) == 1, n
 
 
 def test_primitive_root_sums():
-    assert zeta(3, 1) + zeta(3, 2) == -1
-    assert zeta(5, 1) + zeta(5, 2) + zeta(5, 3) + zeta(5, 4) == -1
-    assert zeta(6, 1) + zeta(6, 5) == 1
-    assert zeta(8, 1) + zeta(8, 7) not in (0, 1)
-
-
-def test_field_axioms_random():
-    rng = random.Random(5)
-    for m in (4, 6, 12, 15):
-        for _ in range(40):
-            a, b, c = (rand_cyclo(rng, m) for _ in range(3))
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + 0 == a and a * 1 == a
-            assert a - a == 0
-
-
-def test_mixed_order_arithmetic():
-    a = zeta(3)
-    b = zeta(4)
-    s = a + b
-    assert s.order == 12
-    assert s - b == a.embed(12)
-    assert (a * b) == zeta(12, 7)
+    assert CycloNum(3, {1: 1, 2: 1}) == -1
+    assert CycloNum(5, {1: 1, 2: 1, 3: 1, 4: 1}) == -1
+    assert CycloNum(6, {1: 1, 5: 1}) == 1
+    assert CycloNum(8, {1: 1, 7: 1}) not in (0, 1)
 
 
 def test_embed():
-    a = zeta(5, 2) + 3
-    b = a.embed(30)
-    assert b.order == 30 and b.coeffs == {6 * e: c for e, c in a.coeffs.items()}
-    assert b.approx() == pytest.approx(a.approx())
-    with pytest.raises(ValueError):
-        a.embed(7)
+    # the canonical basis at o maps into the one at m = k*o: scaling the
+    # exponents of a canonical value gives a canonical value, unreduced
+    rng = random.Random(4)
+    for o, k in ((5, 6), (3, 4), (4, 3), (12, 5), (9, 2)):
+        for _ in range(20):
+            a = rand_cyclo(rng, o)
+            b = CycloNum(o * k, {e * k: c for e, c in a.coeffs.items()})
+            assert b.coeffs == {e * k: c for e, c in a.coeffs.items()}
 
 
 def test_conjugate_and_galois():
     for n in (5, 7, 8, 12):
         z = zeta(n)
-        assert z * z.conjugate() == 1
-        assert z.conjugate() == z.galois(n - 1)
-        assert (z + z.conjugate()).approx().imag == pytest.approx(0, abs=1e-12)
-    a = zeta(5, 2) + zeta(5, 3)
-    assert a.galois(2) == zeta(5, 4) + zeta(5, 1)
-    assert a.galois(3).galois(2) == a.galois(6 % 5)
-    assert CycloNum.rational(7, 5).galois(2) == 7
-    with pytest.raises(ValueError):
-        zeta(6).galois(2)
+        assert hermitian_sum([z], [z], [1]) == 1
+        assert galois(z, n - 1) == zeta(n, -1)
+        one = zeta(n, 0)
+        assert hermitian_sum([z, one], [one, z], [1, 1]) == CycloNum(n, {1: 1, -1: 1})
+    a = CycloNum(5, {2: 1, 3: 1})
+    assert galois(a, 2) == CycloNum(5, {4: 1, 1: 1})
+    assert galois(galois(a, 3), 2) == galois(a, 6 % 5)
+    assert galois(CycloNum(5, {0: 7}), 2) == 7
 
 
 def test_galois_permutes_exponents():
@@ -97,23 +162,28 @@ def test_galois_permutes_exponents():
     for _ in range(25):
         a = rand_cyclo(rng, 12)
         for k in (1, 5, 7, 11):
-            img = a.galois(k)
-            back = img.galois(pow(k, -1, 12))
-            assert back == a
+            assert galois(galois(a, k), pow(k, -1, 12)) == a
 
 
-def test_approx_guard():
-    for n in range(1, 16):
-        got = zeta(n).approx()
-        assert abs(got - exp(2j * pi / n)) < 1e-9
+def test_mixed_orders_fail_loudly():
+    a = zeta(3)
+    b = CycloNum(12, {4: 1})  # the same complex number at order 12
+    with pytest.raises(ValueError):
+        _ = a == b
+    with pytest.raises(ValueError):
+        _ = a != b
+    with pytest.raises(ValueError):
+        hermitian_sum([a], [b], [1])
+    with pytest.raises(ValueError):
+        hermitian_sum([a, a], [a], [1, 1])
 
 
 def test_rationality_and_integrality():
-    assert CycloNum.rational(4).is_integral()
-    assert not CycloNum.rational(Fraction(1, 2)).is_integral()
-    assert (zeta(3) + zeta(3, 2)).is_rational()
+    assert CycloNum(1, {0: 4}).is_integral()
+    assert not CycloNum(1, {0: Fraction(1, 2)}).is_integral()
+    assert CycloNum(3, {1: 1, 2: 1}).is_rational()
     assert not zeta(5).is_rational()
-    assert (zeta(8) + zeta(8, 7)).is_integral()
+    assert CycloNum(8, {1: 1, 7: 1}).is_integral()
     assert not zeta(8, 1, Fraction(1, 3)).is_integral()
     with pytest.raises(ValueError):
         zeta(5).rational_value()
@@ -139,11 +209,13 @@ def test_from_obj_rejects_non_canonical():
 
 
 def test_hash_consistent_across_orders():
-    a = zeta(3, 1)
-    b = a.embed(12)
-    assert a == b and hash(a) == hash(b)
-    r = CycloNum.rational(5, 1)
-    s = CycloNum.rational(5, 60)
-    assert r == s and hash(r) == hash(s)
-    assert hash(CycloNum.rational(5)) == hash(5)
-
+    # a rational value hashes like the int or Fraction it equals, at every order
+    for m in (1, 6, 60):
+        assert hash(CycloNum(m, {0: 5})) == hash(5)
+        assert hash(CycloNum(m, {0: Fraction(1, 3)})) == hash(Fraction(1, 3))
+    rng = random.Random(11)
+    for m in (5, 12, 30):
+        for _ in range(20):
+            a = rand_cyclo(rng, m)
+            b = CycloNum.from_obj(a.to_obj())
+            assert a == b and hash(a) == hash(b)
