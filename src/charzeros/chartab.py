@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from sympy import isprime, primitive_root
+from sympy import isprime, primefactors, primitive_root
 from sympy.ntheory.residue_ntheory import sqrt_mod
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
@@ -257,7 +257,8 @@ def character_table(group: Group, *, seed: int = 0,
 
     sizes = [c.size for c in classes]
     size_inv = [pow(s, l - 2, l) for s in sizes]
-    inv_class = [group.inverse_class(j) for j in range(r)]
+    powers = group.power_maps
+    inv_class = [p[-1] for p in powers]
 
     chars = []
     for v in vecs:
@@ -279,8 +280,6 @@ def character_table(group: Group, *, seed: int = 0,
 
     g0 = primitive_root(l)
     w = pow(g0, (l - 1) // m, l)
-    powers = [tuple(group.power_class(j, k) for k in range(classes[j].element_order))
-              for j in range(r)]
 
     rows = []
     for d, u in chars:
@@ -427,6 +426,24 @@ def _rep_order(rep: str) -> int:
                                    len(rank) - 1))
 
 
+def _product_generators(o: int) -> list[int]:
+    """Residues whose products give every residue mod o: the primes dividing
+    o, and units taken least first until they generate the unit group.  Each
+    unit taken at least doubles the subgroup reached, so finding them is
+    linear in o and there are O(log o) of them."""
+    gens, reached = primefactors(o), {1 % o}
+    for u in range(2, o):
+        if u not in reached and gcd(u, o) == 1:
+            gens.append(u)
+            grow = list(reached)
+            for x in grow:
+                y = x * u % o
+                if y not in reached:
+                    reached.add(y)
+                    grow.append(y)
+    return gens
+
+
 def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -> None:
     """Class data that every vanishing verdict reads, checked before any entry
     is parsed; the exponent it pins down bounds what parsing an entry costs."""
@@ -446,6 +463,16 @@ def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -
         raise TableFileError("class sizes do not sum to a positive group order")
     if exponent != lcm(*(c.element_order for c in classes)) or order % exponent:
         raise TableFileError("exponent is not the lcm of the class orders")
+    # (g^a)^b = g^(ab).  If this holds at every class for a1 and for a2, it
+    # holds for a1*a2, so generators of Z/o under multiplication suffice.
+    for j, c in enumerate(classes):
+        o = c.element_order
+        for a in _product_generators(o):
+            p = c.powers[a % o]
+            q = classes[p].powers
+            if any(c.powers[a * b % o] != q[b] for b in range(len(q))):
+                raise TableFileError(f"class {j}: power map does not compose "
+                                     f"through class {p} = rep^{a}")
 
 
 def table_from_text(text: str) -> CharacterTable:

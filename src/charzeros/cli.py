@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 from .chartab import (
@@ -352,6 +353,7 @@ def _add_budgets(p) -> None:
                         f"(default {DEFAULT_CLASS_BUDGET})")
 
 
+@cache  # one tree per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="charzeros",

@@ -1,4 +1,4 @@
-"""Finite permutation groups: enumeration, conjugacy classes, normal structure.
+"""Finite permutation groups: enumeration, conjugacy classes, class algebra.
 
 Elements are image tuples on points 0..n-1; the product a*b acts as "apply b,
 then a".  Everything is enumerated explicitly under an order budget, which
@@ -10,20 +10,21 @@ same scan fills `class_index`, the class number of every element.  Class
 members and `class_index` keys are the very tuples held in `elements`, so
 each permutation is stored once.
 
-`class_matrix(i)` gives the class multiplication constants of one class,
-A_i[j][k] = #{(x, y) in C_i x C_j : x*y = rep_k}, from which the character
-table is computed.  It walks the inverse class once: for x in C_i the partner
-y = x^-1 * rep_k is fixed, so |C_i| * r products fill the matrix.
+All class algebra goes through one primitive with one cache: the class
+column (i, k), which counts the classes of u*rep_k over u in C_i at the cost
+of |C_i| products.  `class_matrix(i)` reads the columns of the inverse class
+(Dixon's class multiplication constants); `class_support(i, j)` is the
+support of the column of the smaller class against the larger class's
+representative, since every product pair is conjugate to one of that form.
+So every product a normal closure computes is reused by the character table.
+`power_maps` walks rep^k once per class.
 
-Normal-subgroup machinery works on sets of class indices rather than element
-sets.  A union of classes containing the identity is a subgroup iff it is
-closed under class multiplication, and the support of a class product
-K_i * K_j is read off from |C_i| products against a fixed representative of
-C_j, so normal closures cost a few class-support sweeps instead of a fresh
-element enumeration.  Simplicity is read off the same class sets: for a
-normal subgroup N, G/N is simple iff N is proper and N with any one class
-outside it closes to all of G.  With N = Z(G), the central classes, that
-decides quasisimplicity without building G/Z(G).
+Normal structure works on sets of class indices rather than element sets: a
+union of classes containing the identity is a normal subgroup iff it is
+closed under class multiplication.  Simplicity is read off the same class
+sets: for a normal subgroup N, G/N is simple iff N is proper and N with any
+one class outside it closes to all of G.  With N = Z(G), the central
+classes, that decides quasisimplicity without building G/Z(G).
 """
 
 from __future__ import annotations
@@ -81,19 +82,6 @@ def perm_order(a: Perm) -> int:
             ln += 1
         o = lcm(o, ln)
     return o
-
-
-def ppow(a: Perm, k: int) -> Perm:
-    n = len(a)
-    if k < 0:
-        a, k = pinv(a), -k
-    r = identity_perm(n)
-    while k:
-        if k & 1:
-            r = pmul(r, a)
-        a = pmul(a, a)
-        k >>= 1
-    return r
 
 
 def perm_cycles(a: Perm) -> list[tuple[int, ...]]:
@@ -227,9 +215,7 @@ class Group:
         self.degree = degree
         self.name = name
         self.max_order = max_order
-        self._support_cache: dict[tuple[int, int], frozenset[int]] = {}
-        self._power_cache: dict[tuple[int, int], int] = {}
-        self._matrix_cache: dict[int, list[list[int]]] = {}
+        self._columns: dict[tuple[int, int], tuple[int, ...]] = {}
 
     # -- enumeration ------------------------------------------------------
 
@@ -316,58 +302,54 @@ class Group:
     def exponent(self) -> int:
         return lcm(*(c.element_order for c in self.classes))
 
-    def power_class(self, i: int, k: int) -> int:
-        """Index of the class containing rep_i^k."""
-        o = self.classes[i].element_order
-        k %= o
+    @cached_property
+    def power_maps(self) -> tuple[tuple[int, ...], ...]:
+        """power_maps[j][k] is the class of rep_j^k for 0 <= k < its order, so
+        power_maps[j][-1] is the class of rep_j^-1."""
+        ci = self.class_index
+        maps = []
+        for c in self.classes:
+            x, row = identity_perm(self.degree), []
+            for _ in range(c.element_order):
+                row.append(ci[x])
+                x = pmul(c.rep, x)
+            maps.append(tuple(row))
+        return tuple(maps)
+
+    # -- class algebra --------------------------------------------------------
+
+    def class_column(self, i: int, k: int) -> tuple[int, ...]:
+        """Entry j counts the u in C_i with u*rep_k in C_j; cached."""
         key = (i, k)
-        got = self._power_cache.get(key)
-        if got is None:
-            got = self.class_index[ppow(self.classes[i].rep, k)]
-            self._power_cache[key] = got
-        return got
-
-    def inverse_class(self, i: int) -> int:
-        return self.power_class(i, -1)
-
-    def class_matrix(self, i: int) -> list[list[int]]:
-        """A_i[j][k] = c_ijk = #{(x, y) in C_i x C_j : x*y = rep_k}, cached.
-
-        x*y = rep_k forces y = x^-1 * rep_k, and x^-1 runs over the inverse
-        class, so each (x^-1, k) adds one to A_i[class of x^-1 * rep_k][k].
-        """
-        got = self._matrix_cache.get(i)
+        got = self._columns.get(key)
         if got is None:
             ci = self.class_index
-            reps = [c.rep for c in self.classes]
-            got = [[0] * len(reps) for _ in reps]
-            for u in self.classes[self.inverse_class(i)].members:
-                ug = u.__getitem__
-                for k, z in enumerate(reps):
-                    got[ci[tuple(map(ug, z))]][k] += 1
-            self._matrix_cache[i] = got
+            rep = self.classes[k].rep
+            counts = [0] * self.num_classes
+            for u in self.classes[i].members:
+                counts[ci[tuple(map(u.__getitem__, rep))]] += 1
+            got = self._columns[key] = tuple(counts)
         return got
 
-    # -- class multiplication support ---------------------------------------
+    def class_matrix(self, i: int) -> list[list[int]]:
+        """A_i[j][k] = c_ijk = #{(x, y) in C_i x C_j : x*y = rep_k}.
+
+        x*y = rep_k forces y = x^-1 * rep_k, and x^-1 runs over the inverse
+        class, so column k of A_i is the class column (inverse of i, k).
+        """
+        inv = self.power_maps[i][-1]
+        return [list(row) for row in
+                zip(*(self.class_column(inv, k) for k in range(self.num_classes)))]
 
     def class_support(self, i: int, j: int) -> frozenset[int]:
         """Classes meeting the product set C_i * C_j.
 
-        Class sums commute, so the support is symmetric in (i, j); it is
-        scanned from the smaller class against a fixed representative of the
-        larger, since every product pair is conjugate to one of that form.
+        Class sums commute, so the support is symmetric in (i, j); it is read
+        from the smaller class against a fixed representative of the larger.
         """
         if self.classes[i].size > self.classes[j].size:
             i, j = j, i
-        key = (i, j)
-        got = self._support_cache.get(key)
-        if got is None:
-            ci = self.class_index
-            rep = self.classes[j].rep
-            got = frozenset(ci[tuple(map(x.__getitem__, rep))]
-                            for x in self.classes[i].members)
-            self._support_cache[key] = got
-        return got
+        return frozenset(k for k, n in enumerate(self.class_column(i, j)) if n)
 
     def class_set_order(self, s) -> int:
         return sum(self.classes[i].size for i in s)
@@ -435,24 +417,6 @@ class Group:
         return len(base) < r and all(
             len(self.closed_class_set(base | {i})) == r
             for i in range(r) if i not in base)
-
-    def normal_subgroups(self) -> list[frozenset[int]]:
-        """All normal subgroups as class-index sets, ascending by order.
-
-        Joins of the per-class minimal normal closures exhaust the lattice:
-        every normal subgroup is the closure of the classes it contains.
-        """
-        minimal = {self.closed_class_set([c.index]) for c in self.classes}
-        lattice = {frozenset([0])} | minimal
-        frontier = list(lattice)
-        while frontier:
-            s = frontier.pop()
-            for m in minimal:
-                j = self.closed_class_set(s | m)
-                if j not in lattice:
-                    lattice.add(j)
-                    frontier.append(j)
-        return sorted(lattice, key=lambda s: (self.class_set_order(s), sorted(s)))
 
     @cached_property
     def is_quasisimple(self) -> bool:

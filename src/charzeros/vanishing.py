@@ -182,8 +182,7 @@ class TwoPrimeReport:
         return not self.flagged or self.excused
 
 
-def two_prime_degree_check(t: CharacterTable,
-                           exceptions=TWO_PRIME_EXCEPTIONS) -> TwoPrimeReport:
+def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
     """Flag rows with exactly one vanishing class whose degree has at least
     two distinct prime factors; such rows should occur only in the known
     exceptional groups."""
@@ -194,7 +193,7 @@ def two_prime_degree_check(t: CharacterTable,
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
     return TwoPrimeReport(group=t.group, flagged=tuple(flagged),
-                          excused=t.group in tuple(exceptions), notes=notes)
+                          excused=t.group in TWO_PRIME_EXCEPTIONS, notes=notes)
 
 
 # -- expected results for single-vanishing-class rows ---------------------------------

@@ -114,7 +114,7 @@ def _snap_row(group: Group, vals: list[complex], degree: int, m: int):
     row = []
     for j in range(group.num_classes):
         o = group.classes[j].element_order
-        cycle = [vals[group.power_class(j, s)] for s in range(o)]
+        cycle = [vals[p] for p in group.power_maps[j]]
         raw = {}
         for t in range(o):
             acc = sum(cycle[s] * np.exp(-2j * np.pi * s * t / o)

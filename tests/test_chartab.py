@@ -9,6 +9,7 @@ import pytest
 from charzeros.chartab import (
     BudgetExceeded,
     TableFileError,
+    _check_classes,
     _min_poly,
     character_table,
     is_faithful,
@@ -19,7 +20,7 @@ from charzeros.chartab import (
 )
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import pmul
+from charzeros.groupcore import pinv, pmul
 from helpers import brute_min_poly_degree, brute_orth_violations
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
@@ -249,10 +250,12 @@ def test_table_class_powers(get_table, get_group):
     for name in ["A5", "SL(2,5)"]:
         t = get_table(name)
         g = get_group(name)
-        for j, c in enumerate(t.classes):
-            assert c.powers == tuple(g.power_class(j, k) for k in range(c.element_order))
-            assert c.powers[0] == 0
-            assert c.powers[-1] == g.inverse_class(j)
+        for c, gc in zip(t.classes, g.classes):
+            x = gc.rep  # rep^k by repeated products
+            for k in range(1, c.element_order + 1):
+                assert c.powers[k % c.element_order] == g.class_index[x], (name, k)
+                x = pmul(x, gc.rep)
+            assert c.powers[-1] == g.class_index[pinv(gc.rep)]
 
 
 def test_second_orthogonality_with_inverse_classes(get_table):
@@ -363,3 +366,33 @@ def test_file_rejects_inconsistent_class_data(get_table):
     obj = json.loads(text)
     obj["classes"][1]["rep"] = "(1 99999999999999999)(2 3)"
     assert table_from_text(json.dumps(obj)).classes[1].rep == "(1 99999999999999999)(2 3)"
+
+
+def _composes(classes) -> bool:
+    """(g^a)^b = g^(ab) for every a and b, by full scan."""
+    return all(c.powers[a * b % c.element_order] == classes[p].powers[b]
+               for c in classes for a, p in enumerate(c.powers)
+               for b in range(len(classes[p].powers)))
+
+
+def test_power_map_composition_check_matches_full_scan(get_table):
+    # each single power-map entry swapped for a class of the same order keeps
+    # every order check passing; the load check must agree with the full law
+    # (C12 exercises a unit group with two generators, 5 and 7)
+    rejected = 0
+    for name in ["A5", "PSL(2,7)", "PGL(2,7)", "PSL(2,11)", "C12"]:
+        t = get_table(name)
+        for j, c in enumerate(t.classes):
+            for k in range(2, c.element_order):
+                o = t.classes[c.powers[k]].element_order
+                for p in (p for p, d in enumerate(t.classes) if d.element_order == o):
+                    powers = c.powers[:k] + (p,) + c.powers[k + 1:]
+                    classes = list(t.classes)
+                    classes[j] = dataclasses.replace(c, powers=powers)
+                    try:
+                        _check_classes(tuple(classes), t.order, t.exponent)
+                        ok = True
+                    except TableFileError:
+                        ok, rejected = False, rejected + 1
+                    assert ok == _composes(classes), (name, j, k, p)
+    assert rejected > 0

@@ -1,4 +1,5 @@
 """End-to-end checks of the command-line surface through main(argv)."""
+import argparse
 import json
 import os
 import shutil
@@ -95,6 +96,19 @@ def test_verify_rejects_relabelled_class_order(tmp_path, capsys):
 
     rc, out, err = run(capsys, "verify", str(_a5_table(tmp_path, capsys, edit)))
     assert (rc, out) == (1, "") and "class 3" in err
+
+
+def test_table_file_rejects_power_map_that_does_not_compose(tmp_path, capsys):
+    def edit(obj):
+        c = obj["classes"][3]  # 5A, whose square is 5B: (5A^2)^2 = 5A^4 = 5B
+        assert c["powers"] == [0, 3, 4, 4, 3]
+        c["powers"] = [0, 3, 4, 3, 3]  # every class order still consistent
+
+    f = str(_a5_table(tmp_path, capsys, edit))
+    for verb in ("verify", "zeros"):
+        rc, out, err = run(capsys, verb, f)
+        assert (rc, out) == (1, ""), verb
+        assert "class 3: power map does not compose" in err, (verb, err)
 
 
 def test_malformed_table_prefix_printed_once(tmp_path, capsys):
@@ -295,6 +309,21 @@ def test_usage_errors(capsys):
     assert run(capsys, "numtheory", "zsigmondy", "6", "3")[0] == 2
     assert run(capsys, "numtheory", "torus", "Z", "1", "5")[0] == 2
     assert run(capsys, "verify", "/no/such/file")[0] == 2
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "numtheory", "zsigmondy", "2", "4")[0] == 0
+    first = len(built)
+    assert run(capsys, "numtheory", "zsigmondy", "2", "6")[0] == 0
+    assert len(built) == first
 
 
 def test_stdout_deterministic(capsys):

@@ -112,8 +112,8 @@ def test_cover_extension():
     assert g.class_set_order(g.derived_classes) == 1080
     assert g.order // g.class_set_order(z) == 720
     # element orders of G/Z: the least k >= 1 with g^k central
-    orders = {next(k for k in range(1, c.element_order + 1) if g.power_class(i, k) in z)
-              for i, c in enumerate(g.classes)}
+    orders = {next(k for k in range(1, len(row) + 1) if row[k % len(row)] in z)
+              for row in g.power_maps}
     assert orders == {1, 2, 3, 4, 5, 8}
 
 
@@ -178,10 +178,16 @@ def test_validation_hooks():
                          expected_order=60, checks=(("orders", 1, 2),))
     with pytest.raises(ValidationFailed):
         build(recipe)
+    # `derived N` pins G' (a normal subgroup); there is no separate normal kind
+    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
+                         expected_order=60, checks=(("normal", 60),))
+    with pytest.raises(ValidationFailed, match="unknown check 'normal'"):
+        build(recipe)
 
 
-def test_build_validates_whole_registry(corpus):
-    # constructing every entry runs its hooks; a hook failure raises
+def test_build_validates_whole_registry(corpus, get_group):
+    # constructing every entry runs its hooks; a hook failure raises.  The
+    # session fixture builds through `build`, so each group is built once.
     for name in corpus:
-        g = build(name)
+        g = get_group(name)
         assert g.name == name

@@ -17,7 +17,6 @@ from charzeros.groupcore import (
     perm_order,
     pinv,
     pmul,
-    ppow,
 )
 from helpers import brute_normal_class_sets
 
@@ -29,8 +28,8 @@ def test_perm_primitives():
     assert pmul(a, pinv(a)) == identity_perm(4)
     assert perm_order(a) == 3 and perm_order(b) == 2
     assert perm_order(pmul(a, b)) == 4
-    assert ppow(a, 3) == identity_perm(4)
-    assert ppow(a, -1) == pinv(a)
+    assert pmul(a, pmul(a, a)) == identity_perm(4)
+    assert pmul(a, a) == pinv(a)
     assert format_cycles(a) == "(1 2 3)"
     assert format_cycles(identity_perm(5)) == "()"
 
@@ -100,18 +99,21 @@ def test_conjugation_invariance(get_group):
 
 
 def test_power_map(get_group):
-    g = get_group("A5")
-    rng = random.Random(13)
-    elems = sorted(g.elements)
-    for _ in range(60):
-        x = rng.choice(elems)
-        i = g.class_index[x]
-        for k in range(5):
-            assert g.power_class(i, k) == g.class_index[ppow(x, k)]
-    for i in range(g.num_classes):
-        assert g.power_class(i, 1) == i
-        assert g.power_class(i, g.exponent) == 0
-        assert g.inverse_class(g.inverse_class(i)) == i
+    for name in ["A5", "PSL(2,7)", "C12"]:
+        g = get_group(name)
+        rng = random.Random(13)
+        elems = sorted(g.elements)
+        for _ in range(60):
+            x = rng.choice(elems)
+            row = g.power_maps[g.class_index[x]]
+            assert len(row) == perm_order(x)
+            xk = identity_perm(g.degree)  # x^k by repeated products
+            for k in range(2 * len(row)):
+                assert row[k % len(row)] == g.class_index[xk], (name, k)
+                xk = pmul(xk, x)
+        for i, row in enumerate(g.power_maps):
+            assert row[0] == 0 and row[1 % len(row)] == i
+            assert g.power_maps[row[-1]][-1] == i  # the inverse of the inverse
 
 
 def test_exponent():
@@ -141,10 +143,13 @@ def test_center(get_group):
 
 
 def test_normal_subgroups_match_brute(get_group):
+    # the closure of one class is the least normal subgroup containing it
     for name in ["C1", "C4", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]:
         g = get_group(name)
-        got = set(g.normal_subgroups())
-        assert got == brute_normal_class_sets(g), name
+        brute = brute_normal_class_sets(g)
+        for c in range(g.num_classes):
+            least = min((s for s in brute if c in s), key=g.class_set_order)
+            assert g.closed_class_set({c}) == least, (name, c)
 
 
 def test_is_simple(get_group):
@@ -185,7 +190,8 @@ def test_perfect_direct_square_is_not_quasisimple():
     assert g.order == 3600 and g.center_classes == frozenset([0])
     assert g.is_perfect
     assert not g.is_quasisimple and not g.is_simple
-    assert sorted(g.class_set_order(s) for s in g.normal_subgroups()) == [1, 60, 60, 3600]
+    for x in gens:
+        assert g.class_set_order(g.closed_class_set({g.class_index[x]})) == 60
 
 
 def test_class_members_share_element_objects(get_group):
