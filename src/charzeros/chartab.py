@@ -480,6 +480,8 @@ def table_from_text(text: str) -> CharacterTable:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TableFileError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise TableFileError("not valid JSON: nested too deeply") from None
     if not isinstance(obj, dict) or obj.get("format") != FORMAT_TAG:
         raise TableFileError(f"missing or unsupported format tag (want {FORMAT_TAG})")
     try:

@@ -1,21 +1,31 @@
-"""The registry of buildable groups: recipes, validation hooks, Out orders.
+"""The registry of buildable groups: one ordered table of recipes.
 
-Registry entries live in data/registry.txt (grammar in its header).  Each build is
-followed by its validation hooks; a hook failure means the construction or
-the shipped generator data is wrong, so it raises instead of returning a
-questionable group.
+RECIPES holds every per-group fact the program knows: how to construct the
+group, the facts its build is validated against, |Out(M/Z(M))|, and the
+expected results the vanishing reports compare with.  Each build is
+followed by its validation; a failure means the construction or the shipped
+generator data is wrong, so it raises instead of returning a questionable
+group.  simple and quasisimple are decided on class sets; center_cyclic
+holds when some central class has element order |Z(G)|.
 
 Out orders are |Out(M/Z(M))| per entry, the bound consumed by the
-vanishing-class count condition.  They are registry data: formula-driven
-gcd(2,q-1)*f for PSL2(q), standard constants for the rest, and 1 for any M
-whose M/Z(M) is complete (e.g. extensions that already realize the full
-automorphism group) or trivial.
+vanishing-class count condition: gcd(2,q-1)*f for PSL2(q); 1 for complete
+groups (PGL2(q) with prime q, the full automorphism extensions PSL(2,8):3
+and Sz(8):3, and abelian M where M/Z(M) is trivial); standard constants
+otherwise (A5: 2, A6 family: 4, A7: 2, M10: 2, PGL2(9): 2, PSU3(4): 4,
+Sz(8): 3).
+
+The three index-2 extensions of A6 are told apart by element orders:
+orders 6 appear only in the symmetric-group extension, orders 10 only in
+the projective one, and neither occurs in the remaining extension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from importlib import resources
+from typing import Callable
 
 from ..groupcore import DEFAULT_ORDER_BUDGET, Group, parse_group_file
 from . import builders
@@ -32,163 +42,136 @@ class ValidationFailed(RuntimeError):
 @dataclass(frozen=True)
 class GroupRecipe:
     name: str
-    params: dict = field(default_factory=dict)
-    data_file: str | None = None
-    expected_order: int = 0
-    expected_out_order: int = 1
-    expected_center: int | None = None
-    checks: tuple[tuple, ...] = ()
+    make: Callable[[], Group]
+    order: int
+    out: int
+    # validation facts beyond the order
+    center: int | None = None
+    simple: bool = False
+    quasisimple: bool = False
+    center_cyclic: bool = False
+    derived: int | None = None
+    orders: tuple[int, ...] = ()
+    # expected results: sorted degrees of the faithful single-vanishing-class
+    # rows, the one-class degrees a simple group may have, a note for the
+    # classify report, and whether two-prime one-class degrees are excused
+    one_class: tuple[int, ...] | None = None
+    simple_allowed: tuple[int, ...] = ()
+    note: str | None = None
+    two_prime_excused: bool = False
 
 
-def _data_text(filename: str) -> str:
-    return (resources.files("charzeros") / "data" / filename).read_text()
+def _shipped(filename: str) -> Group:
+    return parse_group_file((resources.files("charzeros") / "data" / filename).read_text())
 
 
-def _parse_registry(text: str) -> dict[str, GroupRecipe]:
-    out: dict[str, GroupRecipe] = {}
-    cur: dict | None = None
-
-    def flush():
-        nonlocal cur
-        if cur is None:
-            return
-        name = cur["name"]
-        if name in out:
-            raise RegistryError(f"duplicate group {name!r}")
-        if cur["data"] is None and "family" not in cur["params"]:
-            raise RegistryError(f"{name}: needs a data file or a param family")
-        if not cur["order"]:
-            raise RegistryError(f"{name}: missing order")
-        out[name] = GroupRecipe(
-            name=name, params=cur["params"], data_file=cur["data"],
-            expected_order=cur["order"], expected_out_order=cur["out"],
-            expected_center=cur["center"], checks=tuple(cur["checks"]))
-        cur = None
-
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
-        if key == "group":
-            flush()
-            cur = {"name": rest, "params": {}, "data": None, "order": 0,
-                   "out": 1, "center": None, "checks": []}
-            continue
-        if cur is None:
-            raise RegistryError(f"directive outside a group block: {line!r}")
-        if key == "param":
-            k, _, v = rest.partition(" ")
-            cur["params"][k] = int(v) if v.strip().isdigit() else v.strip()
-        elif key == "data":
-            cur["data"] = rest
-        elif key == "order":
-            cur["order"] = int(rest)
-        elif key == "out":
-            cur["out"] = int(rest)
-        elif key == "center":
-            cur["center"] = int(rest)
-        elif key == "check":
-            parts = rest.split()
-            cur["checks"].append((parts[0], *map(int, parts[1:])))
-        else:
-            raise RegistryError(f"unknown directive {key!r}")
-    flush()
-    return out
-
-
-_REGISTRY: dict[str, GroupRecipe] | None = None
-
-
-def _registry() -> dict[str, GroupRecipe]:
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _parse_registry(_data_text("registry.txt"))
-    return _REGISTRY
+RECIPES: tuple[GroupRecipe, ...] = (
+    *(GroupRecipe(f"C{n}", partial(builders.cyclic, n), order=n, out=1)
+      for n in range(1, 13)),
+    GroupRecipe("A5", partial(builders.alternating, 5), order=60, out=2,
+                simple=True, one_class=(3, 3, 4), simple_allowed=(3, 4)),
+    GroupRecipe("A6", partial(builders.alternating, 6), order=360, out=4,
+                simple=True,
+                note="no faithful row vanishes on exactly one class; degree-9 "
+                     "single-class rows occur only in the index-2 extensions "
+                     "A6:2_2 and A6:2_3"),
+    GroupRecipe("A7", partial(builders.alternating, 7), order=2520, out=2,
+                simple=True),
+    GroupRecipe("PSL(2,5)", partial(builders.psl2, 5), order=60, out=2,
+                simple=True, one_class=(3, 3, 4), simple_allowed=(3, 4)),
+    GroupRecipe("PSL(2,7)", partial(builders.psl2, 7), order=168, out=2,
+                simple=True, one_class=(3, 3), simple_allowed=(3,)),
+    GroupRecipe("PSL(2,8)", partial(builders.psl2, 8), order=504, out=3,
+                simple=True, simple_allowed=(8,)),
+    GroupRecipe("PSL(2,9)", partial(builders.psl2, 9), order=360, out=4,
+                simple=True),
+    GroupRecipe("PSL(2,11)", partial(builders.psl2, 11), order=660, out=2,
+                simple=True),
+    GroupRecipe("PSL(2,13)", partial(builders.psl2, 13), order=1092, out=2,
+                simple=True),
+    GroupRecipe("PSL(2,16)", partial(builders.psl2, 16), order=4080, out=4,
+                simple=True, simple_allowed=(16,)),
+    GroupRecipe("SL(2,5)", partial(builders.sl2, 5), order=120, out=2,
+                center=2, quasisimple=True, center_cyclic=True,
+                one_class=(2, 2, 4)),
+    GroupRecipe("PGL(2,5)", partial(builders.pgl2, 5), order=120, out=1,
+                derived=60, one_class=(5, 5)),
+    GroupRecipe("PGL(2,7)", partial(builders.pgl2, 7), order=336, out=1,
+                derived=168, one_class=(7, 7)),
+    GroupRecipe("PGL(2,9)", partial(builders.pgl2, 9), order=720, out=2,
+                derived=360, orders=(1, 2, 3, 4, 5, 8, 10), one_class=(9, 9)),
+    GroupRecipe("PGL(2,11)", partial(builders.pgl2, 11), order=1320, out=1,
+                derived=660, one_class=(11, 11)),
+    GroupRecipe("A6:2_2", partial(builders.pgl2, 9), order=720, out=2,
+                derived=360, orders=(1, 2, 3, 4, 5, 8, 10), one_class=(9, 9)),
+    GroupRecipe("A6:2_3", builders.twisted_m10, order=720, out=2,
+                derived=360, orders=(1, 2, 3, 4, 5, 8), one_class=(9, 9)),
+    GroupRecipe("PSL(2,8):3", partial(builders.psl2_semilinear, 8), order=1512,
+                out=1, derived=504, orders=(1, 2, 3, 6, 7, 9),
+                one_class=(7, 7, 7)),
+    GroupRecipe("PSU(3,4)", partial(builders.unitary3, 4), order=62400, out=4,
+                simple=True),
+    GroupRecipe("Sz(8)", partial(builders.suzuki, 8), order=29120, out=3,
+                simple=True),
+    GroupRecipe("Sz(8):3", partial(builders.suzuki_semilinear, 8), order=87360,
+                out=1, derived=29120, one_class=(14,) * 6,
+                two_prime_excused=True),
+    GroupRecipe("3.A6", partial(_shipped, "cover_3a6.txt"), order=1080, out=4,
+                center=3, quasisimple=True, center_cyclic=True),
+    GroupRecipe("3.A6:2_3", partial(_shipped, "cover_3a6_ext.txt"), order=2160,
+                out=2, center=3, derived=1080, center_cyclic=True,
+                one_class=(9,) * 4),
+)
 
 
 def registry_names() -> list[str]:
-    return list(_registry())
+    return [r.name for r in RECIPES]
 
 
 def find_recipe(name: str) -> GroupRecipe:
-    reg = _registry()
-    if name not in reg:
-        raise RegistryError(f"unknown group {name!r}; known: {', '.join(reg)}")
-    return reg[name]
+    for recipe in RECIPES:
+        if recipe.name == name:
+            return recipe
+    raise RegistryError(f"unknown group {name!r}; known: {', '.join(registry_names())}")
 
 
-def out_order(name_or_recipe) -> int:
-    recipe = (name_or_recipe if isinstance(name_or_recipe, GroupRecipe)
-              else find_recipe(name_or_recipe))
-    return recipe.expected_out_order
-
-
-_FAMILIES = {
-    "cyclic": lambda p: builders.cyclic(p["n"]),
-    "alternating": lambda p: builders.alternating(p["n"]),
-    "psl2": lambda p: builders.psl2(p["q"]),
-    "pgl2": lambda p: builders.pgl2(p["q"]),
-    "sl2": lambda p: builders.sl2(p["q"]),
-    "psl2_semilinear": lambda p: builders.psl2_semilinear(p["q"]),
-    "twisted_m10": lambda p: builders.twisted_m10(),
-    "suzuki": lambda p: builders.suzuki(p["q"]),
-    "suzuki_semilinear": lambda p: builders.suzuki_semilinear(p["q"]),
-    "unitary3": lambda p: builders.unitary3(p["q"]),
-}
-
-
-def _construct(recipe: GroupRecipe, max_order: int) -> Group:
-    if recipe.data_file:
-        g = parse_group_file(_data_text(recipe.data_file))
-    else:
-        fam = recipe.params.get("family")
-        if fam not in _FAMILIES:
-            raise RegistryError(f"{recipe.name}: unknown family {fam!r}")
-        g = _FAMILIES[fam](recipe.params)
-    return Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)
+def out_order(name: str) -> int:
+    return find_recipe(name).out
 
 
 def _validate(recipe: GroupRecipe, g: Group):
     def fail(msg):
         raise ValidationFailed(f"{recipe.name}: {msg}")
 
-    if g.order != recipe.expected_order:
-        fail(f"order {g.order} != expected {recipe.expected_order}")
-    if recipe.expected_center is not None:
+    if g.order != recipe.order:
+        fail(f"order {g.order} != expected {recipe.order}")
+    if recipe.center is not None:
         z = len(g.center_classes)
-        if z != recipe.expected_center:
-            fail(f"center size {z} != expected {recipe.expected_center}")
-    for check in recipe.checks:
-        kind, *args = check
-        if kind == "simple":
-            if not g.is_simple:
-                fail("expected a simple group")
-        elif kind == "quasisimple":
-            if not g.is_quasisimple:
-                fail("expected a quasisimple group")
-        elif kind == "derived":
-            got = g.class_set_order(g.derived_classes)
-            if got != args[0]:
-                fail(f"derived subgroup order {got} != expected {args[0]}")
-        elif kind == "orders":
-            got = sorted({c.element_order for c in g.classes})
-            if got != sorted(args):
-                fail(f"element orders {got} != expected {sorted(args)}")
-        elif kind == "center_cyclic":
-            z = g.center_classes
-            if not any(g.classes[i].element_order == len(z) for i in z):
-                fail("center is not cyclic")
-        else:
-            fail(f"unknown check {kind!r}")
+        if z != recipe.center:
+            fail(f"center size {z} != expected {recipe.center}")
+    if recipe.simple and not g.is_simple:
+        fail("expected a simple group")
+    if recipe.quasisimple and not g.is_quasisimple:
+        fail("expected a quasisimple group")
+    if recipe.center_cyclic:
+        z = g.center_classes
+        if not any(g.classes[i].element_order == len(z) for i in z):
+            fail("center is not cyclic")
+    if recipe.derived is not None:
+        got = g.class_set_order(g.derived_classes)
+        if got != recipe.derived:
+            fail(f"derived subgroup order {got} != expected {recipe.derived}")
+    if recipe.orders:
+        got = sorted({c.element_order for c in g.classes})
+        if got != sorted(recipe.orders):
+            fail(f"element orders {got} != expected {sorted(recipe.orders)}")
 
 
-def build(name_or_recipe, max_order: int = DEFAULT_ORDER_BUDGET) -> Group:
-    """Construct a registry group and run its validation hooks; enumerating
-    more than max_order elements raises OrderBudgetExceeded."""
-    recipe = (name_or_recipe if isinstance(name_or_recipe, GroupRecipe)
-              else find_recipe(name_or_recipe))
-    g = _construct(recipe, max_order)
+def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> Group:
+    """Construct a registry group and validate it; enumerating more than
+    max_order elements raises OrderBudgetExceeded."""
+    recipe = find_recipe(name)
+    g = recipe.make()
+    g = Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)
     _validate(recipe, g)
     return g

@@ -143,7 +143,7 @@ def check_perm(images, degree: int) -> Perm:
 # -- group definition files ----------------------------------------------------
 #
 # Grammar (one directive per line; blank lines and '#' comments ignored):
-#   degree N          exactly once, first
+#   degree N          exactly once, first; 1 <= N <= the order budget
 #   name STRING       optional, at most once
 #   (c1 c2 ...)...    one generator per line, disjoint cycles, 1-based points
 
@@ -155,18 +155,21 @@ def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("degree"):
+        words = line.split()
+        if words[0] == "degree":
             if degree is not None:
                 raise GroupFileError("duplicate degree directive")
             if gens or name is not None:
                 raise GroupFileError("degree must come first")
             try:
-                degree = int(line.split()[1])
+                degree = int(words[1])
             except (IndexError, ValueError):
                 raise GroupFileError(f"bad degree directive: {line!r}") from None
             if degree < 1:
                 raise GroupFileError("degree must be >= 1")
-        elif line.startswith("name"):
+            if degree > max_order:
+                raise GroupFileError(f"degree {degree} exceeds the order budget {max_order}")
+        elif words[0] == "name":
             if degree is None:
                 raise GroupFileError("degree must come first")
             if name is not None:

@@ -5,25 +5,28 @@ whether a faithful row vanishes only on elements of one fixed prime-power
 order within the outer-automorphism bound and with a compatible centre,
 whether every nonlinear row vanishes somewhere, which single-vanishing-class
 rows carry degrees with two distinct prime factors, and how the observed
-single-vanishing-class rows compare against the shipped expected results.
+single-vanishing-class rows compare against the registry's expected results.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from importlib import resources
 from math import lcm
 
 from sympy import primefactors
 
 from .chartab import CharacterTable, is_faithful, kernel_of
-from .constructions import out_order as registry_out_order
-from .constructions.registry import RegistryError
+from .constructions import GroupRecipe, RegistryError, find_recipe
 from .numtheory import prime_power
 
-TWO_PRIME_EXCEPTIONS = ("Sz(8):3",)
-
 PRIMITIVITY_NOTE = "primitivity of the flagged row is assumed, not computed"
+
+
+def _recipe(group: str) -> GroupRecipe | None:
+    """The registry entry a table's group name refers to, if any."""
+    try:
+        return find_recipe(group)
+    except RegistryError:
+        return None
 
 
 def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
@@ -69,11 +72,11 @@ def star_check(t: CharacterTable, row: int, *,
     classes, and a centre that is cyclic of order a power of the same prime.
     A non-faithful row never satisfies it."""
     if out_order is None:
-        try:
-            out_order = registry_out_order(t.group)
-        except RegistryError:
+        recipe = _recipe(t.group)
+        if recipe is None:
             raise ValueError(f"no outer-order bound known for {t.group!r}; "
-                             "pass out_order explicitly") from None
+                             "pass out_order explicitly")
+        out_order = recipe.out
 
     vc = vanishing_classes(t, row)
     vanishing = tuple((j, t.classes[j].element_order) for j in vc)
@@ -192,16 +195,13 @@ def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
         if len(primefactors(d)) >= 2 and len(vanishing_classes(t, i)) == 1:
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
+    recipe = _recipe(t.group)
     return TwoPrimeReport(group=t.group, flagged=tuple(flagged),
-                          excused=t.group in TWO_PRIME_EXCEPTIONS, notes=notes)
+                          excused=recipe is not None and recipe.two_prime_excused,
+                          notes=notes)
 
 
 # -- expected results for single-vanishing-class rows ---------------------------------
-
-def _expected_data() -> dict:
-    text = resources.files("charzeros").joinpath("data/expected.json").read_text()
-    return json.loads(text)
-
 
 @dataclass(frozen=True)
 class OneClassReport:
@@ -230,8 +230,7 @@ class OneClassReport:
 
 def classify_one_class(t: CharacterTable) -> OneClassReport:
     """Collect the faithful rows with exactly one vanishing class and compare
-    their degree multiset with the shipped expected entry for the group."""
-    data = _expected_data()
+    their degree multiset with the registry's expected entry for the group."""
     rows = []
     one_class = []
     observed = []
@@ -245,20 +244,20 @@ def classify_one_class(t: CharacterTable) -> OneClassReport:
                 observed.append(t.degree(i))
     observed.sort()
 
-    expected = data["one_class"].get(t.group)
+    recipe = _recipe(t.group)
+    expected = recipe.one_class if recipe else None
     notes = []
-    note = data.get("notes", {}).get(t.group)
-    if note:
-        notes.append(note)
+    if recipe and recipe.note:
+        notes.append(recipe.note)
     if expected is None:
         match = None
         notes.append("group has no expected entry; no comparison performed")
     else:
-        match = list(observed) == list(expected)
+        match = observed == list(expected)
     return OneClassReport(group=t.group, rows=tuple(rows),
                           one_class_rows=tuple(one_class),
                           observed=tuple(observed),
-                          expected=None if expected is None else tuple(expected),
+                          expected=expected,
                           match=match, notes=tuple(notes))
 
 
@@ -285,10 +284,10 @@ def simple_one_class_survey(tables) -> SurveyReport:
     """Check that in each simple-group table every row with exactly one
     vanishing class has one of the degrees permitted for that group (and
     that groups without a permitted entry have no such rows)."""
-    allowed_map = _expected_data()["simple_allowed"]
     entries = []
     for t in sorted(tables, key=lambda t: t.group):
-        allowed = tuple(allowed_map.get(t.group, ()))
+        recipe = _recipe(t.group)
+        allowed = recipe.simple_allowed if recipe else ()
         found = tuple((i, t.degree(i)) for i in range(len(t.rows))
                       if len(vanishing_classes(t, i)) == 1)
         ok = all(d in allowed for _, d in found)

@@ -1,7 +1,7 @@
 import pytest
 
 from charzeros.chartab import character_table
-from charzeros.constructions import build, registry_names
+from charzeros.constructions import build, registry, registry_names
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,12 @@ def get_table(get_group):
 @pytest.fixture(scope="session")
 def corpus():
     return sorted(registry_names())
+
+
+@pytest.fixture
+def add_recipe(monkeypatch):
+    """Put a recipe in front of the registry table for one test."""
+    def _add(recipe):
+        monkeypatch.setattr(registry, "RECIPES", (recipe,) + registry.RECIPES)
+
+    return _add

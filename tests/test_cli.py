@@ -158,6 +158,32 @@ def test_verify_rejects_huge_entry_level_in_bounded_time(tmp_path, capsys):
     assert "exponent" in proc.stderr
 
 
+def test_deeply_nested_table_file_is_malformed(tmp_path, capsys):
+    f = tmp_path / "deep.json"
+    for verb, text in (("verify", "[" * 200000),
+                       ("zeros", '{"format":"chartab/1","x":' + "[" * 200000)):
+        f.write_text(text)
+        rc, out, err = run(capsys, verb, str(f))
+        assert (rc, out) == (1, ""), verb
+        assert err.count("\n") == 1 and "nested too deeply" in err, (verb, err)
+
+
+def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, capsys):
+    f = tmp_path / "g.grp"
+    for argv, text, why in (
+            (["table"], "degree 1000000000000000\n(1 2)\n", "exceeds the order budget"),
+            (["zeros", "--max-order", "5"], "degree 6\n(1 2)\n", "exceeds the order budget 5"),
+            (["zeros"], "degrees 5\n(1 2)\n", "degree must come first"),
+            (["zeros"], "degree 5\nnamed X\n(1 2)\n", "malformed cycle notation")):
+        f.write_text(text)
+        rc, out, err = run(capsys, argv[0], str(f), *argv[1:])
+        assert (rc, out) == (2, ""), text
+        assert err.startswith("error: ") and err.count("\n") == 1 and why in err, (text, err)
+    f.write_text("degree 5\nname X\n(1 2)\n")
+    rc, out, _ = run(capsys, "zeros", str(f), "--max-order", "5")
+    assert rc == 0 and out.startswith("X: order 2")
+
+
 def test_zeros_text(capsys):
     rc, out, _ = run(capsys, "zeros", "PSL(2,7)")
     assert rc == 0

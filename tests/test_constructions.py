@@ -1,3 +1,4 @@
+from functools import partial
 from math import gcd
 
 import pytest
@@ -22,7 +23,8 @@ from charzeros.constructions import (
     twisted_m10,
     unitary3,
 )
-from charzeros.constructions.registry import _parse_registry
+from charzeros.constructions.registry import RECIPES
+from charzeros.groupcore import Group
 from charzeros.numtheory import NotPrimePower
 
 
@@ -35,23 +37,16 @@ def test_registry_contents():
                  "PGL(2,11)", "A6:2_2", "A6:2_3", "3.A6", "3.A6:2_3",
                  "PSL(2,8):3", "PSU(3,4)", "Sz(8)", "Sz(8):3"]:
         assert want in names
-    with pytest.raises(RegistryError):
+    # the error lists the known names in registry order
+    with pytest.raises(RegistryError, match="known: C1, C2, C3, "):
         find_recipe("M11")
 
 
-def test_registry_grammar_rejections():
-    block = "group X\nparam family cyclic\nparam n 5\norder 5\n"
-    assert list(_parse_registry(block)) == ["X"]
-    with pytest.raises(RegistryError):
-        _parse_registry(block + block)
-    with pytest.raises(RegistryError):
-        _parse_registry("param family cyclic\n")
-    with pytest.raises(RegistryError):
-        _parse_registry("group X\norder 5\n")
-    with pytest.raises(RegistryError):
-        _parse_registry("group X\nparam family cyclic\nparam n 5\n")
-    with pytest.raises(RegistryError):
-        _parse_registry(block + "bogus 1\n")
+def test_recipe_table_integrity():
+    names = [r.name for r in RECIPES]
+    assert len(names) == len(set(names)) == 35
+    assert all(r.simple for r in RECIPES if r.simple_allowed)
+    assert [r.name for r in RECIPES if r.two_prime_excused] == ["Sz(8):3"]
 
 
 def test_projective_line_orders():
@@ -165,24 +160,24 @@ def test_builder_rejections():
         alternating(4)
 
 
-def test_validation_hooks():
-    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
-                         expected_order=61)
-    with pytest.raises(ValidationFailed):
-        build(recipe)
-    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
-                         expected_order=60, expected_center=2)
-    with pytest.raises(ValidationFailed):
-        build(recipe)
-    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
-                         expected_order=60, checks=(("orders", 1, 2),))
-    with pytest.raises(ValidationFailed):
-        build(recipe)
-    # `derived N` pins G' (a normal subgroup); there is no separate normal kind
-    recipe = GroupRecipe(name="bogus", params={"family": "psl2", "q": 5},
-                         expected_order=60, checks=(("normal", 60),))
-    with pytest.raises(ValidationFailed, match="unknown check 'normal'"):
-        build(recipe)
+def test_validation_hooks(add_recipe):
+    def bogus(make=partial(psl2, 5), order=60, **facts):
+        return GroupRecipe("bogus", make, order=order, out=2, **facts)
+
+    four_group = partial(Group, [(1, 0, 2, 3), (0, 1, 3, 2)], degree=4)
+    for recipe in (bogus(order=61), bogus(center=2), bogus(orders=(1, 2)),
+                   bogus(derived=30), bogus(make=partial(pgl2, 5), order=120, simple=True),
+                   bogus(make=partial(pgl2, 5), order=120, quasisimple=True),
+                   bogus(make=four_group, order=4, center_cyclic=True)):
+        add_recipe(recipe)
+        with pytest.raises(ValidationFailed, match="^bogus: "):
+            build("bogus")
+    add_recipe(bogus(simple=True, quasisimple=True, center_cyclic=True,
+                     derived=60, orders=(1, 2, 3, 5)))
+    assert build("bogus").name == "bogus"
+    # each fact is a typed field; there is no free-form check kind
+    with pytest.raises(TypeError):
+        bogus(normal=60)
 
 
 def test_build_validates_whole_registry(corpus, get_group):

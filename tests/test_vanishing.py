@@ -1,11 +1,11 @@
 import json
 from dataclasses import asdict, replace
+from functools import partial
 
 import pytest
 
-from charzeros import vanishing
 from charzeros.chartab import character_table, is_faithful
-from charzeros.constructions import build
+from charzeros.constructions import GroupRecipe, alternating, build, psl2
 from charzeros.groupcore import Group
 from charzeros.vanishing import (
     PRIMITIVITY_NOTE,
@@ -156,11 +156,12 @@ def test_classify_unlisted_group_notes(get_table):
     assert "no comparison performed" in rep.text()
 
 
-def test_classify_mismatch_path(get_table, monkeypatch):
-    data = {"one_class": {"PSL(2,5)": [3]}, "simple_allowed": {}, "notes": {}}
-    monkeypatch.setattr(vanishing, "_expected_data", lambda: data)
-    rep = classify_one_class(get_table("PSL(2,5)"))
-    assert rep.match is False
+def test_classify_mismatch_path(add_recipe):
+    add_recipe(GroupRecipe("bogus", partial(psl2, 5), order=60, out=2,
+                           one_class=(3,), note="bogus expectation"))
+    rep = classify_one_class(character_table(build("bogus")))
+    assert rep.match is False and rep.observed == (3, 3, 4)
+    assert rep.expected == (3,) and rep.notes == ("bogus expectation",)
     assert "MISMATCH" in rep.text()
 
 
@@ -173,17 +174,18 @@ def test_one_class_rows_are_faithful_flagged(get_table):
         assert is_faithful(t, i) == faithful
 
 
-def test_survey(get_table, monkeypatch):
+def test_survey(get_table, add_recipe):
     tables = [get_table(n) for n in ["A5", "A6", "PSL(2,7)", "PSL(2,8)"]]
     rep = simple_one_class_survey(tables)
     assert rep.ok
     assert [e.group for e in rep.entries] == ["A5", "A6", "PSL(2,7)", "PSL(2,8)"]
     a5 = rep.entries[0]
     assert sorted(d for _, d in a5.one_class_rows) == [3, 3, 4]
-    data = {"one_class": {}, "simple_allowed": {"A5": [4]}, "notes": {}}
-    monkeypatch.setattr(vanishing, "_expected_data", lambda: data)
-    rep = simple_one_class_survey([get_table("A5")])
+    add_recipe(GroupRecipe("bogus", partial(alternating, 5), order=60, out=2,
+                           simple=True, simple_allowed=(4,)))
+    rep = simple_one_class_survey([character_table(build("bogus"))])
     assert not rep.ok and not rep.entries[0].ok
+    assert rep.entries[0].allowed == (4,)
 
 
 def test_report_objects_serialize(get_table):
