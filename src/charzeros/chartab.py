@@ -64,10 +64,6 @@ class CharacterTable:
     classes: tuple[TableClass, ...]
     rows: tuple[tuple[CycloNum, ...], ...]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes)
-
     def degree(self, row: int) -> int:
         v = self.rows[row][0].rational_value()
         if v.denominator != 1:

@@ -143,7 +143,7 @@ def check_perm(images, degree: int) -> Perm:
 # -- group definition files ----------------------------------------------------
 #
 # Grammar (one directive per line; blank lines and '#' comments ignored):
-#   degree N          exactly once, first; 1 <= N <= the order budget
+#   degree N          exactly once, first; one integer, 1 <= N <= the order budget
 #   name STRING       optional, at most once
 #   (c1 c2 ...)...    one generator per line, disjoint cycles, 1-based points
 
@@ -162,8 +162,8 @@ def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group
             if gens or name is not None:
                 raise GroupFileError("degree must come first")
             try:
-                degree = int(words[1])
-            except (IndexError, ValueError):
+                (degree,) = map(int, words[1:])
+            except ValueError:
                 raise GroupFileError(f"bad degree directive: {line!r}") from None
             if degree < 1:
                 raise GroupFileError("degree must be >= 1")
@@ -206,15 +206,10 @@ class ConjugacyClass:
 class Group:
     """A finite permutation group, fully enumerated on demand."""
 
-    def __init__(self, generators, *, degree: int | None = None,
+    def __init__(self, generators, *, degree: int,
                  name: str | None = None, max_order: int = DEFAULT_ORDER_BUDGET):
-        gens = [tuple(g) for g in generators]
-        if degree is None:
-            if not gens:
-                raise ValueError("degree is required for a generator-free group")
-            degree = len(gens[0])
-        gens = [check_perm(g, degree) for g in gens]
-        self.generators: tuple[Perm, ...] = tuple(gens)
+        self.generators: tuple[Perm, ...] = tuple(check_perm(g, degree)
+                                                  for g in generators)
         self.degree = degree
         self.name = name
         self.max_order = max_order
@@ -348,9 +343,10 @@ class Group:
         """Classes meeting the product set C_i * C_j.
 
         Class sums commute, so the support is symmetric in (i, j); it is read
-        from the smaller class against a fixed representative of the larger.
+        from the smaller class (the lower index on a tie) against a fixed
+        representative of the other, so (i, j) and (j, i) share one column.
         """
-        if self.classes[i].size > self.classes[j].size:
+        if (self.classes[i].size, i) > (self.classes[j].size, j):
             i, j = j, i
         return frozenset(k for k, n in enumerate(self.class_column(i, j)) if n)
 
@@ -364,16 +360,9 @@ class Group:
         s = {0} | set(seed)
         total = self.class_set_order(s)
         work = sorted(s)
-        done: set[int] = set()
-        while work:
-            if total == self.order:
-                return frozenset(range(self.num_classes))
+        while work and total < self.order:
             i = work.pop()
             for j in sorted(s):
-                if (i, j) in done:
-                    continue
-                done.add((i, j))
-                done.add((j, i))
                 for k in self.class_support(i, j):
                     if k not in s:
                         s.add(k)

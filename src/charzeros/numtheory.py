@@ -2,8 +2,9 @@
 
 Cyclotomic polynomial values, multiplicative orders, least primitive prime
 divisors (with the two classical exception patterns), a strict-inequality
-sweep bounding field automorphism counts against class counts, restricted
-q-1/q+1 factorization searches, and maximal-torus order evaluation for the
+sweep over every prime power bounding field automorphism counts against
+class counts, searches for restricted q-1/q+1 factorizations over the
+candidates q = 2^k +- 1, and maximal-torus order evaluation for the
 classical and exceptional families.  Everything is integer-exact.
 """
 
@@ -31,6 +32,15 @@ class UnsupportedFamily(ValueError):
     pass
 
 
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """Return (e, x / p^e) with p^e the exact p-part of x."""
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e, x
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q = p**f and p prime, or None."""
     if q < 2:
@@ -38,13 +48,7 @@ def prime_power(q: int) -> tuple[int, int] | None:
     ps = sympy.primefactors(q)
     if len(ps) != 1:
         return None
-    p = ps[0]
-    f = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        f += 1
-    return (p, f) if m == 1 else None
+    return ps[0], _strip(q, ps[0])[0]
 
 
 @cache
@@ -162,67 +166,52 @@ class DiophantineSolutionSet:
         return tuple(s.q for s in self.solutions)
 
 
-def _strip(x: int, p: int) -> tuple[int, int]:
-    """Return (e, x / p^e) with p^e the exact p-part of x."""
-    e = 0
-    while x % p == 0:
-        x //= p
-        e += 1
-    return e, x
-
-
-@cache
-def _prime_powers_upto(bound: int) -> tuple[tuple[int, int, int], ...]:
+def _prime_powers_upto(bound: int) -> list[tuple[int, int, int]]:
     """Ascending (q, p, f) with q = p^f <= bound, f >= 1."""
     qs = []
-    for p in sympy.primerange(2, bound + 1):
+    for p in sympy.sieve.primerange(2, bound + 1):
         q, f = p, 1
         while q <= bound:
             qs.append((q, p, f))
             q *= p
             f += 1
     qs.sort()
-    return tuple(qs)
+    return qs
 
 
 def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
-    """Enumerate prime powers q <= bound whose q-1 and q+1 factor as required.
+    """Prime powers q <= bound whose q-1 and q+1 factor as required.
 
     Part A: q-1 = 2^c and q+1 = 2^a 3^b with a >= 1.
     Part B: q-1 = 2^a with a >= 1 and q+1 = 2^b 5^c.
     Part C: q-1 = 2^a 5^b with a >= 1 and q+1 = 2^c.
-    Exponents not constrained to be positive may be zero.
+    Exponents not constrained to be positive may be zero.  Each part fixes
+    q = 2^k + 1 (A, B) or q = 2^k - 1 (C), so only k <= bound.bit_length()
+    is walked, and the other exponents are read off by stripping 2, 3 or 5.
     """
     if part not in ("A", "B", "C"):
         raise ValueError(f"unknown part {part!r}")
     if bound < 3:
         raise ValueError("bound must be >= 3")
     sols = []
-    for q, _, _ in _prime_powers_upto(bound):
+    for k in range(bound.bit_length() + 1):
+        q = 2**k - 1 if part == "C" else 2**k + 1
+        if q > bound or prime_power(q) is None:
+            continue
         if part == "A":
-            if not _is_power_of_two(q - 1):
-                continue
-            c = (q - 1).bit_length() - 1
             a, rest = _strip(q + 1, 2)
             b, rest = _strip(rest, 3)
-            if rest == 1 and a >= 1:
-                sols.append(DiophantineSolution(q, a, b, c))
+            c = k
         elif part == "B":
-            if not _is_power_of_two(q - 1) or q - 1 < 2:
-                continue
-            a = (q - 1).bit_length() - 1
+            a = k
             b, rest = _strip(q + 1, 2)
             c, rest = _strip(rest, 5)
-            if rest == 1:
-                sols.append(DiophantineSolution(q, a, b, c))
         else:
             a, rest = _strip(q - 1, 2)
             b, rest = _strip(rest, 5)
-            if rest != 1 or a < 1:
-                continue
-            if _is_power_of_two(q + 1):
-                c = (q + 1).bit_length() - 1
-                sols.append(DiophantineSolution(q, a, b, c))
+            c = k
+        if rest == 1 and a >= 1:
+            sols.append(DiophantineSolution(q, a, b, c))
     return DiophantineSolutionSet(part, bound, tuple(sols))
 
 

@@ -21,12 +21,14 @@ from .numtheory import prime_power
 PRIMITIVITY_NOTE = "primitivity of the flagged row is assumed, not computed"
 
 
-def _recipe(group: str) -> GroupRecipe | None:
-    """The registry entry a table's group name refers to, if any."""
+def _recipe(t: CharacterTable) -> GroupRecipe | None:
+    """The registry entry a table's group name refers to, if any and if it
+    has the table's order: a file sets the name at will."""
     try:
-        return find_recipe(group)
+        recipe = find_recipe(t.group)
     except RegistryError:
         return None
+    return recipe if recipe.order == t.order else None
 
 
 def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
@@ -72,7 +74,7 @@ def star_check(t: CharacterTable, row: int, *,
     classes, and a centre that is cyclic of order a power of the same prime.
     A non-faithful row never satisfies it."""
     if out_order is None:
-        recipe = _recipe(t.group)
+        recipe = _recipe(t)
         if recipe is None:
             raise ValueError(f"no outer-order bound known for {t.group!r}; "
                              "pass out_order explicitly")
@@ -195,7 +197,7 @@ def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
         if len(primefactors(d)) >= 2 and len(vanishing_classes(t, i)) == 1:
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
-    recipe = _recipe(t.group)
+    recipe = _recipe(t)
     return TwoPrimeReport(group=t.group, flagged=tuple(flagged),
                           excused=recipe is not None and recipe.two_prime_excused,
                           notes=notes)
@@ -244,7 +246,7 @@ def classify_one_class(t: CharacterTable) -> OneClassReport:
                 observed.append(t.degree(i))
     observed.sort()
 
-    recipe = _recipe(t.group)
+    recipe = _recipe(t)
     expected = recipe.one_class if recipe else None
     notes = []
     if recipe and recipe.note:
@@ -286,7 +288,7 @@ def simple_one_class_survey(tables) -> SurveyReport:
     that groups without a permitted entry have no such rows)."""
     entries = []
     for t in sorted(tables, key=lambda t: t.group):
-        recipe = _recipe(t.group)
+        recipe = _recipe(t)
         allowed = recipe.simple_allowed if recipe else ()
         found = tuple((i, t.degree(i)) for i in range(len(t.rows))
                       if len(vanishing_classes(t, i)) == 1)

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths under test: the character
 oracle works through the regular representation with floating-point
 eigenvectors (snapped to exact cyclotomic integers and re-verified exactly),
-the normal-subgroup oracle does literal closure testing on element sets, and
-the primitive-divisor oracle scans prime factors directly.
+the normal-subgroup oracle does literal closure testing on element sets, the
+primitive-divisor oracle scans prime factors directly, and the diophantine
+oracle scans every prime power up to the bound.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sympy
 
 from charzeros.cyclo import CycloNum
 from charzeros.groupcore import Group, pmul
+from charzeros.numtheory import DiophantineSolution, DiophantineSolutionSet
 
 
 def brute_zsigmondy(q: int, n: int) -> int | None:
@@ -25,6 +27,50 @@ def brute_zsigmondy(q: int, n: int) -> int | None:
         if all((q**i - 1) % l for i in range(1, n)):
             return l
     return None
+
+
+def _two_exponent(x: int) -> int | None:
+    """e with x = 2^e, or None."""
+    return x.bit_length() - 1 if x >= 1 and x & (x - 1) == 0 else None
+
+
+def _p_part(x: int, p: int) -> tuple[int, int]:
+    e = 0
+    while x % p == 0:
+        x //= p
+        e += 1
+    return e, x
+
+
+def brute_diophantine(part: str, bound: int) -> DiophantineSolutionSet:
+    """The diophantine solution set by testing every prime power q <= bound."""
+    qs = []
+    for p in sympy.sieve.primerange(2, bound + 1):
+        q = p
+        while q <= bound:
+            qs.append(q)
+            q *= p
+    sols = []
+    for q in sorted(qs):
+        if part == "A":
+            c = _two_exponent(q - 1)
+            a, rest = _p_part(q + 1, 2)
+            b, rest = _p_part(rest, 3)
+            if c is not None and rest == 1 and a >= 1:
+                sols.append(DiophantineSolution(q, a, b, c))
+        elif part == "B":
+            a = _two_exponent(q - 1)
+            b, rest = _p_part(q + 1, 2)
+            c, rest = _p_part(rest, 5)
+            if a is not None and a >= 1 and rest == 1:
+                sols.append(DiophantineSolution(q, a, b, c))
+        else:
+            a, rest = _p_part(q - 1, 2)
+            b, rest = _p_part(rest, 5)
+            c = _two_exponent(q + 1)
+            if rest == 1 and a >= 1 and c is not None:
+                sols.append(DiophantineSolution(q, a, b, c))
+    return DiophantineSolutionSet(part, bound, tuple(sols))
 
 
 def field_element_order(F, a: int) -> int:

@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import charzeros
+from charzeros import cli
 from charzeros.cli import main
 from charzeros.groupcore import parse_group_file
+from charzeros.vanishing import BurnsideReport
 
 
 def run(capsys, *argv):
@@ -174,6 +176,7 @@ def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, c
             (["table"], "degree 1000000000000000\n(1 2)\n", "exceeds the order budget"),
             (["zeros", "--max-order", "5"], "degree 6\n(1 2)\n", "exceeds the order budget 5"),
             (["zeros"], "degrees 5\n(1 2)\n", "degree must come first"),
+            (["zeros"], "degree 5 7\n(1 2)\n", "bad degree directive: 'degree 5 7'"),
             (["zeros"], "degree 5\nnamed X\n(1 2)\n", "malformed cycle notation")):
         f.write_text(text)
         rc, out, err = run(capsys, argv[0], str(f), *argv[1:])
@@ -182,6 +185,27 @@ def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, c
     f.write_text("degree 5\nname X\n(1 2)\n")
     rc, out, _ = run(capsys, "zeros", str(f), "--max-order", "5")
     assert rc == 0 and out.startswith("X: order 2")
+
+
+def test_registry_facts_need_the_registry_order(tmp_path, capsys):
+    # a file may call any group A5; A5's facts apply only at order 60
+    f = tmp_path / "c5.grp"
+    f.write_text("degree 5\nname A5\n(1 2 3 4 5)\n")
+    rc, out, _ = run(capsys, "classify", str(f))
+    assert rc == 0 and "(no expected entry)" in out
+    rc, out, err = run(capsys, "star", str(f))
+    assert (rc, out) == (2, "") and "no outer-order bound known for 'A5'" in err
+    rc, out, _ = run(capsys, "star", str(f), "--out-order", "2")
+    assert rc == 0 and out
+
+
+def test_suite_reports_burnside_violation(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "registry_names", lambda: ("A5",))
+    monkeypatch.setattr(cli, "burnside_check",
+                        lambda t: BurnsideReport(t.group, 4, (1,)))
+    rc, out, err = run(capsys, "suite")
+    assert rc == 1 and "suite: 1 groups, 1 failures" in out
+    assert err == "A5: degree-3 row 1 never vanishes\n"
 
 
 def test_zeros_text(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from charzeros import numtheory
 from charzeros.numtheory import (
     DiophantineSolutionSet,
     NotCoprime,
@@ -18,7 +19,7 @@ from charzeros.numtheory import (
     torus_orders,
     zsigmondy,
 )
-from helpers import brute_zsigmondy
+from helpers import brute_diophantine, brute_zsigmondy
 
 PRIME_POWERS_50 = [q for q in range(2, 51) if prime_power(q) is not None]
 
@@ -162,6 +163,24 @@ def test_diophantine_monotone_prefix():
         small = diophantine_solutions(part, 200).solutions
         large = diophantine_solutions(part, 5000).solutions
         assert large[: len(small)] == small
+
+
+def test_diophantine_matches_prime_power_scan():
+    near_powers = {2**k + d for k in range(21) for d in range(-2, 3)}
+    bounds = sorted(b for b in {*range(3, 201), *near_powers, 10**6} if b >= 3)
+    for part in "ABC":
+        for bound in bounds:
+            assert diophantine_solutions(part, bound) == \
+                brute_diophantine(part, bound), (part, bound)
+
+
+def test_diophantine_walks_only_two_power_candidates(monkeypatch):
+    def no_scan(bound):
+        raise AssertionError("diophantine_solutions listed the prime powers")
+
+    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_scan)
+    got = {part: diophantine_solutions(part, 10**6).values for part in "ABC"}
+    assert got == {"A": (3, 5, 17), "B": (3, 9), "C": (3,)}
 
 
 def test_diophantine_rejects():
