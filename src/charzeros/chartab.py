@@ -24,7 +24,7 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
 
 from .cyclo import CycloNum, hermitian_sum
-from .groupcore import Group, format_cycles, parse_cycles, perm_order
+from .groupcore import Group, cycle_points, format_cycles
 
 DEFAULT_CLASS_BUDGET = 64
 SPLIT_BUDGET = 32
@@ -413,13 +413,13 @@ def table_to_text(t: CharacterTable) -> str:
 
 
 def _rep_order(rep: str) -> int:
-    """Order of a representative in cycle notation.  Points are renumbered by
-    rank first (0 stays 0, so parse_cycles still rejects it), which keeps the
-    cycle type and keeps the parse linear in the string however large a
-    point is."""
+    """Order of a representative in cycle notation: the lcm of its validated
+    cycle lengths.  Points are renumbered by rank first (0 stays 0, so
+    cycle_points still rejects it), which keeps the cycle type and keeps the
+    parse linear in the string however large a point is."""
     rank = {p: i for i, p in enumerate(sorted({0, *map(int, re.findall(r"\d+", rep))}))}
-    return perm_order(parse_cycles(re.sub(r"\d+", lambda d: str(rank[int(d[0])]), rep),
-                                   len(rank) - 1))
+    return lcm(*map(len, cycle_points(re.sub(r"\d+", lambda d: str(rank[int(d[0])]), rep),
+                                      len(rank) - 1)))
 
 
 def _product_generators(o: int) -> list[int]:

@@ -9,7 +9,7 @@ generator permutations, and hence everything downstream, are reproducible.
 from __future__ import annotations
 
 from ..fields import FqField, gf
-from ..groupcore import Group, Perm
+from ..groupcore import MAX_DEGREE, Group
 from ..numtheory import NotPrimePower, prime_power
 
 
@@ -58,7 +58,7 @@ def alternating(n: int) -> Group:
 INF = 0
 
 
-def _mobius_perm(F: FqField, a: int, b: int, c: int, d: int) -> Perm:
+def _mobius_perm(F: FqField, a: int, b: int, c: int, d: int) -> tuple[int, ...]:
     """z -> (az + b)/(cz + d) on [infinity] + field elements."""
     imgs = [0] * (F.q + 1)
     imgs[INF] = INF if c == 0 else 1 + F.div(a, c)
@@ -71,7 +71,7 @@ def _mobius_perm(F: FqField, a: int, b: int, c: int, d: int) -> Perm:
     return tuple(imgs)
 
 
-def _frobenius_perm(F: FqField) -> Perm:
+def _frobenius_perm(F: FqField) -> tuple[int, ...]:
     return (INF,) + tuple(1 + F.frobenius(z) for z in F.elements())
 
 
@@ -121,6 +121,9 @@ def sl2(q: int) -> Group:
     _check_q(q)
     if q % 2 == 0:
         raise Unsupported("sl2 requires odd q (even q gives PSL2 again)")
+    if q * q - 1 > MAX_DEGREE:
+        raise Unsupported(f"sl2({q}) acts on {q * q - 1} points, "
+                          f"more than the largest degree {MAX_DEGREE}")
     F = _field_of(q)
     vecs = [(x, y) for x in F.elements() for y in F.elements() if (x, y) != (0, 0)]
     idx = {v: i for i, v in enumerate(vecs)}

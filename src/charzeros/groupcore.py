@@ -1,23 +1,29 @@
 """Finite permutation groups: enumeration, conjugacy classes, class algebra.
 
-Elements are image tuples on points 0..n-1; the product a*b acts as "apply b,
-then a".  Everything is enumerated explicitly under an order budget, which
-keeps every downstream computation exact and deterministic.  The group keeps
-one element store, `elements`, a tuple in lex order.  Classes are discovered
-by scanning it, each class representative is its lex-least member, and the
-class list is sorted by (element order, class size, representative); the
-same scan fills `class_index`, the class number of every element.  Class
-members and `class_index` keys are the very tuples held in `elements`, so
-each permutation is stored once.
+Elements are `bytes` of images on points 0..n-1, so the degree is at most
+256; the product a*b acts as "apply b, then a", and is computed as
+`b.translate(a_tab)`, where a_tab is a padded out to a 256-byte translation
+table.  Same-length `bytes` sort like the tuples of their values, so every
+lex order below is the lex order of the image tuples.  Everything is
+enumerated explicitly under an order budget, which keeps every downstream
+computation exact and deterministic.  The group keeps one element store,
+`elements`, a tuple in lex order.  Classes are discovered by scanning it,
+each class representative is its lex-least member, and the class list is
+sorted by (element order, class size, representative); the same scan fills
+`class_index`, the class number of every element.  Class members and
+`class_index` keys are the very objects held in `elements`, so each
+permutation is stored once.
 
 All class algebra goes through one primitive with one cache: the class
 column (i, k), which counts the classes of u*rep_k over u in C_i at the cost
-of |C_i| products.  `class_matrix(i)` reads the columns of the inverse class
-(Dixon's class multiplication constants); `class_support(i, j)` is the
-support of the column of the smaller class against the larger class's
-representative, since every product pair is conjugate to one of that form.
-So every product a normal closure computes is reused by the character table.
-`power_maps` walks rep^k once per class.
+of |C_i| products.  u*rep_k is conjugate (by u) to rep_k*u, which is
+`u.translate(rep_tab)`, so one padded table serves the whole column.
+`class_matrix(i)` reads the columns of the inverse class (Dixon's class
+multiplication constants); `class_support(i, j)` is the support of the
+column of the smaller class against the larger class's representative,
+since every product pair is conjugate to one of that form.  So every product
+a normal closure computes is reused by the character table.  `power_maps`
+walks rep^k once per class.
 
 Normal structure works on sets of class indices rather than element sets: a
 union of classes containing the identity is a normal subgroup iff it is
@@ -34,9 +40,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-Perm = tuple[int, ...]
+Perm = bytes
 
 DEFAULT_ORDER_BUDGET = 200_000
+MAX_DEGREE = 256  # points are byte values
 
 
 class OrderBudgetExceeded(RuntimeError):
@@ -53,20 +60,26 @@ class GroupFileError(ValueError):
 
 # -- raw permutation helpers --------------------------------------------------
 
+_IDENTITY_TABLE = bytes(range(MAX_DEGREE))
+
+
+def _table(a: Perm) -> bytes:
+    """a as a `translate` table: x.translate(_table(a)) is a*x."""
+    return a + _IDENTITY_TABLE[len(a):]
+
+
 def pmul(a: Perm, b: Perm) -> Perm:
     """Composition a after b: (a*b)(i) = a(b(i))."""
-    return tuple(map(a.__getitem__, b))
+    return b.translate(_table(a))
 
 
 def pinv(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        out[x] = i
-    return tuple(out)
+    n = len(a)  # the table that sends a[i] to i, cut back to n points
+    return bytes.maketrans(a, _IDENTITY_TABLE[:n])[:n]
 
 
 def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
+    return bytes(range(n))
 
 
 def perm_order(a: Perm) -> int:
@@ -109,8 +122,9 @@ def format_cycles(a: Perm) -> str:
     return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
 
 
-def parse_cycles(line: str, degree: int) -> Perm:
-    """One permutation as disjoint cycles on 1-based points in [1, degree].
+def cycle_points(line: str, degree: int) -> list[list[int]]:
+    """The nonempty cycles of one permutation in cycle notation, as lists of
+    0-based points; the points are 1-based in the line and lie in [1, degree].
 
     A point repeated anywhere in the line would make the map non-injective,
     so it is rejected.
@@ -118,7 +132,7 @@ def parse_cycles(line: str, degree: int) -> Perm:
     s = line.strip()
     if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+", s):
         raise GroupFileError(f"malformed cycle notation: {line!r}")
-    images = list(range(degree))
+    cycles = []
     used: set[int] = set()
     for body in re.findall(r"\(([^()]*)\)", s):
         pts = [int(t) - 1 for t in body.split()]
@@ -128,22 +142,32 @@ def parse_cycles(line: str, degree: int) -> Perm:
             if p in used:
                 raise NotBijection(f"point {p + 1} repeated: map is not a bijection")
             used.add(p)
+        if pts:
+            cycles.append(pts)
+    return cycles
+
+
+def parse_cycles(line: str, degree: int) -> Perm:
+    """One permutation in cycle notation (see `cycle_points`); degree <= 256."""
+    images = bytearray(identity_perm(degree))
+    for pts in cycle_points(line, degree):
         for i, p in enumerate(pts):
             images[p] = pts[(i + 1) % len(pts)]
-    return tuple(images)
+    return bytes(images)
 
 
 def check_perm(images, degree: int) -> Perm:
     t = tuple(images)
     if len(t) != degree or sorted(t) != list(range(degree)):
         raise NotBijection(f"image list is not a bijection on 0..{degree - 1}")
-    return t
+    return bytes(t)
 
 
 # -- group definition files ----------------------------------------------------
 #
 # Grammar (one directive per line; blank lines and '#' comments ignored):
-#   degree N          exactly once, first; one integer, 1 <= N <= the order budget
+#   degree N          exactly once, first; one integer, 1 <= N <= the order
+#                     budget and N <= 256
 #   name STRING       optional, at most once
 #   (c1 c2 ...)...    one generator per line, disjoint cycles, 1-based points
 
@@ -169,6 +193,8 @@ def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group
                 raise GroupFileError("degree must be >= 1")
             if degree > max_order:
                 raise GroupFileError(f"degree {degree} exceeds the order budget {max_order}")
+            if degree > MAX_DEGREE:
+                raise GroupFileError(f"degree {degree} exceeds the largest degree {MAX_DEGREE}")
         elif words[0] == "name":
             if degree is None:
                 raise GroupFileError("degree must come first")
@@ -208,6 +234,9 @@ class Group:
 
     def __init__(self, generators, *, degree: int,
                  name: str | None = None, max_order: int = DEFAULT_ORDER_BUDGET):
+        if degree > MAX_DEGREE:
+            raise ValueError(f"degree {degree} exceeds {MAX_DEGREE}: "
+                             f"points are stored as bytes")
         self.generators: tuple[Perm, ...] = tuple(check_perm(g, degree)
                                                   for g in generators)
         self.degree = degree
@@ -224,13 +253,12 @@ class Group:
         elems = {e}
         frontier = [e]
         limit = self.max_order
-        gens = self.generators
+        tables = [_table(g) for g in self.generators]
         while frontier:
             nxt = []
             for x in frontier:
-                xg = x.__getitem__
-                for g in gens:
-                    y = tuple(map(xg, g))
+                for t in tables:
+                    y = x.translate(t)
                     if y not in elems:
                         elems.add(y)
                         if len(elems) > limit:
@@ -252,9 +280,7 @@ class Group:
 
     @cached_property
     def classes(self) -> tuple[ConjugacyClass, ...]:
-        gens = self.generators
-        ginv = [pinv(g) for g in gens]
-        pairs = list(zip(gens, ginv))
+        pairs = [(g, _table(pinv(g))) for g in self.generators]
         index: dict[Perm, int] = {}  # element -> orbit number, in discovery order
         # each element to itself: members and index keys reuse these objects
         stored = {x: x for x in self.elements}
@@ -269,9 +295,9 @@ class Group:
             while i < len(orbit):
                 z = orbit[i]
                 i += 1
-                zg = z.__getitem__
+                zt = _table(z)
                 for g, gi in pairs:
-                    y = tuple(map(gi.__getitem__, map(zg, g)))
+                    y = g.translate(zt).translate(gi)  # g^-1 * z * g
                     if y not in index:
                         y = stored[y]
                         index[y] = n
@@ -307,25 +333,26 @@ class Group:
         ci = self.class_index
         maps = []
         for c in self.classes:
-            x, row = identity_perm(self.degree), []
+            x, row, t = identity_perm(self.degree), [], _table(c.rep)
             for _ in range(c.element_order):
                 row.append(ci[x])
-                x = pmul(c.rep, x)
+                x = x.translate(t)
             maps.append(tuple(row))
         return tuple(maps)
 
     # -- class algebra --------------------------------------------------------
 
     def class_column(self, i: int, k: int) -> tuple[int, ...]:
-        """Entry j counts the u in C_i with u*rep_k in C_j; cached."""
+        """Entry j counts the u in C_i with u*rep_k in C_j; cached.  u*rep_k
+        is conjugate by u to rep_k*u, whose class is counted instead."""
         key = (i, k)
         got = self._columns.get(key)
         if got is None:
             ci = self.class_index
-            rep = self.classes[k].rep
+            t = _table(self.classes[k].rep)
             counts = [0] * self.num_classes
             for u in self.classes[i].members:
-                counts[ci[tuple(map(u.__getitem__, rep))]] += 1
+                counts[ci[u.translate(t)]] += 1
             got = self._columns[key] = tuple(counts)
         return got
 

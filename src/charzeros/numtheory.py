@@ -45,10 +45,12 @@ def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q = p**f and p prime, or None."""
     if q < 2:
         return None
-    ps = sympy.primefactors(q)
-    if len(ps) != 1:
+    if sympy.isprime(q):
+        return q, 1
+    root = sympy.perfect_power(q)
+    if not root or not sympy.isprime(root[0]):
         return None
-    return ps[0], _strip(q, ps[0])[0]
+    return root[0], _strip(q, root[0])[0]
 
 
 @cache

@@ -11,6 +11,7 @@ from charzeros.chartab import (
     TableFileError,
     _check_classes,
     _min_poly,
+    _rep_order,
     character_table,
     is_faithful,
     kernel_of,
@@ -366,6 +367,14 @@ def test_file_rejects_inconsistent_class_data(get_table):
     obj = json.loads(text)
     obj["classes"][1]["rep"] = "(1 99999999999999999)(2 3)"
     assert table_from_text(json.dumps(obj)).classes[1].rep == "(1 99999999999999999)(2 3)"
+    # a rep on more points than a group may have: only its cycle type counts
+    five_cycles = "".join("(" + " ".join(str(5 * i + j) for j in range(1, 6)) + ")"
+                          for i in range(52))
+    obj["classes"][3]["rep"] = five_cycles  # 260 points, order 5
+    assert table_from_text(json.dumps(obj)).classes[3].rep == five_cycles
+    assert _rep_order("(" + " ".join(map(str, range(1, 301))) + ")") == 300
+    assert _rep_order("(1 2)(300 301 302)") == 6
+    assert _rep_order("()") == _rep_order("(7)") == 1
 
 
 def _composes(classes) -> bool:

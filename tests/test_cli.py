@@ -177,7 +177,8 @@ def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, c
             (["zeros", "--max-order", "5"], "degree 6\n(1 2)\n", "exceeds the order budget 5"),
             (["zeros"], "degrees 5\n(1 2)\n", "degree must come first"),
             (["zeros"], "degree 5 7\n(1 2)\n", "bad degree directive: 'degree 5 7'"),
-            (["zeros"], "degree 5\nnamed X\n(1 2)\n", "malformed cycle notation")):
+            (["zeros"], "degree 5\nnamed X\n(1 2)\n", "malformed cycle notation"),
+            (["zeros"], "degree 257\n(1 257)\n", "exceeds the largest degree 256")):
         f.write_text(text)
         rc, out, err = run(capsys, argv[0], str(f), *argv[1:])
         assert (rc, out) == (2, ""), text

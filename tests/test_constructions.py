@@ -156,6 +156,8 @@ def test_builder_rejections():
         psl2(3)
     with pytest.raises(Unsupported):
         sl2(4)
+    with pytest.raises(Unsupported, match="288 points"):
+        sl2(17)  # points are bytes: degree at most 256
     with pytest.raises(Unsupported):
         alternating(4)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import lcm
 
@@ -24,7 +25,7 @@ from helpers import brute_normal_class_sets
 def test_perm_primitives():
     a = parse_cycles("(1 2 3)", 4)
     b = parse_cycles("(3 4)", 4)
-    assert a == (1, 2, 0, 3)
+    assert a == bytes([1, 2, 0, 3])
     assert pmul(a, pinv(a)) == identity_perm(4)
     assert perm_order(a) == 3 and perm_order(b) == 2
     assert perm_order(pmul(a, b)) == 4
@@ -32,6 +33,43 @@ def test_perm_primitives():
     assert pmul(a, a) == pinv(a)
     assert format_cycles(a) == "(1 2 3)"
     assert format_cycles(identity_perm(5)) == "()"
+
+
+def test_bytes_perms_match_tuple_definitions():
+    # products, inverses, orders and cycle notation on bytes agree with the
+    # same maps on image tuples, at every degree the representation allows
+    rng = random.Random(17)
+    for n in range(1, 257):
+        ts = [tuple(rng.sample(range(n), n)) for _ in range(3)]
+        ts.append(tuple(range(1, n)) + (0,))  # an n-cycle
+        ps = [bytes(t) for t in ts]
+        for a, pa in zip(ts, ps):
+            inv = [0] * n
+            for i, x in enumerate(a):
+                inv[x] = i
+            assert pinv(pa) == bytes(inv)
+            assert format_cycles(pa) == format_cycles(a)
+            assert perm_order(pa) == perm_order(a)
+            for b, pb in zip(ts, ps):
+                assert pmul(pa, pb) == bytes(a[i] for i in b), n
+        # class reps are lex-least members, so the orders must agree
+        order = sorted(range(len(ts)), key=ts.__getitem__)
+        assert sorted(range(len(ps)), key=ps.__getitem__) == order, n
+    for n in range(1, 7):
+        ts = sorted(itertools.permutations(range(n)))
+        assert sorted(bytes(t) for t in reversed(ts)) == [bytes(t) for t in ts]
+
+
+def test_degree_is_at_most_256():
+    cycle = "(" + " ".join(str(p) for p in range(1, 257)) + ")"
+    g = parse_group_file(f"degree 256\n{cycle}\n")
+    assert g.order == 256 and g.num_classes == 256
+    assert list(g.elements) == sorted(g.elements)
+    assert g.elements[0] == identity_perm(256) and perm_order(g.elements[1]) == 256
+    with pytest.raises(GroupFileError, match="exceeds the largest degree 256"):
+        parse_group_file(f"degree 257\n{cycle}\n")
+    with pytest.raises(ValueError, match="degree 300 exceeds 256"):
+        Group([tuple(range(300))], degree=300)
 
 
 def test_pmul_convention():

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,16 @@ def test_prime_power():
     assert prime_power(6) is None
     assert prime_power(1) is None
     assert prime_power(0) is None
+
+
+def test_prime_power_matches_factoring():
+    for q in range(100_001):
+        ps = sympy.primefactors(q) if q >= 2 else []
+        want = (ps[0], sympy.multiplicity(ps[0], q)) if len(ps) == 1 else None
+        assert prime_power(q) == want, q
+    assert prime_power(3**40) == (3, 40)
+    assert prime_power((2**61 - 1)**3) == (2**61 - 1, 3)
+    assert prime_power(2**64 + 1) is None  # 274177 * 67280421310721
 
 
 def test_cyclotomic_poly_value_matches_sympy():
@@ -179,8 +190,13 @@ def test_diophantine_walks_only_two_power_candidates(monkeypatch):
         raise AssertionError("diophantine_solutions listed the prime powers")
 
     monkeypatch.setattr(numtheory, "_prime_powers_upto", no_scan)
-    got = {part: diophantine_solutions(part, 10**6).values for part in "ABC"}
-    assert got == {"A": (3, 5, 17), "B": (3, 9), "C": (3,)}
+    for bound in (10**6, 10**60):
+        # each 2^k +- 1 costs a primality test and a perfect-power root, no factoring
+        t0 = time.perf_counter()
+        got = {part: diophantine_solutions(part, bound).values for part in "ABC"}
+        elapsed = time.perf_counter() - t0
+        assert got == {"A": (3, 5, 17), "B": (3, 9), "C": (3,)}
+        assert elapsed < 2.0, f"bound {bound} took {elapsed:.2f}s, budget 2s"
 
 
 def test_diophantine_rejects():
