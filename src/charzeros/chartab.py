@@ -1,11 +1,18 @@
 """Exact character tables by modular eigenvector separation.
 
 The table of a finite permutation group is computed from its class
-multiplication constants, one matrix per class from `Group.class_matrix`
-(Dixon's method).  Over a prime field F_l with l = 1 (mod exp(G))
-the central characters are the simultaneous eigenvectors of the class
-matrices; once those are separated, each character degree follows from
-the orthogonality relations and every entry lifts uniquely to an exact
+multiplication constants (Dixon's method).  Over a prime field F_l with
+l = 1 (mod exp(G)) the central characters are the simultaneous eigenvectors
+of the class matrices A_i, and the class algebra splits, so every class
+matrix is diagonalisable and together they separate the characters.  The
+split follows Schneider: starting from the whole space, it walks the classes
+in order of size and splits every block that is still more than
+1-dimensional by the eigenspaces of one A_i.  A block is held by a
+row-echelon basis, so the restriction of A_i to it needs only the rows of
+A_i at the block's pivots (`Group.class_row`), never the whole matrix; the
+walk stops as soon as every block is a line.  The split is deterministic.
+Once the characters are separated, each character degree follows from the
+orthogonality relations and every entry lifts uniquely to an exact
 cyclotomic number through its root-of-unity multiplicities.  A table is
 released only after the full first and second orthogonality relations
 have been re-checked with exact arithmetic.
@@ -13,7 +20,6 @@ have been re-checked with exact arithmetic.
 from __future__ import annotations
 
 import json
-import random
 import re
 from dataclasses import dataclass
 from math import gcd, lcm
@@ -24,14 +30,9 @@ from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
 
 from .cyclo import CycloNum, hermitian_sum
-from .groupcore import Group, cycle_points, format_cycles
+from .groupcore import Degenerate, Group, cycle_points, format_cycles
 
 DEFAULT_CLASS_BUDGET = 64
-SPLIT_BUDGET = 32
-
-
-class Degenerate(RuntimeError):
-    """The modular eigenvector separation or lift could not complete."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -129,19 +130,6 @@ def _kernel_basis(mat, l):
     return basis
 
 
-def _restrict(a, basis, l):
-    """Matrix of x -> a.x on span(basis), coordinates in that basis."""
-    d = len(basis)
-    n = len(basis[0])
-    images = [_mat_vec(a, b, l) for b in basis]
-    aug = [[basis[j][i] for j in range(d)] + [images[t][i] for t in range(d)]
-           for i in range(n)]
-    pivots = _rref(aug, l)
-    if pivots[:d] != list(range(d)):
-        raise Degenerate("subspace basis lost rank during restriction")
-    return [[aug[s][d + t] for t in range(d)] for s in range(d)]
-
-
 def _min_poly(b, l):
     """Minimal polynomial (descending, monic) via Krylov annihilators of the
     standard basis vectors; their lcm is the minimal polynomial."""
@@ -188,44 +176,51 @@ def _poly_roots(p, l):
     return sorted(roots)
 
 
-def _separate(mats, l, rng):
-    """Common eigenvectors of the commuting matrices mats over F_l, found by
-    refining invariant subspaces along random linear combinations."""
-    r = len(mats)
-    spaces = [[[1 if i == j else 0 for j in range(r)] for i in range(r)]]
-    for _ in range(SPLIT_BUDGET):
-        if all(len(s) == 1 for s in spaces):
+def _separate(group: Group, l: int) -> list[list[int]]:
+    """The common eigenvectors of the class matrices over F_l, one per
+    central character.
+
+    Blocks are invariant subspaces held as reduced row-echelon bases with
+    their pivot columns.  For a basis b_1..b_d with pivots p_1..p_d, the
+    coordinates of a vector in the block are its entries at the pivots, so
+    A_i restricts to the d x d matrix whose (s, t) entry is
+    class_row(i, p_s) . b_t.  Each block is split into the eigenspaces of
+    that matrix, one class at a time, smallest classes first.
+    """
+    classes = group.classes
+    r = len(classes)
+    blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
+    for i in sorted(range(1, r), key=lambda i: (classes[i].size, i)):
+        if all(len(basis) == 1 for basis, _ in blocks):
             break
-        lam = [rng.randrange(l) for _ in range(r)]
-        a = [[sum(lam[i] * mats[i][j][k] for i in range(r)) % l
-              for k in range(r)] for j in range(r)]
-        refined = []
-        for basis in spaces:
+        split = []
+        for basis, pivots in blocks:
             d = len(basis)
             if d == 1:
-                refined.append(basis)
+                split.append((basis, pivots))
                 continue
-            b = _restrict(a, basis, l)
+            rows = [group.class_row(i, p) for p in pivots]
+            b = [[sum(x * y for x, y in zip(row, v)) % l for v in basis] for row in rows]
             roots = _poly_roots(_min_poly(b, l), l)
-            if len(roots) <= 1:
-                refined.append(basis)
+            if len(roots) == 1:
+                split.append((basis, pivots))
                 continue
             found = 0
             for e in roots:
-                shifted = [[(b[i][j] - (e if i == j else 0)) % l
-                            for j in range(d)] for i in range(d)]
-                sub = [[sum(kv[t] * basis[t][i] for t in range(d)) % l
-                        for i in range(r)]
+                shifted = [[(b[s][t] - (e if s == t else 0)) % l
+                            for t in range(d)] for s in range(d)]
+                sub = [[sum(kv[t] * basis[t][j] for t in range(d)) % l
+                        for j in range(r)]
                        for kv in _kernel_basis(shifted, l)]
-                refined.append(sub)
+                split.append((sub, _rref(sub, l)))
                 found += len(sub)
             if found != d:
                 raise Degenerate("eigenspaces did not fill the subspace")
-        spaces = refined
-    if any(len(s) > 1 for s in spaces):
-        raise Degenerate("random combinations failed to separate the "
-                         "central characters within the retry budget")
-    return [s[0] for s in spaces]
+        blocks = split
+    if any(len(basis) > 1 for basis, _ in blocks):
+        raise Degenerate("the class matrices did not separate the central "
+                         "characters")
+    return [basis[0] for basis, _ in blocks]
 
 
 # -- the table computation -----------------------------------------------------------
@@ -247,9 +242,7 @@ def character_table(group: Group, *, seed: int = 0,
     m = group.exponent
     l = _dixon_prime(n, m)
 
-    mats = [group.class_matrix(i) for i in range(r)]
-    rng = random.Random(seed)
-    vecs = _separate(mats, l, rng)
+    vecs = _separate(group, l)
 
     sizes = [c.size for c in classes]
     size_inv = [pow(s, l - 2, l) for s in sizes]

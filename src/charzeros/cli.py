@@ -3,7 +3,7 @@
 Verbs: build, table, verify, zeros, star, classify, suite, numtheory.
 Exit codes: 0 when everything succeeds or passes, 1 when a computation or
 check fails (details on the error stream), 2 on usage errors.  All output is
-deterministic for a fixed seed; reruns are byte-identical.
+deterministic; reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -340,7 +340,8 @@ def _add_format(p) -> None:
 
 def _add_budgets(p) -> None:
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for the table-splitting randomness (default 0)")
+                   help="seed recorded in the table file; the split is "
+                        "deterministic (default 0)")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_BUDGET,
                    help=f"largest allowed group order "
                         f"(default {DEFAULT_ORDER_BUDGET})")

@@ -18,12 +18,14 @@ All class algebra goes through one primitive with one cache: the class
 column (i, k), which counts the classes of u*rep_k over u in C_i at the cost
 of |C_i| products.  u*rep_k is conjugate (by u) to rep_k*u, which is
 `u.translate(rep_tab)`, so one padded table serves the whole column.
-`class_matrix(i)` reads the columns of the inverse class (Dixon's class
-multiplication constants); `class_support(i, j)` is the support of the
-column of the smaller class against the larger class's representative,
-since every product pair is conjugate to one of that form.  So every product
-a normal closure computes is reused by the character table.  `power_maps`
-walks rep^k once per class.
+`class_row(i, p)` is row p of Dixon's class matrix A_i, read from the
+column of the smaller of the two classes against the other's representative
+and scaled by class sizes; `class_support(i, p)` is the support of that same
+column, since every product pair is conjugate to one of that form.
+Columns are computed only when asked for, and the character table asks for
+rows at a few pivots only, so it pays for a small share of the r*|G|
+products that the full matrices cost.  `power_maps` walks rep^k once per
+class.
 
 Normal structure works on sets of class indices rather than element sets: a
 union of classes containing the identity is a normal subgroup iff it is
@@ -56,6 +58,11 @@ class NotBijection(ValueError):
 
 class GroupFileError(ValueError):
     pass
+
+
+class Degenerate(RuntimeError):
+    """An exact identity of the class algebra or of the table computation
+    failed."""
 
 
 # -- raw permutation helpers --------------------------------------------------
@@ -356,15 +363,26 @@ class Group:
             got = self._columns[key] = tuple(counts)
         return got
 
-    def class_matrix(self, i: int) -> list[list[int]]:
-        """A_i[j][k] = c_ijk = #{(x, y) in C_i x C_j : x*y = rep_k}.
+    def class_row(self, i: int, p: int) -> list[int]:
+        """Row p of Dixon's class matrix A_i: entry k is c_ipk, the number
+        of (x, y) in C_i x C_p with x*y = rep_k.
 
-        x*y = rep_k forces y = x^-1 * rep_k, and x^-1 runs over the inverse
-        class, so column k of A_i is the class column (inverse of i, k).
+        The pairs in C_i x C_p with product in C_k number c_ipk*|C_k| when
+        counted by the product, and column(i, p)[k]*|C_p| when counted by
+        the second factor.  Class sums commute, so c_ipk = c_pik and the
+        column is read from the smaller class (the lower index on a tie):
+        the column that `class_support(i, p)` reads.
         """
-        inv = self.power_maps[i][-1]
-        return [list(row) for row in
-                zip(*(self.class_column(inv, k) for k in range(self.num_classes)))]
+        classes = self.classes
+        if (classes[i].size, i) > (classes[p].size, p):
+            i, p = p, i
+        size_p, row = classes[p].size, []
+        for k, (n, c) in enumerate(zip(self.class_column(i, p), classes)):
+            q, rem = divmod(n * size_p, c.size)
+            if rem:
+                raise Degenerate(f"class constant ({i}, {p}, {k}) is not integral")
+            row.append(q)
+        return row
 
     def class_support(self, i: int, j: int) -> frozenset[int]:
         """Classes meeting the product set C_i * C_j.

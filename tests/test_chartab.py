@@ -21,7 +21,7 @@ from charzeros.chartab import (
 )
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import pinv, pmul
+from charzeros.groupcore import format_group_file, parse_group_file, pinv, pmul
 from helpers import brute_min_poly_degree, brute_orth_violations
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
@@ -42,25 +42,30 @@ def brute_tensor(group):
 
 
 def test_class_tensor_matches_brute():
-    # PSL(2,7) has the non-real classes 7A/7B, where C_i and its inverse differ
-    for name in ["C6", "A5", "PSL(2,7)"]:
+    # PSL(2,7) has the non-real classes 7A/7B, where C_i and its inverse
+    # differ; every (i, p) and (p, i) is read, so both branches of the
+    # smaller-class rule run on every pair of classes of different sizes
+    for name in ["C6", "A5", "PSL(2,7)", "SL(2,5)"]:
         g = build(name)
         brute = brute_tensor(g)
         r = g.num_classes
         for i in range(r):
-            a = g.class_matrix(i)
-            for j in range(r):
+            for p in range(r):
+                row = g.class_row(i, p)
                 for k in range(r):
-                    assert a[j][k] == brute.get((i, j, k), 0), (name, i, j, k)
+                    assert row[k] == brute.get((i, p, k), 0), (name, i, p, k)
+        # every column read is that of the smaller class, as class_support reads
+        assert all((g.classes[i].size, i) <= (g.classes[p].size, p)
+                   for i, p in g._columns), name
 
 
 def test_class_tensor_cyclic3():
     g = build("C3")
     # classes are ordered identity, shift, shift^2, so indices add mod 3
     for i in range(3):
-        for j in range(3):
+        for p in range(3):
             for k in range(3):
-                assert g.class_matrix(i)[j][k] == (1 if (i + j) % 3 == k else 0)
+                assert g.class_row(i, p)[k] == (1 if (i + p) % 3 == k else 0)
 
 
 def test_class_matrix_columns_sum_to_class_size(corpus, get_group):
@@ -69,10 +74,21 @@ def test_class_matrix_columns_sum_to_class_size(corpus, get_group):
         g = get_group(name)
         if g.order > 200:
             continue
+        r = g.num_classes
         for i, c in enumerate(g.classes):
-            a = g.class_matrix(i)
-            assert all(sum(row[k] for row in a) == c.size
-                       for k in range(g.num_classes)), (name, i)
+            rows = [g.class_row(i, p) for p in range(r)]
+            assert all(sum(row[k] for row in rows) == c.size
+                       for k in range(r)), (name, i)
+
+
+def test_table_reads_few_class_columns():
+    # read back from a group file, so that registry validation has cached no
+    # column: every column held afterwards was asked for by the split
+    for name, share in (("Sz(8):3", 0.05), ("PSU(3,4)", 0.20)):
+        g = parse_group_file(format_group_file(build(name)))
+        character_table(g)
+        held = sum(g.classes[i].size for i, _ in g._columns)
+        assert held < share * g.num_classes * g.order, (name, held)
 
 
 def _sample_matrices(rng, l):
@@ -282,7 +298,7 @@ def test_determinism_and_seed_field(get_group):
     assert table_to_text(t0) == table_to_text(t0b)
     t1 = character_table(g, seed=1)
     assert t1.seed == 1
-    assert t0.rows == t1.rows  # canonical order hides the split path
+    assert t0.rows == t1.rows  # the split is deterministic; the seed is only recorded
 
 
 def test_budget():

@@ -2,6 +2,7 @@
 import argparse
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import charzeros
 from charzeros import cli
+from charzeros.chartab import table_from_text, table_to_text, verify_table
 from charzeros.cli import main
 from charzeros.groupcore import parse_group_file
 from charzeros.vanishing import BurnsideReport
@@ -168,6 +170,47 @@ def test_deeply_nested_table_file_is_malformed(tmp_path, capsys):
         rc, out, err = run(capsys, verb, str(f))
         assert (rc, out) == (1, ""), verb
         assert err.count("\n") == 1 and "nested too deeply" in err, (verb, err)
+
+
+_FUZZ_VALUES = (10**40, -1, -10**30, 0, 1.5, True, None, "", "x", [], [[]], {})
+
+
+def _value_paths(obj, path=()):
+    """Every key path in a JSON value, containers included."""
+    out = [path] if path else []
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        out.extend(_value_paths(v, path + (k,)))
+    return out
+
+
+def test_table_file_fuzz_exits_cleanly(tmp_path, capsys, get_table):
+    # Seeded structured mutations: one value of a computed table replaced in
+    # place by a huge, negative, wrong-type or empty value, or nudged by one.
+    # Every verb must answer 0, 1 or 2 without raising, and 0 only for a file
+    # that parses and passes verify_table.
+    rng = random.Random(2024)
+    texts = [table_to_text(get_table(name)) for name in ("A5", "PSL(2,7)", "C6", "SL(2,5)")]
+    f = tmp_path / "fuzz.json"
+    for n in range(500):
+        obj = json.loads(texts[n % len(texts)])
+        *head, last = rng.choice(_value_paths(obj))
+        parent = obj
+        for k in head:
+            parent = parent[k]
+        old = parent[last]
+        if isinstance(old, int) and not isinstance(old, bool) and rng.random() < 0.3:
+            parent[last] = old + rng.choice((-1, 1))
+        else:
+            parent[last] = rng.choice(_FUZZ_VALUES)
+        text = json.dumps(obj)
+        f.write_text(text)
+        for verb in ("verify", "zeros", "star", "classify"):
+            rc, _, err = run(capsys, verb, str(f))
+            assert rc in (0, 1, 2), (n, verb, rc, err)
+            if rc == 0:
+                assert verify_table(table_from_text(text)).ok, (n, verb, head, last)
 
 
 def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, capsys):

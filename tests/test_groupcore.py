@@ -3,6 +3,8 @@ import random
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charzeros.constructions import build
 from charzeros.groupcore import (
@@ -96,6 +98,22 @@ def test_group_file_round_trip():
     text = format_group_file(g)
     h = parse_group_file(text)
     assert h.order == g.order and h.name == g.name and h.degree == g.degree
+
+
+# names the format can carry: one line, no comment sign, no outer blanks
+_NAMES = st.text(st.sampled_from("AZaz09.:_,()+-* "), min_size=1, max_size=12).map(
+    str.strip).filter(bool)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.permutations(range(n)), max_size=4),
+    st.none() | _NAMES)))
+@settings(max_examples=200, deadline=None)
+def test_group_file_round_trip_random_generators(case):
+    degree, gens, name = case
+    g = Group(gens, degree=degree, name=name)
+    h = parse_group_file(format_group_file(g))
+    assert (h.degree, h.name, h.generators) == (degree, name, g.generators)
 
 
 def test_group_file_rejections():
