@@ -464,7 +464,30 @@ def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -
                                      f"through class {p} = rep^{a}")
 
 
+def _typed(x, kind: type):
+    """x, if its JSON type is the one `table_to_text` writes there (an int
+    field takes no bool, float or string)."""
+    if type(x) is not kind:
+        raise TableFileError(f"expected {kind.__name__}, not {type(x).__name__}")
+    return x
+
+
+def _record(x, fields: str) -> None:
+    """Refuse x unless it is an object with exactly the given fields."""
+    if type(x) is not dict or x.keys() != set(fields.split()):
+        raise TableFileError(f"expected an object with the fields {fields}")
+
+
+def _table_class(c) -> TableClass:
+    _record(c, "size order centralizer rep powers")
+    return TableClass(size=_typed(c["size"], int), element_order=_typed(c["order"], int),
+                      centralizer=_typed(c["centralizer"], int), rep=_typed(c["rep"], str),
+                      powers=tuple(_typed(x, int) for x in _typed(c["powers"], list)))
+
+
 def table_from_text(text: str) -> CharacterTable:
+    """The table a file holds.  Only what `table_to_text` could have written
+    loads, up to JSON spacing and key order."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -474,18 +497,16 @@ def table_from_text(text: str) -> CharacterTable:
     if not isinstance(obj, dict) or obj.get("format") != FORMAT_TAG:
         raise TableFileError(f"missing or unsupported format tag (want {FORMAT_TAG})")
     try:
-        order = int(obj["order"])
-        exponent = int(obj["exponent"])
-        seed = int(obj["seed"])
-        group = str(obj["group"])
-        classes = tuple(TableClass(size=int(c["size"]), element_order=int(c["order"]),
-                                   centralizer=int(c["centralizer"]), rep=str(c["rep"]),
-                                   powers=tuple(int(x) for x in c["powers"]))
-                        for c in obj["classes"])
+        _record(obj, "format group order exponent seed classes rows")
+        order = _typed(obj["order"], int)
+        exponent = _typed(obj["exponent"], int)
+        seed = _typed(obj["seed"], int)
+        group = _typed(obj["group"], str)
+        classes = tuple(map(_table_class, _typed(obj["classes"], list)))
         _check_classes(classes, order, exponent)
         rows = []
-        for row in obj["rows"]:
-            if len(row) != len(classes):
+        for row in _typed(obj["rows"], list):
+            if len(_typed(row, list)) != len(classes):
                 raise TableFileError("row length does not match the class count")
             if any(v["m"] != exponent for v in row):
                 raise TableFileError("entry not embedded at the table exponent")

@@ -164,14 +164,27 @@ class CycloNum:
 
     @staticmethod
     def from_obj(obj: dict) -> "CycloNum":
-        m = obj["m"]
+        """The inverse of `to_obj`: anything it would not write is refused."""
+        if type(obj) is not dict or obj.keys() != {"m", "c"}:
+            raise ValueError("expected an object with the fields m and c")
+        m, terms = obj["m"], obj["c"]
+        if type(m) is not int or type(terms) is not list:
+            raise ValueError("m must be an integer and c a list")
         coeffs: dict[int, Rational] = {}
         prev = -1
-        for e, num, den in obj["c"]:
-            if not (isinstance(e, int) and 0 <= e < m and e > prev):
+        for term in terms:
+            if type(term) is not list or len(term) != 3 or not (
+                    type(term[0]) is type(term[1]) is type(term[2]) is int):
+                raise ValueError("a term must be a list of three integers")
+            e, num, den = term
+            if not prev < e < m:
                 raise ValueError("exponents must be ascending in [0, m)")
             prev = e
-            coeffs[e] = _cnorm(Fraction(num, den))
+            if den != 1:
+                num = Fraction(num, den)
+                if num.denominator != den:
+                    raise ValueError("coefficients must be in lowest terms, denominator > 0")
+            coeffs[e] = num
         if _reduce(m, coeffs) != coeffs:
             raise ValueError("serialized element was not in canonical form")
         return CycloNum(m, coeffs, reduced=True)

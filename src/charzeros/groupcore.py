@@ -6,13 +6,19 @@ Elements are `bytes` of images on points 0..n-1, so the degree is at most
 table.  Same-length `bytes` sort like the tuples of their values, so every
 lex order below is the lex order of the image tuples.  Everything is
 enumerated explicitly under an order budget, which keeps every downstream
-computation exact and deterministic.  The group keeps one element store,
-`elements`, a tuple in lex order.  Classes are discovered by scanning it,
-each class representative is its lex-least member, and the class list is
-sorted by (element order, class size, representative); the same scan fills
-`class_index`, the class number of every element.  Class members and
-`class_index` keys are the very objects held in `elements`, so each
-permutation is stored once.
+computation exact and deterministic.
+
+Enumeration is Dimino's (Butler, *Fundamental Algorithms for Permutation
+Groups*, LNCS 559, 1991): a generator already in the subgroup H built so far
+is skipped; each other one is kept and grows H by left cosets r*H, each
+filled with one product per element and no membership test, after the order
+budget is checked.  The result, `elements`, is the one element store: an
+insertion-ordered dict from each element to its class number.  The class
+scan walks it in order and conjugates by the kept generators only, which
+generate the group; each representative is its orbit's lex-least member,
+classes are sorted by (element order, class size, representative), and the
+class numbers go into the same dict, which becomes `class_index`.  Class
+members are the store's own keys, so each permutation is stored once.
 
 All class algebra goes through one primitive with one cache: the class
 column (i, k), which counts the classes of u*rep_k over u in C_i at the cost
@@ -218,9 +224,11 @@ def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group
 
 
 def format_group_file(group: "Group") -> str:
-    lines = [f"degree {group.degree}"]
-    if group.name:
-        lines.append(f"name {group.name}")
+    lines, name = [f"degree {group.degree}"], group.name
+    if name is not None:  # empty, padded, '#' or a line break: would not read back
+        if name != name.strip() or "#" in name or name.splitlines() != [name]:
+            raise GroupFileError(f"a group file cannot carry the name {name!r}")
+        lines.append(f"name {name}")
     lines.extend(format_cycles(g) for g in group.generators)
     return "\n".join(lines) + "\n"
 
@@ -254,26 +262,32 @@ class Group:
     # -- enumeration ------------------------------------------------------
 
     @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """Every element, in lex order."""
-        e = identity_perm(self.degree)
-        elems = {e}
-        frontier = [e]
-        limit = self.max_order
-        tables = [_table(g) for g in self.generators]
-        while frontier:
-            nxt = []
-            for x in frontier:
+    def elements(self) -> dict[Perm, int]:
+        """Every element, in the order found, mapped to its class number
+        (-1 until `classes` has run).  Only the candidates s*r for a new
+        coset representative are looked up, never the coset's elements."""
+        e, kept, limit = identity_perm(self.degree), [], self.max_order
+        if limit < 1:  # not even the identity fits
+            raise OrderBudgetExceeded(f"group exceeds order budget {limit}")
+        store = {e: -1}
+        for g in self.generators:
+            if g in store:
+                continue
+            kept.append(g)
+            tables, sub, reps = [_table(s) for s in kept], list(store), [e]
+            for r in reps:
                 for t in tables:
-                    y = x.translate(t)
-                    if y not in elems:
-                        elems.add(y)
-                        if len(elems) > limit:
-                            raise OrderBudgetExceeded(
-                                f"group exceeds order budget {limit}")
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(elems))
+                    y = r.translate(t)  # s*r: its coset is (s*r)*H
+                    if y in store:
+                        continue
+                    if len(store) + len(sub) > limit:
+                        raise OrderBudgetExceeded(f"group exceeds order budget {limit}")
+                    yt = _table(y)
+                    for h in sub:
+                        store[h.translate(yt)] = -1
+                    reps.append(y)
+        self._kept = tuple(kept)
+        return store
 
     @cached_property
     def order(self) -> int:
@@ -287,41 +301,41 @@ class Group:
 
     @cached_property
     def classes(self) -> tuple[ConjugacyClass, ...]:
-        pairs = [(g, _table(pinv(g))) for g in self.generators]
-        index: dict[Perm, int] = {}  # element -> orbit number, in discovery order
-        # each element to itself: members and index keys reuse these objects
-        stored = {x: x for x in self.elements}
-        found: list[tuple[Perm, tuple[Perm, ...]]] = []
-        for x in self.elements:
-            if x in index:
+        store = self.elements
+        pairs = [(g.translate, _table(pinv(g))) for g in self._kept]
+        found: list[tuple[int, int, Perm]] = []  # the sort key of each orbit
+        for x, n in store.items():
+            if n >= 0:
                 continue
-            n = len(found)
+            n = store[x] = len(found)
             orbit = [x]
-            index[x] = n
-            i = 0
-            while i < len(orbit):
-                z = orbit[i]
-                i += 1
+            for z in orbit:
                 zt = _table(z)
-                for g, gi in pairs:
-                    y = g.translate(zt).translate(gi)  # g^-1 * z * g
-                    if y not in index:
-                        y = stored[y]
-                        index[y] = n
+                for g_translate, gi in pairs:
+                    y = g_translate(zt).translate(gi)  # g^-1 * z * g
+                    if store[y] < 0:
+                        store[y] = n  # the stored key object stays
                         orbit.append(y)
-            found.append((x, tuple(orbit)))
-        found.sort(key=lambda t: (perm_order(t[0]), len(t[1]), t[0]))
-        renumber = {index[rep]: i for i, (rep, _) in enumerate(found)}
-        for x, n in index.items():
-            index[x] = renumber[n]
-        self.class_index = index
-        return tuple(
-            ConjugacyClass(i, rep, len(mem), perm_order(rep), mem)
-            for i, (rep, mem) in enumerate(found))
+            rep = min(orbit)
+            found.append((perm_order(rep), len(orbit), rep))
+        order = sorted(range(len(found)), key=found.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # inverse of order
+        members: list[list[Perm]] = [[] for _ in found]
+        for x, n in store.items():
+            store[x] = i = rank[n]
+            members[i].append(x)
+        self.class_index = store
+        classes = []
+        for i, (mem, n) in enumerate(zip(members, order)):
+            eo, size, rep = found[n]
+            j = mem.index(rep)  # the representative leads its members
+            mem[0], mem[j] = mem[j], mem[0]
+            classes.append(ConjugacyClass(i, mem[0], size, eo, tuple(mem)))
+        return tuple(classes)
 
     @cached_property
     def class_index(self) -> dict[Perm, int]:
-        """Class number of every element; filled in by the `classes` scan."""
+        """Class number of every element: `elements`, once `classes` has run."""
         self.classes
         return self.__dict__["class_index"]
 

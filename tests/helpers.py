@@ -4,6 +4,8 @@ Everything here deliberately avoids the code paths under test: the character
 oracle works through the regular representation with floating-point
 eigenvectors (snapped to exact cyclotomic integers and re-verified exactly),
 the normal-subgroup oracle does literal closure testing on element sets, the
+class oracle closes the generators breadth-first and scans the sorted
+elements, the
 primitive-divisor oracle scans prime factors directly, and the diophantine
 oracle scans every prime power up to the bound.
 """
@@ -17,7 +19,7 @@ import numpy as np
 import sympy
 
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import Group, pmul
+from charzeros.groupcore import Group, pinv, pmul
 from charzeros.numtheory import DiophantineSolution, DiophantineSolutionSet
 
 
@@ -98,6 +100,47 @@ def brute_normal_class_sets(group: Group) -> set[frozenset[int]]:
         if all(pmul(a, b) in elems for a in elems for b in elems):
             out.add(s)
     return out
+
+
+def brute_classes(group: Group) -> list[tuple[int, int, bytes]]:
+    """(element order, size, representative) of every class, sorted.
+
+    The elements come from a breadth-first closure under all the given
+    generators and are scanned in lex order, so each class is found from its
+    least member, as the conjugation orbit under all the generators.
+    Element orders come from repeated products.
+    """
+    gens = group.generators
+    e = bytes(range(group.degree))
+    elems, frontier = {e}, [e]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in gens:
+                y = pmul(g, x)
+                if y not in elems:
+                    elems.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    pairs = [(g, pinv(g)) for g in gens]
+    seen, out = set(), []
+    for x in sorted(elems):
+        if x in seen:
+            continue
+        orbit, work = {x}, [x]
+        while work:
+            z = work.pop()
+            for g, gi in pairs:
+                y = pmul(gi, pmul(z, g))
+                if y not in orbit:
+                    orbit.add(y)
+                    work.append(y)
+        seen |= orbit
+        o, y = 1, x
+        while y != e:
+            y, o = pmul(y, x), o + 1
+        out.append((o, len(orbit), x))
+    return sorted(out)
 
 
 def brute_min_poly_degree(b: list[list[int]], l: int) -> int:

@@ -354,6 +354,33 @@ def test_file_rejections(get_table):
         table_from_text(json.dumps(obj))
 
 
+def test_file_fields_need_the_written_json_types(get_table):
+    # each edit loaded and passed verify_table while fields were coerced
+    # with int() and str(); table_to_text never writes any of them
+    text = table_to_text(get_table("A5"))
+    spaced = json.dumps(json.loads(text), indent=1)  # other spacing still loads
+    assert table_to_text(table_from_text(spaced)) == text
+    edits = [(("seed",), 1.5), (("group",), {}), (("order",), "60"),
+             (("classes", 0, "size"), True), (("classes", 1, "powers", 0), False),
+             (("classes", 0, "rep"), ["()"]), (("classes", 0, "powers"), {"0": 0}),
+             (("rows", 0, 0, "m"), 60.0), (("rows", 0, 0, "c", 0, 1), True),
+             (("rows", 0, 0, "c", 0), [0, 2, 2]),  # 2/2: not in lowest terms
+             (("note",), ""), (("classes", 0, "note"), "")]  # fields never written
+    for (*head, last), value in edits:
+        obj = json.loads(text)
+        parent = obj
+        for k in head:
+            parent = parent[k]
+        parent[last] = value
+        with pytest.raises(TableFileError):
+            table_from_text(json.dumps(obj))
+            pytest.fail(f"{head + [last]} = {value!r} loaded")
+    obj = json.loads(text)
+    del obj["classes"][0]["centralizer"]
+    with pytest.raises(TableFileError, match="fields"):
+        table_from_text(json.dumps(obj))
+
+
 def test_file_rejects_inconsistent_class_data(get_table):
     text = table_to_text(get_table("A5"))
 

@@ -12,7 +12,7 @@ import charzeros
 from charzeros import cli
 from charzeros.chartab import table_from_text, table_to_text, verify_table
 from charzeros.cli import main
-from charzeros.groupcore import parse_group_file
+from charzeros.groupcore import Group, parse_group_file
 from charzeros.vanishing import BurnsideReport
 
 
@@ -185,11 +185,31 @@ def _value_paths(obj, path=()):
     return out
 
 
+def _retyped(old) -> list:
+    """The same value under JSON types the table writer never uses for it."""
+    if isinstance(old, bool) or old is None:
+        return [int(bool(old))]
+    if isinstance(old, int):
+        return [float(old), str(old), [old]] + ([bool(old)] if old in (0, 1) else [])
+    if isinstance(old, str):
+        return [[old], {"s": old}]
+    if isinstance(old, list):
+        return [{str(i): x for i, x in enumerate(old)}, json.dumps(old)]
+    return [list(old.values()), dict(old, extra=0)]
+
+
+def _canonical(text: str) -> str:
+    """A JSON text up to spacing and key order; unlike ==, it tells 1, 1.0
+    and true apart."""
+    return json.dumps(json.loads(text), sort_keys=True)
+
+
 def test_table_file_fuzz_exits_cleanly(tmp_path, capsys, get_table):
     # Seeded structured mutations: one value of a computed table replaced in
-    # place by a huge, negative, wrong-type or empty value, or nudged by one.
-    # Every verb must answer 0, 1 or 2 without raising, and 0 only for a file
-    # that parses and passes verify_table.
+    # place by a huge, negative, wrong-type or empty value, by the same value
+    # under another JSON type, or nudged by one.  Every verb must answer 0, 1
+    # or 2 without raising, and 0 only for a file that parses, passes
+    # verify_table and is what table_to_text writes, up to spacing.
     rng = random.Random(2024)
     texts = [table_to_text(get_table(name)) for name in ("A5", "PSL(2,7)", "C6", "SL(2,5)")]
     f = tmp_path / "fuzz.json"
@@ -200,8 +220,11 @@ def test_table_file_fuzz_exits_cleanly(tmp_path, capsys, get_table):
         for k in head:
             parent = parent[k]
         old = parent[last]
-        if isinstance(old, int) and not isinstance(old, bool) and rng.random() < 0.3:
+        roll = rng.random()
+        if isinstance(old, int) and not isinstance(old, bool) and roll < 0.3:
             parent[last] = old + rng.choice((-1, 1))
+        elif roll < 0.6:
+            parent[last] = rng.choice(_retyped(old))
         else:
             parent[last] = rng.choice(_FUZZ_VALUES)
         text = json.dumps(obj)
@@ -210,7 +233,9 @@ def test_table_file_fuzz_exits_cleanly(tmp_path, capsys, get_table):
             rc, _, err = run(capsys, verb, str(f))
             assert rc in (0, 1, 2), (n, verb, rc, err)
             if rc == 0:
-                assert verify_table(table_from_text(text)).ok, (n, verb, head, last)
+                t = table_from_text(text)
+                assert verify_table(t).ok, (n, verb, head, last)
+                assert _canonical(table_to_text(t)) == _canonical(text), (n, head, last)
 
 
 def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, capsys):
@@ -229,6 +254,14 @@ def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, c
     f.write_text("degree 5\nname X\n(1 2)\n")
     rc, out, _ = run(capsys, "zeros", str(f), "--max-order", "5")
     assert rc == 0 and out.startswith("X: order 2")
+
+
+def test_build_refuses_a_name_the_group_file_cannot_carry(capsys, monkeypatch):
+    for name in ("a#b", " pad ", "a\u2028b"):
+        monkeypatch.setattr(cli, "build", lambda _: Group([(1, 0)], degree=2, name=name))
+        rc, out, err = run(capsys, "build", "C2")
+        assert (rc, out) == (2, ""), name
+        assert err == f"error: a group file cannot carry the name {name!r}\n"
 
 
 def test_registry_facts_need_the_registry_order(tmp_path, capsys):

@@ -206,6 +206,14 @@ def test_from_obj_rejects_non_canonical():
         CycloNum.from_obj({"m": 4, "c": [[2, 1, 1], [1, 1, 1]]})
     with pytest.raises(ValueError):
         CycloNum.from_obj({"m": 4, "c": [[5, 1, 1]]})
+    # what to_obj never writes: unreduced or negative denominators, other
+    # JSON types, other fields
+    assert CycloNum.from_obj({"m": 4, "c": [[1, 1, 2]]}) == CycloNum(4, {1: Fraction(1, 2)})
+    for obj in ({"m": 4, "c": [[1, 2, 4]]}, {"m": 4, "c": [[1, -1, -2]]},
+                {"m": 4, "c": [[1, True, 1]]}, {"m": 4, "c": [[1.0, 1, 1]]},
+                {"m": True, "c": []}, {"m": 4, "c": [[1, 1, 1]], "x": 0}, [4, []]):
+        with pytest.raises(ValueError):
+            CycloNum.from_obj(obj)
 
 
 def test_hash_consistent_across_orders():

@@ -1,11 +1,16 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charzeros
 from charzeros.constructions import build
 from charzeros.groupcore import (
     Group,
@@ -21,7 +26,7 @@ from charzeros.groupcore import (
     pinv,
     pmul,
 )
-from helpers import brute_normal_class_sets
+from helpers import brute_classes, brute_normal_class_sets
 
 
 def test_perm_primitives():
@@ -66,8 +71,10 @@ def test_degree_is_at_most_256():
     cycle = "(" + " ".join(str(p) for p in range(1, 257)) + ")"
     g = parse_group_file(f"degree 256\n{cycle}\n")
     assert g.order == 256 and g.num_classes == 256
-    assert list(g.elements) == sorted(g.elements)
-    assert g.elements[0] == identity_perm(256) and perm_order(g.elements[1]) == 256
+    elems = sorted(g.elements)  # the 256 shifts, the k-th power k-th in lex order
+    assert elems == [bytes((i + k) % 256 for i in range(256)) for k in range(256)]
+    assert elems[0] == identity_perm(256) and perm_order(elems[1]) == 256
+    assert [c.rep for c in g.classes] == [elems[0], *sorted(elems[1:], key=perm_order)]
     with pytest.raises(GroupFileError, match="exceeds the largest degree 256"):
         parse_group_file(f"degree 257\n{cycle}\n")
     with pytest.raises(ValueError, match="degree 300 exceeds 256"):
@@ -101,19 +108,35 @@ def test_group_file_round_trip():
 
 
 # names the format can carry: one line, no comment sign, no outer blanks
-_NAMES = st.text(st.sampled_from("AZaz09.:_,()+-* "), min_size=1, max_size=12).map(
+_SAFE = "AZaz09.:_,()+-* "
+_NAMES = st.text(st.sampled_from(_SAFE), min_size=1, max_size=12).map(
     str.strip).filter(bool)
 
 
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.permutations(range(n)), max_size=4),
-    st.none() | _NAMES)))
-@settings(max_examples=200, deadline=None)
+    st.none() | _NAMES | st.text(max_size=12))))
+@settings(max_examples=300, deadline=None)
 def test_group_file_round_trip_random_generators(case):
+    # every name reads back the same or is refused, and only a name outside
+    # the alphabet above (or empty, or padded) is refused
     degree, gens, name = case
     g = Group(gens, degree=degree, name=name)
-    h = parse_group_file(format_group_file(g))
+    try:
+        text = format_group_file(g)
+    except GroupFileError:
+        assert not name or name != name.strip() or not set(name) <= set(_SAFE), name
+        return
+    h = parse_group_file(text)
     assert (h.degree, h.name, h.generators) == (degree, name, g.generators)
+
+
+@pytest.mark.parametrize("name", ["a#b", " pad ", "a\x85b"])
+def test_group_file_refuses_names_it_cannot_carry(name):
+    # written verbatim, these read back as "a", "pad" and a parse error
+    g = Group([(1, 0)], degree=2, name=name)
+    with pytest.raises(GroupFileError, match="cannot carry the name"):
+        format_group_file(g)
 
 
 def test_group_file_rejections():
@@ -135,6 +158,7 @@ def test_class_equation(corpus, get_group):
         for c in g.classes:
             assert g.order % c.size == 0
             assert len(c.members) == c.size and c.members[0] == c.rep
+            assert c.rep == min(c.members) and c.members[0] is c.rep
 
 
 def test_class_canon_ordering(get_group):
@@ -256,6 +280,53 @@ def test_class_members_share_element_objects(get_group):
         stored = {id(x) for x in g.elements}
         assert all(id(x) in stored for c in g.classes for x in c.members), name
         assert all(id(x) in stored for x in g.class_index), name
+
+
+def test_order_budget_boundary(get_group):
+    # the budget is exact, and the store stops short of it: the check runs
+    # before a coset is filled (the store is read off the raising frame)
+    for name in ["C1", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)", "3.A6"]:
+        g = get_group(name)
+        assert Group(g.generators, degree=g.degree, max_order=g.order).order == g.order
+        with pytest.raises(OrderBudgetExceeded,
+                           match=f"^group exceeds order budget {g.order - 1}$") as info:
+            Group(g.generators, degree=g.degree, max_order=g.order - 1).elements
+        tb = info.tb
+        while tb.tb_next:
+            tb = tb.tb_next
+        held = tb.tb_frame.f_locals.get("store", ())  # C1 raises before making one
+        assert len(held) <= g.order - 1, name
+
+
+def test_redundant_generators_change_nothing(get_group):
+    a5 = get_group("A5")
+    s, t = a5.generators
+    gens = (s, t, pmul(s, t), identity_perm(5), t)
+    g = Group(gens, degree=5)
+    assert g.generators == gens  # kept as given, so a group file lists all five
+    assert [(c.rep, c.size, c.element_order) for c in g.classes] == [
+        (c.rep, c.size, c.element_order) for c in a5.classes]
+    assert g.class_index == a5.class_index
+
+
+def test_classes_match_brute_scan(corpus, get_group):
+    for name in corpus:
+        g = get_group(name)
+        assert [(c.element_order, c.size, c.rep) for c in g.classes] == brute_classes(g), name
+
+
+def test_classes_do_not_depend_on_hash_order():
+    # dict and set order of bytes keys could follow the per-process hash seed
+    script = ("from charzeros.constructions import build\n"
+              "for name in ('PSL(2,7)', 'SL(2,5)', '3.A6'):\n"
+              "    for c in build(name).classes:\n"
+              "        print(name, c.size, c.rep.hex(), *(x.hex() for x in c.members))\n")
+    src = str(Path(charzeros.__file__).parents[1])
+    outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           check=True, env={**os.environ, "PYTHONPATH": src,
+                                            "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")]
+    assert outs[0] == outs[1] and outs[0].count("\n") == 6 + 9 + 17
 
 
 def test_order_budget():
