@@ -2,7 +2,7 @@
 
 The usual entry points:
 
-    build(name)            construct a registry group as a permutation group
+    build(name)            a registry group and its validated character table
     character_table(g)     exact complex character table, rows of cyclotomics
     verify_table(t)        orthogonality and integrality audit
     star_check(t, row)     vanishing-pattern test on one row

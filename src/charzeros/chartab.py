@@ -383,6 +383,37 @@ def is_faithful(t: CharacterTable, row: int) -> bool:
     return kernel_of(t, row) == (0,)
 
 
+# Normal structure read from a verified table: every normal subgroup is an
+# intersection of row kernels (Isaacs, Character Theory of Finite Groups,
+# ch. 2), and row 0 is the trivial character, whose kernel is G.
+
+def central_classes(t: CharacterTable) -> tuple[int, ...]:
+    """The classes forming Z(G): those of size 1."""
+    return tuple(j for j, c in enumerate(t.classes) if c.size == 1)
+
+
+def derived_classes(t: CharacterTable) -> tuple[int, ...]:
+    """The classes forming G': the intersection of the linear rows' kernels."""
+    kernels = [set(kernel_of(t, i)) for i in range(len(t.rows)) if t.degree(i) == 1]
+    return tuple(sorted(set.intersection(*kernels)))
+
+
+def is_simple(t: CharacterTable) -> bool:
+    """G != 1 and every nontrivial row is faithful, so the only normal
+    subgroups are 1 and G."""
+    return len(t.rows) > 1 and all(is_faithful(t, i) for i in range(1, len(t.rows)))
+
+
+def is_quasisimple(t: CharacterTable) -> bool:
+    """Perfect with G/Z(G) simple: one linear row, Z(G) proper, and every
+    nontrivial row's kernel inside Z(G), since a proper normal N with NZ = G
+    would give G = G' <= N."""
+    z = set(central_classes(t))
+    return (sum(t.degree(i) == 1 for i in range(len(t.rows))) == 1
+            and len(t.classes) > len(z)
+            and all(set(kernel_of(t, i)) <= z for i in range(1, len(t.rows))))
+
+
 # -- table files ---------------------------------------------------------------------
 
 FORMAT_TAG = "chartab/1"

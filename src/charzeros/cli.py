@@ -22,6 +22,7 @@ from .chartab import (
     Degenerate,
     TableFileError,
     character_table,
+    is_simple,
     table_from_text,
     table_to_text,
     verify_table,
@@ -64,25 +65,25 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
 
 
 def _obtain_table(target: str, args) -> CharacterTable:
-    """Registry name: build and compute.  File: a table file if it starts
-    with '{', which must pass verify_table, otherwise a group file to
+    """Registry name: the table `build` validated.  File: a table file if it
+    starts with '{', which must pass verify_table, otherwise a group file to
     compute from."""
     if target in registry_names():
-        g = build(target, max_order=args.max_order)
-    else:
-        p = Path(target)
-        if not p.is_file():
-            raise RegistryError(
-                f"{target!r} is neither a registry group nor a readable file; "
-                f"known groups: {', '.join(sorted(registry_names()))}")
-        text = p.read_text()
-        if text.lstrip().startswith("{"):
-            t = table_from_text(text)
-            rep = verify_table(t)
-            if not rep.ok:
-                raise TableFileError(rep.violations[0])
-            return t
-        g = parse_group_file(text, max_order=args.max_order)
+        return build(target, max_order=args.max_order, seed=args.seed,
+                     class_budget=args.max_classes)[1]
+    p = Path(target)
+    if not p.is_file():
+        raise RegistryError(
+            f"{target!r} is neither a registry group nor a readable file; "
+            f"known groups: {', '.join(sorted(registry_names()))}")
+    text = p.read_text()
+    if text.lstrip().startswith("{"):
+        t = table_from_text(text)
+        rep = verify_table(t)
+        if not rep.ok:
+            raise TableFileError(rep.violations[0])
+        return t
+    g = parse_group_file(text, max_order=args.max_order)
     return character_table(g, seed=args.seed, class_budget=args.max_classes)
 
 
@@ -90,7 +91,7 @@ def _obtain_table(target: str, args) -> CharacterTable:
 
 
 def _cmd_build(args) -> int:
-    g = build(args.group)
+    g, _ = build(args.group)
     _emit(format_group_file(g), args.out,
           f"{g.name}: order {g.order}, degree {g.degree}")
     return 0
@@ -181,8 +182,8 @@ def _suite_rows(args, failures: list[str]):
     rows = []
     simple_tables = []
     for name in sorted(registry_names()):
-        g = build(name, max_order=args.max_order)
-        t = character_table(g, seed=args.seed, class_budget=args.max_classes)
+        _, t = build(name, max_order=args.max_order, seed=args.seed,
+                     class_budget=args.max_classes)
         burn = burnside_check(t)
         two = two_prime_degree_check(t)
         cls = classify_one_class(t)
@@ -197,10 +198,10 @@ def _suite_rows(args, failures: list[str]):
             failures.append(
                 f"{name}: one-class degrees {list(cls.observed)} != "
                 f"expected {list(cls.expected)}")
-        if g.is_simple and not g.is_abelian:
+        if is_simple(t) and any(t.degree(i) > 1 for i in range(len(t.rows))):
             simple_tables.append(t)
         rows.append({
-            "group": name, "order": g.order, "classes": len(t.classes),
+            "group": name, "order": t.order, "classes": len(t.classes),
             "table_ok": True, "burnside_ok": burn.ok, "two_prime_ok": two.ok,
             "classify": cls.match, "star_degrees": held,
         })

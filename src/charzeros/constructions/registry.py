@@ -5,8 +5,9 @@ group, the facts its build is validated against, |Out(M/Z(M))|, and the
 expected results the vanishing reports compare with.  Each build is
 followed by its validation; a failure means the construction or the shipped
 generator data is wrong, so it raises instead of returning a questionable
-group.  simple and quasisimple are decided on class sets; center_cyclic
-holds when some central class has element order |Z(G)|.
+group.  The other facts are read from the verified table, which `build`
+returns with the group; center_cyclic holds when some central class has
+element order |Z(G)|.
 
 Out orders are |Out(M/Z(M))| per entry, the bound consumed by the
 vanishing-class count condition: gcd(2,q-1)*f for PSL2(q); 1 for complete
@@ -27,6 +28,8 @@ from functools import partial
 from importlib import resources
 from typing import Callable
 
+from ..chartab import (DEFAULT_CLASS_BUDGET, CharacterTable, central_classes, character_table,
+                       derived_classes, is_quasisimple, is_simple)
 from ..groupcore import DEFAULT_ORDER_BUDGET, Group, parse_group_file
 from . import builders
 
@@ -139,39 +142,45 @@ def out_order(name: str) -> int:
     return find_recipe(name).out
 
 
-def _validate(recipe: GroupRecipe, g: Group):
-    def fail(msg):
-        raise ValidationFailed(f"{recipe.name}: {msg}")
+def _fail(recipe: GroupRecipe, msg: str):
+    raise ValidationFailed(f"{recipe.name}: {msg}")
 
+
+def _validate_group(recipe: GroupRecipe, g: Group):
+    """The order and element orders, checked before the table is computed."""
     if g.order != recipe.order:
-        fail(f"order {g.order} != expected {recipe.order}")
-    if recipe.center is not None:
-        z = len(g.center_classes)
-        if z != recipe.center:
-            fail(f"center size {z} != expected {recipe.center}")
-    if recipe.simple and not g.is_simple:
-        fail("expected a simple group")
-    if recipe.quasisimple and not g.is_quasisimple:
-        fail("expected a quasisimple group")
-    if recipe.center_cyclic:
-        z = g.center_classes
-        if not any(g.classes[i].element_order == len(z) for i in z):
-            fail("center is not cyclic")
+        _fail(recipe, f"order {g.order} != expected {recipe.order}")
+    got = sorted({c.element_order for c in g.classes})
+    if recipe.orders and got != sorted(recipe.orders):
+        _fail(recipe, f"element orders {got} != expected {sorted(recipe.orders)}")
+
+
+def _validate_table(recipe: GroupRecipe, t: CharacterTable):
+    """The normal structure, read from the verified table."""
+    z = central_classes(t)
+    if recipe.center is not None and len(z) != recipe.center:
+        _fail(recipe, f"center size {len(z)} != expected {recipe.center}")
+    if recipe.simple and not is_simple(t):
+        _fail(recipe, "expected a simple group")
+    if recipe.quasisimple and not is_quasisimple(t):
+        _fail(recipe, "expected a quasisimple group")
+    if recipe.center_cyclic and not any(t.classes[i].element_order == len(z) for i in z):
+        _fail(recipe, "center is not cyclic")
     if recipe.derived is not None:
-        got = g.class_set_order(g.derived_classes)
+        got = sum(t.classes[j].size for j in derived_classes(t))
         if got != recipe.derived:
-            fail(f"derived subgroup order {got} != expected {recipe.derived}")
-    if recipe.orders:
-        got = sorted({c.element_order for c in g.classes})
-        if got != sorted(recipe.orders):
-            fail(f"element orders {got} != expected {sorted(recipe.orders)}")
+            _fail(recipe, f"derived subgroup order {got} != expected {recipe.derived}")
 
 
-def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> Group:
-    """Construct a registry group and validate it; enumerating more than
-    max_order elements raises OrderBudgetExceeded."""
+def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET, *, seed: int = 0,
+          class_budget: int = DEFAULT_CLASS_BUDGET) -> tuple[Group, CharacterTable]:
+    """A registry group and its character table, both validated; more than
+    max_order elements raise OrderBudgetExceeded, more than class_budget
+    classes BudgetExceeded."""
     recipe = find_recipe(name)
     g = recipe.make()
     g = Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)
-    _validate(recipe, g)
-    return g
+    _validate_group(recipe, g)
+    t = character_table(g, seed=seed, class_budget=class_budget)
+    _validate_table(recipe, t)
+    return g, t

@@ -20,25 +20,25 @@ classes are sorted by (element order, class size, representative), and the
 class numbers go into the same dict, which becomes `class_index`.  Class
 members are the store's own keys, so each permutation is stored once.
 
+Classes come in Galois families: for k prime to o(x), z -> z^k maps the
+class C of x onto the class of x^k.  Once the scan has found C, the k with
+x^k in C form a subgroup S of the units mod o(x), and each other coset kS
+whose class is not numbered yet is a new class {z^k : z in C}.  All of them
+are filled, not scanned, in one walk over C that takes each z to the largest
+power needed, one product per power; each keeps only its least member.
+
 All class algebra goes through one primitive with one cache: the class
 column (i, k), which counts the classes of u*rep_k over u in C_i at the cost
 of |C_i| products.  u*rep_k is conjugate (by u) to rep_k*u, which is
 `u.translate(rep_tab)`, so one padded table serves the whole column.
 `class_row(i, p)` is row p of Dixon's class matrix A_i, read from the
 column of the smaller of the two classes against the other's representative
-and scaled by class sizes; `class_support(i, p)` is the support of that same
-column, since every product pair is conjugate to one of that form.
-Columns are computed only when asked for, and the character table asks for
-rows at a few pivots only, so it pays for a small share of the r*|G|
-products that the full matrices cost.  `power_maps` walks rep^k once per
-class.
+and scaled by class sizes.  Columns are computed only when asked for, and
+the character table asks for rows at a few pivots only, so it pays for a
+small share of the r*|G| products that the full matrices cost.
+`power_maps` walks rep^k once per class.
 
-Normal structure works on sets of class indices rather than element sets: a
-union of classes containing the identity is a normal subgroup iff it is
-closed under class multiplication.  Simplicity is read off the same class
-sets: for a normal subgroup N, G/N is simple iff N is proper and N with any
-one class outside it closes to all of G.  With N = Z(G), the central
-classes, that decides quasisimplicity without building G/Z(G).
+Normal structure is read from the verified character table (`chartab`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 Perm = bytes
 
@@ -181,7 +181,7 @@ def check_perm(images, degree: int) -> Perm:
 # Grammar (one directive per line; blank lines and '#' comments ignored):
 #   degree N          exactly once, first; one integer, 1 <= N <= the order
 #                     budget and N <= 256
-#   name STRING       optional, at most once
+#   name STRING       optional, at most once, nonempty
 #   (c1 c2 ...)...    one generator per line, disjoint cycles, 1-based points
 
 def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group":
@@ -214,6 +214,8 @@ def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group
             if name is not None:
                 raise GroupFileError("duplicate name directive")
             name = line[4:].strip()
+            if not name:
+                raise GroupFileError("empty name directive")
         else:
             if degree is None:
                 raise GroupFileError("degree must come first")
@@ -234,6 +236,24 @@ def format_group_file(group: "Group") -> str:
 
 
 # -- conjugacy classes ----------------------------------------------------------
+
+def _new_conjugates(store: dict[Perm, int], x: Perm, o: int) -> list[tuple[int, Perm]]:
+    """(k, x^k) for the least k of each coset kS of the units mod o whose
+    class is not numbered yet, k ascending; o is the order of x, and S the
+    k with x^k in the class of x."""
+    xt, xs = _table(x), [None, x]
+    while len(xs) < o:
+        xs.append(xs[-1].translate(xt))  # xs[k] = x^k
+    units = [k for k in range(1, o) if gcd(k, o) == 1]
+    stab = [k for k in units if store[xs[k]] == store[x]]
+    seen, new = set(), []
+    for k in units:
+        if k not in seen:
+            seen.update(k * s % o for s in stab)
+            if store[xs[k]] < 0:
+                new.append((k, xs[k]))
+    return new
+
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -316,8 +336,22 @@ class Group:
                     if store[y] < 0:
                         store[y] = n  # the stored key object stays
                         orbit.append(y)
-            rep = min(orbit)
-            found.append((perm_order(rep), len(orbit), rep))
+            o = perm_order(x)
+            found.append((o, len(orbit), min(orbit)))
+            # Galois conjugates, all filled by one power walk per member
+            least = dict(_new_conjugates(store, x, o))  # k -> least member
+            number = {k: len(found) + i for i, k in enumerate(least)}
+            top = max(least, default=1)
+            for z in orbit if least else ():
+                zt, y = _table(z), z
+                for k in range(2, top + 1):
+                    y = y.translate(zt)  # z^k
+                    m = number.get(k)
+                    if m is not None:
+                        store[y] = m
+                        if y < least[k]:
+                            least[k] = y
+            found.extend((o, len(orbit), y) for y in least.values())
         order = sorted(range(len(found)), key=found.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # inverse of order
         members: list[list[Perm]] = [[] for _ in found]
@@ -384,8 +418,7 @@ class Group:
         The pairs in C_i x C_p with product in C_k number c_ipk*|C_k| when
         counted by the product, and column(i, p)[k]*|C_p| when counted by
         the second factor.  Class sums commute, so c_ipk = c_pik and the
-        column is read from the smaller class (the lower index on a tie):
-        the column that `class_support(i, p)` reads.
+        column is read from the smaller class (the lower index on a tie).
         """
         classes = self.classes
         if (classes[i].size, i) > (classes[p].size, p):
@@ -397,79 +430,3 @@ class Group:
                 raise Degenerate(f"class constant ({i}, {p}, {k}) is not integral")
             row.append(q)
         return row
-
-    def class_support(self, i: int, j: int) -> frozenset[int]:
-        """Classes meeting the product set C_i * C_j.
-
-        Class sums commute, so the support is symmetric in (i, j); it is read
-        from the smaller class (the lower index on a tie) against a fixed
-        representative of the other, so (i, j) and (j, i) share one column.
-        """
-        if (self.classes[i].size, i) > (self.classes[j].size, j):
-            i, j = j, i
-        return frozenset(k for k, n in enumerate(self.class_column(i, j)) if n)
-
-    def class_set_order(self, s) -> int:
-        return sum(self.classes[i].size for i in s)
-
-    def closed_class_set(self, seed) -> frozenset[int]:
-        """Smallest union of classes containing the seed classes and the
-        identity that is closed under multiplication, i.e. the normal closure
-        of the seed classes as a set of class indices."""
-        s = {0} | set(seed)
-        total = self.class_set_order(s)
-        work = sorted(s)
-        while work and total < self.order:
-            i = work.pop()
-            for j in sorted(s):
-                for k in self.class_support(i, j):
-                    if k not in s:
-                        s.add(k)
-                        total += self.class_set_order([k])
-                        work.append(k)
-        return frozenset(s)
-
-    # -- normal structure ----------------------------------------------------
-
-    @cached_property
-    def derived_classes(self) -> frozenset[int]:
-        """Class indices forming the derived subgroup."""
-        comms = set()
-        gens = self.generators
-        for a in gens:
-            ai = pinv(a)
-            for b in gens:
-                comms.add(pmul(pmul(ai, pinv(b)), pmul(a, b)))
-        return self.closed_class_set({self.class_index[x] for x in comms})
-
-    @cached_property
-    def is_perfect(self) -> bool:
-        return len(self.derived_classes) == self.num_classes
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        gens = self.generators
-        return all(pmul(a, b) == pmul(b, a) for a in gens for b in gens)
-
-    @cached_property
-    def center_classes(self) -> frozenset[int]:
-        return frozenset(c.index for c in self.classes if c.size == 1)
-
-    @cached_property
-    def is_simple(self) -> bool:
-        """No proper nontrivial normal subgroup (trivial group: not simple)."""
-        return self._simple_over(frozenset([0]))
-
-    def _simple_over(self, base: frozenset[int]) -> bool:
-        """Whether G/N is simple, N the normal subgroup formed by the base
-        classes: N is proper, and N together with any one class outside it
-        has the whole group as its normal closure."""
-        r = self.num_classes
-        return len(base) < r and all(
-            len(self.closed_class_set(base | {i})) == r
-            for i in range(r) if i not in base)
-
-    @cached_property
-    def is_quasisimple(self) -> bool:
-        """Perfect, with G/Z(G) simple."""
-        return self.is_perfect and self._simple_over(self.center_classes)

@@ -14,7 +14,7 @@ from math import lcm
 
 from sympy import primefactors
 
-from .chartab import CharacterTable, is_faithful, kernel_of
+from .chartab import CharacterTable, central_classes, is_faithful, kernel_of
 from .constructions import GroupRecipe, RegistryError, find_recipe
 from .numtheory import prime_power
 
@@ -34,10 +34,6 @@ def _recipe(t: CharacterTable) -> GroupRecipe | None:
 def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
     """Class indices on which the row is exactly zero."""
     return tuple(j for j, v in enumerate(t.rows[row]) if v.is_zero())
-
-
-def _central_classes(t: CharacterTable) -> tuple[int, ...]:
-    return tuple(j for j, c in enumerate(t.classes) if c.size == 1)
 
 
 # -- property star -------------------------------------------------------------------
@@ -111,7 +107,7 @@ def star_check(t: CharacterTable, row: int, *,
     notes.append(f"{len(vanishing)} vanishing classes "
                  f"{'<=' if cond_ii else '>'} outer bound {out_order}")
 
-    central = _central_classes(t)
+    central = central_classes(t)
     z = sum(t.classes[j].size for j in central)
     z_exp = lcm(*(t.classes[j].element_order for j in central))
     if z == 1:

@@ -1,11 +1,11 @@
 import pytest
 
-from charzeros.chartab import character_table
 from charzeros.constructions import build, registry, registry_names
 
 
 @pytest.fixture(scope="session")
-def get_group():
+def built():
+    """(group, validated table) of each registry group, built once."""
     cache = {}
 
     def _get(name: str):
@@ -17,16 +17,13 @@ def get_group():
 
 
 @pytest.fixture(scope="session")
-def get_table(get_group):
-    cache = {}
+def get_group(built):
+    return lambda name: built(name)[0]
 
-    def _get(name: str, seed: int = 0):
-        key = (name, seed)
-        if key not in cache:
-            cache[key] = character_table(get_group(name), seed=seed)
-        return cache[key]
 
-    return _get
+@pytest.fixture(scope="session")
+def get_table(built):
+    return lambda name: built(name)[1]
 
 
 @pytest.fixture(scope="session")

@@ -46,7 +46,7 @@ def test_class_tensor_matches_brute():
     # differ; every (i, p) and (p, i) is read, so both branches of the
     # smaller-class rule run on every pair of classes of different sizes
     for name in ["C6", "A5", "PSL(2,7)", "SL(2,5)"]:
-        g = build(name)
+        g, _ = build(name)
         brute = brute_tensor(g)
         r = g.num_classes
         for i in range(r):
@@ -54,13 +54,13 @@ def test_class_tensor_matches_brute():
                 row = g.class_row(i, p)
                 for k in range(r):
                     assert row[k] == brute.get((i, p, k), 0), (name, i, p, k)
-        # every column read is that of the smaller class, as class_support reads
+        # every column read is that of the smaller class
         assert all((g.classes[i].size, i) <= (g.classes[p].size, p)
                    for i, p in g._columns), name
 
 
 def test_class_tensor_cyclic3():
-    g = build("C3")
+    g, _ = build("C3")
     # classes are ordered identity, shift, shift^2, so indices add mod 3
     for i in range(3):
         for p in range(3):
@@ -82,10 +82,10 @@ def test_class_matrix_columns_sum_to_class_size(corpus, get_group):
 
 
 def test_table_reads_few_class_columns():
-    # read back from a group file, so that registry validation has cached no
-    # column: every column held afterwards was asked for by the split
+    # read back from a group file, since `build` has already computed the
+    # table: every column held afterwards was asked for by this split
     for name, share in (("Sz(8):3", 0.05), ("PSU(3,4)", 0.20)):
-        g = parse_group_file(format_group_file(build(name)))
+        g = parse_group_file(format_group_file(build(name)[0]))
         character_table(g)
         held = sum(g.classes[i].size for i, _ in g._columns)
         assert held < share * g.num_classes * g.order, (name, held)
@@ -292,7 +292,7 @@ def test_second_orthogonality_with_inverse_classes(get_table):
 
 
 def test_determinism_and_seed_field(get_group):
-    g = build("PSL(2,7)")
+    g, _ = build("PSL(2,7)")
     t0 = character_table(g, seed=0)
     t0b = character_table(g, seed=0)
     assert table_to_text(t0) == table_to_text(t0b)
@@ -302,7 +302,7 @@ def test_determinism_and_seed_field(get_group):
 
 
 def test_budget():
-    g = build("C12")
+    g, _ = build("C12")
     with pytest.raises(BudgetExceeded):
         character_table(g, class_budget=5)
 

@@ -12,6 +12,7 @@ import charzeros
 from charzeros import cli
 from charzeros.chartab import table_from_text, table_to_text, verify_table
 from charzeros.cli import main
+from charzeros.constructions import registry
 from charzeros.groupcore import Group, parse_group_file
 from charzeros.vanishing import BurnsideReport
 
@@ -246,6 +247,8 @@ def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, c
             (["zeros"], "degrees 5\n(1 2)\n", "degree must come first"),
             (["zeros"], "degree 5 7\n(1 2)\n", "bad degree directive: 'degree 5 7'"),
             (["zeros"], "degree 5\nnamed X\n(1 2)\n", "malformed cycle notation"),
+            (["zeros"], "degree 3\nname\n(1 2)\n", "empty name directive"),
+            (["zeros"], "degree 3\nname  # none\n(1 2)\n", "empty name directive"),
             (["zeros"], "degree 257\n(1 257)\n", "exceeds the largest degree 256")):
         f.write_text(text)
         rc, out, err = run(capsys, argv[0], str(f), *argv[1:])
@@ -258,10 +261,32 @@ def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, c
 
 def test_build_refuses_a_name_the_group_file_cannot_carry(capsys, monkeypatch):
     for name in ("a#b", " pad ", "a\u2028b"):
-        monkeypatch.setattr(cli, "build", lambda _: Group([(1, 0)], degree=2, name=name))
+        monkeypatch.setattr(cli, "build", lambda _: (Group([(1, 0)], degree=2, name=name), None))
         rc, out, err = run(capsys, "build", "C2")
         assert (rc, out) == (2, ""), name
         assert err == f"error: a group file cannot carry the name {name!r}\n"
+
+
+def test_registry_ops_compute_one_table(capsys, monkeypatch):
+    # every verb reads the table that `build` validated, and computes no other
+    calls = []
+
+    def counted(g, **kwargs):
+        calls.append(g.name)
+        return real(g, **kwargs)
+
+    real = registry.character_table
+    monkeypatch.setattr(registry, "character_table", counted)
+    monkeypatch.setattr(cli, "character_table", counted)
+    for argv in (["build", "A5"], ["table", "A5"], ["zeros", "A5"], ["star", "A5"],
+                 ["classify", "A5"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0
+        assert calls == ["A5"], argv
+    monkeypatch.setattr(cli, "registry_names", lambda: ("SL(2,5)", "A5"))
+    calls.clear()
+    assert run(capsys, "suite")[0] == 0
+    assert calls == ["A5", "SL(2,5)"]
 
 
 def test_registry_facts_need_the_registry_order(tmp_path, capsys):

@@ -3,6 +3,13 @@ from math import gcd
 
 import pytest
 
+from charzeros.chartab import (
+    central_classes,
+    character_table,
+    derived_classes,
+    is_quasisimple,
+    is_simple,
+)
 from charzeros.constructions import (
     GroupRecipe,
     RegistryError,
@@ -60,9 +67,13 @@ def test_projective_line_orders():
         assert g.degree == q + 1
 
 
+def _order(t, classes) -> int:
+    return sum(t.classes[j].size for j in classes)
+
+
 def test_small_case_pins():
     g = psl2(5)
-    assert g.order == 60 and g.num_classes == 5 and g.is_simple
+    assert g.order == 60 and g.num_classes == 5 and is_simple(character_table(g))
     assert pgl2(5).order == 120 and pgl2(5).degree == 6
     assert cyclic(5).order == 5 and cyclic(5).num_classes == 5
 
@@ -71,41 +82,43 @@ def test_sl2():
     g = sl2(5)
     assert g.order == 120
     assert g.degree == 24  # nonzero vectors of F25
-    assert g.is_quasisimple and not g.is_simple
-    assert len(g.center_classes) == 2
+    t = character_table(g)
+    assert is_quasisimple(t) and not is_simple(t)
+    assert len(central_classes(t)) == 2
 
 
 def test_alternating():
     assert alternating(5).order == 60
     assert alternating(6).order == 360
     assert alternating(7).order == 2520
-    assert alternating(7).is_simple
+    assert is_simple(character_table(alternating(7)))
 
 
 def test_triple_cover():
-    g = build("3.A6")
+    g, t = build("3.A6")
     assert g.order == 1080
-    assert g.is_quasisimple
-    z = g.center_classes
+    assert is_quasisimple(t)
+    z = central_classes(t)
     assert len(z) == 3
     assert any(g.classes[i].element_order == 3 for i in z)
-    assert g.order // g.class_set_order(z) == 360
+    assert g.order // _order(t, z) == 360
 
 
 def test_twisted_m10():
     g = twisted_m10()
     assert g.order == 720
-    assert g.class_set_order(g.derived_classes) == 360
+    t = character_table(g)
+    assert _order(t, derived_classes(t)) == 360
     assert {c.element_order for c in g.classes} == {1, 2, 3, 4, 5, 8}
 
 
 def test_cover_extension():
-    g = build("3.A6:2_3")
+    g, t = build("3.A6:2_3")
     assert g.order == 2160
-    z = g.center_classes
+    z = central_classes(t)
     assert len(z) == 3
-    assert g.class_set_order(g.derived_classes) == 1080
-    assert g.order // g.class_set_order(z) == 720
+    assert _order(t, derived_classes(t)) == 1080
+    assert g.order // _order(t, z) == 720
     # element orders of G/Z: the least k >= 1 with g^k central
     orders = {next(k for k in range(1, len(row) + 1) if row[k % len(row)] in z)
               for row in g.power_maps}
@@ -114,22 +127,24 @@ def test_cover_extension():
 
 def test_suzuki():
     g = suzuki(8)
-    assert g.order == 29120 and g.is_simple
+    assert g.order == 29120 and is_simple(character_table(g))
     assert {c.element_order for c in g.classes} == {1, 2, 4, 5, 7, 13}
     h = suzuki_semilinear(8)
     assert h.order == 87360
-    assert h.class_set_order(h.derived_classes) == 29120
+    t = character_table(h)
+    assert _order(t, derived_classes(t)) == 29120
 
 
 def test_unitary():
     g = unitary3(4)
-    assert g.order == 62400 and g.is_simple
+    assert g.order == 62400 and is_simple(character_table(g))
 
 
 def test_semilinear_psl28():
     g = psl2_semilinear(8)
     assert g.order == 1512
-    assert g.class_set_order(g.derived_classes) == 504
+    t = character_table(g)
+    assert _order(t, derived_classes(t)) == 504
 
 
 def test_out_orders():
@@ -176,7 +191,8 @@ def test_validation_hooks(add_recipe):
             build("bogus")
     add_recipe(bogus(simple=True, quasisimple=True, center_cyclic=True,
                      derived=60, orders=(1, 2, 3, 5)))
-    assert build("bogus").name == "bogus"
+    g, t = build("bogus")
+    assert g.name == t.group == "bogus"
     # each fact is a typed field; there is no free-form check kind
     with pytest.raises(TypeError):
         bogus(normal=60)

@@ -11,6 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import charzeros
+from charzeros import groupcore
+from charzeros.chartab import (
+    central_classes,
+    character_table,
+    derived_classes,
+    is_quasisimple,
+    is_simple,
+    kernel_of,
+)
 from charzeros.constructions import build
 from charzeros.groupcore import (
     Group,
@@ -101,7 +110,7 @@ def test_parse_cycles_rejections():
 
 
 def test_group_file_round_trip():
-    g = build("PSL(2,7)")
+    g, _ = build("PSL(2,7)")
     text = format_group_file(g)
     h = parse_group_file(text)
     assert h.order == g.order and h.name == g.name and h.degree == g.degree
@@ -126,9 +135,19 @@ def test_group_file_round_trip_random_generators(case):
         text = format_group_file(g)
     except GroupFileError:
         assert not name or name != name.strip() or not set(name) <= set(_SAFE), name
+    else:
+        h = parse_group_file(text)
+        assert (h.degree, h.name, h.generators) == (degree, name, g.generators)
+    # a file that spells the name out as it is (None: a bare `name` line)
+    # loads only as a group whose file reads back the same
+    spelled = "\n".join([f"degree {degree}", f"name {name or ''}",
+                         *map(format_cycles, g.generators)])
+    try:
+        h = parse_group_file(spelled)
+    except (GroupFileError, NotBijection):
         return
-    h = parse_group_file(text)
-    assert (h.degree, h.name, h.generators) == (degree, name, g.generators)
+    again = parse_group_file(format_group_file(h))
+    assert (again.degree, again.name, again.generators) == (h.degree, h.name, h.generators)
 
 
 @pytest.mark.parametrize("name", ["a#b", " pad ", "a\x85b"])
@@ -197,60 +216,90 @@ def test_power_map(get_group):
 
 
 def test_exponent():
-    g = build("A5")
+    g, _ = build("A5")
     assert g.exponent == lcm(*(c.element_order for c in g.classes)) == 30
 
 
-def test_derived_and_perfect(get_group):
-    assert get_group("A5").is_perfect
-    assert get_group("SL(2,5)").is_perfect
-    c6 = get_group("C6")
-    assert not c6.is_perfect
-    assert c6.class_set_order(c6.derived_classes) == 1
-    pgl = get_group("PGL(2,5)")
-    assert pgl.class_set_order(pgl.derived_classes) == 60
+def _order(t, classes) -> int:
+    return sum(t.classes[j].size for j in classes)
 
 
-def test_center(get_group):
-    a5 = get_group("A5")
-    assert a5.class_set_order(a5.center_classes) == 1
-    sl = get_group("SL(2,5)")
-    assert sl.class_set_order(sl.center_classes) == 2
-    assert len(sl.center_classes) == 2 and 0 in sl.center_classes
-    assert all(sl.classes[i].size == 1 for i in sl.center_classes)
-    assert {sl.classes[i].element_order for i in sl.center_classes} == {1, 2}
-    assert get_group("C6").is_abelian
+def _kernel_intersections(t) -> set[frozenset[int]]:
+    """Every intersection of row kernels, as a set of class indices."""
+    out = {frozenset(range(len(t.classes)))}
+    for i in range(len(t.rows)):
+        k = frozenset(kernel_of(t, i))
+        out |= {s & k for s in out}
+    return out
 
 
-def test_normal_subgroups_match_brute(get_group):
-    # the closure of one class is the least normal subgroup containing it
+def _normal_closure(t, c: int) -> frozenset[int]:
+    """The least normal subgroup containing class c: the intersection of the
+    kernels that contain it."""
+    return frozenset.intersection(*(s for s in _kernel_intersections(t) if c in s))
+
+
+def test_derived_and_perfect(get_table):
+    for name in ["A5", "SL(2,5)"]:  # perfect
+        t = get_table(name)
+        assert derived_classes(t) == tuple(range(len(t.classes))), name
+    c6 = get_table("C6")
+    assert derived_classes(c6) == (0,) and _order(c6, derived_classes(c6)) == 1
+    pgl = get_table("PGL(2,5)")
+    assert _order(pgl, derived_classes(pgl)) == 60
+
+
+def test_center(get_table):
+    a5 = get_table("A5")
+    assert _order(a5, central_classes(a5)) == 1
+    sl = get_table("SL(2,5)")
+    z = central_classes(sl)
+    assert _order(sl, z) == 2
+    assert len(z) == 2 and 0 in z
+    assert {sl.classes[i].element_order for i in z} == {1, 2}
+    c6 = get_table("C6")  # abelian: every class central, every row linear
+    assert central_classes(c6) == tuple(range(6))
+    assert all(c6.degree(i) == 1 for i in range(6))
+
+
+def test_normal_subgroups_match_brute(get_group, get_table):
+    # the normal subgroups are exactly the intersections of row kernels
     for name in ["C1", "C4", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]:
-        g = get_group(name)
-        brute = brute_normal_class_sets(g)
-        for c in range(g.num_classes):
-            least = min((s for s in brute if c in s), key=g.class_set_order)
-            assert g.closed_class_set({c}) == least, (name, c)
+        brute = brute_normal_class_sets(get_group(name))
+        t = get_table(name)
+        assert _kernel_intersections(t) == brute, name
+        for c in range(len(t.classes)):
+            least = min((s for s in brute if c in s), key=lambda s: _order(t, s))
+            assert _normal_closure(t, c) == least, (name, c)
 
 
-def test_is_simple(get_group):
-    assert get_group("A5").is_simple
-    assert get_group("C5").is_simple
-    assert not get_group("C6").is_simple
-    assert not get_group("C1").is_simple
-    assert not get_group("SL(2,5)").is_simple
-    assert not get_group("PGL(2,5)").is_simple
+def test_is_simple(get_table):
+    assert is_simple(get_table("A5"))
+    assert is_simple(get_table("C5"))
+    assert not is_simple(get_table("C6"))
+    assert not is_simple(get_table("C1"))
+    assert not is_simple(get_table("SL(2,5)"))
+    assert not is_simple(get_table("PGL(2,5)"))
 
 
-def test_is_quasisimple(get_group):
-    assert get_group("SL(2,5)").is_quasisimple
-    assert get_group("A5").is_quasisimple
-    assert not get_group("C6").is_quasisimple
-    assert not get_group("C1").is_quasisimple
-    assert not get_group("PGL(2,5)").is_quasisimple
+def test_is_quasisimple(get_table):
+    assert is_quasisimple(get_table("SL(2,5)"))
+    assert is_quasisimple(get_table("A5"))
+    assert not is_quasisimple(get_table("C6"))
+    assert not is_quasisimple(get_table("C1"))
+    assert not is_quasisimple(get_table("PGL(2,5)"))
+
+
+def test_trivial_group_is_not_quasisimple(get_table):
+    # C1 has one linear row and no nontrivial kernel to leave Z(G): only
+    # Z(G) = G, one class out of one, keeps it from counting as quasisimple
+    t = get_table("C1")
+    assert len(t.rows) == len(central_classes(t)) == 1 and t.degree(0) == 1
+    assert not is_quasisimple(t) and not is_simple(t)
 
 
 def test_is_quasisimple_builds_no_group(get_group, monkeypatch):
-    # fresh groups, since building a registry group already asks the question
+    # fresh groups, so that the tables are computed here and not reused
     fresh = [Group(g.generators, degree=g.degree) for g in
              map(get_group, ["A5", "SL(2,5)", "3.A6", "PSL(2,16)"])]
 
@@ -258,7 +307,7 @@ def test_is_quasisimple_builds_no_group(get_group, monkeypatch):
         raise AssertionError("a new Group was constructed")
 
     monkeypatch.setattr(Group, "__init__", no_group)
-    assert all(g.is_quasisimple for g in fresh)
+    assert all(is_quasisimple(character_table(g)) for g in fresh)
 
 
 def test_perfect_direct_square_is_not_quasisimple():
@@ -267,11 +316,12 @@ def test_perfect_direct_square_is_not_quasisimple():
     gens = [parse_cycles(c, 10) for c in
             ("(1 2 3 4 5)", "(1 2 3)", "(6 7 8 9 10)", "(6 7 8)")]
     g = Group(gens, degree=10)
-    assert g.order == 3600 and g.center_classes == frozenset([0])
-    assert g.is_perfect
-    assert not g.is_quasisimple and not g.is_simple
+    t = character_table(g)
+    assert g.order == 3600 and central_classes(t) == (0,)
+    assert derived_classes(t) == tuple(range(len(t.classes)))
+    assert not is_quasisimple(t) and not is_simple(t)
     for x in gens:
-        assert g.class_set_order(g.closed_class_set({g.class_index[x]})) == 60
+        assert _order(t, _normal_closure(t, g.class_index[x])) == 60
 
 
 def test_class_members_share_element_objects(get_group):
@@ -309,6 +359,46 @@ def test_redundant_generators_change_nothing(get_group):
     assert g.class_index == a5.class_index
 
 
+def _power(z: bytes, k: int) -> bytes:
+    y = identity_perm(len(z))
+    for _ in range(k):
+        y = pmul(z, y)
+    return y
+
+
+def test_galois_fill(get_group, monkeypatch):
+    # a class found by the scan fills each Galois conjugate class
+    # {z^k : z in C} with no scan of its own; S is the k with x^k in C
+    filled = []
+
+    def spy(store, x, o):
+        new = real(store, x, o)
+        filled.extend((x, k, xk) for k, xk in new)
+        return new
+
+    real = groupcore._new_conjugates
+    monkeypatch.setattr(groupcore, "_new_conjugates", spy)
+    for name, o, stab, ks in (
+            ("PSL(2,7)", 7, {1, 2, 4}, [3]),  # 7A/7B, a non-real pair
+            ("Sz(8)", 13, {1, 5, 8, 12}, [2, 4]),  # 13A/B/C, S a proper subgroup
+            ("3.A6", 3, {1}, [2])):  # the two non-identity central classes
+        src = get_group(name)
+        g = Group(src.generators, degree=src.degree)
+        filled.clear()
+        classes, store = g.classes, {id(x) for x in g.elements}
+        cases = [(x, k, xk) for x, k, xk in filled if perm_order(x) == o
+                 and (o != 3 or classes[g.class_index[x]].size == 1)]
+        assert [k for _, k, _ in cases] == ks, name
+        for x, k, xk in cases:
+            i = g.class_index[x]
+            assert {j for j in range(o) if g.power_maps[i][j] == i} == stab, name
+            source, c = classes[i], classes[g.class_index[xk]]
+            assert set(c.members) == {_power(z, k) for z in source.members}, (name, k)
+            assert len(c.members) == c.size == source.size
+            assert c.rep == min(c.members) and c.members[0] is c.rep
+            assert all(id(y) in store for y in c.members), (name, k)
+
+
 def test_classes_match_brute_scan(corpus, get_group):
     for name in corpus:
         g = get_group(name)
@@ -319,7 +409,7 @@ def test_classes_do_not_depend_on_hash_order():
     # dict and set order of bytes keys could follow the per-process hash seed
     script = ("from charzeros.constructions import build\n"
               "for name in ('PSL(2,7)', 'SL(2,5)', '3.A6'):\n"
-              "    for c in build(name).classes:\n"
+              "    for c in build(name)[0].classes:\n"
               "        print(name, c.size, c.rep.hex(), *(x.hex() for x in c.members))\n")
     src = str(Path(charzeros.__file__).parents[1])
     outs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -335,10 +425,10 @@ def test_order_budget():
         _ = Group(gens, degree=10, max_order=10).order
 
 
-def test_closed_class_set(get_group):
-    g = get_group("SL(2,5)")
-    z = next(i for i in range(1, g.num_classes) if g.classes[i].size == 1)
-    assert g.class_set_order(g.closed_class_set([z])) == 2
-    a5 = get_group("A5")
-    for i in range(1, a5.num_classes):
-        assert a5.class_set_order(a5.closed_class_set([i])) == 60
+def test_closed_class_set(get_table):
+    t = get_table("SL(2,5)")
+    z = next(i for i in range(1, len(t.classes)) if t.classes[i].size == 1)
+    assert _order(t, _normal_closure(t, z)) == 2
+    a5 = get_table("A5")
+    for i in range(1, len(a5.classes)):
+        assert _order(a5, _normal_closure(a5, i)) == 60

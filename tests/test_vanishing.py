@@ -93,7 +93,7 @@ def test_star_out_order_bound(get_table):
 
 
 def test_star_requires_out_order_for_unknown_groups():
-    g = build("C4")
+    g, _ = build("C4")
     anon = Group(g.generators, degree=g.degree, name="mystery")
     t = character_table(anon)
     with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ def test_classify_unlisted_group_notes(get_table):
 def test_classify_mismatch_path(add_recipe):
     add_recipe(GroupRecipe("bogus", partial(psl2, 5), order=60, out=2,
                            one_class=(3,), note="bogus expectation"))
-    rep = classify_one_class(character_table(build("bogus")))
+    rep = classify_one_class(build("bogus")[1])
     assert rep.match is False and rep.observed == (3, 3, 4)
     assert rep.expected == (3,) and rep.notes == ("bogus expectation",)
     assert "MISMATCH" in rep.text()
@@ -183,7 +183,7 @@ def test_survey(get_table, add_recipe):
     assert sorted(d for _, d in a5.one_class_rows) == [3, 3, 4]
     add_recipe(GroupRecipe("bogus", partial(alternating, 5), order=60, out=2,
                            simple=True, simple_allowed=(4,)))
-    rep = simple_one_class_survey([character_table(build("bogus"))])
+    rep = simple_one_class_survey([build("bogus")[1]])
     assert not rep.ok and not rep.entries[0].ok
     assert rep.entries[0].allowed == (4,)
 
