@@ -10,12 +10,19 @@ in order of size and splits every block that is still more than
 1-dimensional by the eigenspaces of one A_i.  A block is held by a
 row-echelon basis, so the restriction of A_i to it needs only the rows of
 A_i at the block's pivots (`Group.class_row`), never the whole matrix; the
-walk stops as soon as every block is a line.  The split is deterministic.
+walk stops as soon as every block is a line.  A block on which A_i is a
+scalar cannot split, so it is kept without computing or factoring a minimal
+polynomial.  The split is deterministic.
 Once the characters are separated, each character degree follows from the
 orthogonality relations and every entry lifts uniquely to an exact
-cyclotomic number through its root-of-unity multiplicities.  A table is
-released only after the full first and second orthogonality relations
-have been re-checked with exact arithmetic.
+cyclotomic number through its root-of-unity multiplicities: one length-o
+discrete Fourier transform mod l, through one matrix per element order o.
+Classes fall into Galois families, the classes of rep^k for k prime to o,
+and chi(g^k) = sigma_k(chi(g)), so the transform runs only at the least
+class of each family and the other classes permute its multiplicities.
+Each distinct multiplicity vector of a table becomes one shared value.  A
+table is released only after the full first and second orthogonality
+relations have been re-checked with exact arithmetic.
 """
 from __future__ import annotations
 
@@ -201,10 +208,11 @@ def _separate(group: Group, l: int) -> list[list[int]]:
                 continue
             rows = [group.class_row(i, p) for p in pivots]
             b = [[sum(x * y for x, y in zip(row, v)) % l for v in basis] for row in rows]
-            roots = _poly_roots(_min_poly(b, l), l)
-            if len(roots) == 1:
-                split.append((basis, pivots))
+            if all(b[s][t] == (b[0][0] if s == t else 0)
+                   for s in range(d) for t in range(d)):
+                split.append((basis, pivots))  # A_i is scalar here: no split
                 continue
+            roots = _poly_roots(_min_poly(b, l), l)
             found = 0
             for e in roots:
                 shifted = [[(b[s][t] - (e if s == t else 0)) % l
@@ -269,28 +277,51 @@ def character_table(group: Group, *, seed: int = 0,
 
     g0 = primitive_root(l)
     w = pow(g0, (l - 1) // m, l)
+    # dft[o][t][s] = w_o^(-ts) / o, with w_o a primitive o-th root of unity
+    # mod l: the multiplicity of zeta_o^t in chi restricted to <g> is
+    # sum_s dft[o][t][s] * chi(g^s).
+    dft = {}
+    for o in {c.element_order for c in classes}:
+        w_inv = pow(pow(w, m // o, l), l - 2, l)
+        o_inv = pow(o, l - 2, l)
+        dft[o] = [[pow(w_inv, t * s % o, l) * o_inv % l for s in range(o)]
+                  for t in range(o)]
+    # Galois families: class j holds rep_j0^k for k prime to o, j0 the least
+    # class of its family.  chi(g^k) = sigma_k(chi(g)), so the multiplicity
+    # of zeta_o^(tk) at j is that of zeta_o^t at j0.
+    family = [None] * r
+    for j0, c in enumerate(classes):
+        if family[j0] is None:
+            o = c.element_order
+            for k in range(1, o + 1):  # k = o stands for k = 0 when o = 1
+                if gcd(k, o) == 1 and family[powers[j0][k % o]] is None:
+                    family[powers[j0][k % o]] = (j0, k)
 
+    values = {}  # (o, multiplicities) -> value; CycloNum is immutable
     rows = []
     for d, u in chars:
         xval = [d * u[j] % l * size_inv[j] % l for j in range(r)]
+        mults = [None] * r
         row = []
         for j in range(r):
             o = classes[j].element_order
-            w_inv = pow(pow(w, m // o, l), l - 2, l)
-            o_inv = pow(o, l - 2, l)
-            xs = [xval[powers[j][s]] for s in range(o)]
-            mult = {}
-            for t in range(o):
-                wt = pow(w_inv, t, l)
-                acc, term = 0, 1
-                for s in range(o):
-                    acc = (acc + xs[s] * term) % l
-                    term = term * wt % l
-                mult[t] = acc * o_inv % l
-            if sum(mult.values()) != d:
-                raise Degenerate("root-of-unity multiplicities do not sum "
-                                 "to the degree")
-            row.append(CycloNum(m, {t * (m // o): c for t, c in mult.items()}))
+            j0, k = family[j]
+            if j0 == j:
+                xs = [xval[p] for p in powers[j]]
+                mult = [sum(x * y for x, y in zip(xs, f)) % l for f in dft[o]]
+                if sum(mult) != d:
+                    raise Degenerate("root-of-unity multiplicities do not sum "
+                                     "to the degree")
+            else:
+                mult = [0] * o
+                for t, c in enumerate(mults[j0]):
+                    mult[t * k % o] = c
+            mults[j] = mult
+            key = (o, tuple(mult))
+            if key not in values:
+                values[key] = CycloNum(m, {t * (m // o): c
+                                           for t, c in enumerate(mult) if c})
+            row.append(values[key])
         rows.append((d, tuple(row)))
 
     rows.sort(key=lambda pair: _row_key(pair[0], pair[1]))

@@ -2,10 +2,13 @@ import dataclasses
 import json
 import math
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from charzeros import chartab
 from charzeros.chartab import (
     BudgetExceeded,
     TableFileError,
@@ -130,10 +133,19 @@ def _degrees(t):
     return [t.degree(i) for i in range(len(t.rows))]
 
 
+def _cyclic_from_file(n):
+    """C_n read from a group file: one n-cycle, so the classes come from the
+    file and not from a registry build."""
+    g = parse_group_file(f"degree {n}\n(" + " ".join(map(str, range(1, n + 1))) + ")\n")
+    return character_table(g), g
+
+
 def test_cyclic_tables_are_root_powers(get_table, get_group):
-    for n in (2, 3, 4, 6, 12):
-        t = get_table(f"C{n}")
-        g = get_group(f"C{n}")
+    # C60 has 12 Galois families of classes and composite element orders up
+    # to 60, so most of its entries are lifted as images of an earlier class
+    cases = [(n, get_table(f"C{n}"), get_group(f"C{n}")) for n in (2, 3, 4, 6, 12)]
+    cases.append((60, *_cyclic_from_file(60)))
+    for n, t, g in cases:
         exps = [c.rep[0] for c in g.classes]  # image of point 0 is the power
         want = set()
         for row_pow in range(n):
@@ -261,6 +273,48 @@ def test_galois_stability(get_table):
                 image = tuple(CycloNum(m, {k * e: c for e, c in v.coeffs.items()})
                               for v in row)
                 assert image in rows, (name, k)
+
+
+def test_computed_tables_obey_galois_law(corpus, get_table):
+    # chi(g^k) = sigma_k(chi(g)) for k prime to o(g), entry by entry: this
+    # pins the direction of the lift's family permutation (t -> t*k)
+    for name in corpus:
+        t = get_table(name)
+        m = t.exponent
+        for j, c in enumerate(t.classes):
+            o = c.element_order
+            for k in range(1, o):
+                if math.gcd(k, o) != 1:
+                    continue
+                for i, row in enumerate(t.rows):
+                    image = CycloNum(m, {e * k % m: v for e, v in row[j].coeffs.items()})
+                    assert row[c.powers[k]] == image, (name, i, j, k)
+
+
+def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monkeypatch):
+    # a block on which A_i is a scalar cannot split, so its minimal
+    # polynomial (degree 1) is never computed
+    degrees = []
+
+    def recording(b, l):
+        mp = _min_poly(b, l)
+        degrees.append(len(mp) - 1)
+        return mp
+
+    monkeypatch.setattr(chartab, "_min_poly", recording)
+    for name in corpus:
+        assert table_to_text(character_table(get_group(name))) == \
+            table_to_text(get_table(name)), name
+    assert degrees and min(degrees) >= 2, sorted(degrees)[:5]
+
+
+PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
+
+
+def test_tables_match_pinned_files(corpus, get_table):
+    for name in corpus:
+        pinned = PINNED_TABLES / (re.sub(r"[^0-9A-Za-z]", "_", name) + ".tbl")
+        assert table_to_text(get_table(name)) == pinned.read_text(), name
 
 
 def test_table_class_powers(get_table, get_group):
