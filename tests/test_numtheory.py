@@ -145,6 +145,70 @@ def test_outer_bound_sweep_small():
     assert outer_bound_sweep(10**4) == []
 
 
+def _outer_bound_domains(bound):
+    """(q, f, part) for every prime power q <= bound in each part's domain."""
+    points = []
+    for q in range(2, bound + 1):
+        pf = prime_power(q)
+        if pf is None:
+            continue
+        if q > 11:
+            points.append((q, pf[1], "A"))
+        if q >= 7 and q % 2 == 1:
+            points.append((q, pf[1], "B"))
+    return points
+
+
+def test_outer_bound_sweep_visits_each_domain_point_once(monkeypatch):
+    domains = _outer_bound_domains(10**4)
+    for q, f, part in domains:
+        p = prime_power(q)[0]
+        assert outer_bound_holds(p, f, part) == numtheory._outer_bound_ok(q, f, part)
+    calls = []
+    failing = {(13, "A"), (9, "B"), (27, "B")}
+
+    def recording(q, f, part):
+        calls.append((q, f, part))
+        return (q, part) not in failing
+
+    monkeypatch.setattr(numtheory, "_outer_bound_ok", recording)
+    bad = outer_bound_sweep(10**4)
+    assert sorted(calls) == sorted(domains) and len(calls) == len(set(calls))
+    assert bad == [(3, 2, "B"), (13, 1, "A"), (3, 3, "B")]
+
+
+def test_outer_bound_sweep_proves_no_prime_again(monkeypatch):
+    calls = 0
+    isprime = sympy.isprime
+
+    def counting(n):
+        nonlocal calls
+        calls += 1
+        return isprime(n)
+
+    sympy.sieve._reset()
+    monkeypatch.setattr(numtheory.sympy, "isprime", counting)
+    t0 = time.perf_counter()
+    bad = outer_bound_sweep(10**6)
+    elapsed = time.perf_counter() - t0
+    assert (bad, calls) == ([], 0)
+    assert elapsed < 1.0, f"sweep to 10^6 took {elapsed:.2f}s, budget 1s"
+
+
+def test_outer_bound_sweep_ceiling(monkeypatch):
+    def no_list(bound):
+        if bound > numtheory.MAX_SWEEP_BOUND:
+            raise AssertionError(f"listed the prime powers up to {bound}")
+        return []
+
+    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_list)
+    assert numtheory.MAX_SWEEP_BOUND == 10**7
+    assert outer_bound_sweep(10**7) == []
+    for bound in (10**7 + 1, 10**10):
+        with pytest.raises(ValueError, match="bound must be <= 10000000"):
+            outer_bound_sweep(bound)
+
+
 def test_diophantine_known_solutions():
     assert diophantine_solutions("A", 100).values == (3, 5, 17)
     assert diophantine_solutions("B", 100).values == (3, 9)
@@ -180,9 +244,13 @@ def test_diophantine_matches_prime_power_scan():
     near_powers = {2**k + d for k in range(21) for d in range(-2, 3)}
     bounds = sorted(b for b in {*range(3, 201), *near_powers, 10**6} if b >= 3)
     for part in "ABC":
+        # a brute solution at bound b is a prime power q <= b that passes the
+        # part's test, so one scan at the largest bound, filtered, is every set
+        full = brute_diophantine(part, bounds[-1]).solutions
         for bound in bounds:
-            assert diophantine_solutions(part, bound) == \
-                brute_diophantine(part, bound), (part, bound)
+            brute = DiophantineSolutionSet(
+                part, bound, tuple(s for s in full if s.q <= bound))
+            assert diophantine_solutions(part, bound) == brute, (part, bound)
 
 
 def test_diophantine_walks_only_two_power_candidates(monkeypatch):
