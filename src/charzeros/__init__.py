@@ -13,7 +13,7 @@ outer_bound_sweep, torus_orders) in charzeros.numtheory.
 """
 
 from .chartab import CharacterTable, character_table, table_from_text, table_to_text, verify_table
-from .constructions import build, out_order, registry_names
+from .constructions import build, registry_names
 from .groupcore import Group, format_group_file, parse_group_file
 from .numtheory import diophantine_solutions, outer_bound_sweep, torus_orders, zsigmondy
 from .vanishing import (
@@ -37,7 +37,6 @@ __all__ = [
     "classify_one_class",
     "diophantine_solutions",
     "format_group_file",
-    "out_order",
     "outer_bound_sweep",
     "parse_group_file",
     "registry_names",

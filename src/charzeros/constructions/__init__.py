@@ -19,7 +19,6 @@ from .registry import (
     ValidationFailed,
     build,
     find_recipe,
-    out_order,
     registry_names,
 )
 
@@ -27,5 +26,5 @@ __all__ = [
     "Unsupported", "alternating", "cyclic", "pgl2", "psl2", "psl2_semilinear",
     "sl2", "suzuki", "suzuki_semilinear", "twisted_m10", "unitary3",
     "GroupRecipe", "RegistryError", "ValidationFailed", "build",
-    "find_recipe", "out_order", "registry_names",
+    "find_recipe", "registry_names",
 ]

@@ -138,10 +138,6 @@ def find_recipe(name: str) -> GroupRecipe:
     raise RegistryError(f"unknown group {name!r}; known: {', '.join(registry_names())}")
 
 
-def out_order(name: str) -> int:
-    return find_recipe(name).out
-
-
 def _fail(recipe: GroupRecipe, msg: str):
     raise ValidationFailed(f"{recipe.name}: {msg}")
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import sympy
+
 Rational = int | Fraction
 
 
@@ -46,18 +48,11 @@ class _LocalPrime:
 @cache
 def _locals(m: int) -> tuple[_LocalPrime, ...]:
     out = []
-    rest = m
-    p = 2
-    while rest > 1:
-        if rest % p == 0:
-            q = 1
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            step = q // p
-            cof = m // q
-            out.append(_LocalPrime(p, q, q - step, step, cof, pow(cof, -1, q)))
-        p += 1 if p == 2 else 2
+    for p, k in sorted(sympy.factorint(m).items()):
+        q = p**k
+        step = q // p
+        cof = m // q
+        out.append(_LocalPrime(p, q, q - step, step, cof, pow(cof, -1, q)))
     return tuple(out)
 
 
@@ -185,9 +180,10 @@ class CycloNum:
                 if num.denominator != den:
                     raise ValueError("coefficients must be in lowest terms, denominator > 0")
             coeffs[e] = num
+        v = CycloNum(m, coeffs, reduced=True)  # refuses m < 1 before m is factored
         if _reduce(m, coeffs) != coeffs:
             raise ValueError("serialized element was not in canonical form")
-        return CycloNum(m, coeffs, reduced=True)
+        return v
 
 
 def hermitian_sum(xs, ys, weights) -> CycloNum:

@@ -81,11 +81,6 @@ def _table(a: Perm) -> bytes:
     return a + _IDENTITY_TABLE[len(a):]
 
 
-def pmul(a: Perm, b: Perm) -> Perm:
-    """Composition a after b: (a*b)(i) = a(b(i))."""
-    return b.translate(_table(a))
-
-
 def pinv(a: Perm) -> Perm:
     n = len(a)  # the table that sends a[i] to i, cut back to n points
     return bytes.maketrans(a, _IDENTITY_TABLE[:n])[:n]
@@ -257,7 +252,6 @@ def _new_conjugates(store: dict[Perm, int], x: Perm, o: int) -> list[tuple[int, 
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    index: int
     rep: Perm
     size: int
     element_order: int
@@ -360,11 +354,11 @@ class Group:
             members[i].append(x)
         self.class_index = store
         classes = []
-        for i, (mem, n) in enumerate(zip(members, order)):
+        for mem, n in zip(members, order):
             eo, size, rep = found[n]
             j = mem.index(rep)  # the representative leads its members
             mem[0], mem[j] = mem[j], mem[0]
-            classes.append(ConjugacyClass(i, mem[0], size, eo, tuple(mem)))
+            classes.append(ConjugacyClass(mem[0], size, eo, tuple(mem)))
         return tuple(classes)
 
     @cached_property

@@ -24,10 +24,6 @@ class NotPrimePower(ValueError):
     pass
 
 
-class PreconditionViolated(ValueError):
-    pass
-
-
 class UnsupportedFamily(ValueError):
     pass
 
@@ -121,31 +117,13 @@ MAX_SWEEP_BOUND = 10**7
 
 
 def _outer_bound_ok(q: int, f: int, part: str) -> bool:
-    """The part's strict inequality at q = p^f, cross-multiplied, so exact.
+    """The part's strict inequality at q = p^f, cross-multiplied, so exact:
+    6f + 1 < (q^2 - q - 2) / 9 (part A) or 4f + 1 < (q^2 - 1) / 8 (part B).
 
     The caller guarantees p prime, f >= 1 and q in the part's domain."""
     if part == "A":
         return 9 * (6 * f + 1) < q * q - q - 2
     return 8 * (4 * f + 1) < q * q - 1
-
-
-def outer_bound_holds(p: int, f: int, part: str) -> bool:
-    """Strict inequality bounding 6f+1 (part A) or 4f+1 (part B) by a class-count
-    polynomial in q = p^f.  Cross-multiplied, so exact."""
-    if not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
-    if f < 1:
-        raise ValueError("f must be >= 1")
-    q = p**f
-    if part == "A":
-        if q <= 11:
-            raise PreconditionViolated(f"part A needs q > 11, got q = {q}")
-    elif part == "B":
-        if q < 7 or q % 2 == 0:
-            raise PreconditionViolated(f"part B needs odd q >= 7, got q = {q}")
-    else:
-        raise ValueError(f"unknown part {part!r}")
-    return _outer_bound_ok(q, f, part)
 
 
 def outer_bound_sweep(bound: int) -> list[tuple[int, int, str]]:
@@ -155,9 +133,11 @@ def outer_bound_sweep(bound: int) -> list[tuple[int, int, str]]:
     every prime power there, once.  The primes come from sympy's sieve, so
     they are not proved prime again.  Returns the failing (p, f, part)
     triples in ascending q; an empty list means both inequalities hold
-    everywhere below the bound.  A bound above MAX_SWEEP_BOUND (10^7) raises
-    ValueError before anything is listed.
+    everywhere below the bound.  A bound below 2 or above MAX_SWEEP_BOUND
+    (10^7) raises ValueError before anything is listed.
     """
+    if bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
     if bound > MAX_SWEEP_BOUND:
         raise ValueError(f"bound must be <= {MAX_SWEEP_BOUND}, got {bound}")
     bad = []

@@ -19,8 +19,13 @@ import numpy as np
 import sympy
 
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import Group, pinv, pmul
+from charzeros.groupcore import Group, pinv
 from charzeros.numtheory import DiophantineSolution, DiophantineSolutionSet
+
+
+def pmul(a: bytes, b: bytes) -> bytes:
+    """Composition a after b: (a*b)(i) = a(b(i))."""
+    return b.translate(a + bytes(range(len(a), 256)))
 
 
 def brute_zsigmondy(q: int, n: int) -> int | None:

@@ -24,8 +24,8 @@ from charzeros.chartab import (
 )
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import format_group_file, parse_group_file, pinv, pmul
-from helpers import brute_min_poly_degree, brute_orth_violations
+from charzeros.groupcore import format_group_file, parse_group_file, pinv
+from helpers import brute_min_poly_degree, brute_orth_violations, pmul
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
 

@@ -460,6 +460,16 @@ def test_numtheory_outer_bound_ceiling(capsys, monkeypatch):
         assert err == "error: bound must be <= 10000000, got 10000000000\n"
 
 
+def test_numtheory_outer_bound_floor(capsys):
+    # these once exited 0 with "both inequalities hold for every prime power q <= -5"
+    for bound in ("-5", "0", "1"):
+        for fmt in ("text", "json"):
+            rc, out, err = run(capsys, "numtheory", "outer-bound",
+                               "--bound", bound, "--format", fmt)
+            assert (rc, out) == (2, "")
+            assert err == f"error: bound must be >= 2, got {bound}\n"
+
+
 def test_numtheory_zsigmondy(capsys):
     rc, out, _ = run(capsys, "numtheory", "zsigmondy", "2", "4")
     assert rc == 0 and "least primitive prime divisor of 2^4 - 1: 5" in out

@@ -1,3 +1,4 @@
+import hashlib
 from functools import partial
 from math import gcd
 
@@ -19,7 +20,6 @@ from charzeros.constructions import (
     build,
     cyclic,
     find_recipe,
-    out_order,
     pgl2,
     psl2,
     psl2_semilinear,
@@ -31,8 +31,48 @@ from charzeros.constructions import (
     unitary3,
 )
 from charzeros.constructions.registry import RECIPES
-from charzeros.groupcore import Group
+from charzeros.groupcore import Group, format_group_file
 from charzeros.numtheory import NotPrimePower
+
+# sha256 of the group file `build` writes for each registry group; the
+# tables pin the character data, these pin the generators themselves
+GROUP_FILE_SHA256 = {
+    "C1": "c4746e1f242fa9c8bae95500ce69f48ed5c3088d99e21ae20f08da58a43edfe7",
+    "C2": "8725003e660f1497547322ba40a10ae7dfcfac078b42a4ced091639f053cf4fe",
+    "C3": "2325d5473f06f28bba01a22dabc6584ff6506589f9c4b747356160f319aa168c",
+    "C4": "7904d6e81afd3c85b51cb5bb5092f91e21130a339827e6be9ca059805e4314d8",
+    "C5": "5a691d6df3044b8cf1eebfff1026859ef9d395cf14f8667ee01c7309b6328d8b",
+    "C6": "da472b70c9180c8a37c9a835085d1834c9505d30fcf66bbf136d6641876d9f15",
+    "C7": "2e7448c0b6db1fc5a26a7074ddd5d9885bc13653e97867915266bc103b608c7d",
+    "C8": "2d67c5e129752af082498db2f784e6e0b788783ab556d5de921f669fbca35e23",
+    "C9": "292464a742483310f336e1f598fa92372f5fbc3a5e9861d4dc42ea626ca397a1",
+    "C10": "6290fa255419a245863302bd68909e92ad4d85a3f4bce6a429c0cb2a46b9af9c",
+    "C11": "77fe9402fc07f0593f2006d504fb8732c6038a76dd45d9b26449386a203fe578",
+    "C12": "db8776f134f7f7fb9473505d9da1a8291beb81114fc30c64ce5e0d5e23d8e1ff",
+    "A5": "d53bea833d7b209b68aa967b6e87db788dc4ee27e5cb60bf81651ce844f41f99",
+    "A6": "75fbc0a2f03852b1bec6b18a1b68717703367e5a8ad6f738e0d8ef61e8a66724",
+    "A7": "49630bf898c59e5f1debcab1d266a29595316fdd1b9f63f01b637bd186d96f10",
+    "PSL(2,5)": "a6421d006926a5e7c114c448b83a1034d557ad251c195bb9905973f429930e88",
+    "PSL(2,7)": "e50901cb19d62850ad2ea35acdf8b87d162429dbc9ff708fc1f47dac1c3830f7",
+    "PSL(2,8)": "0171e4666f29df1283d40c7de7f88e989f1666d384fde037d237fcd5f1e936a3",
+    "PSL(2,9)": "c26820f5dcaa81fdff0a0a5665ce9f179fdf0844dcbb1b5df89294de89a91104",
+    "PSL(2,11)": "6f338633db04fa39f1c6754d6228488868764cc795801ecc8cdb7542b82fe1e9",
+    "PSL(2,13)": "4883cae7160a42df677b1e201212178cb6c34da6a272d9c1f9e5fe28a47c0c06",
+    "PSL(2,16)": "95ac19a31c47fb31ffbab03e57013891286b6a0012ea8dab16fcbe8bc6f4ba1d",
+    "SL(2,5)": "f1d6f64bdf505f0bb4428eec9348ffd6cc1c6390ef985e5b3bcb6d3ad953afb3",
+    "PGL(2,5)": "be31bc15c784168a3fed141f4f437ce5e9e288153d62380417ac19b1852abb98",
+    "PGL(2,7)": "4cfd4025037bb28ef1b8d522192cb2c3e08e81ed56c7fd6742cc9df30926e871",
+    "PGL(2,9)": "4bfb27017a4628af5e5cbc02b2da4410a63d18aa8c8e0f81cb43221b368d215e",
+    "PGL(2,11)": "6fd723607854abbb1f28f41e448abf6a70895c3faa3e114d8e072e73473f1c99",
+    "A6:2_2": "8203711cef460c854ac7961249a0256b51be0bbb7db4d3a82ea2c5d8eb6aeed6",
+    "A6:2_3": "6d3b3a4fbd2fbacf2112a610aaae13361d3d3c6cb6af5f07be1f97e3c109f026",
+    "PSL(2,8):3": "1092caa2d314df27921f9e0d72d9515f36cd84714186e51486ae630c002ea3c3",
+    "PSU(3,4)": "9f3146b6a87f7df22e515ce73b2d0a1c487233fc698be5ddcc1a9c736edd0ee2",
+    "Sz(8)": "89933c3790888f231f2eb3b4dc3de1a64ba5009b2a4100eaa2c943c98757938f",
+    "Sz(8):3": "2ae80b441f28832340c99851f010b886f9fafe136519b2a48b148a8dcae9fda5",
+    "3.A6": "f0cfba00dbcc33e9b8eb58a429d41e6cd63ba053d1f63ac9459938a08e11e115",
+    "3.A6:2_3": "896f3ee3adf38fb9c392cec30d25bdedb5645f66861f7479244b1f189d6427e8",
+}
 
 
 def test_registry_contents():
@@ -148,18 +188,21 @@ def test_semilinear_psl28():
 
 
 def test_out_orders():
-    assert out_order("PSL(2,5)") == 2
-    assert out_order("PSL(2,7)") == 2
-    assert out_order("PSL(2,8)") == 3
-    assert out_order("PSL(2,9)") == 4
-    assert out_order("PSL(2,16)") == 4
-    assert out_order("SL(2,5)") == 2
-    assert out_order("Sz(8)") == 3
-    assert out_order("PSU(3,4)") == 4
-    assert out_order("3.A6") == 4
+    def out(name):
+        return find_recipe(name).out
+
+    assert out("PSL(2,5)") == 2
+    assert out("PSL(2,7)") == 2
+    assert out("PSL(2,8)") == 3
+    assert out("PSL(2,9)") == 4
+    assert out("PSL(2,16)") == 4
+    assert out("SL(2,5)") == 2
+    assert out("Sz(8)") == 3
+    assert out("PSU(3,4)") == 4
+    assert out("3.A6") == 4
     for q in (5, 7, 9, 11, 13):
         f = 2 if q == 9 else 1
-        assert out_order(f"PSL(2,{q})") == gcd(2, q - 1) * f
+        assert out(f"PSL(2,{q})") == gcd(2, q - 1) * f
 
 
 def test_builder_rejections():
@@ -204,3 +247,10 @@ def test_build_validates_whole_registry(corpus, get_group):
     for name in corpus:
         g = get_group(name)
         assert g.name == name
+
+
+def test_group_files_are_pinned(get_group):
+    assert list(GROUP_FILE_SHA256) == registry_names()
+    for name, want in GROUP_FILE_SHA256.items():
+        text = format_group_file(get_group(name))
+        assert hashlib.sha256(text.encode()).hexdigest() == want, name

@@ -211,7 +211,8 @@ def test_from_obj_rejects_non_canonical():
     assert CycloNum.from_obj({"m": 4, "c": [[1, 1, 2]]}) == CycloNum(4, {1: Fraction(1, 2)})
     for obj in ({"m": 4, "c": [[1, 2, 4]]}, {"m": 4, "c": [[1, -1, -2]]},
                 {"m": 4, "c": [[1, True, 1]]}, {"m": 4, "c": [[1.0, 1, 1]]},
-                {"m": True, "c": []}, {"m": 4, "c": [[1, 1, 1]], "x": 0}, [4, []]):
+                {"m": True, "c": []}, {"m": 4, "c": [[1, 1, 1]], "x": 0}, [4, []],
+                {"m": 0, "c": []}, {"m": -6, "c": []}):
         with pytest.raises(ValueError):
             CycloNum.from_obj(obj)
 

@@ -1,7 +1,11 @@
 import itertools
+import time
 
 import pytest
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_mul, gf_rem, gf_strip
 
+from charzeros import fields
 from charzeros.fields import FqField, NotPrime, TooLarge, conway_polynomial, gf
 from helpers import field_element_order
 
@@ -120,3 +124,51 @@ def test_gf_rejections():
 
 def test_fqfield_class_alias():
     assert isinstance(gf(7), FqField)
+
+
+def test_arithmetic_matches_polynomial_products_mod_the_modulus():
+    # the definition the labels encode: digit i is the coefficient of x^i,
+    # and a product is the polynomial product reduced mod the Conway polynomial
+    for p, f in ((2, 4), (2, 5), (3, 3), (5, 2), (7, 2), (31, 1)):
+        F, mod = gf(p, f), list(conway_polynomial(p, f)[::-1])
+
+        def poly(a):
+            return gf_strip([a // p**i % p for i in reversed(range(f))])
+
+        def label(c):
+            return sum(x * p**i for i, x in enumerate(reversed(c)))
+
+        for a in F.elements():
+            for b in F.elements():
+                assert F.mul(a, b) == label(gf_rem(gf_mul(poly(a), poly(b), p, ZZ),
+                                                   mod, p, ZZ)), (p, f, a, b)
+            powers = [1]
+            for _ in range(2 * F.q):
+                powers.append(F.mul(powers[-1], a))
+            assert [F.pow(a, k) for k in range(2 * F.q + 1)] == powers
+            assert F.frobenius(a) == powers[p]
+            if a:
+                assert F.mul(a, F.inv(a)) == 1
+                assert [F.pow(a, -k) for k in (1, 2, 3)] == [
+                    F.inv(a), F.mul(F.inv(a), F.inv(a)),
+                    F.mul(F.inv(a), F.mul(F.inv(a), F.inv(a)))]
+
+
+def test_field_construction_is_linear_in_q(monkeypatch):
+    calls = 0
+    real = fields.gf_mul
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(fields, "gf_mul", counting)
+    F = FqField(2, 8)
+    assert calls <= 2 * F.q
+    monkeypatch.undo()
+    conway_polynomial.cache_clear()  # time the Conway search too
+    t0 = time.perf_counter()
+    FqField(2, 10)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, f"F_1024 took {elapsed:.2f}s to build, budget 1s"

@@ -33,9 +33,8 @@ from charzeros.groupcore import (
     parse_group_file,
     perm_order,
     pinv,
-    pmul,
 )
-from helpers import brute_classes, brute_normal_class_sets
+from helpers import brute_classes, brute_normal_class_sets, pmul
 
 
 def test_perm_primitives():

@@ -9,12 +9,10 @@ from charzeros.numtheory import (
     DiophantineSolutionSet,
     NotCoprime,
     NotPrimePower,
-    PreconditionViolated,
     UnsupportedFamily,
     cyclotomic_poly_value,
     diophantine_solutions,
     mult_order,
-    outer_bound_holds,
     outer_bound_sweep,
     prime_power,
     torus_orders,
@@ -119,26 +117,13 @@ def test_zsigmondy_rejects():
 
 def test_outer_bound_truth_by_fractions():
     for q in PRIME_POWERS_50:
-        p, f = prime_power(q)
+        f = prime_power(q)[1]
         if q > 11:
             want = 6 * f + 1 < Fraction(q * q - q - 2, 9)
-            assert outer_bound_holds(p, f, "A") == want
+            assert numtheory._outer_bound_ok(q, f, "A") == want
         if q >= 7 and q % 2 == 1:
             want = 4 * f + 1 < Fraction(q * q - 1, 8)
-            assert outer_bound_holds(p, f, "B") == want
-
-
-def test_outer_bound_preconditions():
-    with pytest.raises(PreconditionViolated):
-        outer_bound_holds(11, 1, "A")
-    with pytest.raises(PreconditionViolated):
-        outer_bound_holds(2, 3, "B")
-    with pytest.raises(PreconditionViolated):
-        outer_bound_holds(5, 1, "B")
-    with pytest.raises(ValueError):
-        outer_bound_holds(4, 1, "A")
-    with pytest.raises(ValueError):
-        outer_bound_holds(7, 1, "X")
+            assert numtheory._outer_bound_ok(q, f, "B") == want
 
 
 def test_outer_bound_sweep_small():
@@ -161,9 +146,6 @@ def _outer_bound_domains(bound):
 
 def test_outer_bound_sweep_visits_each_domain_point_once(monkeypatch):
     domains = _outer_bound_domains(10**4)
-    for q, f, part in domains:
-        p = prime_power(q)[0]
-        assert outer_bound_holds(p, f, part) == numtheory._outer_bound_ok(q, f, part)
     calls = []
     failing = {(13, "A"), (9, "B"), (27, "B")}
 
@@ -207,6 +189,19 @@ def test_outer_bound_sweep_ceiling(monkeypatch):
     for bound in (10**7 + 1, 10**10):
         with pytest.raises(ValueError, match="bound must be <= 10000000"):
             outer_bound_sweep(bound)
+
+
+def test_outer_bound_sweep_floor(monkeypatch):
+    # a bound below the least prime power once returned [], i.e. "holds"
+    def no_list(bound):
+        raise AssertionError(f"listed the prime powers up to {bound}")
+
+    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_list)
+    for bound in (-5, 0, 1):
+        with pytest.raises(ValueError, match=f"^bound must be >= 2, got {bound}$"):
+            outer_bound_sweep(bound)
+    monkeypatch.undo()
+    assert outer_bound_sweep(2) == []
 
 
 def test_diophantine_known_solutions():
