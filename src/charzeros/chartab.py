@@ -31,12 +31,7 @@ import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from sympy import isprime, primefactors, primitive_root
-from sympy.ntheory.residue_ntheory import sqrt_mod
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_factor_sqf, gf_lcm
-
-from .cyclo import CycloNum, hermitian_sum
+from .cyclo import CycloNum, hermitian_sum, trial_factor
 from .groupcore import Degenerate, Group, cycle_points, format_cycles
 
 DEFAULT_CLASS_BUDGET = 64
@@ -140,6 +135,9 @@ def _kernel_basis(mat, l):
 def _min_poly(b, l):
     """Minimal polynomial (descending, monic) via Krylov annihilators of the
     standard basis vectors; their lcm is the minimal polynomial."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_lcm
+
     d = len(b)
     mp = [1]
     for t in range(d):
@@ -174,6 +172,9 @@ def _min_poly(b, l):
 def _poly_roots(p, l):
     """Roots in F_l of a squarefree polynomial (descending coefficients) that
     splits into linear factors; ascending order."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor_sqf
+
     _, factors = gf_factor_sqf(p, l, ZZ)
     roots = []
     for f in factors:
@@ -234,6 +235,8 @@ def _separate(group: Group, l: int) -> list[list[int]]:
 # -- the table computation -----------------------------------------------------------
 
 def _dixon_prime(order: int, exponent: int) -> int:
+    from sympy import isprime
+
     l = exponent + 1
     while l * l <= 4 * order or not isprime(l):
         l += exponent
@@ -242,6 +245,9 @@ def _dixon_prime(order: int, exponent: int) -> int:
 
 def character_table(group: Group, *, seed: int = 0,
                     class_budget: int = DEFAULT_CLASS_BUDGET) -> CharacterTable:
+    from sympy import primitive_root
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+
     classes = group.classes
     r = len(classes)
     if r > class_budget:
@@ -482,7 +488,7 @@ def _product_generators(o: int) -> list[int]:
     o, and units taken least first until they generate the unit group.  Each
     unit taken at least doubles the subgroup reached, so finding them is
     linear in o and there are O(log o) of them."""
-    gens, reached = primefactors(o), {1 % o}
+    gens, reached = [p for p, _ in trial_factor(o, o)], {1 % o}
     for u in range(2, o):
         if u not in reached and gcd(u, o) == 1:
             gens.append(u)
@@ -552,7 +558,7 @@ def table_from_text(text: str) -> CharacterTable:
     loads, up to JSON spacing and key order."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
         raise TableFileError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise TableFileError("not valid JSON: nested too deeply") from None

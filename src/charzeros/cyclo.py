@@ -15,6 +15,16 @@ Phi_{p^k}(eta) = 0 shifted by r < p^(k-1).
 There is no field arithmetic: the one computation on values is
 `hermitian_sum`, the weighted inner product that the orthogonality checks
 need, formed in the group ring Z[C_m] and reduced once.
+
+Reading and checking a table needs no computer algebra, so this module, like
+every module on that read path, does not import sympy.  sympy is the one
+routine for factoring numbers a user supplies (`numtheory`) and for F_p[x]
+(`galoistools`, in `chartab` and `fields`), imported inside the functions
+that compute a table, a field or a number-theory answer.  The read path
+factors only numbers that its input file bounds: class orders, the exponent
+(their lcm), the centre order and the degrees, whose primes divide the
+exponent.  It does so by trial division in `trial_factor`, which hands a
+cofactor it cannot finish to sympy, so the answer is exact for any input.
 """
 
 from __future__ import annotations
@@ -22,8 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-import sympy
 
 Rational = int | Fraction
 
@@ -45,10 +53,43 @@ class _LocalPrime:
     inv: int      # cof^(-1) mod q
 
 
+def trial_factor(n: int, limit: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n >= 1 as ascending (p, k) pairs, by trial
+    division with the divisors 2..limit.  Once d * d exceeds what is left,
+    the rest is 1 or prime.  A rest that no divisor up to `limit` finishes
+    goes to sympy.factorint, imported on that call only, so the answer is
+    exact for every n and limit, and the cost of the trial division is at
+    most limit / 2 steps."""
+    out = []
+    d = 2
+    while d <= limit and d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            out.append((d, k))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        if d * d > n:
+            out.append((n, 1))
+        else:
+            from sympy import factorint
+            out.extend(sorted(factorint(n).items()))
+    return out
+
+
+# Trial division in `_locals` stops at this divisor.  A table file's exponent
+# is the lcm of its class orders, so trial division finishes it by the second
+# largest of its primes; an order with two primes above the limit, which only
+# code can give, goes to sympy.factorint.
+_LOCALS_TRIAL_LIMIT = 1 << 15
+
+
 @cache
 def _locals(m: int) -> tuple[_LocalPrime, ...]:
     out = []
-    for p, k in sorted(sympy.factorint(m).items()):
+    for p, k in trial_factor(m, _LOCALS_TRIAL_LIMIT):
         q = p**k
         step = q // p
         cof = m // q

@@ -23,10 +23,6 @@ from __future__ import annotations
 import itertools
 from functools import cache
 
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_compose_mod, gf_mul, gf_pow_mod, gf_rem
-
 
 class NotPrime(ValueError):
     pass
@@ -57,6 +53,10 @@ def _word_to_poly(word: tuple[int, ...], p: int) -> list[int]:
 @cache
 def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
     """Ascending coefficients (c_0, ..., c_f) of the Conway polynomial."""
+    import sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_compose_mod, gf_pow_mod
+
     if not sympy.isprime(p):
         raise NotPrime(f"{p} is not prime")
     if f < 1:
@@ -91,6 +91,9 @@ class FqField:
     """F_{p^f} on integer labels; products through discrete-log tables."""
 
     def __init__(self, p: int, f: int):
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_mul, gf_rem
+
         self.modulus = conway_polynomial(p, f)  # rejects bad p, f before p**f
         self.p = p
         self.f = f

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-
-import sympy
+from math import prod
 
 
 class NotCoprime(ValueError):
@@ -39,6 +38,8 @@ def _strip(x: int, p: int) -> tuple[int, int]:
 
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q = p**f and p prime, or None."""
+    import sympy
+
     if q < 2:
         return None
     if sympy.isprime(q):
@@ -52,6 +53,8 @@ def prime_power(q: int) -> tuple[int, int] | None:
 @cache
 def cyclotomic_poly_value(n: int, q: int) -> int:
     """Phi_n(q), exactly, by dividing q^n - 1 by the proper-divisor values."""
+    import sympy
+
     if n < 1:
         raise ValueError("n must be >= 1")
     if q < 2:
@@ -66,6 +69,8 @@ def cyclotomic_poly_value(n: int, q: int) -> int:
 
 def mult_order(q: int, l: int) -> int:
     """Least d >= 1 with q^d = 1 (mod l), for prime l not dividing q."""
+    import sympy
+
     if not sympy.isprime(l):
         raise ValueError(f"{l} is not prime")
     if q % l == 0:
@@ -96,6 +101,8 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
     factors are tested; a candidate qualifies iff its multiplicative order at
     q is exactly n.
     """
+    import sympy
+
     if prime_power(q) is None:
         raise NotPrimePower(f"{q} is not a prime power")
     if n < 2:
@@ -170,6 +177,8 @@ class DiophantineSolutionSet:
 
 def _prime_powers_upto(bound: int) -> list[tuple[int, int, int]]:
     """Ascending (q, p, f) with q = p^f <= bound, f >= 1."""
+    import sympy
+
     qs = []
     for p in sympy.sieve.primerange(2, bound + 1):
         q, f = p, 1
@@ -276,7 +285,7 @@ def torus_orders(family: str, n: int, q: int) -> list[TorusOrder]:
     elif family in _EXCEPTIONAL_ROWS:
         rank, shapes = _EXCEPTIONAL_ROWS[family]
         if n == rank:
-            rows = [(sympy.prod(cyclotomic_poly_value(k, q) for k in ks), arg)
+            rows = [(prod(cyclotomic_poly_value(k, q) for k in ks), arg)
                     for ks, arg in shapes]
     else:
         raise UnsupportedFamily(f"unknown family {family!r}")

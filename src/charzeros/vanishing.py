@@ -12,11 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from sympy import primefactors
-
 from .chartab import CharacterTable, central_classes, is_faithful, kernel_of
 from .constructions import GroupRecipe, RegistryError, find_recipe
-from .numtheory import prime_power
+from .cyclo import trial_factor
 
 PRIMITIVITY_NOTE = "primitivity of the flagged row is assumed, not computed"
 
@@ -29,6 +27,14 @@ def _recipe(t: CharacterTable) -> GroupRecipe | None:
     except RegistryError:
         return None
     return recipe if recipe.order == t.order else None
+
+
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(p, k) with n = p^k and p prime, or None.  n is an element order of a
+    table, at most the length of its power map, or the centre order, at most
+    the class count, so trial division finishes it."""
+    f = trial_factor(n, n)
+    return f[0] if len(f) == 1 else None
 
 
 def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
@@ -93,7 +99,7 @@ def star_check(t: CharacterTable, row: int, *,
         notes.append("vanishing elements have distinct orders "
                      + "{" + ", ".join(map(str, orders)) + "}")
     else:
-        pk = prime_power(orders[0])
+        pk = _prime_power(orders[0])
         if pk is None:
             cond_i = False
             notes.append(f"common vanishing order {orders[0]} is not a prime power")
@@ -114,7 +120,7 @@ def star_check(t: CharacterTable, row: int, *,
         cond_iii = True
         notes.append("centre is trivial")
     else:
-        zpk = prime_power(z)
+        zpk = _prime_power(z)
         cyclic = z_exp == z
         if not cyclic or zpk is None:
             cond_iii = False
@@ -186,11 +192,13 @@ class TwoPrimeReport:
 def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
     """Flag rows with exactly one vanishing class whose degree has at least
     two distinct prime factors; such rows should occur only in the known
-    exceptional groups."""
+    exceptional groups.  A degree's primes divide |G|, hence the exponent,
+    so trial division up to the largest class order finds them all."""
     flagged = []
+    limit = max(c.element_order for c in t.classes)
     for i in range(len(t.rows)):
         d = t.degree(i)
-        if len(primefactors(d)) >= 2 and len(vanishing_classes(t, i)) == 1:
+        if len(trial_factor(d, limit)) >= 2 and len(vanishing_classes(t, i)) == 1:
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
     recipe = _recipe(t)

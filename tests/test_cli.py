@@ -173,6 +173,18 @@ def test_deeply_nested_table_file_is_malformed(tmp_path, capsys):
         assert err.count("\n") == 1 and "nested too deeply" in err, (verb, err)
 
 
+def test_overlong_integer_literal_is_malformed(tmp_path, capsys):
+    # json.loads refuses an integer literal over 4,300 digits with a plain
+    # ValueError (Python >= 3.11); a file holding one is malformed (exit 1),
+    # not a usage error.  Where the literal parses, the order check rejects it.
+    f = _a5_table(tmp_path, capsys, lambda obj: obj.update(order="BIG"))
+    f.write_text(f.read_text().replace('"BIG"', "7" * 5000))
+    for verb in ("verify", "zeros", "star", "classify"):
+        rc, out, err = run(capsys, verb, str(f))
+        assert (rc, out) == (1, ""), (verb, err)
+        assert err.count("\n") == 1 and "malformed table file" in err, (verb, err)
+
+
 _FUZZ_VALUES = (10**40, -1, -10**30, 0, 1.5, True, None, "", "x", [], [[]], {})
 
 

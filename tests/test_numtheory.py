@@ -169,7 +169,7 @@ def test_outer_bound_sweep_proves_no_prime_again(monkeypatch):
         return isprime(n)
 
     sympy.sieve._reset()
-    monkeypatch.setattr(numtheory.sympy, "isprime", counting)
+    monkeypatch.setattr(sympy, "isprime", counting)
     t0 = time.perf_counter()
     bad = outer_bound_sweep(10**6)
     elapsed = time.perf_counter() - t0

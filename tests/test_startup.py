@@ -1,0 +1,66 @@
+"""Cold start: `import charzeros` and the read verbs on a table file never
+import sympy; the verbs that compute load it when they need it.  Each check
+runs in a fresh interpreter, since this one has sympy loaded already."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import charzeros
+from charzeros.cli import main
+
+SRC = str(Path(charzeros.__file__).parents[1])
+TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
+
+# Runs each argv of sys.argv[1] through main in turn; prints whether sympy was
+# loaded after the import and after each op, and each op's exit code and stdout.
+CHILD = """
+import contextlib, io, json, sys
+import charzeros
+loaded = ["sympy" in sys.modules]
+from charzeros.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    results.append([rc, out.getvalue()])
+    loaded.append("sympy" in sys.modules)
+print(json.dumps({"loaded": loaded, "results": results}))
+"""
+
+
+def _fresh(argvs):
+    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _here(capsys, argvs):
+    out = []
+    for argv in argvs:
+        rc = main(argv)
+        out.append([rc, capsys.readouterr().out])
+    return out
+
+
+def test_read_verbs_start_without_sympy(capsys):
+    argvs = [[verb, str(TABLES / name)]
+             for name in ("PSU_3_4_.tbl", "3_A6_2_3.tbl")
+             for verb in ("verify", "zeros", "star", "classify")]
+    child = _fresh(argvs)
+    assert child["loaded"] == [False] * (1 + len(argvs))
+    assert child["results"] == _here(capsys, argvs)
+    assert all(rc == 0 for rc, _ in child["results"])
+
+
+def test_computing_verbs_load_sympy_on_demand(capsys):
+    argvs = [["numtheory", "zsigmondy", "2", "10"], ["table", "A5"]]
+    child = _fresh(argvs)
+    assert child["loaded"] == [False, True, True]
+    assert child["results"] == _here(capsys, argvs)
+    assert child["results"][0] == [0, "least primitive prime divisor of 2^10 - 1: 11\n"]
+    assert child["results"][1] == [0, (TABLES / "A5.tbl").read_text()]

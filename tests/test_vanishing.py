@@ -3,9 +3,11 @@ from dataclasses import asdict, replace
 from functools import partial
 
 import pytest
+import sympy
 
 from charzeros.chartab import character_table, is_faithful
 from charzeros.constructions import GroupRecipe, alternating, build, psl2
+from charzeros.cyclo import CycloNum
 from charzeros.groupcore import Group
 from charzeros.vanishing import (
     PRIMITIVITY_NOTE,
@@ -138,6 +140,30 @@ def test_two_prime(get_table):
     renamed = replace(get_table("Sz(8):3"), group="Sz(8):3 renamed")
     strict = two_prime_degree_check(renamed)
     assert strict.flagged == rep.flagged and not strict.excused and not strict.ok
+
+
+def test_two_prime_degree_outside_the_exponent(get_table, monkeypatch):
+    # A degree with primes that do not divide the exponent (no genuine table
+    # has one) is factored by sympy past the trial division, with the verdict
+    # that sympy's prime factors give.
+    calls = []
+    factorint = sympy.factorint
+
+    def counting(n):
+        calls.append(n)
+        return factorint(n)
+
+    monkeypatch.setattr(sympy, "factorint", counting)
+    t = get_table("A5")  # exponent 30, largest class order 5
+    one_class = [i for i in range(len(t.rows)) if len(vanishing_classes(t, i)) == 1]
+    assert one_class
+    for d in (2 * 7 * 11, 11**2, 3 * 7**3, 14):
+        rows = tuple((CycloNum(t.exponent, {0: d}),) + row[1:] if i in one_class else row
+                     for i, row in enumerate(t.rows))
+        rep = two_prime_degree_check(replace(t, rows=rows))
+        flagged = [i for i in one_class if len(sympy.primefactors(d)) >= 2]
+        assert rep.flagged == tuple((i, d) for i in flagged), d
+    assert calls == [7 * 11] * len(one_class) + [11**2] * len(one_class) + [7**3] * len(one_class)
 
 
 def test_classify_matches(get_table):
