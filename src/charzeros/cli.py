@@ -11,13 +11,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import cache
 from pathlib import Path
 
 from .chartab import (
-    DEFAULT_CLASS_BUDGET,
-    BudgetExceeded,
     CharacterTable,
     Degenerate,
     TableFileError,
@@ -30,7 +28,7 @@ from .chartab import (
 from .constructions import RegistryError, ValidationFailed, build, registry_names
 from .groupcore import (
     DEFAULT_ORDER_BUDGET,
-    OrderBudgetExceeded,
+    BudgetExceeded,
     format_group_file,
     parse_group_file,
 )
@@ -66,11 +64,11 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
 
 def _obtain_table(target: str, args) -> CharacterTable:
     """Registry name: the table `build` validated.  File: a table file if it
-    starts with '{', which must pass verify_table, otherwise a group file to
-    compute from."""
+    starts with '{', which must pass verify_table and keeps its recorded
+    seed, otherwise a group file to compute from.  A computed table records
+    --seed."""
     if target in registry_names():
-        return build(target, max_order=args.max_order, seed=args.seed,
-                     class_budget=args.max_classes)[1]
+        return replace(build(target, max_order=args.max_order)[1], seed=args.seed)
     p = Path(target)
     if not p.is_file():
         raise RegistryError(
@@ -84,7 +82,7 @@ def _obtain_table(target: str, args) -> CharacterTable:
             raise TableFileError(rep.violations[0])
         return t
     g = parse_group_file(text, max_order=args.max_order)
-    return character_table(g, seed=args.seed, class_budget=args.max_classes)
+    return replace(character_table(g), seed=args.seed)
 
 
 # -- verb handlers ---------------------------------------------------------------
@@ -124,13 +122,16 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+def _check_row(t: CharacterTable, row: int | None) -> None:
+    """A --row outside the table is a usage error (exit 2)."""
+    if row is not None and not 0 <= row < len(t.rows):
+        raise ValueError(f"row {row} out of range 0..{len(t.rows) - 1}")
+
+
 def _cmd_zeros(args) -> int:
     t = _obtain_table(args.target, args)
+    _check_row(t, args.row)
     rows = range(len(t.rows)) if args.row is None else [args.row]
-    if args.row is not None and not 0 <= args.row < len(t.rows):
-        print(f"error: row {args.row} out of range 0..{len(t.rows) - 1}",
-              file=sys.stderr)
-        return 2
     entries = []
     for i in rows:
         zs = vanishing_classes(t, i)
@@ -153,11 +154,8 @@ def _cmd_zeros(args) -> int:
 
 def _cmd_star(args) -> int:
     t = _obtain_table(args.target, args)
+    _check_row(t, args.row)
     if args.row is not None:
-        if not 0 <= args.row < len(t.rows):
-            print(f"error: row {args.row} out of range 0..{len(t.rows) - 1}",
-                  file=sys.stderr)
-            return 2
         reports = [star_check(t, args.row, out_order=args.out_order)]
     else:
         reports = list(star_survey(t, out_order=args.out_order))
@@ -182,8 +180,7 @@ def _suite_rows(args, failures: list[str]):
     rows = []
     simple_tables = []
     for name in sorted(registry_names()):
-        _, t = build(name, max_order=args.max_order, seed=args.seed,
-                     class_budget=args.max_classes)
+        t = replace(build(name, max_order=args.max_order)[1], seed=args.seed)
         burn = burnside_check(t)
         two = two_prime_degree_check(t)
         cls = classify_one_class(t)
@@ -339,16 +336,13 @@ def _add_format(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_budgets(p) -> None:
+def _add_table_options(p) -> None:
     p.add_argument("--seed", type=int, default=0,
                    help="seed recorded in the table file; the split is "
                         "deterministic (default 0)")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_BUDGET,
                    help=f"largest allowed group order "
                         f"(default {DEFAULT_ORDER_BUDGET})")
-    p.add_argument("--max-classes", type=int, default=DEFAULT_CLASS_BUDGET,
-                   help=f"largest allowed class count "
-                        f"(default {DEFAULT_CLASS_BUDGET})")
 
 
 @cache  # one tree per process: parse_args leaves it unchanged
@@ -366,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="compute a character table")
     p.add_argument("target", help="registry group name or group file path")
     p.add_argument("--out")
-    _add_budgets(p)
+    _add_table_options(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="check a table file's orthogonality")
@@ -378,7 +372,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", help="registry group, group file, or table file")
     p.add_argument("--row", type=int)
     _add_format(p)
-    _add_budgets(p)
+    _add_table_options(p)
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("star", help="vanishing-pattern reports per row")
@@ -387,21 +381,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-order", type=int,
                    help="outer-automorphism bound override")
     _add_format(p)
-    _add_budgets(p)
+    _add_table_options(p)
     p.set_defaults(func=_cmd_star)
 
     p = sub.add_parser("classify",
                        help="faithful single-vanishing-class degrees")
     p.add_argument("target", help="registry group, group file, or table file")
     _add_format(p)
-    _add_budgets(p)
+    _add_table_options(p)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("suite", help="run every registry group through "
                                      "table, verification, and checks")
     p.add_argument("--dir", help="directory for table files and report.txt")
     _add_format(p)
-    _add_budgets(p)
+    _add_table_options(p)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("numtheory", help="integer-arithmetic reports")
@@ -449,8 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     except TableFileError as exc:
         print(f"error: malformed table file: {exc}", file=sys.stderr)
         return 1
-    except (ValidationFailed, Degenerate, BudgetExceeded,
-            OrderBudgetExceeded) as exc:
+    except (ValidationFailed, Degenerate, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -28,8 +28,8 @@ from functools import partial
 from importlib import resources
 from typing import Callable
 
-from ..chartab import (DEFAULT_CLASS_BUDGET, CharacterTable, central_classes, character_table,
-                       derived_classes, is_quasisimple, is_simple)
+from ..chartab import (CharacterTable, central_classes, character_table, derived_classes,
+                       is_quasisimple, is_simple)
 from ..groupcore import DEFAULT_ORDER_BUDGET, Group, parse_group_file
 from . import builders
 
@@ -168,15 +168,14 @@ def _validate_table(recipe: GroupRecipe, t: CharacterTable):
             _fail(recipe, f"derived subgroup order {got} != expected {recipe.derived}")
 
 
-def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET, *, seed: int = 0,
-          class_budget: int = DEFAULT_CLASS_BUDGET) -> tuple[Group, CharacterTable]:
+def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> tuple[Group, CharacterTable]:
     """A registry group and its character table, both validated; more than
-    max_order elements raise OrderBudgetExceeded, more than class_budget
-    classes BudgetExceeded."""
+    max_order elements, or more than chartab.MAX_CLASSES classes, raise
+    BudgetExceeded."""
     recipe = find_recipe(name)
     g = recipe.make()
     g = Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)
     _validate_group(recipe, g)
-    t = character_table(g, seed=seed, class_budget=class_budget)
+    t = character_table(g)
     _validate_table(recipe, t)
     return g, t

@@ -54,8 +54,9 @@ DEFAULT_ORDER_BUDGET = 200_000
 MAX_DEGREE = 256  # points are byte values
 
 
-class OrderBudgetExceeded(RuntimeError):
-    pass
+class BudgetExceeded(RuntimeError):
+    """The group exceeds a size limit: the order budget or the class
+    ceiling (`chartab.MAX_CLASSES`)."""
 
 
 class NotBijection(ValueError):
@@ -282,7 +283,7 @@ class Group:
         coset representative are looked up, never the coset's elements."""
         e, kept, limit = identity_perm(self.degree), [], self.max_order
         if limit < 1:  # not even the identity fits
-            raise OrderBudgetExceeded(f"group exceeds order budget {limit}")
+            raise BudgetExceeded(f"group exceeds order budget {limit}")
         store = {e: -1}
         for g in self.generators:
             if g in store:
@@ -295,7 +296,7 @@ class Group:
                     if y in store:
                         continue
                     if len(store) + len(sub) > limit:
-                        raise OrderBudgetExceeded(f"group exceeds order budget {limit}")
+                        raise BudgetExceeded(f"group exceeds order budget {limit}")
                     yt = _table(y)
                     for h in sub:
                         store[h.translate(yt)] = -1

@@ -199,6 +199,8 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
     Exponents not constrained to be positive may be zero.  Each part fixes
     q = 2^k + 1 (A, B) or q = 2^k - 1 (C), so only k <= bound.bit_length()
     is walked, and the other exponents are read off by stripping 2, 3 or 5.
+    Only a q of the right shape is tested for being a prime power, so the
+    walk takes bounded time however large the bound.
     """
     if part not in ("A", "B", "C"):
         raise ValueError(f"unknown part {part!r}")
@@ -207,7 +209,7 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
     sols = []
     for k in range(bound.bit_length() + 1):
         q = 2**k - 1 if part == "C" else 2**k + 1
-        if q > bound or prime_power(q) is None:
+        if not 2 <= q <= bound:  # q < 2 in part C only; _strip(0, 2) never ends
             continue
         if part == "A":
             a, rest = _strip(q + 1, 2)
@@ -221,7 +223,7 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
             a, rest = _strip(q - 1, 2)
             b, rest = _strip(rest, 5)
             c = k
-        if rest == 1 and a >= 1:
+        if rest == 1 and a >= 1 and prime_power(q) is not None:
             sols.append(DiophantineSolution(q, a, b, c))
     return DiophantineSolutionSet(part, bound, tuple(sols))
 

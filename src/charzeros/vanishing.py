@@ -74,13 +74,16 @@ def star_check(t: CharacterTable, row: int, *,
     """Evaluate, on one row, the three-part vanishing condition: all zeros at
     one common prime-power element order, at most out_order vanishing
     classes, and a centre that is cyclic of order a power of the same prime.
-    A non-faithful row never satisfies it."""
+    A non-faithful row never satisfies it.  |Out| >= 1, so an out_order
+    below 1 raises ValueError."""
     if out_order is None:
         recipe = _recipe(t)
         if recipe is None:
             raise ValueError(f"no outer-order bound known for {t.group!r}; "
                              "pass out_order explicitly")
         out_order = recipe.out
+    elif out_order < 1:
+        raise ValueError(f"out_order must be >= 1, got {out_order}")
 
     vc = vanishing_classes(t, row)
     vanishing = tuple((j, t.classes[j].element_order) for j in vc)

@@ -10,7 +10,6 @@ import pytest
 
 from charzeros import chartab
 from charzeros.chartab import (
-    BudgetExceeded,
     TableFileError,
     _check_classes,
     _min_poly,
@@ -24,7 +23,7 @@ from charzeros.chartab import (
 )
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import format_group_file, parse_group_file, pinv
+from charzeros.groupcore import BudgetExceeded, format_group_file, parse_group_file, pinv
 from helpers import brute_min_poly_degree, brute_orth_violations, pmul
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
@@ -345,20 +344,12 @@ def test_second_orthogonality_with_inverse_classes(get_table):
             assert acc == want
 
 
-def test_determinism_and_seed_field(get_group):
-    g, _ = build("PSL(2,7)")
-    t0 = character_table(g, seed=0)
-    t0b = character_table(g, seed=0)
-    assert table_to_text(t0) == table_to_text(t0b)
-    t1 = character_table(g, seed=1)
-    assert t1.seed == 1
-    assert t0.rows == t1.rows  # the split is deterministic; the seed is only recorded
-
-
 def test_budget():
-    g, _ = build("C12")
-    with pytest.raises(BudgetExceeded):
-        character_table(g, class_budget=5)
+    # C3^4 has 81 classes, over the fixed ceiling of 64
+    g = parse_group_file("degree 12\n(1 2 3)\n(4 5 6)\n(7 8 9)\n(10 11 12)\n")
+    with pytest.raises(BudgetExceeded,
+                       match=f"^81 conjugacy classes exceed the budget {chartab.MAX_CLASSES}$"):
+        character_table(g)
 
 
 def test_file_round_trip(get_table):

@@ -345,6 +345,10 @@ def test_zeros_json_row(capsys):
 def test_zeros_row_out_of_range(capsys):
     rc, _, err = run(capsys, "zeros", "C6", "--row", "99")
     assert rc == 2 and "out of range" in err
+    for verb in ("zeros", "star"):
+        for row in ("6", "-1"):
+            assert run(capsys, verb, "C6", "--row", row) == (
+                2, "", f"error: row {row} out of range 0..5\n")
 
 
 def test_star_single_row(capsys):
@@ -354,9 +358,19 @@ def test_star_single_row(capsys):
 
 
 def test_star_out_order_override(capsys):
-    rc, out, _ = run(capsys, "star", "PSL(2,5)", "--row", "1",
-                     "--out-order", "0")
+    # row 4 (degree 5) vanishes on two classes and holds at the registry's 2
+    rc, out, _ = run(capsys, "star", "PSL(2,5)", "--row", "4",
+                     "--out-order", "1")
     assert rc == 0 and "star fails" in out
+
+
+def test_star_out_order_below_one_is_refused(capsys):
+    # |Out| >= 1, so a smaller bound is a usage error, with or without --row
+    for bound in ("0", "-1"):
+        for row in (["--row", "1"], []):
+            rc, out, err = run(capsys, "star", "PSL(2,5)", *row, "--out-order", bound)
+            assert (rc, out) == (2, "")
+            assert err == f"error: out_order must be >= 1, got {bound}\n"
 
 
 def test_star_survey_json(capsys):
@@ -397,11 +411,29 @@ def test_unknown_target(capsys):
     assert "neither a registry group nor a readable file" in err
 
 
-def test_budget_failures(capsys):
-    rc, _, err = run(capsys, "table", "C12", "--max-classes", "5")
-    assert rc == 1 and "class" in err
+def test_budget_failures(tmp_path, capsys):
+    # C3^4: 81 classes, over the fixed ceiling of 64
+    f = tmp_path / "c3_4.grp"
+    f.write_text("degree 12\n(1 2 3)\n(4 5 6)\n(7 8 9)\n(10 11 12)\n")
+    rc, out, err = run(capsys, "table", str(f))
+    assert (rc, out) == (1, "")
+    assert err == "error: 81 conjugacy classes exceed the budget 64\n"
     rc, _, err = run(capsys, "table", "A5", "--max-order", "10")
     assert rc == 1 and "budget" in err
+    # --max-order is the only size setting
+    for argv in (["table", "C12"], ["zeros", "C12"], ["star", "C12"],
+                 ["classify", "C12"], ["suite"]):
+        rc, out, err = run(capsys, *argv, "--max-classes", "5")
+        assert (rc, out) == (2, "") and "--max-classes" in err, argv
+
+
+def test_determinism_and_seed_field(capsys):
+    # the computation takes no seed: --seed only changes the recorded field
+    rc0, t0, _ = run(capsys, "table", "PSL(2,7)", "--seed", "0")
+    assert (rc0, run(capsys, "table", "PSL(2,7)", "--seed", "0")[1]) == (0, t0)
+    assert t0.count('"seed":0') == 1
+    assert run(capsys, "table", "PSL(2,7)", "--seed", "1") == (
+        0, t0.replace('"seed":0', '"seed":1'), "")
 
 
 def test_order_budget_stops_enumeration(tmp_path, capsys):

@@ -25,7 +25,7 @@ from charzeros.groupcore import (
     Group,
     GroupFileError,
     NotBijection,
-    OrderBudgetExceeded,
+    BudgetExceeded,
     format_cycles,
     format_group_file,
     identity_perm,
@@ -337,7 +337,7 @@ def test_order_budget_boundary(get_group):
     for name in ["C1", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)", "3.A6"]:
         g = get_group(name)
         assert Group(g.generators, degree=g.degree, max_order=g.order).order == g.order
-        with pytest.raises(OrderBudgetExceeded,
+        with pytest.raises(BudgetExceeded,
                            match=f"^group exceeds order budget {g.order - 1}$") as info:
             Group(g.generators, degree=g.degree, max_order=g.order - 1).elements
         tb = info.tb
@@ -420,7 +420,7 @@ def test_classes_do_not_depend_on_hash_order():
 
 def test_order_budget():
     gens = [parse_cycles("(1 2 3 4 5 6 7)", 10), parse_cycles("(8 9 10)", 10)]
-    with pytest.raises(OrderBudgetExceeded):
+    with pytest.raises(BudgetExceeded):
         _ = Group(gens, degree=10, max_order=10).order
 
 

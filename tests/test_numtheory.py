@@ -262,6 +262,18 @@ def test_diophantine_walks_only_two_power_candidates(monkeypatch):
         assert elapsed < 2.0, f"bound {bound} took {elapsed:.2f}s, budget 2s"
 
 
+def test_diophantine_tests_prime_powers_only_on_the_right_shape():
+    # a 4000-digit bound walks ~13,000 candidates; only those whose q-1 and
+    # q+1 have the part's shape reach the prime-power test
+    want = {"A": (3, 5, 17), "B": (3, 9), "C": (3,)}
+    for part in "ABC":
+        t0 = time.perf_counter()
+        got = diophantine_solutions(part, 10**4000).values
+        elapsed = time.perf_counter() - t0
+        assert got == want[part]
+        assert elapsed < 2.0, f"part {part} took {elapsed:.2f}s, budget 2s"
+
+
 def test_diophantine_rejects():
     with pytest.raises(ValueError):
         diophantine_solutions("D", 100)

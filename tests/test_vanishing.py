@@ -82,7 +82,7 @@ def test_star_out_order_monotone(get_table):
             wide = star_check(t, i, out_order=10**9)
             if base.holds:
                 assert wide.holds
-            tight = star_check(t, i, out_order=0)
+            tight = star_check(t, i, out_order=1)
             if tight.holds:
                 assert base.holds
 
