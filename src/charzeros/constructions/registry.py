@@ -170,7 +170,7 @@ def _validate_table(recipe: GroupRecipe, t: CharacterTable):
 
 def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> tuple[Group, CharacterTable]:
     """A registry group and its character table, both validated; more than
-    max_order elements, or more than chartab.MAX_CLASSES classes, raise
+    max_order elements, or more than groupcore.MAX_CLASSES classes, raise
     BudgetExceeded."""
     recipe = find_recipe(name)
     g = recipe.make()

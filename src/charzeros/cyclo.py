@@ -1,12 +1,16 @@
-"""Exact values in cyclotomic fields Q(zeta_m), held in canonical form.
+"""Exact cyclotomic integers, the elements of Z[zeta_m], in canonical form.
 
-Elements are stored on a canonical integral basis assembled prime power by
-prime power: writing m = prod p^k and eta_p = zeta_m^(m/p^k), the basis
-consists of the products prod_p eta_p^(u_p) with 0 <= u_p < phi(p^k).  The
-representation is unique, so equality and zero-testing are syntactic (equal
-or empty coefficient maps), and for o | m the basis of Q(zeta_o) maps into
-the basis of Q(zeta_m) under zeta_o -> zeta_m^(m/o), so a value built at
-order m from powers of zeta_o stays sparse.
+Character values are algebraic integers, so every table entry is one, and
+every coefficient is an `int`.  Elements are stored on a canonical integral
+basis assembled prime power by prime power: writing m = prod p^k and
+eta_p = zeta_m^(m/p^k), the basis consists of the products
+prod_p eta_p^(u_p) with 0 <= u_p < phi(p^k).  The representation is unique,
+so equality and zero-testing are syntactic (equal or empty coefficient
+maps), and for o | m the basis of Q(zeta_o) maps into the basis of
+Q(zeta_m) under zeta_o -> zeta_m^(m/o), so a value built at order m from
+powers of zeta_o stays sparse.  The basis spans Z[zeta_m] over Z, so
+reduction keeps integer coefficients integers, and a serialized entry with a
+denominator other than 1 is refused (`CycloNum.from_obj`).
 
 A power zeta_m^e outside the basis reduces in one local step per offending
 prime: eta^(phi(p^k)+r) = -sum_{j<p-1} eta^(j*p^(k-1)+r), the relation
@@ -30,17 +34,7 @@ cofactor it cannot finish to sympy, so the answer is exact for any input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
-
-Rational = int | Fraction
-
-
-def _cnorm(x: Rational) -> Rational:
-    """Fractions with denominator 1 collapse to int (keeps arithmetic fast)."""
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -97,10 +91,10 @@ def _locals(m: int) -> tuple[_LocalPrime, ...]:
     return tuple(out)
 
 
-def _reduce(m: int, raw: dict[int, Rational]) -> dict[int, Rational]:
+def _reduce(m: int, raw: dict[int, int]) -> dict[int, int]:
     """Rewrite {exponent: coeff} terms of zeta_m powers onto the canonical basis."""
     locs = _locals(m)
-    out: dict[int, Rational] = {}
+    out: dict[int, int] = {}
     for e, c in raw.items():
         terms = [(e, c)]
         for L in locs:
@@ -118,14 +112,14 @@ def _reduce(m: int, raw: dict[int, Rational]) -> dict[int, Rational]:
         for e1, c1 in terms:
             s = out.get(e1, 0) + c1
             if s:
-                out[e1] = _cnorm(s)
+                out[e1] = s
             elif e1 in out:
                 del out[e1]
     return out
 
 
 class CycloNum:
-    """Immutable exact element of Q(zeta_m), held in canonical form.
+    """Immutable exact element of Z[zeta_m], held in canonical form.
 
     Values are compared only at one order: the entries of a table all share
     the table exponent, and comparing values of different orders raises
@@ -133,11 +127,11 @@ class CycloNum:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, order: int, coeffs: dict[int, Rational], *, reduced: bool = False):
+    def __init__(self, order: int, coeffs: dict[int, int], *, reduced: bool = False):
         if order < 1:
             raise ValueError("order must be >= 1")
         if not reduced:
-            raw: dict[int, Rational] = {}
+            raw: dict[int, int] = {}
             for e, c in coeffs.items():
                 e %= order
                 raw[e] = raw.get(e, 0) + c
@@ -156,19 +150,15 @@ class CycloNum:
     def is_rational(self) -> bool:
         return set(self.coeffs) <= {0}
 
-    def rational_value(self) -> Rational:
+    def rational_value(self) -> int:
         if not self.is_rational():
             raise ValueError("not a rational value")
         return self.coeffs.get(0, 0)
 
-    def is_integral(self) -> bool:
-        """True iff every canonical-basis coefficient has denominator 1."""
-        return all(isinstance(c, int) for c in self.coeffs.values())
-
     # -- comparison / hashing / display -------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self.is_rational() and self.coeffs.get(0, 0) == other
         if not isinstance(other, CycloNum):
             return NotImplemented
@@ -191,12 +181,9 @@ class CycloNum:
     # -- serialization -------------------------------------------------------
 
     def to_obj(self) -> dict:
-        """{"m": m, "c": [[e, num, den], ...]} with exponents ascending."""
-        c = []
-        for e in sorted(self.coeffs):
-            f = Fraction(self.coeffs[e])
-            c.append([e, f.numerator, f.denominator])
-        return {"m": self.order, "c": c}
+        """{"m": m, "c": [[e, c, 1], ...]} with exponents ascending; the third
+        field, a denominator, is always 1."""
+        return {"m": self.order, "c": [[e, self.coeffs[e], 1] for e in sorted(self.coeffs)]}
 
     @staticmethod
     def from_obj(obj: dict) -> "CycloNum":
@@ -206,7 +193,7 @@ class CycloNum:
         m, terms = obj["m"], obj["c"]
         if type(m) is not int or type(terms) is not list:
             raise ValueError("m must be an integer and c a list")
-        coeffs: dict[int, Rational] = {}
+        coeffs: dict[int, int] = {}
         prev = -1
         for term in terms:
             if type(term) is not list or len(term) != 3 or not (
@@ -217,9 +204,7 @@ class CycloNum:
                 raise ValueError("exponents must be ascending in [0, m)")
             prev = e
             if den != 1:
-                num = Fraction(num, den)
-                if num.denominator != den:
-                    raise ValueError("coefficients must be in lowest terms, denominator > 0")
+                raise ValueError("a coefficient must be an integer: denominator 1")
             coeffs[e] = num
         v = CycloNum(m, coeffs, reduced=True)  # refuses m < 1 before m is factored
         if _reduce(m, coeffs) != coeffs:
@@ -235,7 +220,7 @@ def hermitian_sum(xs, ys, weights) -> CycloNum:
     canonical basis by a single reduction: reduction is linear, so reducing
     once equals reducing every product."""
     m = xs[0].order
-    raw: dict[int, Rational] = {}
+    raw: dict[int, int] = {}
     get = raw.get
     for x, y, w in zip(xs, ys, weights, strict=True):
         if x.order != m or y.order != m:

@@ -51,12 +51,18 @@ from math import gcd, lcm
 Perm = bytes
 
 DEFAULT_ORDER_BUDGET = 200_000
+# Largest class count `Group.classes` accepts.  The scan checks it after each
+# class (and its Galois family) and stops as soon as it is passed.
+# The exact verify grows as r^3 in the class count r: at r = 64 a table takes
+# 0.7 s (C2^6, Python 3.11, 2-vCPU host), and the registry needs at most 22.
+# A fixed limit, not a setting.
+MAX_CLASSES = 64
 MAX_DEGREE = 256  # points are byte values
 
 
 class BudgetExceeded(RuntimeError):
     """The group exceeds a size limit: the order budget or the class
-    ceiling (`chartab.MAX_CLASSES`)."""
+    ceiling `MAX_CLASSES`."""
 
 
 class NotBijection(ValueError):
@@ -347,6 +353,10 @@ class Group:
                         if y < least[k]:
                             least[k] = y
             found.extend((o, len(orbit), y) for y in least.values())
+            if len(found) > MAX_CLASSES:
+                store.update(dict.fromkeys(store, -1))  # so a rescan starts afresh
+                raise BudgetExceeded(f"more than {MAX_CLASSES} conjugacy classes "
+                                     f"exceed the budget {MAX_CLASSES}")
         order = sorted(range(len(found)), key=found.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # inverse of order
         members: list[list[Perm]] = [[] for _ in found]

@@ -1,11 +1,11 @@
 """Exact number-theoretic primitives.
 
-Cyclotomic polynomial values, multiplicative orders, least primitive prime
-divisors (with the two classical exception patterns), a strict-inequality
-sweep over every prime power bounding field automorphism counts against
-class counts, searches for restricted q-1/q+1 factorizations over the
-candidates q = 2^k +- 1, and maximal-torus order evaluation for the
-classical and exceptional families.  Everything is integer-exact.
+Cyclotomic polynomial values, least primitive prime divisors (with the two
+classical exception patterns), a strict-inequality sweep over every prime
+power bounding field automorphism counts against class counts, searches for
+restricted q-1/q+1 factorizations over the candidates q = 2^k +- 1, and
+maximal-torus order evaluation for the classical and exceptional families.
+Everything is integer-exact.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from math import prod
-
-
-class NotCoprime(ValueError):
-    pass
 
 
 class NotPrimePower(ValueError):
@@ -67,20 +63,6 @@ def cyclotomic_poly_value(n: int, q: int) -> int:
     return val
 
 
-def mult_order(q: int, l: int) -> int:
-    """Least d >= 1 with q^d = 1 (mod l), for prime l not dividing q."""
-    import sympy
-
-    if not sympy.isprime(l):
-        raise ValueError(f"{l} is not prime")
-    if q % l == 0:
-        raise NotCoprime(f"{l} divides {q}")
-    for d in sympy.divisors(l - 1):
-        if pow(q, d, l) == 1:
-            return d
-    raise AssertionError("unreachable: order divides l-1")
-
-
 @dataclass(frozen=True)
 class ZsigmondyOutcome:
     q: int
@@ -98,8 +80,8 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
 
     The two exception patterns: (q, n) = (2, 6), and n = 2 with q + 1 a power
     of two.  Primitive prime divisors all divide Phi_n(q), so only its prime
-    factors are tested; a candidate qualifies iff its multiplicative order at
-    q is exactly n.
+    factors are tested.  For a prime l dividing Phi_n(q), n is the order of
+    q mod l times a power of l, so l is primitive iff l does not divide n.
     """
     import sympy
 
@@ -112,7 +94,7 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
     if n == 2 and _is_power_of_two(q + 1):
         return ZsigmondyOutcome(q, n, None, "N2_QPLUS1_POW2")
     for l in sorted(sympy.primefactors(cyclotomic_poly_value(n, q))):
-        if mult_order(q, l) == n:
+        if n % l:
             return ZsigmondyOutcome(q, n, l, None)
     raise AssertionError(f"no primitive prime divisor for ({q}, {n})")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import lcm
 
-from .chartab import CharacterTable, central_classes, is_faithful, kernel_of
+from .chartab import CharacterTable, central_classes, is_faithful
 from .constructions import GroupRecipe, RegistryError, find_recipe
 from .cyclo import trial_factor
 

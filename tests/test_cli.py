@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import charzeros
@@ -15,6 +16,9 @@ from charzeros.cli import main
 from charzeros.constructions import registry
 from charzeros.groupcore import Group, parse_group_file
 from charzeros.vanishing import BurnsideReport
+
+
+PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
 
 def run(capsys, *argv):
@@ -183,6 +187,33 @@ def test_overlong_integer_literal_is_malformed(tmp_path, capsys):
         rc, out, err = run(capsys, verb, str(f))
         assert (rc, out) == (1, ""), (verb, err)
         assert err.count("\n") == 1 and "malformed table file" in err, (verb, err)
+
+
+def test_denominator_is_refused_by_every_read_verb(tmp_path, capsys):
+    # entries are cyclotomic integers: `table` writes every denominator as 1,
+    # and a file with any other one does not load
+    obj = json.loads((PINNED_TABLES / "PSL_2_7_.tbl").read_text())
+    term = obj["rows"][1][1]["c"][0]
+    assert term[2] == 1
+    f = tmp_path / "den.tbl"
+    for den in (2, 0, -1):
+        term[2] = den
+        f.write_text(json.dumps(obj))
+        for verb in ("verify", "zeros", "star", "classify"):
+            for fmt in ("text", "json"):
+                rc, out, err = run(capsys, verb, str(f), "--format", fmt)
+                assert (rc, out) == (1, ""), (den, verb, fmt)
+                assert err.count("\n") == 1 and "malformed table file" in err, (den, verb, err)
+
+
+def test_class_ceiling_stops_the_scan(tmp_path, capsys):
+    # C2^16 has 65536 classes; the scan stops once it has found 65
+    f = tmp_path / "c2_16.grp"
+    f.write_text("degree 32\n" + "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(16)))
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "table", str(f))
+    assert (rc, out, err) == (1, "", "error: more than 64 conjugacy classes exceed the budget 64\n")
+    assert time.perf_counter() - start < 1
 
 
 _FUZZ_VALUES = (10**40, -1, -10**30, 0, 1.5, True, None, "", "x", [], [[]], {})
@@ -417,7 +448,7 @@ def test_budget_failures(tmp_path, capsys):
     f.write_text("degree 12\n(1 2 3)\n(4 5 6)\n(7 8 9)\n(10 11 12)\n")
     rc, out, err = run(capsys, "table", str(f))
     assert (rc, out) == (1, "")
-    assert err == "error: 81 conjugacy classes exceed the budget 64\n"
+    assert err == "error: more than 64 conjugacy classes exceed the budget 64\n"
     rc, _, err = run(capsys, "table", "A5", "--max-order", "10")
     assert rc == 1 and "budget" in err
     # --max-order is the only size setting

@@ -78,11 +78,18 @@ def test_bytes_perms_match_tuple_definitions():
 def test_degree_is_at_most_256():
     cycle = "(" + " ".join(str(p) for p in range(1, 257)) + ")"
     g = parse_group_file(f"degree 256\n{cycle}\n")
-    assert g.order == 256 and g.num_classes == 256
+    assert g.order == 256
     elems = sorted(g.elements)  # the 256 shifts, the k-th power k-th in lex order
     assert elems == [bytes((i + k) % 256 for i in range(256)) for k in range(256)]
     assert elems[0] == identity_perm(256) and perm_order(elems[1]) == 256
-    assert [c.rep for c in g.classes] == [elems[0], *sorted(elems[1:], key=perm_order)]
+    # 256 classes pass the class ceiling; the aborted scan leaves no class numbers
+    with pytest.raises(BudgetExceeded, match="^more than 64 conjugacy classes"):
+        g.classes
+    assert set(g.elements.values()) == {-1}
+    # the 4th power of the cycle: degree 256 and 64 classes, at the ceiling
+    h = Group([elems[4]], degree=256)
+    assert h.order == 64 and h.num_classes == 64
+    assert [c.rep for c in h.classes] == [elems[0], *sorted(elems[4::4], key=perm_order)]
     with pytest.raises(GroupFileError, match="exceeds the largest degree 256"):
         parse_group_file(f"degree 257\n{cycle}\n")
     with pytest.raises(ValueError, match="degree 300 exceeds 256"):

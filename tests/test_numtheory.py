@@ -7,12 +7,10 @@ import sympy
 from charzeros import numtheory
 from charzeros.numtheory import (
     DiophantineSolutionSet,
-    NotCoprime,
     NotPrimePower,
     UnsupportedFamily,
     cyclotomic_poly_value,
     diophantine_solutions,
-    mult_order,
     outer_bound_sweep,
     prime_power,
     torus_orders,
@@ -63,24 +61,6 @@ def test_cyclotomic_examples():
     assert cyclotomic_poly_value(12, 3) == 73
 
 
-def test_mult_order():
-    assert mult_order(2, 5) == 4
-    assert mult_order(3, 13) == 3
-    assert mult_order(4, 7) == 3
-    for l in (3, 5, 7, 11, 13, 17):
-        for q in range(2, 20):
-            if q % l == 0:
-                continue
-            d = mult_order(q, l)
-            assert d == sympy.n_order(q, l)
-            assert (l - 1) % d == 0
-
-
-def test_mult_order_rejects_shared_factor():
-    with pytest.raises(NotCoprime):
-        mult_order(10, 5)
-
-
 def test_zsigmondy_matches_brute():
     for q in PRIME_POWERS_50[:8]:
         for n in range(2, 9):
@@ -105,7 +85,7 @@ def test_zsigmondy_prime_properties():
             l = out.prime
             assert (q**n - 1) % l == 0
             assert all((q**i - 1) % l for i in range(1, n))
-            assert mult_order(q, l) == n
+            assert sympy.n_order(q, l) == n
 
 
 def test_zsigmondy_rejects():
