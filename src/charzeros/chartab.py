@@ -10,9 +10,12 @@ in order of size and splits every block that is still more than
 1-dimensional by the eigenspaces of one A_i.  A block is held by a
 row-echelon basis, so the restriction of A_i to it needs only the rows of
 A_i at the block's pivots (`Group.class_row`), never the whole matrix; the
-walk stops as soon as every block is a line.  A block on which A_i is a
-scalar cannot split, so it is kept without computing or factoring a minimal
-polynomial.  The split is deterministic.
+walk stops as soon as every block is a line.  A block is spanned by the
+central characters it holds, all 1 at the identity class, so that class is
+its first pivot.  Hence a block on which A_i is a scalar, which cannot split,
+is seen from its basis alone and kept without reading a class row, and on
+any other block one Krylov row gives the minimal polynomial.  The split is
+deterministic.
 Once the characters are separated, each character degree follows from the
 orthogonality relations and every entry lifts uniquely to an exact
 cyclotomic number through its root-of-unity multiplicities: one length-o
@@ -33,7 +36,6 @@ from math import gcd, lcm
 
 from .cyclo import CycloNum, hermitian_sum, trial_factor
 from .groupcore import Degenerate, Group, cycle_points, format_cycles
-from .groupcore import MAX_CLASSES, BudgetExceeded  # noqa: F401  (the limits on `character_table`)
 
 
 class TableFileError(ValueError):
@@ -78,10 +80,6 @@ def _row_key(degree: int, row) -> tuple:
 
 # -- linear algebra mod l ------------------------------------------------------------
 
-def _mat_vec(a, v, l):
-    return [sum(x * y for x, y in zip(row, v)) % l for row in a]
-
-
 def _rref(mat, l):
     """In-place reduced row echelon form; returns pivot column list."""
     rows = len(mat)
@@ -124,40 +122,18 @@ def _kernel_basis(mat, l):
 
 
 def _min_poly(b, l):
-    """Minimal polynomial (descending, monic) via Krylov annihilators of the
-    standard basis vectors; their lcm is the minimal polynomial."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_lcm
-
-    d = len(b)
-    mp = [1]
-    for t in range(d):
-        if len(mp) == d + 1:
-            break
-        v = [0] * d
-        v[t] = 1
-        # rows: echelonized Krylov vectors with tracked combinations
-        rows: list[tuple[list[int], list[int]]] = []
-        w, power = v, 0
-        while True:
-            vec = w[:]
-            combo = [0] * (len(rows) + 1)
-            combo[-1] = 1  # coefficient of B^power * v
-            for rv, rc in rows:
-                lead = next((i for i in range(d) if rv[i]), None)
-                if lead is not None and vec[lead]:
-                    f = vec[lead] * pow(rv[lead], l - 2, l) % l
-                    vec = [(x - f * y) % l for x, y in zip(vec, rv)]
-                    combo = [(x - f * y) % l for x, y in
-                             zip(combo, rc + [0] * (len(combo) - len(rc)))]
-            if not any(vec):
-                ann = combo  # ascending coefficients of the annihilator
-                break
-            rows.append((vec, combo))
-            w = _mat_vec(b, w, l)
-            power += 1
-        mp = gf_lcm(mp, ann[::-1], l, ZZ)
-    return mp
+    """Minimal polynomial (descending, monic) of a diagonalisable b whose
+    eigenvectors all have a nonzero first coordinate.  The row vector e_0 then
+    has a component in every eigenspace, so the least p with e_0 p(b) = 0 is
+    the minimal polynomial: the first dependence among e_0 b^j, j = 0..d."""
+    cols = list(zip(*b))
+    krylov = [[int(t == 0) for t in range(len(b))]]  # e_0
+    for _ in b:
+        krylov.append([sum(x * y for x, y in zip(krylov[-1], c)) % l for c in cols])
+    ann = _kernel_basis([list(c) for c in zip(*krylov)], l)[0]  # ascending
+    while not ann[-1]:
+        ann.pop()
+    return ann[::-1]
 
 
 def _poly_roots(p, l):
@@ -185,6 +161,12 @@ def _separate(group: Group, l: int) -> list[list[int]]:
     A_i restricts to the d x d matrix whose (s, t) entry is
     class_row(i, p_s) . b_t.  Each block is split into the eigenspaces of
     that matrix, one class at a time, smallest classes first.
+
+    The first pivot p_1 is class 0, and class_row(i, 0) is the indicator of
+    class i, so row 1 of the restriction is (b_1[i], .., b_d[i]).  A_i is a
+    scalar on the block exactly when b_2[i] = .. = b_d[i] = 0 (see
+    `_min_poly`).  Were p_1 ever another class, a missed eigenvalue or an
+    unsplit block would raise `Degenerate`.
     """
     classes = group.classes
     r = len(classes)
@@ -194,16 +176,12 @@ def _separate(group: Group, l: int) -> list[list[int]]:
             break
         split = []
         for basis, pivots in blocks:
-            d = len(basis)
-            if d == 1:
-                split.append((basis, pivots))
-                continue
-            rows = [group.class_row(i, p) for p in pivots]
-            b = [[sum(x * y for x, y in zip(row, v)) % l for v in basis] for row in rows]
-            if all(b[s][t] == (b[0][0] if s == t else 0)
-                   for s in range(d) for t in range(d)):
+            if not any(v[i] for v in basis[1:]):
                 split.append((basis, pivots))  # A_i is scalar here: no split
                 continue
+            d = len(basis)
+            rows = [group.class_row(i, p) for p in pivots]
+            b = [[sum(x * y for x, y in zip(row, v)) % l for v in basis] for row in rows]
             roots = _poly_roots(_min_poly(b, l), l)
             found = 0
             for e in roots:
@@ -252,11 +230,9 @@ def character_table(group: Group) -> CharacterTable:
     inv_class = [p[-1] for p in powers]
 
     chars = []
-    for v in vecs:
-        if v[0] == 0:
+    for u in vecs:  # each has u[0] = 1: its pivot is the identity class
+        if u[0] != 1:
             raise Degenerate("eigenvector vanishes at the identity class")
-        v0 = pow(v[0], l - 2, l)
-        u = [x * v0 % l for x in v]
         s = sum(u[j] * u[inv_class[j]] % l * size_inv[j] for j in range(r)) % l
         if s == 0:
             raise Degenerate("orthogonality sum vanished mod l")

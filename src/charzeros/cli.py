@@ -62,13 +62,13 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
         print(f"wrote {out} ({summary})")
 
 
-def _obtain_table(target: str, args) -> CharacterTable:
+def _obtain_table(target: str, max_order: int, seed: int = 0) -> CharacterTable:
     """Registry name: the table `build` validated.  File: a table file if it
     starts with '{', which must pass verify_table and keeps its recorded
     seed, otherwise a group file to compute from.  A computed table records
-    --seed."""
+    seed."""
     if target in registry_names():
-        return replace(build(target, max_order=args.max_order)[1], seed=args.seed)
+        return replace(build(target, max_order=max_order)[1], seed=seed)
     p = Path(target)
     if not p.is_file():
         raise RegistryError(
@@ -81,8 +81,8 @@ def _obtain_table(target: str, args) -> CharacterTable:
         if not rep.ok:
             raise TableFileError(rep.violations[0])
         return t
-    g = parse_group_file(text, max_order=args.max_order)
-    return replace(character_table(g), seed=args.seed)
+    g = parse_group_file(text, max_order=max_order)
+    return replace(character_table(g), seed=seed)
 
 
 # -- verb handlers ---------------------------------------------------------------
@@ -96,7 +96,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    t = _obtain_table(args.target, args)
+    t = _obtain_table(args.target, args.max_order, args.seed)
     _emit(table_to_text(t), args.out,
           f"{t.group}: order {t.order}, {len(t.classes)} classes")
     return 0
@@ -129,7 +129,7 @@ def _check_row(t: CharacterTable, row: int | None) -> None:
 
 
 def _cmd_zeros(args) -> int:
-    t = _obtain_table(args.target, args)
+    t = _obtain_table(args.target, args.max_order)
     _check_row(t, args.row)
     rows = range(len(t.rows)) if args.row is None else [args.row]
     entries = []
@@ -153,7 +153,7 @@ def _cmd_zeros(args) -> int:
 
 
 def _cmd_star(args) -> int:
-    t = _obtain_table(args.target, args)
+    t = _obtain_table(args.target, args.max_order)
     _check_row(t, args.row)
     if args.row is not None:
         reports = [star_check(t, args.row, out_order=args.out_order)]
@@ -167,7 +167,7 @@ def _cmd_star(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    t = _obtain_table(args.target, args)
+    t = _obtain_table(args.target, args.max_order)
     rep = classify_one_class(t)
     if args.format == "json":
         sys.stdout.write(_json(asdict(rep)))
@@ -336,10 +336,12 @@ def _add_format(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _add_table_options(p) -> None:
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed recorded in the table file; the split is "
-                        "deterministic (default 0)")
+def _add_table_options(p, seed: bool = False) -> None:
+    """--max-order, and --seed on the verbs that write a table file."""
+    if seed:
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed recorded in the table file; the split is "
+                            "deterministic (default 0)")
     p.add_argument("--max-order", type=int, default=DEFAULT_ORDER_BUDGET,
                    help=f"largest allowed group order "
                         f"(default {DEFAULT_ORDER_BUDGET})")
@@ -360,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="compute a character table")
     p.add_argument("target", help="registry group name or group file path")
     p.add_argument("--out")
-    _add_table_options(p)
+    _add_table_options(p, seed=True)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("verify", help="check a table file's orthogonality")
@@ -395,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "table, verification, and checks")
     p.add_argument("--dir", help="directory for table files and report.txt")
     _add_format(p)
-    _add_table_options(p)
+    _add_table_options(p, seed=True)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("numtheory", help="integer-arithmetic reports")

@@ -363,7 +363,6 @@ class Group:
         for x, n in store.items():
             store[x] = i = rank[n]
             members[i].append(x)
-        self.class_index = store
         classes = []
         for mem, n in zip(members, order):
             eo, size, rep = found[n]
@@ -372,11 +371,11 @@ class Group:
             classes.append(ConjugacyClass(mem[0], size, eo, tuple(mem)))
         return tuple(classes)
 
-    @cached_property
+    @property
     def class_index(self) -> dict[Perm, int]:
         """Class number of every element: `elements`, once `classes` has run."""
         self.classes
-        return self.__dict__["class_index"]
+        return self.elements
 
     @cached_property
     def num_classes(self) -> int:

@@ -467,6 +467,13 @@ def test_determinism_and_seed_field(capsys):
         0, t0.replace('"seed":0', '"seed":1'), "")
 
 
+def test_seed_only_where_it_is_written(capsys):
+    # the read verbs print no seed, so they take no --seed (a usage error)
+    for verb in ("zeros", "star", "classify"):
+        rc, out, err = run(capsys, verb, "C6", "--seed", "1")
+        assert (rc, out) == (2, "") and "--seed" in err, verb
+
+
 def test_order_budget_stops_enumeration(tmp_path, capsys):
     # S10 has 3628800 elements; enumeration must stop at the default budget
     f = tmp_path / "s10.grp"
