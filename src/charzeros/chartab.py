@@ -30,12 +30,11 @@ relations have been re-checked with exact arithmetic.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclo import CycloNum, hermitian_sum, trial_factor
-from .groupcore import Degenerate, Group, cycle_points, format_cycles
+from .groupcore import Degenerate, Group, canonical_cycle_points, format_cycles
 
 
 class TableFileError(ValueError):
@@ -60,7 +59,6 @@ class CharacterTable:
     group: str
     order: int
     exponent: int
-    seed: int  # file metadata only: `character_table` records 0
     classes: tuple[TableClass, ...]
     rows: tuple[tuple[CycloNum, ...], ...]
 
@@ -299,7 +297,6 @@ def character_table(group: Group) -> CharacterTable:
         group=group.name or "",
         order=n,
         exponent=m,
-        seed=0,
         classes=tuple(TableClass(size=c.size, element_order=c.element_order,
                                  centralizer=n // c.size, rep=format_cycles(c.rep),
                                  powers=powers[j])
@@ -416,13 +413,15 @@ def is_quasisimple(t: CharacterTable) -> bool:
 FORMAT_TAG = "chartab/1"
 
 
-def table_to_text(t: CharacterTable) -> str:
+def table_to_text(t: CharacterTable, seed: int = 0) -> str:
+    """The table file of t.  `seed` is recorded in the file only: the table
+    computation is deterministic, so no seed reaches it."""
     obj = {
         "format": FORMAT_TAG,
         "group": t.group,
         "order": t.order,
         "exponent": t.exponent,
-        "seed": t.seed,
+        "seed": seed,
         "classes": [
             {"size": c.size, "order": c.element_order, "centralizer": c.centralizer,
              "rep": c.rep, "powers": list(c.powers)}
@@ -434,13 +433,10 @@ def table_to_text(t: CharacterTable) -> str:
 
 
 def _rep_order(rep: str) -> int:
-    """Order of a representative in cycle notation: the lcm of its validated
-    cycle lengths.  Points are renumbered by rank first (0 stays 0, so
-    cycle_points still rejects it), which keeps the cycle type and keeps the
-    parse linear in the string however large a point is."""
-    rank = {p: i for i, p in enumerate(sorted({0, *map(int, re.findall(r"\d+", rep))}))}
-    return lcm(*map(len, cycle_points(re.sub(r"\d+", lambda d: str(rank[int(d[0])]), rep),
-                                      len(rank) - 1)))
+    """Order of a representative: the lcm of its cycle lengths.  Only the
+    canonical cycle notation that `format_cycles` writes, on at most 256
+    points, is read (`canonical_cycle_points`)."""
+    return lcm(*map(len, canonical_cycle_points(rep)))
 
 
 def _product_generators(o: int) -> list[int]:
@@ -528,7 +524,7 @@ def table_from_text(text: str) -> CharacterTable:
         _record(obj, "format group order exponent seed classes rows")
         order = _typed(obj["order"], int)
         exponent = _typed(obj["exponent"], int)
-        seed = _typed(obj["seed"], int)
+        _typed(obj["seed"], int)  # recorded by `table`, not part of the table
         group = _typed(obj["group"], str)
         classes = tuple(map(_table_class, _typed(obj["classes"], list)))
         _check_classes(classes, order, exponent)
@@ -543,5 +539,5 @@ def table_from_text(text: str) -> CharacterTable:
         raise
     except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise TableFileError(str(exc)) from None
-    return CharacterTable(group=group, order=order, exponent=exponent, seed=seed,
+    return CharacterTable(group=group, order=order, exponent=exponent,
                           classes=classes, rows=tuple(rows))

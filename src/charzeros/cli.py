@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -62,13 +62,12 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
         print(f"wrote {out} ({summary})")
 
 
-def _obtain_table(target: str, max_order: int, seed: int = 0) -> CharacterTable:
+def _obtain_table(target: str, max_order: int) -> CharacterTable:
     """Registry name: the table `build` validated.  File: a table file if it
-    starts with '{', which must pass verify_table and keeps its recorded
-    seed, otherwise a group file to compute from.  A computed table records
-    seed."""
+    starts with '{', which must pass verify_table, otherwise a group file to
+    compute from."""
     if target in registry_names():
-        return replace(build(target, max_order=max_order)[1], seed=seed)
+        return build(target, max_order=max_order)[1]
     p = Path(target)
     if not p.is_file():
         raise RegistryError(
@@ -82,7 +81,7 @@ def _obtain_table(target: str, max_order: int, seed: int = 0) -> CharacterTable:
             raise TableFileError(rep.violations[0])
         return t
     g = parse_group_file(text, max_order=max_order)
-    return replace(character_table(g), seed=seed)
+    return character_table(g)
 
 
 # -- verb handlers ---------------------------------------------------------------
@@ -96,8 +95,8 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    t = _obtain_table(args.target, args.max_order, args.seed)
-    _emit(table_to_text(t), args.out,
+    t = _obtain_table(args.target, args.max_order)
+    _emit(table_to_text(t, args.seed), args.out,
           f"{t.group}: order {t.order}, {len(t.classes)} classes")
     return 0
 
@@ -180,7 +179,7 @@ def _suite_rows(args, failures: list[str]):
     rows = []
     simple_tables = []
     for name in sorted(registry_names()):
-        t = replace(build(name, max_order=args.max_order)[1], seed=args.seed)
+        t = build(name, max_order=args.max_order)[1]
         burn = burnside_check(t)
         two = two_prime_degree_check(t)
         cls = classify_one_class(t)
@@ -204,7 +203,7 @@ def _suite_rows(args, failures: list[str]):
         })
         if args.dir:
             fname = "".join(c if c.isalnum() else "_" for c in name) + ".tbl"
-            (Path(args.dir) / fname).write_text(table_to_text(t))
+            (Path(args.dir) / fname).write_text(table_to_text(t, args.seed))
     survey = simple_one_class_survey(simple_tables)
     for e in survey.entries:
         if not e.ok:

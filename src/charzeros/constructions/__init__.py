@@ -1,7 +1,6 @@
 """Concrete group constructors and the buildable-group registry."""
 
 from .builders import (
-    Unsupported,
     alternating,
     cyclic,
     pgl2,
@@ -23,7 +22,7 @@ from .registry import (
 )
 
 __all__ = [
-    "Unsupported", "alternating", "cyclic", "pgl2", "psl2", "psl2_semilinear",
+    "alternating", "cyclic", "pgl2", "psl2", "psl2_semilinear",
     "sl2", "suzuki", "suzuki_semilinear", "twisted_m10", "unitary3",
     "GroupRecipe", "RegistryError", "ValidationFailed", "build",
     "find_recipe", "registry_names",

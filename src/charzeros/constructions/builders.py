@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from ..fields import FqField, gf
 from ..groupcore import MAX_DEGREE, Group
-from ..numtheory import NotPrimePower, prime_power
-
-
-class Unsupported(ValueError):
-    pass
+from ..numtheory import prime_power
 
 
 MIN_Q, MAX_Q_LINEAR = 4, 32
@@ -23,13 +19,13 @@ MIN_Q, MAX_Q_LINEAR = 4, 32
 def _field_of(q: int) -> FqField:
     pf = prime_power(q)
     if pf is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise ValueError(f"{q} is not a prime power")
     return gf(*pf)
 
 
 def _check_q(q: int):
     if not MIN_Q <= q <= MAX_Q_LINEAR:
-        raise Unsupported(f"q = {q} outside the supported range "
+        raise ValueError(f"q = {q} outside the supported range "
                           f"[{MIN_Q}, {MAX_Q_LINEAR}]")
 
 
@@ -37,14 +33,14 @@ def _check_q(q: int):
 
 def cyclic(n: int) -> Group:
     if n < 1:
-        raise Unsupported("n must be >= 1")
+        raise ValueError("n must be >= 1")
     gen = tuple((i + 1) % n for i in range(n))
     return Group([gen], degree=n, name=f"C{n}")
 
 
 def alternating(n: int) -> Group:
     if not 5 <= n <= 9:
-        raise Unsupported(f"alternating(n) supports 5 <= n <= 9, got {n}")
+        raise ValueError(f"alternating(n) supports 5 <= n <= 9, got {n}")
     three = (1, 2, 0) + tuple(range(3, n))
     if n % 2:
         big = tuple(range(1, n)) + (0,)
@@ -120,9 +116,9 @@ def twisted_m10() -> Group:
 def sl2(q: int) -> Group:
     _check_q(q)
     if q % 2 == 0:
-        raise Unsupported("sl2 requires odd q (even q gives PSL2 again)")
+        raise ValueError("sl2 requires odd q (even q gives PSL2 again)")
     if q * q - 1 > MAX_DEGREE:
-        raise Unsupported(f"sl2({q}) acts on {q * q - 1} points, "
+        raise ValueError(f"sl2({q}) acts on {q * q - 1} points, "
                           f"more than the largest degree {MAX_DEGREE}")
     F = _field_of(q)
     vecs = [(x, y) for x in F.elements() for y in F.elements() if (x, y) != (0, 0)]
@@ -195,7 +191,7 @@ def _suzuki_maps(F: FqField):
 
 def suzuki(q: int = 8) -> Group:
     if q != 8:
-        raise Unsupported("only Sz(8) is within the order budget")
+        raise ValueError("only Sz(8) is within the order budget")
     F = gf(2, 3)
     t_perm, m_perm, w_perm, _ = _suzuki_maps(F)
     gens = [t_perm(1, 0), t_perm(0, 1), m_perm(F.generator), w_perm()]
@@ -215,7 +211,7 @@ def unitary3(q: int = 4) -> Group:
     """PSU3(q) (= SU3(q) when gcd(3, q+1) = 1) on the q^3 + 1 isotropic
     points of the Hermitian form x1*conj(y3) + x2*conj(y2) + x3*conj(y1)."""
     if q != 4:
-        raise Unsupported("only PSU3(4) is within the order budget")
+        raise ValueError("only PSU3(4) is within the order budget")
     F = gf(2, 4)
 
     def conj(x):

@@ -8,6 +8,11 @@ lex order below is the lex order of the image tuples.  Everything is
 enumerated explicitly under an order budget, which keeps every downstream
 computation exact and deterministic.
 
+As text, a permutation is written in cycle notation on 1-based points.  A
+group file may spell its generators as any disjoint cycles (`cycle_points`);
+`format_cycles` writes the one canonical spelling, the only one that
+`canonical_cycle_points` reads back (a table file's class representatives).
+
 Enumeration is Dimino's (Butler, *Fundamental Algorithms for Permutation
 Groups*, LNCS 559, 1991): a generator already in the subgroup H built so far
 is skipped; each other one is kept and grows H by left cosets r*H, each
@@ -65,10 +70,6 @@ class BudgetExceeded(RuntimeError):
     ceiling `MAX_CLASSES`."""
 
 
-class NotBijection(ValueError):
-    pass
-
-
 class GroupFileError(ValueError):
     pass
 
@@ -98,18 +99,7 @@ def identity_perm(n: int) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
-    seen = [False] * len(a)
-    o = 1
-    for i in range(len(a)):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = a[j]
-            ln += 1
-        o = lcm(o, ln)
-    return o
+    return lcm(1, *map(len, perm_cycles(a)))
 
 
 def perm_cycles(a: Perm) -> list[tuple[int, ...]]:
@@ -129,12 +119,15 @@ def perm_cycles(a: Perm) -> list[tuple[int, ...]]:
     return out
 
 
+def _cycle_text(cycles) -> str:
+    return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycles) or "()"
+
+
 def format_cycles(a: Perm) -> str:
-    """Cycle notation on 1-based points; the identity prints as ()."""
-    cycs = perm_cycles(a)
-    if not cycs:
-        return "()"
-    return "".join("(" + " ".join(str(p + 1) for p in c) + ")" for c in cycs)
+    """Canonical cycle notation on 1-based points: no 1-cycles, each cycle
+    from its least point, cycles in order of that point, one space between
+    points; the identity prints as ()."""
+    return _cycle_text(perm_cycles(a))
 
 
 def cycle_points(line: str, degree: int) -> list[list[int]]:
@@ -142,7 +135,8 @@ def cycle_points(line: str, degree: int) -> list[list[int]]:
     0-based points; the points are 1-based in the line and lie in [1, degree].
 
     A point repeated anywhere in the line would make the map non-injective,
-    so it is rejected.
+    so it is rejected.  Each point is range-checked as it is read, so a line
+    is refused at its first point outside the degree.
     """
     s = line.strip()
     if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+", s):
@@ -150,15 +144,28 @@ def cycle_points(line: str, degree: int) -> list[list[int]]:
     cycles = []
     used: set[int] = set()
     for body in re.findall(r"\(([^()]*)\)", s):
-        pts = [int(t) - 1 for t in body.split()]
-        for p in pts:
+        pts = []
+        for t in body.split():
+            p = int(t) - 1
             if not 0 <= p < degree:
                 raise GroupFileError(f"point {p + 1} outside degree {degree}")
             if p in used:
-                raise NotBijection(f"point {p + 1} repeated: map is not a bijection")
+                raise GroupFileError(f"point {p + 1} repeated: map is not a bijection")
             used.add(p)
+            pts.append(p)
         if pts:
             cycles.append(pts)
+    return cycles
+
+
+def canonical_cycle_points(line: str) -> list[list[int]]:
+    """The cycles of a line that is exactly what `format_cycles` writes, on
+    at most MAX_DEGREE points, as `cycle_points` gives them; any other
+    spelling of a permutation is refused."""
+    cycles = cycle_points(line, MAX_DEGREE)
+    canon = sorted(c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles if len(c) > 1)
+    if _cycle_text(canon) != line:
+        raise GroupFileError(f"not in canonical cycle notation: {line!r}")
     return cycles
 
 
@@ -174,7 +181,7 @@ def parse_cycles(line: str, degree: int) -> Perm:
 def check_perm(images, degree: int) -> Perm:
     t = tuple(images)
     if len(t) != degree or sorted(t) != list(range(degree)):
-        raise NotBijection(f"image list is not a bijection on 0..{degree - 1}")
+        raise ValueError(f"image list is not a bijection on 0..{degree - 1}")
     return bytes(t)
 
 

@@ -15,14 +15,6 @@ from functools import cache
 from math import prod
 
 
-class NotPrimePower(ValueError):
-    pass
-
-
-class UnsupportedFamily(ValueError):
-    pass
-
-
 def _strip(x: int, p: int) -> tuple[int, int]:
     """Return (e, x / p^e) with p^e the exact p-part of x."""
     e = 0
@@ -86,7 +78,7 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
     import sympy
 
     if prime_power(q) is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise ValueError(f"{q} is not a prime power")
     if n < 2:
         raise ValueError("n must be >= 2")
     if (q, n) == (2, 6):
@@ -242,7 +234,7 @@ def torus_orders(family: str, n: int, q: int) -> list[TorusOrder]:
     parenthesis in the source table by the even-row pattern.
     """
     if prime_power(q) is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise ValueError(f"{q} is not a prime power")
     rows: list[tuple[int, int]] | None = None  # (order, l-argument)
     if family == "A":
         if n >= 1:
@@ -272,9 +264,9 @@ def torus_orders(family: str, n: int, q: int) -> list[TorusOrder]:
             rows = [(prod(cyclotomic_poly_value(k, q) for k in ks), arg)
                     for ks, arg in shapes]
     else:
-        raise UnsupportedFamily(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {family!r}")
     if rows is None:
-        raise UnsupportedFamily(f"family {family!r} has no row for n = {n}")
+        raise ValueError(f"family {family!r} has no row for n = {n}")
     out = []
     for i, (order, arg) in enumerate(rows):
         zs = zsigmondy(q, arg) if arg >= 2 else None

@@ -463,18 +463,19 @@ def test_file_rejects_inconsistent_class_data(get_table):
     rejected(lambda cls, obj: obj.update(
         exponent=1000000007 * 998244353,
         rows=[[dict(v, m=obj["exponent"]) for v in row] for row in obj["rows"]]))
-    # a huge point costs what its digits cost, not a list that long
-    obj = json.loads(text)
-    obj["classes"][1]["rep"] = "(1 99999999999999999)(2 3)"
-    assert table_from_text(json.dumps(obj)).classes[1].rep == "(1 99999999999999999)(2 3)"
-    # a rep on more points than a group may have: only its cycle type counts
+    # a rep lies on points 1..256: a huge point, point 257 and a rep on 260
+    # points are refused
+    rejected(lambda cls, obj: cls[1].update(rep="(1 99999999999999999)(2 3)"))
+    rejected(lambda cls, obj: cls[1].update(rep="(1 257)(2 3)"))
     five_cycles = "".join("(" + " ".join(str(5 * i + j) for j in range(1, 6)) + ")"
                           for i in range(52))
-    obj["classes"][3]["rep"] = five_cycles  # 260 points, order 5
-    assert table_from_text(json.dumps(obj)).classes[3].rep == five_cycles
-    assert _rep_order("(" + " ".join(map(str, range(1, 301))) + ")") == 300
-    assert _rep_order("(1 2)(300 301 302)") == 6
-    assert _rep_order("()") == _rep_order("(7)") == 1
+    rejected(lambda cls, obj: cls[3].update(rep=five_cycles))  # 260 points, order 5
+    assert _rep_order("(" + " ".join(map(str, range(1, 257))) + ")") == 256
+    assert _rep_order("(1 2)(254 255 256)") == 6
+    assert _rep_order("()") == 1
+    for rep in ("(1 257)", "(7)", "(2 1)", "(3 4)(1 2)", "(1  2)", " (1 2)", "(1 2)()"):
+        with pytest.raises(ValueError):
+            _rep_order(rep)
 
 
 def _composes(classes) -> bool:

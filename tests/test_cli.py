@@ -128,9 +128,37 @@ def test_malformed_table_prefix_printed_once(tmp_path, capsys):
     f = str(_a5_table(tmp_path, capsys, edit))
     rc, out, err = run(capsys, "verify", f)
     assert (rc, out) == (1, "") and err.count("malformed table file") == 1
-    assert "point 0 outside degree 3" in err
+    assert "point 0 outside degree 256" in err
     rc, out, err = run(capsys, "zeros", f)
     assert (rc, out) == (1, "") and err.count("malformed table file") == 1
+
+
+def test_table_file_reps_only_in_canonical_form(tmp_path, capsys):
+    # the involution "(2 3)(4 5)" of A5 spelled as `table` never writes it,
+    # or with two more points beyond the largest degree 256
+    for rep in ("(4 5)(2 3)", "(3 2)(5 4)", "( 2 3 )(4 5)", "(2 3)(4 5)(1)",
+                "(2 3)(4 5)()", "(2 03)(4 5)", "(2 3)(4 5)(300 301)"):
+        def edit(obj):
+            assert obj["classes"][1]["rep"] == "(2 3)(4 5)"
+            obj["classes"][1]["rep"] = rep
+
+        rc, out, err = run(capsys, "verify", str(_a5_table(tmp_path, capsys, edit)))
+        assert (rc, out) == (1, "") and "malformed table file" in err, (rep, err)
+
+
+def test_table_of_a_table_file_records_the_given_seed(capsys):
+    text = (PINNED_TABLES / "C6.tbl").read_text()
+    assert '"seed":0' in text
+    rc, out, err = run(capsys, "table", str(PINNED_TABLES / "C6.tbl"), "--seed", "5")
+    assert (rc, out, err) == (0, text.replace('"seed":0', '"seed":5'), "")
+
+
+def test_table_of_a_pinned_table_file_is_that_file(capsys):
+    # a table file read back and written again is the same bytes
+    files = sorted(PINNED_TABLES.glob("*.tbl"))
+    assert len(files) == 35
+    for f in files:
+        assert run(capsys, "table", str(f)) == (0, f.read_text(), ""), f.name
 
 
 def test_table_file_verdicts_read_verified_tables(tmp_path, capsys):
@@ -279,7 +307,8 @@ def test_table_file_fuzz_exits_cleanly(tmp_path, capsys, get_table):
             if rc == 0:
                 t = table_from_text(text)
                 assert verify_table(t).ok, (n, verb, head, last)
-                assert _canonical(table_to_text(t)) == _canonical(text), (n, head, last)
+                seed = json.loads(text)["seed"]
+                assert _canonical(table_to_text(t, seed)) == _canonical(text), (n, head, last)
 
 
 def test_group_file_degree_is_bounded_and_directives_are_whole_words(tmp_path, capsys):
