@@ -26,13 +26,20 @@ class of each family and the other classes permute its multiplicities.
 Each distinct multiplicity vector of a table becomes one shared value.  A
 table is released only after the full first and second orthogonality
 relations have been re-checked with exact arithmetic.
+The numbers mod l are small (l = 16381 for Sz(8):3, the largest in the
+registry), so the computation needs no computer algebra: the eigenvalues are
+the roots of minimal polynomials in `fpoly`, and l, its least primitive
+root and each degree (the least d <= sqrt|G| with d^2 = |G|/s mod l) are
+found by trial.  sympy serves only `numtheory` and the fallback of
+`cyclo.trial_factor`.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
+from . import fpoly
 from .cyclo import CycloNum, hermitian_sum, trial_factor
 from .groupcore import Degenerate, Group, canonical_cycle_points, format_cycles
 
@@ -135,18 +142,14 @@ def _min_poly(b, l):
 
 
 def _poly_roots(p, l):
-    """Roots in F_l of a squarefree polynomial (descending coefficients) that
-    splits into linear factors; ascending order."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_factor_sqf
-
-    _, factors = gf_factor_sqf(p, l, ZZ)
-    roots = []
-    for f in factors:
-        if len(f) != 2:
-            raise Degenerate("eigenvalue outside the working prime field")
-        roots.append(int(-int(f[1])) % l)
-    return sorted(roots)
+    """Roots in F_l, ascending, of a polynomial (descending coefficients)
+    that is squarefree and splits into linear factors, as the minimal
+    polynomial of a class matrix restricted to a block does when l is a
+    splitting prime for the class algebra."""
+    roots = fpoly.split_roots(p[::-1], l)
+    if roots is None:
+        raise Degenerate("eigenvalue outside the working prime field")
+    return roots
 
 
 def _separate(group: Group, l: int) -> list[list[int]]:
@@ -202,18 +205,23 @@ def _separate(group: Group, l: int) -> list[list[int]]:
 # -- the table computation -----------------------------------------------------------
 
 def _dixon_prime(order: int, exponent: int) -> int:
-    from sympy import isprime
-
+    """The least prime l = 1 (mod exponent) with l > 2 sqrt(order)."""
     l = exponent + 1
-    while l * l <= 4 * order or not isprime(l):
+    while l * l <= 4 * order or trial_factor(l, l) != [(l, 1)]:
         l += exponent
     return l
 
 
-def character_table(group: Group) -> CharacterTable:
-    from sympy import primitive_root
-    from sympy.ntheory.residue_ntheory import sqrt_mod
+def _least_generator(l: int) -> int:
+    """The least generator of the units mod the prime l.  It fixes the
+    embedding of the roots of unity: another generator would give
+    Galois-conjugate rows, and so other file bytes."""
+    qs = [q for q, _ in trial_factor(l - 1, l)]
+    return next(g for g in range(1, l)
+                if all(pow(g, (l - 1) // q, l) != 1 for q in qs))
 
+
+def character_table(group: Group) -> CharacterTable:
     classes = group.classes
     r = len(classes)
     n = group.order
@@ -235,15 +243,15 @@ def character_table(group: Group) -> CharacterTable:
         if s == 0:
             raise Degenerate("orthogonality sum vanished mod l")
         dd = n * pow(s, l - 2, l) % l
-        roots = sqrt_mod(dd, l, all_roots=True)
-        if not roots:
+        # the degree d satisfies d^2 = dd and d <= sqrt(n) < l/2
+        d = next((x for x in range(1, isqrt(n) + 1) if x * x % l == dd), None)
+        if d is None:
             raise Degenerate("degree square has no root mod l")
-        d = min(roots)
         chars.append((d, u))
     if sum(d * d for d, _ in chars) != n:
         raise Degenerate("degree squares do not sum to the group order")
 
-    g0 = primitive_root(l)
+    g0 = _least_generator(l)
     w = pow(g0, (l - 1) // m, l)
     # dft[o][t][s] = w_o^(-ts) / o, with w_o a primitive o-th root of unity
     # mod l: the multiplicity of zeta_o^t in chi restricted to <g> is

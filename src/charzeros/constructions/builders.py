@@ -10,17 +10,17 @@ from __future__ import annotations
 
 from ..fields import FqField, gf
 from ..groupcore import MAX_DEGREE, Group
-from ..numtheory import prime_power
+from ..cyclo import trial_factor
 
 
 MIN_Q, MAX_Q_LINEAR = 4, 32
 
 
 def _field_of(q: int) -> FqField:
-    pf = prime_power(q)
-    if pf is None:
+    pf = trial_factor(q, q)
+    if len(pf) != 1:
         raise ValueError(f"{q} is not a prime power")
-    return gf(*pf)
+    return gf(*pf[0])
 
 
 def _check_q(q: int):

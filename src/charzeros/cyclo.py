@@ -21,14 +21,14 @@ There is no field arithmetic: the one computation on values is
 need, formed in the group ring Z[C_m] and reduced once.
 
 Reading and checking a table needs no computer algebra, so this module, like
-every module on that read path, does not import sympy.  sympy is the one
-routine for factoring numbers a user supplies (`numtheory`) and for F_p[x]
-(`galoistools`, in `chartab` and `fields`), imported inside the functions
-that compute a table, a field or a number-theory answer.  The read path
-factors only numbers that its input file bounds: class orders, the exponent
-(their lcm), the centre order and the degrees, whose primes divide the
-exponent.  It does so by trial division in `trial_factor`, which hands a
-cofactor it cannot finish to sympy, so the answer is exact for any input.
+every module on that read path, does not import sympy, and neither do the
+modules that compute a table or a field.  sympy serves only `numtheory`,
+which factors numbers a user supplies, and the fallback of `trial_factor`.
+The read path factors only numbers that its input file bounds: class
+orders, the exponent (their lcm), the centre order and the degrees, whose
+primes divide the exponent.  It does so by trial division in
+`trial_factor`, which hands a cofactor it cannot finish to sympy, so the
+answer is exact for any input.
 """
 
 from __future__ import annotations

@@ -319,6 +319,15 @@ def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monk
     assert degrees and min(degrees) >= 2, sorted(degrees)[:5]
 
 
+def test_forced_prime_outside_the_splitting_field_is_refused(get_group, monkeypatch):
+    # A5's central characters take values in Q(sqrt 5), and 5 is not a square
+    # mod 7, so a class matrix's minimal polynomial does not split over F_7
+    monkeypatch.setattr(chartab, "_dixon_prime", lambda order, exponent: 7)
+    with pytest.raises(groupcore.Degenerate,
+                       match="^eigenvalue outside the working prime field$"):
+        character_table(get_group("A5"))
+
+
 PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
 

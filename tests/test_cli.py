@@ -382,6 +382,23 @@ def test_suite_reports_burnside_violation(capsys, monkeypatch):
     assert err == "A5: degree-3 row 1 never vanishes\n"
 
 
+def test_suite_json_matches_the_text_report(capsys):
+    # the pinned text report and the JSON report list the same groups with
+    # the same verdicts
+    rc, out, err = run(capsys, "suite", "--format", "json")
+    assert (rc, err) == (0, "")
+    rep = json.loads(out)
+    *rows, survey, summary = (PINNED_TABLES / "report.txt").read_text().splitlines()[1:]
+    flag = {True: "ok", False: "FAIL", None: "none"}
+    assert [[g["group"], str(g["order"]), str(g["classes"]), flag[g["table_ok"]],
+             flag[g["burnside_ok"]], flag[g["two_prime_ok"]], flag[g["classify"]],
+             ",".join(map(str, g["star_degrees"])) or "--"]
+            for g in rep["groups"]] == [line.split() for line in rows]
+    assert survey == f"simple-group survey over {len(rep['survey']['entries'])} groups: ok"
+    assert summary == f"suite: {len(rep['groups'])} groups, all checks passed"
+    assert (rep["seed"], rep["ok"], rep["survey"]["ok"]) == (0, True, True)
+
+
 def test_zeros_text(capsys):
     rc, out, _ = run(capsys, "zeros", "PSL(2,7)")
     assert rc == 0
@@ -598,6 +615,24 @@ def test_numtheory_torus(capsys):
     assert rc == 0
     assert "family A, n = 1, q = 5:" in out
     assert "order 6" in out and "order 4" in out and "= 3" in out
+
+
+def test_numtheory_torus_json(capsys):
+    # the same rows as the text form: a prime, an exception, not applicable
+    rc, out, _ = run(capsys, "numtheory", "torus", "A", "5", "2")
+    assert (rc, out) == (0, "family A, n = 5, q = 2:\n"
+                            "  T1: order 63, l(6) exception (Q2N6)\n"
+                            "  T2: order 31, l(5) = 31\n")
+    rc, out, _ = run(capsys, "numtheory", "torus", "A", "5", "2", "--format", "json")
+    assert rc == 0 and json.loads(out) == [
+        {"label": "T1", "order": 63, "zsig_n": 6, "zsig_prime": None,
+         "zsig_exception": "Q2N6"},
+        {"label": "T2", "order": 31, "zsig_n": 5, "zsig_prime": 31,
+         "zsig_exception": None}]
+    rc, out, _ = run(capsys, "numtheory", "torus", "A", "1", "5", "--format", "json")
+    assert rc == 0 and json.loads(out)[1] == {
+        "label": "T2", "order": 4, "zsig_n": 1, "zsig_prime": None,
+        "zsig_exception": None}  # l(1) not applicable
 
 
 def test_usage_errors(capsys):

@@ -1,0 +1,100 @@
+"""F_l[x] arithmetic and the eigenvalue root finder, with sympy's galoistools
+as the oracle (sympy serves the tests here, not the table computation)."""
+import json
+import random
+from pathlib import Path
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import ZZ
+
+from charzeros import fpoly
+from charzeros.chartab import _dixon_prime, _least_generator, _poly_roots
+from charzeros.groupcore import Degenerate
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
+# (order, exponent) of every registry group, read from its pinned table
+SHAPES = sorted({(t["order"], t["exponent"])
+                 for t in map(json.loads, map(Path.read_text, TABLES.glob("*.tbl")))})
+REGISTRY_PRIMES = sorted({_dixon_prime(n, m) for n, m in SHAPES})
+
+
+def desc(a):
+    """An ascending fpoly list as galoistools' descending one."""
+    return a[::-1]
+
+
+def polys(l, max_degree=8):
+    return st.lists(st.integers(0, l - 1), max_size=max_degree + 1).map(fpoly._strip)
+
+
+def field_and_polys(n):
+    return st.sampled_from((2, 3, 7, 31, 16381)).flatmap(
+        lambda l: st.tuples(st.just(l), *(polys(l) for _ in range(n))))
+
+
+@PROPERTY
+@given(field_and_polys(3), st.integers(0, 40))
+def test_arithmetic_matches_galoistools(args, e):
+    l, a, b, m = args
+    assert desc(fpoly.mul(a, b, l)) == gt.gf_mul(desc(a), desc(b), l, ZZ)
+    assert desc(fpoly.plus(a, 5, l)) == gt.gf_add_ground(desc(a), 5, l, ZZ)
+    assert desc(fpoly.gcd(a, b, l)) == gt.gf_gcd(desc(a), desc(b), l, ZZ)
+    if m:
+        q, r = fpoly.divmod_(a, m, l)
+        assert (desc(q), desc(r)) == tuple(gt.gf_div(desc(a), desc(m), l, ZZ))
+        assert desc(fpoly.rem(a, m, l)) == gt.gf_rem(desc(a), desc(m), l, ZZ)
+    if len(m) > 1:  # galoistools leaves 1 unreduced modulo a constant
+        assert desc(fpoly.pow_mod(a, e, m, l)) == gt.gf_pow_mod(desc(a), e, desc(m), l, ZZ)
+        assert desc(fpoly.compose_mod(a, b, m, l)) == \
+            gt.gf_compose_mod(desc(a), desc(b), desc(m), l, ZZ)
+
+
+def test_registry_primes_are_the_least_dixon_primes():
+    assert len(SHAPES) > 20 and REGISTRY_PRIMES[-1] == 16381  # Sz(8):3
+    for n, m in SHAPES:
+        l = m + 1
+        while l * l <= 4 * n or not sympy.isprime(l):
+            l += m
+        assert _dixon_prime(n, m) == l, (n, m)
+
+
+def test_least_generator_is_the_least_primitive_root():
+    for l in sorted(set(REGISTRY_PRIMES) | set(sympy.primerange(3, 2000))):
+        assert _least_generator(l) == sympy.primitive_root(l), l
+
+
+def test_roots_match_galoistools_on_split_products():
+    # every minimal polynomial the split meets is a product of distinct
+    # linear factors over the working prime: random ones, at each such prime
+    rng = random.Random(21)
+    for l in REGISTRY_PRIMES:
+        for _ in range(30):
+            roots = rng.sample(range(l), rng.randint(1, min(l, 12)))
+            p = [rng.randrange(1, l)]  # a unit leading coefficient, descending
+            for r in roots:
+                p = gt.gf_mul(p, [1, -r % l], l, ZZ)
+            _, factors = gt.gf_factor_sqf(p, l, ZZ)
+            assert all(len(f) == 2 for f in factors)
+            want = sorted(int(-f[1]) % l for f in factors)
+            assert _poly_roots(p, l) == want == sorted(roots), (l, p)
+
+
+@pytest.mark.parametrize("p, l", [
+    ([1, 0, 4], 7),         # x^2 - 3, irreducible: 3 is not a square mod 7
+    ([1, 4, 4], 7),         # (x - 5)^2
+    ([1, 2, 1], 31),        # (x + 1)^2
+    ([1, 0, 0, 0], 5),      # x^3
+    ([1, 0, 0, 5], 7),      # x^3 - 2, irreducible: 2 is not a cube mod 7
+    ([1, 0, 4, 0], 7),      # x (x^2 - 3): one root in F_7, two outside
+    ([1, 16379, 1], 16381), # (x - 1)^2 at the largest registry prime
+])
+def test_roots_refuse_a_polynomial_that_does_not_split_into_distinct_factors(p, l):
+    _, factors = gt.gf_factor(p, l, ZZ)
+    assert any(len(f) > 2 or k > 1 for f, k in factors)  # the oracle agrees
+    with pytest.raises(Degenerate, match="^eigenvalue outside the working prime field$"):
+        _poly_roots(p, l)

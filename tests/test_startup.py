@@ -1,6 +1,7 @@
-"""Cold start: `import charzeros` and the read verbs on a table file never
-import sympy; the verbs that compute load it when they need it.  Each check
-runs in a fresh interpreter, since this one has sympy loaded already."""
+"""Cold start: `import charzeros`, the read verbs on a table file and the
+verbs that compute a table never import sympy; `numtheory` loads it when it
+needs it.  Each check runs in a fresh interpreter, since this one has sympy
+loaded already."""
 import json
 import os
 import subprocess
@@ -57,10 +58,18 @@ def test_read_verbs_start_without_sympy(capsys):
     assert all(rc == 0 for rc, _ in child["results"])
 
 
-def test_computing_verbs_load_sympy_on_demand(capsys):
-    argvs = [["numtheory", "zsigmondy", "2", "10"], ["table", "A5"]]
+def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
+    # a table, a build and the whole suite compute over F_l with `fpoly` and
+    # trial division; only numtheory, which factors numbers a user supplies,
+    # loads sympy.  Each verb starts from the state the one before it left.
+    out = tmp_path / "suite"
+    argvs = [["table", "A5"], ["build", "A5"], ["suite", "--dir", str(out)],
+             ["numtheory", "zsigmondy", "2", "10"]]
     child = _fresh(argvs)
-    assert child["loaded"] == [False, True, True]
-    assert child["results"] == _here(capsys, argvs)
-    assert child["results"][0] == [0, "least primitive prime divisor of 2^10 - 1: 11\n"]
-    assert child["results"][1] == [0, (TABLES / "A5.tbl").read_text()]
+    assert child["loaded"] == [False, False, False, False, True]
+    assert child["results"][0] == [0, (TABLES / "A5.tbl").read_text()]
+    assert child["results"][1] == _here(capsys, argvs[1:2])[0]
+    assert child["results"][2] == [0, (TABLES / "report.txt").read_text()]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == \
+        {p.name: p.read_bytes() for p in TABLES.iterdir()}
+    assert child["results"][3] == [0, "least primitive prime divisor of 2^10 - 1: 11\n"]

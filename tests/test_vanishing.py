@@ -128,6 +128,17 @@ def test_burnside(get_table):
     assert a5.checked_rows == 4
 
 
+def test_burnside_violation_on_a_hand_built_table(get_table):
+    # no group's table breaks Burnside's theorem, so a row of A5's is edited:
+    # each zero of row 1 (degree 3) becomes 1, and only that row is flagged
+    t = get_table("A5")
+    one = CycloNum(t.exponent, {0: 1})
+    edited = tuple(one if v.is_zero() else v for v in t.rows[1])
+    assert edited != t.rows[1]
+    rep = burnside_check(replace(t, rows=(t.rows[0], edited) + t.rows[2:]))
+    assert (rep.ok, rep.checked_rows, rep.violations) == (False, 4, (1,))
+
+
 def test_two_prime(get_table):
     rep = two_prime_degree_check(get_table("PSL(2,5)"))
     assert rep.ok and rep.flagged == ()
