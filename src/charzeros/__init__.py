@@ -4,7 +4,7 @@ The usual entry points:
 
     build(name)            a registry group and its validated character table
     character_table(g)     exact complex character table, rows of cyclotomics
-    verify_table(t)        exact degree and orthogonality audit
+    verify_table(t)        exact degree, Galois-law and orthogonality audit
     star_check(t, row)     vanishing-pattern test on one row
     classify_one_class(t)  faithful single-vanishing-class degrees vs expected
 

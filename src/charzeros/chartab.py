@@ -24,8 +24,14 @@ Classes fall into Galois families, the classes of rep^k for k prime to o,
 and chi(g^k) = sigma_k(chi(g)), so the transform runs only at the least
 class of each family and the other classes permute its multiplicities.
 Each distinct multiplicity vector of a table becomes one shared value.  A
-table is released only after the full first and second orthogonality
-relations have been re-checked with exact arithmetic.
+table is released only after `verify_table` has re-checked it exactly: the
+Galois law chi(g^k) = sigma_k(chi(g)) against the power maps, at generators
+of the units mod the exponent, and then the row orthogonality relations.
+The law makes each row inner product a rational integer, so these are
+decided modulo one prime l = 1 (mod exp(G)) above a bound on their size,
+and the column relations follow from the row relations.  Only a table that
+fails a check has its relations summed as cyclotomic integers, to name
+every failing one.
 The numbers mod l are small (l = 16381 for Sz(8):3, the largest in the
 registry), so the computation needs no computer algebra: the eigenvalues are
 the roots of minimal polynomials in `fpoly`, and l, its least primitive
@@ -38,6 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from . import fpoly
 from .cyclo import CycloNum, hermitian_sum, trial_factor
@@ -204,11 +211,11 @@ def _separate(group: Group, l: int) -> list[list[int]]:
 
 # -- the table computation -----------------------------------------------------------
 
-def _dixon_prime(order: int, exponent: int) -> int:
-    """The least prime l = 1 (mod exponent) with l > 2 sqrt(order)."""
-    l = exponent + 1
-    while l * l <= 4 * order or trial_factor(l, l) != [(l, 1)]:
-        l += exponent
+def _prime_above(bound: int, step: int) -> int:
+    """The least prime l > bound with l = 1 (mod step)."""
+    l = bound + 1 + -bound % step
+    while trial_factor(l, l) != [(l, 1)]:
+        l += step
     return l
 
 
@@ -226,7 +233,7 @@ def character_table(group: Group) -> CharacterTable:
     r = len(classes)
     n = group.order
     m = group.exponent
-    l = _dixon_prime(n, m)
+    l = _prime_above(isqrt(4 * n), m)  # l > 2 sqrt(|G|)
 
     vecs = _separate(group, l)
 
@@ -326,11 +333,111 @@ class TableReport:
     violations: tuple[str, ...]
 
 
+# From this bound on |<chi_i, chi_j> - want| up, the row relations are summed
+# exactly: it caps the trial division that finds the prime of `_rows_hold_mod_l`.
+# The registry's largest bound is 686,400 (PSU(3,4)).
+_MODULAR_CEILING = 1 << 32
+
+
+def _unit_generators(m: int) -> list[int]:
+    """Generators of the units mod m, one or two for each prime power q
+    exactly dividing m: units that are 1 mod m/q and, mod q, a primitive root
+    for odd q, -1 for q = 4, and -1 and 5 for q = 2^k, k >= 3."""
+    gens = []
+    for p, k in trial_factor(m, m):
+        q = p**k
+        if p == 2:
+            roots = [-1, 5][:k - 1]
+        else:
+            g = _least_generator(p)
+            roots = [g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g]
+        lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
+        gens += [(1 + (g - 1) * lift) % m for g in roots]
+    return gens
+
+
+def _distinct_entries(t: CharacterTable) -> tuple[list[tuple], list[list[int]]]:
+    """The distinct entries of t, each as its sorted (exponent, coefficient)
+    pairs, and for each entry its index in that list."""
+    index: dict[tuple, int] = {}
+    cells = [[index.setdefault(tuple(sorted(v.coeffs.items())), len(index)) for v in row]
+             for row in t.rows]
+    return list(index), cells
+
+
+def _galois_violations(t: CharacterTable, values: list[tuple],
+                       cells: list[list[int]]) -> list[str]:
+    """The Galois law chi(g^k) = sigma_k(chi(g)) for k in generators of the
+    units mod the exponent m, where sigma_k maps zeta_m to zeta_m^k.  The class
+    of g^k is read from the power maps, which must permute the classes and
+    keep their sizes.  With composing power maps (`_check_classes`), the law
+    at generators gives it at every unit.  `values` and `cells` are those of
+    `_distinct_entries`."""
+    m = t.exponent
+    r = len(t.classes)
+    index = {v: n for n, v in enumerate(values)}
+    bad = []
+    for k in _unit_generators(m):
+        image = [c.powers[k % c.element_order] for c in t.classes]
+        if sorted(image) != list(range(r)) or any(
+                t.classes[p].size != c.size for p, c in zip(image, t.classes)):
+            bad.append(f"galois {k}: g -> g^{k} is not a size-preserving permutation "
+                       f"of the classes")
+            continue
+        sigma = []  # sigma_k on the distinct entries, as indices; -1 is no entry
+        for n, v in enumerate(values):
+            if all(e * k % m == e for e, _ in v):  # as for a rational value
+                sigma.append(n)
+            else:
+                w = CycloNum(m, {e * k % m: c for e, c in v})
+                sigma.append(index.get(tuple(sorted(w.coeffs.items())), -1))
+        for j, p in enumerate(image):
+            rows = [i for i, row in enumerate(cells) if sigma[row[j]] != row[p]]
+            if rows:
+                bad.append(f"galois {k}: class {j} -> {p}: rows {', '.join(map(str, rows))} "
+                           f"break chi(g^{k}) = sigma_{k}(chi(g))")
+    return bad
+
+
+def _rows_hold_mod_l(t: CharacterTable, values: list[tuple], cells: list[list[int]]) -> bool:
+    """Whether every row relation sum_k |C_k| chi_i(g_k) conj(chi_j(g_k)) =
+    |G| [i = j] holds, decided in one prime field, for a table that obeys
+    the Galois law.  Each sigma_k then permutes the terms of the sum, which
+    is so a rational integer alpha_ij.  Basis elements are roots of unity, so
+    by Cauchy-Schwarz |alpha_ij| <= B = max_i sum_k |C_k| |chi_i(g_k)|_1^2, with
+    |x|_1 the sum of the absolute coefficients.  For a prime l > B + |G|
+    with l = 1 (mod m), zeta_m -> w, a primitive m-th root of unity mod l,
+    maps alpha_ij to alpha_ij mod l, which then equals the wanted value mod l
+    only if alpha_ij does.  False when some relation fails or B + |G| reaches
+    `_MODULAR_CEILING`.  `values` and `cells` are those of `_distinct_entries`."""
+    m, n = t.exponent, t.order
+    sizes = [c.size for c in t.classes]
+    norm = [sum(abs(c) for _, c in v) ** 2 for v in values]
+    bound = max(sum(s * norm[x] for s, x in zip(sizes, row)) for row in cells)
+    if bound + n >= _MODULAR_CEILING:
+        return False
+    l = _prime_above(bound + n, m)
+    w = pow(_least_generator(l), (l - 1) // m, l)
+    at = [sum(c * pow(w, e, l) for e, c in v) % l for v in values]
+    conj = [sum(c * pow(w, -e % m, l) for e, c in v) % l for v in values]  # at w^-1
+    xs = [[s * at[x] for s, x in zip(sizes, row)] for row in cells]
+    ys = [[conj[x] for x in row] for row in cells]
+    return all(sum(map(mul, xs[i], ys[j])) % l == (n if i == j else 0)  # n < l
+               for i in range(len(xs)) for j in range(i, len(xs)))
+
+
 def verify_table(t: CharacterTable) -> TableReport:
-    """Exact checks: row orthonormality weighted by class sizes, column
-    orthogonality against centralizer orders, positive integer degrees and
-    the degree-square sum.  Entries are cyclotomic integers by construction,
-    and a file with a denominator does not load."""
+    """Exact checks: positive integer degrees and the degree-square sum, the
+    Galois law on the power maps (`_galois_violations`), row orthonormality
+    weighted by class sizes and column orthogonality against centralizer
+    orders.  Entries are cyclotomic integers by construction, and a file with
+    a denominator does not load.  The class data is what `table_from_text`
+    checks (`_check_classes`).
+
+    A table that obeys the Galois law has integer row inner products, and
+    those are decided in one prime field (`_rows_hold_mod_l`).  A table that
+    fails a check has every orthogonality relation summed exactly, to name
+    each failing one; its Galois lines come last."""
     bad: list[str] = []
     r = len(t.classes)
     if len(t.rows) != r:
@@ -351,6 +458,19 @@ def verify_table(t: CharacterTable) -> TableReport:
         bad.append("trivial-row: row 0 is not the all-ones character")
 
     sizes = [c.size for c in t.classes]
+    # For the square table X and D = diag(sizes), X D X* = |G| I makes X
+    # invertible with X* X = |G| D^-1: the column relations hold whenever the
+    # row relations do and the sizes divide the order.  They are summed only
+    # when they can fail, to name the failing columns.  The modular path also
+    # needs the sizes positive.
+    cols_follow = t.order > 0 and all(s >= 1 and t.order % s == 0 for s in sizes)
+    galois = []  # read only from a square table with every entry at the exponent
+    if all(len(row) == r and all(v.order == t.exponent for v in row) for row in t.rows):
+        values, cells = _distinct_entries(t)
+        galois = _galois_violations(t, values, cells)
+        if not galois and cols_follow and _rows_hold_mod_l(t, values, cells):
+            return TableReport(not bad, tuple(bad))
+
     rows_ok = True
     for i in range(r):
         for j in range(i, r):
@@ -358,19 +478,15 @@ def verify_table(t: CharacterTable) -> TableReport:
             if hermitian_sum(t.rows[i], t.rows[j], sizes) != want:
                 bad.append(f"row-orth {i},{j}: inner product != {want}")
                 rows_ok = False
-    # For the square table X and D = diag(sizes), X D X* = |G| I makes X
-    # invertible with X* X = |G| D^-1: the column relations hold whenever the
-    # row relations do and the sizes divide a nonzero order.  They are summed
-    # only when they can fail, to name the failing columns.
-    if rows_ok and t.order and not any(t.order % s for s in sizes):
-        return TableReport(not bad, tuple(bad))
-    cols = [[row[k] for row in t.rows] for k in range(r)]
-    ones = [1] * r
-    for k in range(r):
-        for kk in range(k, r):
-            want = t.order // sizes[k] if k == kk else 0
-            if hermitian_sum(cols[k], cols[kk], ones) != want:
-                bad.append(f"col-orth {k},{kk}: inner product != {want}")
+    if not (rows_ok and cols_follow):
+        cols = [[row[k] for row in t.rows] for k in range(r)]
+        ones = [1] * r
+        for k in range(r):
+            for kk in range(k, r):
+                want = t.order // sizes[k] if k == kk else 0
+                if hermitian_sum(cols[k], cols[kk], ones) != want:
+                    bad.append(f"col-orth {k},{kk}: inner product != {want}")
+    bad += galois
     return TableReport(not bad, tuple(bad))
 
 

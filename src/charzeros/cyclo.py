@@ -16,9 +16,12 @@ A power zeta_m^e outside the basis reduces in one local step per offending
 prime: eta^(phi(p^k)+r) = -sum_{j<p-1} eta^(j*p^(k-1)+r), the relation
 Phi_{p^k}(eta) = 0 shifted by r < p^(k-1).
 
-There is no field arithmetic: the one computation on values is
-`hermitian_sum`, the weighted inner product that the orthogonality checks
-need, formed in the group ring Z[C_m] and reduced once.
+There is no field arithmetic.  Values are built, compared and mapped by
+Galois automorphisms (zeta_m -> zeta_m^k, a constructor call on the moved
+exponents).  `hermitian_sum`, the weighted inner product formed in the group
+ring Z[C_m] and reduced once, serves the orthogonality checks of a table
+that fails `chartab.verify_table`: an accepted table has its inner products
+decided modulo a prime instead.
 
 Reading and checking a table needs no computer algebra, so this module, like
 every module on that read path, does not import sympy, and neither do the

@@ -53,7 +53,8 @@ def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("f must be >= 1")
-    if p > MAX_Q or p**f > MAX_Q:
+    # p >= 2, so f >= MAX_Q.bit_length() gives p^f > MAX_Q before p^f is formed
+    if p > MAX_Q or f >= MAX_Q.bit_length() or p**f > MAX_Q:
         raise ValueError(f"p^f exceeds {MAX_Q}")
     qm1 = p**f - 1
     prime_parts = [l for l, _ in trial_factor(qm1, qm1)]

@@ -6,14 +6,15 @@ eigenvectors (snapped to exact cyclotomic integers and re-verified exactly),
 the normal-subgroup oracle does literal closure testing on element sets, the
 class oracle closes the generators breadth-first and scans the sorted
 elements, the
-primitive-divisor oracle scans prime factors directly, and the diophantine
-oracle scans every prime power up to the bound.
+primitive-divisor oracle scans prime factors directly, the diophantine
+oracle scans every prime power up to the bound, and the Galois-law oracle
+compares table values as complex numbers for every unit.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 import sympy
@@ -262,6 +263,32 @@ def brute_orth_violations(t) -> list[str]:
             if _inner(m, cols[k], cols[kk], [1] * r) != want:
                 out.append(f"col-orth {k},{kk}: inner product != {want}")
     return out
+
+
+def brute_galois_law(t) -> bool:
+    """Whether chi(g^k) = sigma_k(chi(g)) for every unit k mod the exponent
+    m, every row and every class, with the class of g^k read from the power
+    maps.  Both sides are compared in every complex embedding
+    zeta_m -> exp(2 pi i u / m): their difference is a cyclotomic integer, and
+    a nonzero one has a norm of absolute value >= 1, so some embedding moves
+    it by at least 1."""
+    m, r = t.exponent, len(t.classes)
+    units = [u for u in range(m) if gcd(u, m) == 1]
+    coeffs = np.zeros((r, r, m))
+    for i, row in enumerate(t.rows):
+        for j, v in enumerate(row):
+            for e, c in v.coeffs.items():
+                coeffs[i, j, e] = c
+    # at[n, i, j] = chi_i(g_j) in the embedding zeta_m -> exp(2 pi i units[n] / m)
+    at = np.stack([coeffs @ np.exp(2j * np.pi * u * np.arange(m) / m) for u in units])
+    where = {u: n for n, u in enumerate(units)}
+    for k in units:
+        image = [c.powers[k % c.element_order] for c in t.classes]
+        # sigma_k(x) in the embedding u is x in the embedding k u
+        moved = at[[where[k * u % m] for u in units]]
+        if np.abs(moved - at[:, :, image]).max() >= 0.5:
+            return False
+    return True
 
 
 def brute_table_rows(group: Group, *, tries: int = 6):

@@ -24,9 +24,10 @@ from charzeros.chartab import (
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
 from charzeros.groupcore import BudgetExceeded, format_group_file, parse_group_file, pinv
-from helpers import brute_min_poly_degree, brute_orth_violations, pmul
+from helpers import brute_galois_law, brute_min_poly_degree, brute_orth_violations, pmul
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
+PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
 
 def brute_tensor(group):
@@ -244,7 +245,7 @@ def test_verify_table_catches_any_single_entry_change(get_table):
     # change; a changed trivial-row entry breaks the all-ones row.  The
     # orthogonality lines must be those of both relations summed in full.
     rng = random.Random(12)
-    for name in ["A5", "PSL(2,7)", "SL(2,5)", "C6"]:
+    for name in ["A5", "PSL(2,7)", "SL(2,5)", "C6", "C8"]:
         t = get_table(name)
         assert brute_orth_violations(t) == []
         for i, row in enumerate(t.rows):
@@ -257,6 +258,125 @@ def test_verify_table_catches_any_single_entry_change(get_table):
                     assert not rep.ok, (name, i, j, w)
                     assert [x for x in rep.violations if "-orth " in x] == \
                         brute_orth_violations(bad), (name, i, j, w)
+                    # the law at the unit generators fails exactly when it
+                    # fails at some unit
+                    assert any(x.startswith("galois ") for x in rep.violations) == \
+                        (not brute_galois_law(bad)), (name, i, j, w)
+
+
+def _pinned(name: str) -> dict:
+    return json.loads((PINNED_TABLES / f"{re.sub(r'[^0-9A-Za-z]', '_', name)}.tbl").read_text())
+
+
+def _power_map_mutations(obj: dict):
+    """Table files with power maps edited while every class order stays
+    consistent: one entry set to another class of the same order, and the
+    classes of one Galois family, or of all, each sent to itself by every
+    unit."""
+    classes = obj["classes"]
+    for j, c in enumerate(classes):
+        for k in range(2, c["order"]):
+            o = classes[c["powers"][k]]["order"]
+            for p, d in enumerate(classes):
+                if d["order"] == o and p != c["powers"][k]:
+                    bad = json.loads(json.dumps(obj))
+                    bad["classes"][j]["powers"][k] = p
+                    yield bad
+    families = {frozenset(p for k, p in enumerate(c["powers"]) if math.gcd(k, c["order"]) == 1)
+                for c in classes}
+    for family in [f for f in families if len(f) > 1] + [range(len(classes))]:
+        bad = json.loads(json.dumps(obj))
+        for j in family:
+            c = bad["classes"][j]
+            c["powers"] = [j if math.gcd(k, c["order"]) == 1 else p
+                           for k, p in enumerate(c["powers"])]
+        yield bad
+
+
+def test_unit_generators_generate_the_units():
+    for m in range(1, 600):
+        gens, reached, grow = chartab._unit_generators(m), {1 % m}, [1 % m]
+        for x in grow:
+            for k in gens:
+                if x * k % m not in reached:
+                    reached.add(x * k % m)
+                    grow.append(x * k % m)
+        assert reached == {u for u in range(m) if math.gcd(u, m) == 1}, m
+    # 5 is the least primitive root mod 40487 but not one mod 40487^2
+    m, phi = 40487**2, 40487 * 40486
+    assert pow(5, 40486, m) == 1
+    (k,) = chartab._unit_generators(m)
+    assert all(pow(k, phi // q, m) != 1 for q in (2, 31, 653, 40487))
+
+
+def test_a5_power_maps_breaking_the_galois_law_are_rejected():
+    # 5A and 5B sent to themselves by every unit: the power maps compose and
+    # every order check passes, but sigma_2 swaps the values at 5A and 5B
+    obj = _pinned("A5")
+    assert [c["powers"] for c in obj["classes"][3:]] == [[0, 3, 4, 4, 3], [0, 4, 3, 3, 4]]
+    obj["classes"][3]["powers"] = [0, 3, 3, 3, 3]
+    obj["classes"][4]["powers"] = [0, 4, 4, 4, 4]
+    rep = verify_table(table_from_text(json.dumps(obj)))
+    assert rep == chartab.TableReport(False, (
+        "galois 7: class 3 -> 3: rows 1, 2 break chi(g^7) = sigma_7(chi(g))",
+        "galois 7: class 4 -> 4: rows 1, 2 break chi(g^7) = sigma_7(chi(g))"))
+
+
+def test_verify_agrees_with_the_brute_law_on_power_map_mutations():
+    # every mutation that loads is accepted exactly when the Galois law holds
+    # at every unit and both orthogonality relations hold in full
+    outcomes = []
+    for name in ["C4", "C5", "C12", "A5", "A6", "SL(2,5)", "PGL(2,5)", "PSL(2,7)", "PGL(2,7)",
+                 "PSL(2,11)", "PSL(2,13)"]:
+        for obj in _power_map_mutations(_pinned(name)):
+            try:
+                t = table_from_text(json.dumps(obj))
+            except TableFileError:
+                continue
+            ok = verify_table(t).ok
+            assert ok == (brute_galois_law(t) and brute_orth_violations(t) == []), name
+            outcomes.append(ok)
+    assert outcomes.count(False) >= 10 and outcomes.count(True) >= 3, outcomes
+
+
+def test_modular_relations_use_a_prime_above_their_size(get_table):
+    # C2 with row 1 = (1, x) obeys the Galois law for every x, so its row
+    # relations are decided mod l; x = 2 gives <chi_0, chi_1> = 3 and
+    # |chi_1|^2 = 5, which a prime l <= 5 would confuse with 0 and 2
+    t = get_table("C2")
+    for x in range(-40, 41):
+        rows = (t.rows[0], (t.rows[1][0], CycloNum(2, {0: x})))
+        bad = dataclasses.replace(t, rows=rows)
+        assert verify_table(bad).ok == (x == -1) == (brute_orth_violations(bad) == []), x
+
+
+def test_pinned_tables_pass_without_exact_sums(monkeypatch):
+    # an accepted table has its row relations decided mod one prime
+    def refused(*args):
+        raise AssertionError("hermitian_sum called")
+
+    monkeypatch.setattr(chartab, "hermitian_sum", refused)
+    files = sorted(PINNED_TABLES.glob("*.tbl"))
+    assert len(files) == 35
+    for f in files:
+        assert verify_table(table_from_text(f.read_text())).ok, f.name
+
+
+def test_verify_rejects_a_class_map_that_is_not_a_size_preserving_permutation(get_table):
+    t = get_table("A5")
+    c = list(t.classes)
+    assert [x.powers for x in c[3:]] == [(0, 3, 4, 4, 3), (0, 4, 3, 3, 4)]
+    line = "galois 7: g -> g^7 is not a size-preserving permutation of the classes"
+    # g -> g^7, which is g -> g^2 on 5-elements, sends 5A and 5B to 5B
+    merged = c[:4] + [dataclasses.replace(c[4], powers=(0, 4, 4, 3, 4))]
+    rep = verify_table(dataclasses.replace(t, classes=tuple(merged)))
+    assert rep == chartab.TableReport(False, (line,))
+    # 5A and 5B swapped by g -> g^7 but given sizes 11 and 13
+    resized = c[:3] + [dataclasses.replace(c[3], size=11), dataclasses.replace(c[4], size=13)]
+    rep = verify_table(dataclasses.replace(t, classes=tuple(resized)))
+    assert not rep.ok
+    assert rep.violations[-1] == line
+    assert all(not x.startswith("galois") for x in rep.violations[:-1])
 
 
 def test_kernels(get_table):
@@ -322,13 +442,10 @@ def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monk
 def test_forced_prime_outside_the_splitting_field_is_refused(get_group, monkeypatch):
     # A5's central characters take values in Q(sqrt 5), and 5 is not a square
     # mod 7, so a class matrix's minimal polynomial does not split over F_7
-    monkeypatch.setattr(chartab, "_dixon_prime", lambda order, exponent: 7)
+    monkeypatch.setattr(chartab, "_prime_above", lambda bound, step: 7)
     with pytest.raises(groupcore.Degenerate,
                        match="^eigenvalue outside the working prime field$"):
         character_table(get_group("A5"))
-
-
-PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
 
 def test_tables_match_pinned_files(corpus, get_table):

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface through main(argv)."""
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import pytest
 
 import charzeros
 from charzeros import cli, numtheory
@@ -171,6 +174,21 @@ def test_table_file_verdicts_read_verified_tables(tmp_path, capsys):
         assert (rc, out) == (1, ""), verb
         assert err.startswith("error: ") and err.count("\n") == 1, (verb, err)
         assert "row-orth" in err, verb
+
+
+def test_power_maps_breaking_the_galois_law_fail_every_read_verb(tmp_path, capsys):
+    # 5A and 5B each sent to itself by every unit: the file loads, and its
+    # rows and columns are orthonormal, but sigma_2 swaps 5A's and 5B's values
+    def edit(obj):
+        obj["classes"][3]["powers"] = [0, 3, 3, 3, 3]
+        obj["classes"][4]["powers"] = [0, 4, 4, 4, 4]
+
+    f = str(_a5_table(tmp_path, capsys, edit))
+    line = "galois 7: class 3 -> 3: rows 1, 2 break chi(g^7) = sigma_7(chi(g))"
+    rc, out, err = run(capsys, "verify", f)
+    assert (rc, out) == (1, "") and err.splitlines()[0] == f"A5: {line}"
+    for verb in ("zeros", "star", "classify"):
+        assert run(capsys, verb, f) == (1, "", f"error: malformed table file: {line}\n"), verb
 
 
 def test_os_errors_exit_2(tmp_path, capsys):
@@ -380,6 +398,22 @@ def test_suite_reports_burnside_violation(capsys, monkeypatch):
     rc, out, err = run(capsys, "suite")
     assert rc == 1 and "suite: 1 groups, 1 failures" in out
     assert err == "A5: degree-3 row 1 never vanishes\n"
+
+
+@pytest.mark.parametrize("name, change, line", [
+    ("Sz(8):3", {"two_prime_excused": False},
+     "Sz(8):3: unexcused two-prime-degree row with a single vanishing class"),
+    ("A5", {"one_class": (3, 4)}, "A5: one-class degrees [3, 3, 4] != expected [3, 4]"),
+    ("A5", {"simple_allowed": (3,)},
+     "A5: survey violation: one-class degrees [3, 3, 4] not in [3]"),
+])
+def test_suite_reports_each_recipe_mismatch(capsys, monkeypatch, add_recipe, name, change,
+                                            line):
+    monkeypatch.setattr(cli, "registry_names", lambda: (name,))
+    add_recipe(dataclasses.replace(registry.find_recipe(name), **change))
+    rc, out, err = run(capsys, "suite")
+    assert rc == 1 and out.endswith("suite: 1 groups, 1 failures\n")
+    assert err == line + "\n"
 
 
 def test_suite_json_matches_the_text_report(capsys):

@@ -122,6 +122,14 @@ def test_gf_rejections():
         conway_polynomial(2, 0)
 
 
+def test_huge_extension_degree_is_refused_before_p_to_the_f():
+    # 3^(10^7) has 4.8 million digits; forming it took seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"p\^f exceeds 1024"):
+        gf(3, 10**7)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_fqfield_class_alias():
     assert isinstance(gf(7), FqField)
 

@@ -2,6 +2,7 @@
 as the oracle (sympy serves the tests here, not the table computation)."""
 import json
 import random
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
 from charzeros import fpoly
-from charzeros.chartab import _dixon_prime, _least_generator, _poly_roots
+from charzeros.chartab import _least_generator, _poly_roots, _prime_above
 from charzeros.groupcore import Degenerate
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -20,7 +21,7 @@ TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 # (order, exponent) of every registry group, read from its pinned table
 SHAPES = sorted({(t["order"], t["exponent"])
                  for t in map(json.loads, map(Path.read_text, TABLES.glob("*.tbl")))})
-REGISTRY_PRIMES = sorted({_dixon_prime(n, m) for n, m in SHAPES})
+REGISTRY_PRIMES = sorted({_prime_above(isqrt(4 * n), m) for n, m in SHAPES})
 
 
 def desc(a):
@@ -60,7 +61,13 @@ def test_registry_primes_are_the_least_dixon_primes():
         l = m + 1
         while l * l <= 4 * n or not sympy.isprime(l):
             l += m
-        assert _dixon_prime(n, m) == l, (n, m)
+        assert _prime_above(isqrt(4 * n), m) == l, (n, m)
+        # any lower bound, as verify's l > B + |G| takes
+        for bound in (0, 1, m, 10 * n, 10 * n + 1):
+            l = bound + 1
+            while l % m != 1 % m or not sympy.isprime(l):
+                l += 1
+            assert _prime_above(bound, m) == l, (bound, m)
 
 
 def test_least_generator_is_the_least_primitive_root():
