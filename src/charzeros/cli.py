@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 from functools import cache
@@ -25,7 +26,13 @@ from .chartab import (
     table_to_text,
     verify_table,
 )
-from .constructions import RegistryError, ValidationFailed, build, registry_names
+from .constructions import (
+    RegistryError,
+    ValidationFailed,
+    build,
+    find_recipe,
+    registry_names,
+)
 from .groupcore import (
     DEFAULT_ORDER_BUDGET,
     BudgetExceeded,
@@ -175,35 +182,64 @@ def _cmd_classify(args) -> int:
     return 1 if rep.match is False else 0
 
 
+def _suite_table(name: str, max_order: int) -> CharacterTable:
+    return build(name, max_order=max_order)[1]
+
+
 def _suite_rows(args, failures: list[str]):
-    rows = []
-    simple_tables = []
-    for name in sorted(registry_names()):
-        t = build(name, max_order=args.max_order)[1]
-        burn = burnside_check(t)
-        two = two_prime_degree_check(t)
-        cls = classify_one_class(t)
-        held = sorted({r.degree for r in star_survey(t) if r.holds})
-        if not burn.ok:
-            failures.extend(f"{name}: degree-{t.degree(i)} row {i} never vanishes"
-                            for i in burn.violations)
-        if not two.ok:
-            failures.append(f"{name}: unexcused two-prime-degree row "
-                            f"with a single vanishing class")
-        if cls.match is False:
-            failures.append(
-                f"{name}: one-class degrees {list(cls.observed)} != "
-                f"expected {list(cls.expected)}")
-        if is_simple(t) and any(t.degree(i) > 1 for i in range(len(t.rows))):
-            simple_tables.append(t)
-        rows.append({
-            "group": name, "order": t.order, "classes": len(t.classes),
-            "table_ok": True, "burnside_ok": burn.ok, "two_prime_ok": two.ok,
-            "classify": cls.match, "star_degrees": held,
-        })
-        if args.dir:
-            fname = "".join(c if c.isalnum() else "_" for c in name) + ".tbl"
-            (Path(args.dir) / fname).write_text(table_to_text(t, args.seed))
+    """The suite's report rows, group by group in name order.  The tables are
+    built in worker processes, one per usable CPU, the largest group first so
+    that the long builds start at once; the reports and file writes stay
+    here.  The first failing group in name order raises, as in a serial run;
+    a worker that dies raises ChildProcessError instead of leaving the suite
+    waiting for it."""
+    import multiprocessing  # only the suite starts processes
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    names = sorted(registry_names())
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    pool = ProcessPoolExecutor(min(cpus, len(names)),
+                               mp_context=multiprocessing.get_context(start))
+    try:
+        pending = {name: pool.submit(_suite_table, name, args.max_order)
+                   for name in sorted(names, key=lambda n: -find_recipe(n).order)}
+        rows = []
+        simple_tables = []
+        for name in names:
+            try:
+                t = pending[name].result()
+            except BrokenProcessPool:
+                raise ChildProcessError(
+                    f"a worker process died; the table of {name} was not built") from None
+            burn = burnside_check(t)
+            two = two_prime_degree_check(t)
+            cls = classify_one_class(t)
+            held = sorted({r.degree for r in star_survey(t) if r.holds})
+            if not burn.ok:
+                failures.extend(f"{name}: degree-{t.degree(i)} row {i} never vanishes"
+                                for i in burn.violations)
+            if not two.ok:
+                failures.append(f"{name}: unexcused two-prime-degree row "
+                                f"with a single vanishing class")
+            if cls.match is False:
+                failures.append(
+                    f"{name}: one-class degrees {list(cls.observed)} != "
+                    f"expected {list(cls.expected)}")
+            if is_simple(t) and any(t.degree(i) > 1 for i in range(len(t.rows))):
+                simple_tables.append(t)
+            rows.append({
+                "group": name, "order": t.order, "classes": len(t.classes),
+                "table_ok": True, "burnside_ok": burn.ok, "two_prime_ok": two.ok,
+                "classify": cls.match, "star_degrees": held,
+            })
+            if args.dir:
+                fname = "".join(c if c.isalnum() else "_" for c in name) + ".tbl"
+                (Path(args.dir) / fname).write_text(table_to_text(t, args.seed))
+    finally:
+        pool.shutdown(cancel_futures=True)
     survey = simple_one_class_survey(simple_tables)
     for e in survey.entries:
         if not e.ok:
@@ -444,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except TableFileError as exc:
         print(f"error: malformed table file: {exc}", file=sys.stderr)
         return 1
-    except (ValidationFailed, Degenerate, BudgetExceeded) as exc:
+    except (ValidationFailed, Degenerate, BudgetExceeded, ChildProcessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

@@ -145,6 +145,10 @@ class CycloNum:
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
 
+    def __reduce__(self):
+        # a pickled value is canonical already: it is rebuilt without reduction
+        return _canonical, (self.order, self.coeffs)
+
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -213,6 +217,10 @@ class CycloNum:
         if _reduce(m, coeffs) != coeffs:
             raise ValueError("serialized element was not in canonical form")
         return v
+
+
+def _canonical(order: int, coeffs: dict[int, int]) -> CycloNum:
+    return CycloNum(order, coeffs, reduced=True)
 
 
 def hermitian_sum(xs, ys, weights) -> CycloNum:

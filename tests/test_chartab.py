@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import pickle
 import random
 import re
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from charzeros import chartab, groupcore
+from charzeros import chartab, cyclo, groupcore
 from charzeros.chartab import (
     TableFileError,
     _check_classes,
@@ -360,6 +361,23 @@ def test_pinned_tables_pass_without_exact_sums(monkeypatch):
     assert len(files) == 35
     for f in files:
         assert verify_table(table_from_text(f.read_text())).ok, f.name
+
+
+def test_tables_cross_a_pickle_unchanged(corpus, get_table, monkeypatch):
+    # the suite's worker processes send each table to the parent by pickle;
+    # an entry is canonical already, so it is rebuilt without reduction
+    dumped = {name: pickle.dumps(get_table(name)) for name in corpus}
+
+    def refused(*args):
+        raise AssertionError("_reduce called")
+
+    monkeypatch.setattr(cyclo, "_reduce", refused)
+    for name in corpus:
+        t, back = get_table(name), pickle.loads(dumped[name])
+        assert (back.rows, back.classes) == (t.rows, t.classes), name
+        assert table_to_text(back, 0) == table_to_text(t, 0), name
+    with pytest.raises(AttributeError, match="immutable"):
+        back.rows[-1][-1].coeffs = {}
 
 
 def test_verify_rejects_a_class_map_that_is_not_a_size_preserving_permutation(get_table):

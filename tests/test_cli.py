@@ -2,9 +2,11 @@
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -357,26 +359,32 @@ def test_build_refuses_a_name_the_group_file_cannot_carry(capsys, monkeypatch):
         assert err == f"error: a group file cannot carry the name {name!r}\n"
 
 
-def test_registry_ops_compute_one_table(capsys, monkeypatch):
-    # every verb reads the table that `build` validated, and computes no other
-    calls = []
+def test_registry_ops_compute_one_table(tmp_path, capsys, monkeypatch):
+    # every verb reads the table that `build` validated, and computes no other;
+    # the suite computes its tables in worker processes, so calls are counted
+    # in a file that every process appends to
+    log = tmp_path / "calls"
 
     def counted(g, **kwargs):
-        calls.append(g.name)
+        with log.open("a") as f:
+            f.write(g.name + "\n")
         return real(g, **kwargs)
+
+    def calls():
+        names = log.read_text().splitlines()
+        log.unlink()
+        return names
 
     real = registry.character_table
     monkeypatch.setattr(registry, "character_table", counted)
     monkeypatch.setattr(cli, "character_table", counted)
     for argv in (["build", "A5"], ["table", "A5"], ["zeros", "A5"], ["star", "A5"],
                  ["classify", "A5"]):
-        calls.clear()
         assert run(capsys, *argv)[0] == 0
-        assert calls == ["A5"], argv
+        assert calls() == ["A5"], argv
     monkeypatch.setattr(cli, "registry_names", lambda: ("SL(2,5)", "A5"))
-    calls.clear()
     assert run(capsys, "suite")[0] == 0
-    assert calls == ["A5", "SL(2,5)"]
+    assert sorted(calls()) == ["A5", "SL(2,5)"]
 
 
 def test_registry_facts_need_the_registry_order(tmp_path, capsys):
@@ -414,6 +422,58 @@ def test_suite_reports_each_recipe_mismatch(capsys, monkeypatch, add_recipe, nam
     rc, out, err = run(capsys, "suite")
     assert rc == 1 and out.endswith("suite: 1 groups, 1 failures\n")
     assert err == line + "\n"
+
+
+def test_suite_failure_is_the_first_group_by_name(tmp_path, capsys, monkeypatch):
+    # A5 and PSL(2,7) both fail validation.  PSL(2,7), claimed to be the
+    # largest group, is built first and fails first; as in a serial run, the
+    # suite reports A5, the first by name, after writing the tables before it
+    wrong = {"A5": 59, "PSL(2,7)": 10**6}
+    monkeypatch.setattr(registry, "RECIPES", tuple(
+        dataclasses.replace(r, order=wrong[r.name]) if r.name in wrong else r
+        for r in registry.RECIPES))
+    rc, out, err = run(capsys, "suite", "--dir", str(tmp_path))
+    assert (rc, out, err) == (1, "", "error: A5: order 60 != expected 59\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["3_A6.tbl", "3_A6_2_3.tbl"]
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_over_the_order_budget(tmp_path, capsys):
+    # the first group by name, 3.A6 of order 1080, is over the budget
+    rc, out, err = run(capsys, "suite", "--max-order", "100", "--dir", str(tmp_path))
+    assert (rc, out, err) == (1, "", "error: group exceeds order budget 100\n")
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_worker_death_is_an_error_not_a_hang(tmp_path, capsys, monkeypatch):
+    # a worker killed while it builds a table (say by the OOM killer) ends the
+    # suite with exit 1 and no process left behind
+    real = cli.build
+
+    def dying(name, **kwargs):
+        if name == "A5":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(cli, "build", dying)
+    monkeypatch.setattr(cli, "registry_names", lambda: ("SL(2,5)", "A5"))
+    rc, out, err = run(capsys, "suite", "--dir", str(tmp_path))
+    assert (rc, out) == (1, "")
+    assert err == "error: a worker process died; the table of A5 was not built\n"
+    assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
+
+
+def test_suite_without_fork_or_cpu_affinity(capsys, monkeypatch):
+    # where os.sched_getaffinity or the fork start method is missing (macOS,
+    # Windows), the workers are counted by os.cpu_count and spawned
+    monkeypatch.setattr(cli, "registry_names", lambda: ("SL(2,5)", "A5"))
+    expected = run(capsys, "suite")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert run(capsys, "suite") == expected
+    assert expected[0] == 0 and multiprocessing.active_children() == []
 
 
 def test_suite_json_matches_the_text_report(capsys):

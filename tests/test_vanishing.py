@@ -104,6 +104,25 @@ def test_star_requires_out_order_for_unknown_groups():
     assert rep.out_order == 1
 
 
+@pytest.mark.parametrize("kept, cond_i, cond_iii, p, note", [
+    (6, False, True, 2, "common vanishing order 6 is not a prime power"),
+    (2, True, False, 3, "centre order 2 is a power of 2, not of 3"),
+])
+def test_star_branches_on_hand_built_tables(get_table, kept, cond_i, cond_iii, p, note):
+    # no registry row reaches these notes, so SL(2,5)'s faithful degree-6 row,
+    # which vanishes on classes 2, 3 and 6 (orders 3, 4 and 6), is edited to
+    # keep one zero: order 6, or order 3 against the centre of order 2
+    t = get_table("SL(2,5)")
+    assert (t.degree(8), vanishing_classes(t, 8)) == (6, (2, 3, 6))
+    one = CycloNum(t.exponent, {0: 1})
+    row = tuple(one if v.is_zero() and j != kept else v for j, v in enumerate(t.rows[8]))
+    rep = star_check(replace(t, rows=t.rows[:8] + (row,)), 8)
+    assert rep.vanishing == ((kept, t.classes[kept].element_order),)
+    assert (rep.faithful, rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, cond_i, True, cond_iii)
+    assert (rep.p, rep.holds) == (p, False)
+    assert note in rep.notes
+
+
 def test_star_survey_and_report_forms(get_table):
     t = get_table("Sz(8)")
     reps = star_survey(t)
