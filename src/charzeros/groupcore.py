@@ -74,11 +74,6 @@ class GroupFileError(ValueError):
     pass
 
 
-class Degenerate(RuntimeError):
-    """An exact identity of the class algebra or of the table computation
-    failed."""
-
-
 # -- raw permutation helpers --------------------------------------------------
 
 _IDENTITY_TABLE = bytes(range(MAX_DEGREE))
@@ -205,8 +200,6 @@ def parse_group_file(text: str, max_order: int = DEFAULT_ORDER_BUDGET) -> "Group
         if words[0] == "degree":
             if degree is not None:
                 raise GroupFileError("duplicate degree directive")
-            if gens or name is not None:
-                raise GroupFileError("degree must come first")
             try:
                 (degree,) = map(int, words[1:])
             except ValueError:
@@ -434,10 +427,5 @@ class Group:
         classes = self.classes
         if (classes[i].size, i) > (classes[p].size, p):
             i, p = p, i
-        size_p, row = classes[p].size, []
-        for k, (n, c) in enumerate(zip(self.class_column(i, p), classes)):
-            q, rem = divmod(n * size_p, c.size)
-            if rem:
-                raise Degenerate(f"class constant ({i}, {p}, {k}) is not integral")
-            row.append(q)
-        return row
+        size_p = classes[p].size
+        return [n * size_p // c.size for n, c in zip(self.class_column(i, p), classes)]

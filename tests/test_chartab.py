@@ -130,10 +130,10 @@ def test_min_poly_matches_brute():
     for b in _sample_matrices(rng, l):
         d = len(b)
         mp = _min_poly(b, l)
-        assert mp[0] == 1  # monic, descending coefficients
+        assert mp[-1] == 1  # monic, ascending coefficients
         assert len(mp) - 1 == brute_min_poly_degree(b, l), b
         acc = [[0] * d for _ in range(d)]  # Horner: acc = acc*B + c*I
-        for c in mp:
+        for c in reversed(mp):
             acc = [[(sum(acc[i][t] * b[t][j] for t in range(d)) + c * (i == j)) % l
                     for j in range(d)] for i in range(d)]
         assert not any(any(row) for row in acc), b
@@ -363,6 +363,43 @@ def test_pinned_tables_pass_without_exact_sums(monkeypatch):
         assert verify_table(table_from_text(f.read_text())).ok, f.name
 
 
+def test_pinned_tables_pass_with_exact_sums(monkeypatch):
+    # with no bound small enough for the modular path, every row relation is
+    # summed as cyclotomic integers, and every pinned table still passes
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return cyclo.hermitian_sum(*args)
+
+    monkeypatch.setattr(chartab, "hermitian_sum", counted)
+    monkeypatch.setattr(chartab, "_MODULAR_CEILING", 0)
+    for f in sorted(PINNED_TABLES.glob("*.tbl")):
+        before = len(calls)
+        assert verify_table(table_from_text(f.read_text())).ok, f.name
+        assert len(calls) > before, f.name
+
+
+def test_exact_sums_name_the_same_violations(get_table, monkeypatch):
+    # a single-entry change is named alike whether or not the modular path
+    # was open to the table
+    rng = random.Random(24)
+    for name in ["A5", "C6"]:
+        t = get_table(name)
+        bad = []
+        for i, row in enumerate(t.rows):
+            for j, v in enumerate(row):
+                for w in _other_values(v, rng):
+                    rows = [list(r) for r in t.rows]
+                    rows[i][j] = w
+                    bad.append(dataclasses.replace(t, rows=tuple(tuple(r) for r in rows)))
+        modular = [verify_table(b) for b in bad]
+        with monkeypatch.context() as mp:
+            mp.setattr(chartab, "_MODULAR_CEILING", 0)
+            assert [verify_table(b) for b in bad] == modular, name
+        assert not any(rep.ok for rep in modular), name
+
+
 def test_tables_cross_a_pickle_unchanged(corpus, get_table, monkeypatch):
     # the suite's worker processes send each table to the parent by pickle;
     # an entry is canonical already, so it is rebuilt without reduction
@@ -457,13 +494,65 @@ def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monk
     assert degrees and min(degrees) >= 2, sorted(degrees)[:5]
 
 
+def _force_dixon_prime(monkeypatch, l):
+    """Make l the prime of the next table computation.  Only the first
+    `_prime_above` call is forced: verify's own prime must stay above its
+    bound B + |G|."""
+    real, calls = chartab._prime_above, []
+
+    def forced(bound, step):
+        calls.append(bound)
+        return l if len(calls) == 1 else real(bound, step)
+
+    monkeypatch.setattr(chartab, "_prime_above", forced)
+
+
 def test_forced_prime_outside_the_splitting_field_is_refused(get_group, monkeypatch):
     # A5's central characters take values in Q(sqrt 5), and 5 is not a square
-    # mod 7, so a class matrix's minimal polynomial does not split over F_7
-    monkeypatch.setattr(chartab, "_prime_above", lambda bound, step: 7)
-    with pytest.raises(groupcore.Degenerate,
-                       match="^eigenvalue outside the working prime field$"):
+    # mod 7, so a class matrix's minimal polynomial does not split over F_7.
+    # At l = 11 for A5 and l = 7 for PGL(2,5), not 1 mod the exponent, the
+    # split goes through, but the lift gives a table that verify refuses.
+    for name, l, why in (
+            ("A5", 7, "eigenvalue outside the working prime field$"),
+            ("A5", 11, "computed table failed exact verification: trivial-row: "),
+            ("PGL(2,5)", 7, "computed table failed exact verification: degree-sum: ")):
+        _force_dixon_prime(monkeypatch, l)
+        with pytest.raises(chartab.Degenerate, match="^" + why):
+            character_table(get_group(name))
+
+
+def test_a_short_eigenvector_list_fails_the_shape_check(get_group, monkeypatch):
+    # too few central characters give too few rows, which verify refuses
+    real = chartab._separate
+    monkeypatch.setattr(chartab, "_separate", lambda group, l: real(group, l)[:-1])
+    with pytest.raises(chartab.Degenerate, match="^computed table failed exact verification: "
+                                                 "shape: 4 rows for 5 classes$"):
         character_table(get_group("A5"))
+
+
+def test_a_degree_square_without_a_root_is_refused(get_group, monkeypatch):
+    # u = e_0 gives d^2 = |G| = 60 = 29 mod 31, and 29 is no square of
+    # 1..7 mod 31: the degree cannot be read, so the computation stops
+    monkeypatch.setattr(chartab, "_separate",
+                        lambda group, l: [[int(j == 0) for j in range(len(group.classes))]] * 5)
+    with pytest.raises(chartab.Degenerate, match="^degree square has no root mod l$"):
+        character_table(get_group("A5"))
+
+
+def test_every_forced_prime_gives_a_verified_table_or_a_refusal(get_group, get_table,
+                                                                 monkeypatch):
+    # every prime l < 400 as A5's Dixon prime: the computation ends in the
+    # pinned table or in `Degenerate`, never in another exception
+    verified = []
+    for l in sympy.primerange(2, 400):
+        _force_dixon_prime(monkeypatch, l)
+        try:
+            t = character_table(get_group("A5"))
+        except chartab.Degenerate:
+            continue
+        assert t == get_table("A5"), l
+        verified.append(l)
+    assert verified == [31, 61, 151, 181, 211, 241, 271, 331]  # the l = 1 (mod 30)
 
 
 def test_tables_match_pinned_files(corpus, get_table):

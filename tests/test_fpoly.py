@@ -13,8 +13,7 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
 from charzeros import fpoly
-from charzeros.chartab import _least_generator, _poly_roots, _prime_above
-from charzeros.groupcore import Degenerate
+from charzeros.chartab import _least_generator, _prime_above
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
@@ -88,7 +87,7 @@ def test_roots_match_galoistools_on_split_products():
             _, factors = gt.gf_factor_sqf(p, l, ZZ)
             assert all(len(f) == 2 for f in factors)
             want = sorted(int(-f[1]) % l for f in factors)
-            assert _poly_roots(p, l) == want == sorted(roots), (l, p)
+            assert fpoly.split_roots(p[::-1], l) == want == sorted(roots), (l, p)
 
 
 @pytest.mark.parametrize("p, l", [
@@ -103,5 +102,4 @@ def test_roots_match_galoistools_on_split_products():
 def test_roots_refuse_a_polynomial_that_does_not_split_into_distinct_factors(p, l):
     _, factors = gt.gf_factor(p, l, ZZ)
     assert any(len(f) > 2 or k > 1 for f, k in factors)  # the oracle agrees
-    with pytest.raises(Degenerate, match="^eigenvalue outside the working prime field$"):
-        _poly_roots(p, l)
+    assert fpoly.split_roots(p[::-1], l) is None  # the split's "eigenvalue outside" exit

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from math import lcm
@@ -180,6 +181,26 @@ def test_group_file_rejections():
         parse_group_file("")
     with pytest.raises(GroupFileError, match="point 1 repeated"):
         parse_group_file("degree 3\n(1 1 2)\n")
+
+
+@pytest.mark.parametrize("text, why", [
+    ("degree 0\n", "degree must be >= 1"),
+    ("name X\ndegree 3\n", "degree must come first"),
+    ("degree 3\nname X\nname Y\n", "duplicate name directive"),
+    ("degree 3\nname   # none\n", "empty name directive"),
+    ("degree x\n", "bad degree directive: 'degree x'"),
+    ("degree 2000\n", "degree 2000 exceeds the order budget 1000"),
+    ("degree 257\n", "degree 257 exceeds the largest degree 256"),
+    ("# no directive\n\n", "missing degree directive"),
+])
+def test_group_file_refusals_name_the_fault(text, why):
+    with pytest.raises(GroupFileError, match=f"^{re.escape(why)}$"):
+        parse_group_file(text, max_order=1000)
+
+
+def test_group_refuses_generators_that_are_not_bijections():
+    with pytest.raises(ValueError, match=r"^image list is not a bijection on 0\.\.1$"):
+        Group([(0, 0)], degree=2)
 
 
 def test_class_equation(corpus, get_group):

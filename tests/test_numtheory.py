@@ -276,6 +276,8 @@ def test_torus_linear_family():
 def test_torus_classical_families():
     q = 3
     assert [r.order for r in torus_orders("2A", 3, q)] == [(q**4 - 1) // (q + 1), q**3 + 1]
+    assert [r.order for r in torus_orders("2A", 2, q)] == [(q**3 + 1) // (q + 1), q**2 - 1]
+    assert [r.order for r in torus_orders("2A", 4, q)] == [(q**5 + 1) // (q + 1), q**4 - 1]
     assert [r.order for r in torus_orders("B", 3, q)] == [q**3 + 1, q**3 - 1]
     assert [r.order for r in torus_orders("C", 4, q)] == [q**4 + 1, (q**3 + 1) * (q + 1)]
     assert [r.order for r in torus_orders("D", 4, q)] == [(q**3 - 1) * (q - 1), (q**3 + 1) * (q + 1)]
@@ -284,7 +286,8 @@ def test_torus_classical_families():
 
 
 def test_torus_zsigmondy_divides_order():
-    for family, n in (("A", 3), ("2A", 3), ("B", 3), ("C", 4), ("D", 4), ("2D", 4)):
+    for family, n in (("A", 3), ("2A", 2), ("2A", 3), ("2A", 4), ("B", 3), ("C", 4), ("D", 4),
+                      ("2D", 4)):
         for q in (2, 3, 4, 5):
             for r in torus_orders(family, n, q):
                 if r.zsig is not None and r.zsig.prime is not None:
