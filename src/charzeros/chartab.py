@@ -38,6 +38,11 @@ the roots of minimal polynomials in `fpoly`, and l, its least primitive
 root and each degree (the least d <= sqrt|G| with d^2 = |G|/s mod l) are
 found by trial.  sympy serves only `numtheory` and the fallback of
 `cyclo.trial_factor`.
+
+A table file is read in one pass (`table_from_text`).  Its class data is
+checked first, the class count against `groupcore.MAX_CLASSES` before the
+rest.  Each distinct entry is then built once and shared by its cells, so
+`verify_table` finds the distinct entries by object identity.
 """
 from __future__ import annotations
 
@@ -47,8 +52,8 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 from . import fpoly
-from .cyclo import CycloNum, hermitian_sum, trial_factor
-from .groupcore import Group, canonical_cycle_points, format_cycles
+from .cyclo import CycloNum, hermitian_sum, serial_terms, trial_factor
+from .groupcore import MAX_CLASSES, Group, canonical_cycle_points, format_cycles
 
 
 class TableFileError(ValueError):
@@ -341,10 +346,21 @@ def _unit_generators(m: int) -> list[int]:
 
 def _distinct_entries(t: CharacterTable) -> tuple[list[tuple], list[list[int]]]:
     """The distinct entries of t, each as its sorted (exponent, coefficient)
-    pairs, and for each entry its index in that list."""
+    pairs, and for each entry its index in that list.  A loaded or computed
+    table shares one object per distinct value, so entries are looked up by
+    identity first and by value only once per object: equal values held by
+    distinct objects still share one index."""
     index: dict[tuple, int] = {}
-    cells = [[index.setdefault(tuple(sorted(v.coeffs.items())), len(index)) for v in row]
-             for row in t.rows]
+    seen: dict[int, int] = {}  # id of an entry object -> its index
+    cells = []
+    for row in t.rows:
+        cell = []
+        for v in row:
+            n = seen.get(id(v))
+            if n is None:
+                n = seen[id(v)] = index.setdefault(tuple(sorted(v.coeffs.items())), len(index))
+            cell.append(n)
+        cells.append(cell)
     return list(index), cells
 
 
@@ -566,8 +582,12 @@ def _product_generators(o: int) -> list[int]:
 
 def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -> None:
     """Class data that every vanishing verdict reads, checked before any entry
-    is parsed; the exponent it pins down bounds what parsing an entry costs."""
+    is parsed; the exponent it pins down bounds what parsing an entry costs.
+    The class count is held to `MAX_CLASSES`, as for a computed table, since
+    verify grows as its cube."""
     r = len(classes)
+    if r > MAX_CLASSES:
+        raise TableFileError(f"{r} classes exceed the class ceiling {MAX_CLASSES}")
     for j, c in enumerate(classes):
         o, powers = c.element_order, c.powers
         if len(powers) != o or c.size * c.centralizer != order:
@@ -585,9 +605,10 @@ def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -
         raise TableFileError("exponent is not the lcm of the class orders")
     # (g^a)^b = g^(ab).  If this holds at every class for a1 and for a2, it
     # holds for a1*a2, so generators of Z/o under multiplication suffice.
+    generators = {o: _product_generators(o) for o in {c.element_order for c in classes}}
     for j, c in enumerate(classes):
         o = c.element_order
-        for a in _product_generators(o):
+        for a in generators[o]:
             p = c.powers[a % o]
             q = classes[p].powers
             if any(c.powers[a * b % o] != q[b] for b in range(len(q))):
@@ -618,7 +639,10 @@ def _table_class(c) -> TableClass:
 
 def table_from_text(text: str) -> CharacterTable:
     """The table a file holds.  Only what `table_to_text` could have written
-    loads, up to JSON spacing and key order."""
+    loads, up to JSON spacing and key order.  Every entry has its shape and
+    JSON types checked (`cyclo.serial_terms`); each distinct (m, terms) is
+    tested for canonical form and built once (`CycloNum.from_terms`), and
+    its cells share the value."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
@@ -636,12 +660,20 @@ def table_from_text(text: str) -> CharacterTable:
         classes = tuple(map(_table_class, _typed(obj["classes"], list)))
         _check_classes(classes, order, exponent)
         rows = []
+        values: dict[tuple, CycloNum] = {}  # (m, terms) -> its one value
         for row in _typed(obj["rows"], list):
             if len(_typed(row, list)) != len(classes):
                 raise TableFileError("row length does not match the class count")
             if any(v["m"] != exponent for v in row):
                 raise TableFileError("entry not embedded at the table exponent")
-            rows.append(tuple(CycloNum.from_obj(v) for v in row))
+            cells = []
+            for v in row:
+                key = serial_terms(v)
+                x = values.get(key)
+                if x is None:
+                    x = values[key] = CycloNum.from_terms(*key)
+                cells.append(x)
+            rows.append(tuple(cells))
     except TableFileError:
         raise
     except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:

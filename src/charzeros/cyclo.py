@@ -10,7 +10,14 @@ maps), and for o | m the basis of Q(zeta_o) maps into the basis of
 Q(zeta_m) under zeta_o -> zeta_m^(m/o), so a value built at order m from
 powers of zeta_o stays sparse.  The basis spans Z[zeta_m] over Z, so
 reduction keeps integer coefficients integers, and a serialized entry with a
-denominator other than 1 is refused (`CycloNum.from_obj`).
+denominator other than 1 is refused (`serial_terms`).
+
+A serialized entry is read in two steps.  `serial_terms` checks its shape
+and JSON types and returns its terms as plain integers; `CycloNum.from_terms`
+tests the canonical form and builds the value.  A table file repeats few
+distinct entries many times (466 distinct among the 3,904 entries of the
+registry's tables), so its reader runs the first step on every entry and the
+second once per distinct (m, terms), sharing the value among its cells.
 
 A power zeta_m^e outside the basis reduces in one local step per offending
 prime: eta^(phi(p^k)+r) = -sum_{j<p-1} eta^(j*p^(k-1)+r), the relation
@@ -189,34 +196,52 @@ class CycloNum:
 
     def to_obj(self) -> dict:
         """{"m": m, "c": [[e, c, 1], ...]} with exponents ascending; the third
-        field, a denominator, is always 1."""
+        field, a denominator, is always 1.  Read back in two steps, anything
+        it would not write refused: `serial_terms` checks the shape and JSON
+        types, and `from_terms` the canonical form."""
         return {"m": self.order, "c": [[e, self.coeffs[e], 1] for e in sorted(self.coeffs)]}
 
     @staticmethod
-    def from_obj(obj: dict) -> "CycloNum":
-        """The inverse of `to_obj`: anything it would not write is refused."""
-        if type(obj) is not dict or obj.keys() != {"m", "c"}:
-            raise ValueError("expected an object with the fields m and c")
-        m, terms = obj["m"], obj["c"]
-        if type(m) is not int or type(terms) is not list:
-            raise ValueError("m must be an integer and c a list")
-        coeffs: dict[int, int] = {}
-        prev = -1
-        for term in terms:
-            if type(term) is not list or len(term) != 3 or not (
-                    type(term[0]) is type(term[1]) is type(term[2]) is int):
-                raise ValueError("a term must be a list of three integers")
-            e, num, den = term
-            if not prev < e < m:
-                raise ValueError("exponents must be ascending in [0, m)")
-            prev = e
-            if den != 1:
-                raise ValueError("a coefficient must be an integer: denominator 1")
-            coeffs[e] = num
+    def from_terms(m: int, terms: tuple[int, ...]) -> "CycloNum":
+        """The value of (m, terms) from `serial_terms`, if it is in canonical
+        form.  Both are plain integers, so a reader may build each distinct
+        (m, terms) once and share the value."""
+        coeffs = dict(zip(terms[::2], terms[1::2]))
         v = CycloNum(m, coeffs, reduced=True)  # refuses m < 1 before m is factored
         if _reduce(m, coeffs) != coeffs:
             raise ValueError("serialized element was not in canonical form")
         return v
+
+
+_ENTRY_FIELDS = frozenset(("m", "c"))
+
+
+def serial_terms(obj) -> tuple[int, tuple[int, ...]]:
+    """m and the flat exponents and coefficients (e_1, c_1, e_2, c_2, ...) of
+    a serialized element, once its shape and JSON types are what `to_obj`
+    writes: exactly the fields m and c, the integer m, and terms [e, c, 1] of
+    integers with ascending exponents in [0, m).  JSON true and 1.0 equal 1
+    and hash like it, so a reader that shares values by (m, terms) still
+    passes every entry through this check."""
+    if type(obj) is not dict or obj.keys() != _ENTRY_FIELDS:
+        raise ValueError("expected an object with the fields m and c")
+    m, terms = obj["m"], obj["c"]
+    if type(m) is not int or type(terms) is not list:
+        raise ValueError("m must be an integer and c a list")
+    flat = []
+    prev = -1
+    for term in terms:
+        if type(term) is not list or len(term) != 3 or not (
+                type(term[0]) is type(term[1]) is type(term[2]) is int):
+            raise ValueError("a term must be a list of three integers")
+        e, c, den = term
+        if not prev < e < m:
+            raise ValueError("exponents must be ascending in [0, m)")
+        prev = e
+        if den != 1:
+            raise ValueError("a coefficient must be an integer: denominator 1")
+        flat += e, c
+    return m, tuple(flat)
 
 
 def _canonical(order: int, coeffs: dict[int, int]) -> CycloNum:

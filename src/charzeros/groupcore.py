@@ -136,9 +136,14 @@ def cycle_points(line: str, degree: int) -> list[list[int]]:
     s = line.strip()
     if not re.fullmatch(r"(\(\s*(\d+(\s+\d+)*)?\s*\))+", s):
         raise GroupFileError(f"malformed cycle notation: {line!r}")
+    return _bodies_points(re.findall(r"\(([^()]*)\)", s), degree)
+
+
+def _bodies_points(bodies: list[str], degree: int) -> list[list[int]]:
+    """The points of each nonempty cycle body, checked as `cycle_points` says."""
     cycles = []
     used: set[int] = set()
-    for body in re.findall(r"\(([^()]*)\)", s):
+    for body in bodies:
         pts = []
         for t in body.split():
             p = int(t) - 1
@@ -153,15 +158,27 @@ def cycle_points(line: str, degree: int) -> list[list[int]]:
     return cycles
 
 
+# The shape of what `format_cycles` writes: () or cycles of two or more points,
+# each a decimal without leading zeros, one space between points.  It is
+# compiled on first use, like every pattern here, so importing costs nothing.
+_CANONICAL_SHAPE = r"\(\)|(?:\([1-9][0-9]*(?: [1-9][0-9]*)+\))+"
+
+
 def canonical_cycle_points(line: str) -> list[list[int]]:
     """The cycles of a line that is exactly what `format_cycles` writes, on
     at most MAX_DEGREE points, as `cycle_points` gives them; any other
-    spelling of a permutation is refused."""
-    cycles = cycle_points(line, MAX_DEGREE)
-    canon = sorted(c[c.index(min(c)):] + c[:c.index(min(c))] for c in cycles if len(c) > 1)
-    if _cycle_text(canon) != line:
-        raise GroupFileError(f"not in canonical cycle notation: {line!r}")
-    return cycles
+    spelling of a permutation is refused.  A line of the canonical shape
+    needs its points in range and distinct, each cycle led by its least
+    point and the cycles in order of that point.  A line of another shape is
+    read by `cycle_points` only to name a fault that it finds first."""
+    if re.fullmatch(_CANONICAL_SHAPE, line):
+        cycles = _bodies_points(line[1:-1].split(")("), MAX_DEGREE)
+        firsts = [c[0] for c in cycles]
+        if firsts == sorted(firsts) and all(c[0] == min(c) for c in cycles):
+            return cycles
+    else:
+        cycle_points(line, MAX_DEGREE)
+    raise GroupFileError(f"not in canonical cycle notation: {line!r}")
 
 
 def parse_cycles(line: str, degree: int) -> Perm:

@@ -385,19 +385,48 @@ def test_exact_sums_name_the_same_violations(get_table, monkeypatch):
     # was open to the table
     rng = random.Random(24)
     for name in ["A5", "C6"]:
-        t = get_table(name)
-        bad = []
-        for i, row in enumerate(t.rows):
-            for j, v in enumerate(row):
-                for w in _other_values(v, rng):
-                    rows = [list(r) for r in t.rows]
-                    rows[i][j] = w
-                    bad.append(dataclasses.replace(t, rows=tuple(tuple(r) for r in rows)))
+        bad = list(_single_entry_mutations(get_table(name), rng))
         modular = [verify_table(b) for b in bad]
         with monkeypatch.context() as mp:
             mp.setattr(chartab, "_MODULAR_CEILING", 0)
             assert [verify_table(b) for b in bad] == modular, name
         assert not any(rep.ok for rep in modular), name
+
+
+def _single_entry_mutations(t, rng):
+    """t with one entry replaced by another canonical value, in every way
+    `_other_values` gives: a Galois image is a new object equal in value to
+    entries elsewhere in the table."""
+    for i, row in enumerate(t.rows):
+        for j, v in enumerate(row):
+            for w in _other_values(v, rng):
+                rows = [list(r) for r in t.rows]
+                rows[i][j] = w
+                yield dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
+
+
+def test_distinct_entries_index_by_value_as_well_as_identity(get_table):
+    # a loaded table shares one object per distinct entry (466 among the
+    # 3,904 entries of the pinned tables), and verify indexes entries by
+    # identity first; a table whose every entry is its own object, with its
+    # coefficients in another order, must get the same report
+    def rebuilt(t):
+        return dataclasses.replace(t, rows=tuple(
+            tuple(CycloNum(v.order, dict(reversed(v.coeffs.items())), reduced=True)
+                  for v in row) for row in t.rows))
+
+    tables = [table_from_text(f.read_text()) for f in sorted(PINNED_TABLES.glob("*.tbl"))]
+    objects = sum(len({id(v) for row in t.rows for v in row}) for t in tables)
+    entries = sum(len(row) for t in tables for row in t.rows)
+    assert (len(tables), objects, entries) == (35, 466, 3904)
+    rng = random.Random(25)
+    for name in ["A5", "C6"]:
+        tables += _single_entry_mutations(get_table(name), rng)
+    assert len(tables) > 400
+    for t in tables:
+        again = rebuilt(t)
+        assert chartab._distinct_entries(again) == chartab._distinct_entries(t), t.group
+        assert verify_table(again) == verify_table(t), t.group
 
 
 def test_tables_cross_a_pickle_unchanged(corpus, get_table, monkeypatch):

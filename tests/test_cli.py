@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface through main(argv)."""
 import argparse
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -262,6 +263,73 @@ def test_class_ceiling_stops_the_scan(tmp_path, capsys):
     rc, out, err = run(capsys, "table", str(f))
     assert (rc, out, err) == (1, "", "error: more than 64 conjugacy classes exceed the budget 64\n")
     assert time.perf_counter() - start < 1
+
+
+def _c2_power_table(n: int) -> str:
+    """The table file of C2^n, by hand: class x is the product of the
+    transpositions (2i+1 2i+2) over the bits i of x, and row y is
+    x -> (-1)^|x & y|."""
+    size = 1 << n
+    classes = [{"size": 1, "order": 2 if x else 1, "centralizer": size,
+                "rep": "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n) if x >> i & 1)
+                or "()", "powers": [0, x] if x else [0]} for x in range(size)]
+    rows = [[{"m": 2, "c": [[0, (-1) ** (x & y).bit_count(), 1]]} for x in range(size)]
+            for y in range(size)]
+    return json.dumps({"format": "chartab/1", "group": f"C2^{n}", "order": size,
+                       "exponent": 2, "seed": 0, "classes": classes, "rows": rows})
+
+
+def test_class_ceiling_holds_for_table_files(tmp_path, capsys):
+    # no table the program computes has more than 64 classes, and verify
+    # grows as the cube of the class count, so a table file over the
+    # ceiling is refused on load, before any entry is read
+    f = tmp_path / "c2_6.tbl"
+    f.write_text(_c2_power_table(6))
+    assert run(capsys, "verify", str(f))[0] == 0
+    f = tmp_path / "c2_7.tbl"
+    f.write_text(_c2_power_table(7))
+    for verb in ("verify", "zeros", "star", "classify"):
+        rc, out, err = run(capsys, verb, str(f))
+        assert (rc, out) == (1, ""), (verb, err)
+        assert err.count("\n") == 1, (verb, err)
+        assert err.endswith("malformed table file: 128 classes exceed the class ceiling 64\n")
+
+
+def test_retyped_copy_of_a_seen_entry_is_refused(tmp_path, capsys):
+    # each distinct entry of a file is built once, but JSON true and 1.0
+    # equal 1 and hash like it: a later copy of a seen entry, retyped, must
+    # still be refused by every read verb
+    obj = json.loads((PINNED_TABLES / "SL_2_5_.tbl").read_text())
+    assert obj["exponent"] == 60
+    cells = [v for row in obj["rows"] for v in row]
+    i = max(i for i, v in enumerate(cells) if v in cells[:i] and v["c"] == [[0, 1, 1]])
+    f = tmp_path / "retyped.tbl"
+    for field, value in ((("c", 0, 1), True), (("c", 0, 1), 1.0), (("m",), 60.0)):
+        bad = json.loads(json.dumps(obj))
+        entry = [v for row in bad["rows"] for v in row][i]
+        *head, last = field
+        for k in head:
+            entry = entry[k]
+        entry[last] = value
+        f.write_text(json.dumps(bad))
+        assert f.read_text().count(json.dumps(value)) == 1
+        for verb in ("verify", "zeros", "star", "classify"):
+            rc, out, err = run(capsys, verb, str(f))
+            assert (rc, out) == (1, ""), (field, value, verb)
+            assert err.count("\n") == 1 and "malformed table file" in err, (verb, err)
+
+
+def test_read_verbs_match_the_pinned_digests(capsys):
+    # the exit code and stdout of each read verb on each pinned table, as
+    # perfbench/pin.py recorded them
+    want = json.loads((PINNED_TABLES.parent / "digests.json").read_text())["outputs"]
+    files = sorted(PINNED_TABLES.glob("*.tbl"))
+    assert len(files) == 35
+    for f in files:
+        for verb in ("verify", "zeros", "star", "classify"):
+            rc, out, _ = run(capsys, verb, str(f))
+            got = {"rc": rc, "sha256": hashlib.sha256(out.encode()).hexdigest()}
+            assert got == want[f"{verb}/{f.name}"], (verb, f.name)
 
 
 _FUZZ_VALUES = (10**40, -1, -10**30, 0, 1.5, True, None, "", "x", [], [[]], {})
