@@ -36,8 +36,9 @@ The numbers mod l are small (l = 16381 for Sz(8):3, the largest in the
 registry), so the computation needs no computer algebra: the eigenvalues are
 the roots of minimal polynomials in `fpoly`, and l, its least primitive
 root and each degree (the least d <= sqrt|G| with d^2 = |G|/s mod l) are
-found by trial.  sympy serves only `numtheory` and the fallback of
-`cyclo.trial_factor`.
+found by trial.  Every number factored here goes to `cyclo.trial_factor`,
+trial division alone: an element order or the exponent, whose primes are at
+most 251, and l or l - 1.  sympy serves only `numtheory`.
 
 A table file is read in one pass (`table_from_text`).  Its class data is
 checked first, the class count against `groupcore.MAX_CLASSES` before the
@@ -211,7 +212,7 @@ def _separate(group: Group, l: int) -> list[list[int]]:
 def _prime_above(bound: int, step: int) -> int:
     """The least prime l > bound with l = 1 (mod step)."""
     l = bound + 1 + -bound % step
-    while trial_factor(l, l) != [(l, 1)]:
+    while trial_factor(l) != [(l, 1)]:
         l += step
     return l
 
@@ -220,7 +221,7 @@ def _least_generator(l: int) -> int:
     """The least generator of the units mod the prime l.  It fixes the
     embedding of the roots of unity: another generator would give
     Galois-conjugate rows, and so other file bytes."""
-    qs = [q for q, _ in trial_factor(l - 1, l)]
+    qs = [q for q, _ in trial_factor(l - 1)]
     return next(g for g in range(1, l)
                 if all(pow(g, (l - 1) // q, l) != 1 for q in qs))
 
@@ -332,7 +333,7 @@ def _unit_generators(m: int) -> list[int]:
     exactly dividing m: units that are 1 mod m/q and, mod q, a primitive root
     for odd q, -1 for q = 4, and -1 and 5 for q = 2^k, k >= 3."""
     gens = []
-    for p, k in trial_factor(m, m):
+    for p, k in trial_factor(m):
         q = p**k
         if p == 2:
             roots = [-1, 5][:k - 1]
@@ -567,7 +568,7 @@ def _product_generators(o: int) -> list[int]:
     o, and units taken least first until they generate the unit group.  Each
     unit taken at least doubles the subgroup reached, so finding them is
     linear in o and there are O(log o) of them."""
-    gens, reached = [p for p, _ in trial_factor(o, o)], {1 % o}
+    gens, reached = [p for p, _ in trial_factor(o)], {1 % o}
     for u in range(2, o):
         if u not in reached and gcd(u, o) == 1:
             gens.append(u)
@@ -590,7 +591,7 @@ def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -
         raise TableFileError(f"{r} classes exceed the class ceiling {MAX_CLASSES}")
     for j, c in enumerate(classes):
         o, powers = c.element_order, c.powers
-        if len(powers) != o or c.size * c.centralizer != order:
+        if o < 1 or len(powers) != o or c.size * c.centralizer != order:
             raise TableFileError(f"class {j}: inconsistent class summary")
         if not all(0 <= p < r for p in powers) or powers[0] != 0 or powers[1 % o] != j:
             raise TableFileError(f"class {j}: power map out of range or not "
@@ -640,9 +641,9 @@ def _table_class(c) -> TableClass:
 def table_from_text(text: str) -> CharacterTable:
     """The table a file holds.  Only what `table_to_text` could have written
     loads, up to JSON spacing and key order.  Every entry has its shape and
-    JSON types checked (`cyclo.serial_terms`); each distinct (m, terms) is
-    tested for canonical form and built once (`CycloNum.from_terms`), and
-    its cells share the value."""
+    JSON types checked (`cyclo.serial_terms`) and its m compared with the
+    exponent; each distinct (m, terms) is then tested for canonical form and
+    built once (`CycloNum.from_terms`), and its cells share the value."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
@@ -664,11 +665,11 @@ def table_from_text(text: str) -> CharacterTable:
         for row in _typed(obj["rows"], list):
             if len(_typed(row, list)) != len(classes):
                 raise TableFileError("row length does not match the class count")
-            if any(v["m"] != exponent for v in row):
-                raise TableFileError("entry not embedded at the table exponent")
             cells = []
             for v in row:
                 key = serial_terms(v)
+                if key[0] != exponent:  # before m is factored, in `from_terms`
+                    raise TableFileError("entry not embedded at the table exponent")
                 x = values.get(key)
                 if x is None:
                     x = values[key] = CycloNum.from_terms(*key)

@@ -17,7 +17,7 @@ MIN_Q, MAX_Q_LINEAR = 4, 32
 
 
 def _field_of(q: int) -> FqField:
-    pf = trial_factor(q, q)
+    pf = trial_factor(q)
     if len(pf) != 1:
         raise ValueError(f"{q} is not a prime power")
     return gf(*pf[0])

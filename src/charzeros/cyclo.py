@@ -30,15 +30,19 @@ ring Z[C_m] and reduced once, serves the orthogonality checks of a table
 that fails `chartab.verify_table`: an accepted table has its inner products
 decided modulo a prime instead.
 
-Reading and checking a table needs no computer algebra, so this module, like
-every module on that read path, does not import sympy, and neither do the
-modules that compute a table or a field.  sympy serves only `numtheory`,
-which factors numbers a user supplies, and the fallback of `trial_factor`.
-The read path factors only numbers that its input file bounds: class
-orders, the exponent (their lcm), the centre order and the degrees, whose
-primes divide the exponent.  It does so by trial division in
-`trial_factor`, which hands a cofactor it cannot finish to sympy, so the
-answer is exact for any input.
+Reading and checking a table needs no computer algebra, and neither does
+computing a table or a field: sympy serves only `numtheory`, which factors
+numbers a user supplies.  Every other number the package factors goes to
+`trial_factor`, trial division alone, and is bounded:
+- element orders and the exponent are orders of permutations on at most 256
+  points (a table file's are checked against its representatives before any
+  entry is read), so their primes are at most 251;
+- the centre order is at most the class count;
+- degrees, factored only for the registry tables `suite` checks, divide |G|;
+- field sizes are at most `fields.MAX_Q`;
+- l and l - 1, for a working prime l just above a bound under 2^32.
+A table file's entry has its m compared with the exponent before m is
+factored.
 """
 
 from __future__ import annotations
@@ -57,16 +61,14 @@ class _LocalPrime:
     inv: int      # cof^(-1) mod q
 
 
-def trial_factor(n: int, limit: int) -> list[tuple[int, int]]:
+def trial_factor(n: int) -> list[tuple[int, int]]:
     """The prime factorisation of n >= 1 as ascending (p, k) pairs, by trial
-    division with the divisors 2..limit.  Once d * d exceeds what is left,
-    the rest is 1 or prime.  A rest that no divisor up to `limit` finishes
-    goes to sympy.factorint, imported on that call only, so the answer is
-    exact for every n and limit, and the cost of the trial division is at
-    most limit / 2 steps."""
+    division.  Once d * d exceeds what is left, the rest is 1 or prime, so
+    it takes about max(p2, sqrt(p1)) / 2 steps for the largest primes
+    p1 >= p2 of n: it serves the bounded numbers of the module docstring."""
     out = []
     d = 2
-    while d <= limit and d * d <= n:
+    while d * d <= n:
         if n % d == 0:
             k = 0
             while n % d == 0:
@@ -75,25 +77,14 @@ def trial_factor(n: int, limit: int) -> list[tuple[int, int]]:
             out.append((d, k))
         d += 1 if d == 2 else 2
     if n > 1:
-        if d * d > n:
-            out.append((n, 1))
-        else:
-            from sympy import factorint
-            out.extend(sorted(factorint(n).items()))
+        out.append((n, 1))
     return out
-
-
-# Trial division in `_locals` stops at this divisor.  A table file's exponent
-# is the lcm of its class orders, so trial division finishes it by the second
-# largest of its primes; an order with two primes above the limit, which only
-# code can give, goes to sympy.factorint.
-_LOCALS_TRIAL_LIMIT = 1 << 15
 
 
 @cache
 def _locals(m: int) -> tuple[_LocalPrime, ...]:
     out = []
-    for p, k in trial_factor(m, _LOCALS_TRIAL_LIMIT):
+    for p, k in trial_factor(m):
         q = p**k
         step = q // p
         cof = m // q

@@ -49,7 +49,7 @@ def _word_to_poly(word: tuple[int, ...], p: int) -> list[int]:
 def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
     """Ascending coefficients (c_0, ..., c_f) of the Conway polynomial."""
     # a p above MAX_Q is refused by size, so trial division stays bounded
-    if p < 2 or (p <= MAX_Q and trial_factor(p, p) != [(p, 1)]):
+    if p < 2 or (p <= MAX_Q and trial_factor(p) != [(p, 1)]):
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("f must be >= 1")
@@ -57,7 +57,7 @@ def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
     if p > MAX_Q or f >= MAX_Q.bit_length() or p**f > MAX_Q:
         raise ValueError(f"p^f exceeds {MAX_Q}")
     qm1 = p**f - 1
-    prime_parts = [l for l, _ in trial_factor(qm1, qm1)]
+    prime_parts = [l for l, _ in trial_factor(qm1)]
     subs = [(conway_polynomial(p, d), qm1 // (p**d - 1))
             for d in range(1, f) if f % d == 0]
 

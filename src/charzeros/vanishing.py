@@ -31,9 +31,10 @@ def _recipe(t: CharacterTable) -> GroupRecipe | None:
 
 def _prime_power(n: int) -> tuple[int, int] | None:
     """(p, k) with n = p^k and p prime, or None.  n is an element order of a
-    table, at most the length of its power map, or the centre order, at most
-    the class count, so trial division finishes it."""
-    f = trial_factor(n, n)
+    table, the order of a permutation on at most 256 points, or the centre
+    order, at most the class count, so its primes are at most 251 and
+    `trial_factor`, trial division alone, finishes it at once."""
+    f = trial_factor(n)
     return f[0] if len(f) == 1 else None
 
 
@@ -195,13 +196,13 @@ class TwoPrimeReport:
 def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
     """Flag rows with exactly one vanishing class whose degree has at least
     two distinct prime factors; such rows should occur only in the known
-    exceptional groups.  A degree's primes divide |G|, hence the exponent,
-    so trial division up to the largest class order finds them all."""
+    exceptional groups.  A degree divides |G|, whose primes are element
+    orders, at most 251, so `trial_factor`, trial division alone, finishes
+    it; `suite` runs this on the registry tables only."""
     flagged = []
-    limit = max(c.element_order for c in t.classes)
     for i in range(len(t.rows)):
         d = t.degree(i)
-        if len(trial_factor(d, limit)) >= 2 and len(vanishing_classes(t, i)) == 1:
+        if len(trial_factor(d)) >= 2 and len(vanishing_classes(t, i)) == 1:
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
     recipe = _recipe(t)

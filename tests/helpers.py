@@ -24,9 +24,12 @@ from charzeros.groupcore import Group, pinv
 from charzeros.numtheory import DiophantineSolution, DiophantineSolutionSet
 
 
+_FIXED = bytes(range(256))  # the identity on every byte, sliced as padding
+
+
 def pmul(a: bytes, b: bytes) -> bytes:
     """Composition a after b: (a*b)(i) = a(b(i))."""
-    return b.translate(a + bytes(range(len(a), 256)))
+    return b.translate(a + _FIXED[len(a):])
 
 
 def brute_zsigmondy(q: int, n: int) -> int | None:

@@ -319,6 +319,38 @@ def test_retyped_copy_of_a_seen_entry_is_refused(tmp_path, capsys):
             assert err.count("\n") == 1 and "malformed table file" in err, (verb, err)
 
 
+def test_non_object_entry_is_refused_alike_on_every_interpreter(tmp_path, capsys):
+    # an entry that is not an object is refused by the entry check, with the
+    # program's own message, not with CPython's text for a bad subscript
+    obj = json.loads((PINNED_TABLES / "A5.tbl").read_text())
+    f = tmp_path / "entry.tbl"
+    for value in ("x", [1], 5, None):
+        bad = json.loads(json.dumps(obj))
+        bad["rows"][1][2] = value
+        f.write_text(json.dumps(bad))
+        for verb in ("verify", "zeros", "star", "classify"):
+            rc, out, err = run(capsys, verb, str(f))
+            assert (rc, out) == (1, ""), (value, verb)
+            assert err.count("\n") == 1, (value, verb, err)
+            assert err.endswith(
+                "malformed table file: expected an object with the fields m and c\n"), (value, verb, err)
+
+
+def test_class_of_order_zero_is_refused(tmp_path, capsys):
+    # order 0 with an empty power map agrees in length, so the order itself
+    # must be refused before the power map is indexed
+    obj = json.loads((PINNED_TABLES / "A5.tbl").read_text())
+    obj["classes"][1]["order"] = 0
+    obj["classes"][1]["powers"] = []
+    f = tmp_path / "order0.tbl"
+    f.write_text(json.dumps(obj))
+    for verb in ("verify", "zeros", "star", "classify"):
+        rc, out, err = run(capsys, verb, str(f))
+        assert (rc, out) == (1, ""), verb
+        assert err.count("\n") == 1, (verb, err)
+        assert err.endswith("malformed table file: class 1: inconsistent class summary\n"), (verb, err)
+
+
 def test_read_verbs_match_the_pinned_digests(capsys):
     # the exit code and stdout of each read verb on each pinned table, as
     # perfbench/pin.py recorded them

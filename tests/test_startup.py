@@ -1,7 +1,8 @@
 """Cold start: `import charzeros`, the read verbs on a table file and the
 verbs that compute a table never import sympy; `numtheory` loads it when it
-needs it.  Each check runs in a fresh interpreter, since this one has sympy
-loaded already."""
+needs it.  Each run-time check runs in a fresh interpreter, since this one
+has sympy loaded already; a static check reads every module's imports."""
+import ast
 import json
 import os
 import subprocess
@@ -73,3 +74,26 @@ def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == \
         {p.name: p.read_bytes() for p in TABLES.iterdir()}
     assert child["results"][3] == [0, "least primitive prime divisor of 2^10 - 1: 11\n"]
+
+
+def _imports(tree: ast.AST) -> set[str]:
+    """The top-level package of every import in a module, at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_numtheory_imports_sympy():
+    # the table side factors by trial division alone (`cyclo.trial_factor`):
+    # sympy serves numtheory, which factors numbers a user supplies, and no
+    # other module may import it, even inside a function.
+    package = Path(SRC) / "charzeros"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    users = [p.relative_to(package).as_posix() for p in modules
+             if "sympy" in _imports(ast.parse(p.read_text(), str(p)))]
+    assert users == ["numtheory.py"]

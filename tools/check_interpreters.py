@@ -1,0 +1,134 @@
+"""Check that other Python interpreters give the pinned outputs.
+
+    python3 tools/check_interpreters.py [PYTHON ...]
+
+Each PYTHON is an interpreter to check.  With none, the first working
+`python3.10` ... `python3.13` on PATH is checked for each version.  Every
+interpreter runs `charzeros` from `src/` of this checkout, with
+PYTHONPATH=src and no installed package needed, and must:
+
+- write with `suite --seed 0 --dir D`, under PYTHONHASHSEED 0 and 1, files
+  byte-identical to `perfbench/pinned/tables`;
+- give, for verify, zeros, star and classify on each of the 35 pinned
+  tables, the exit code and stdout SHA-256 in `perfbench/pinned/digests.json`;
+- load no sympy while doing so.
+
+The pinned files are only read.  Exit 0 when every interpreter passes, 1 on
+a mismatch or a named interpreter that does not start, 2 when none starts.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PINNED = ROOT / "perfbench" / "pinned"
+TABLES = PINNED / "tables"
+VERBS = ("verify", "zeros", "star", "classify")
+NAMES = tuple(f"python3.{v}" for v in range(10, 14))
+
+# Runs `charzeros.cli.main` on each argv of the JSON list sys.argv[1] in this
+# process; prints each op's exit code and stdout SHA-256, and whether sympy
+# was loaded at the end.
+CHILD = """
+import contextlib, hashlib, io, json, sys
+from charzeros.cli import main
+out = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    out.append({"rc": rc, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()})
+print(json.dumps({"outputs": out, "sympy": "sympy" in sys.modules}))
+"""
+
+
+def _version(python: str) -> str | None:
+    """The interpreter's version, or None when it does not start."""
+    try:
+        proc = subprocess.run([python, "-c", "import sys; print(sys.version.split()[0])"],
+                              capture_output=True, text=True, timeout=30)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _on_path(name: str) -> str | None:
+    """The first `name` on PATH that starts: a version manager's shim for a
+    version that is not selected exits at once, and is passed over."""
+    for d in os.environ.get("PATH", "").split(os.pathsep):
+        exe = shutil.which(name, path=d or ".")
+        if exe and _version(exe):
+            return exe
+    return None
+
+
+def _run(python: str, argvs: list[list[str]], hashseed: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
+    proc = subprocess.run([python, "-c", CHILD, json.dumps(argvs)], capture_output=True,
+                          text=True, timeout=600, env=env, cwd=ROOT)
+    if proc.returncode != 0:
+        tail = proc.stderr.strip().splitlines()
+        raise RuntimeError(tail[-1] if tail else f"exit {proc.returncode}")
+    return json.loads(proc.stdout)
+
+
+def check(python: str) -> list[str]:
+    """The mismatches of one interpreter against the pinned files."""
+    problems = []
+    want = {p.name: p.read_bytes() for p in TABLES.iterdir()}
+    for hashseed in ("0", "1"):
+        with tempfile.TemporaryDirectory() as d:
+            res = _run(python, [["suite", "--seed", "0", "--dir", d]], hashseed)
+            got = {p.name: p.read_bytes() for p in Path(d).iterdir()}
+        if res["outputs"][0]["rc"] != 0:
+            problems.append(f"suite exit {res['outputs'][0]['rc']} (PYTHONHASHSEED={hashseed})")
+        differ = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
+        if differ:
+            problems.append(f"suite files differ (PYTHONHASHSEED={hashseed}): {', '.join(differ)}")
+        if res["sympy"]:
+            problems.append("suite loaded sympy")
+    digests = json.loads((PINNED / "digests.json").read_text())["outputs"]
+    keys = [f"{verb}/{f}" for f in sorted(n for n in want if n.endswith(".tbl")) for verb in VERBS]
+    res = _run(python, [[k.split("/")[0], str(TABLES / k.split("/")[1])] for k in keys], "0")
+    problems += [f"{k}: exit {got['rc']}, stdout {got['sha256'][:12]}; pinned exit "
+                 f"{digests[k]['rc']}, stdout {digests[k]['sha256'][:12]}"
+                 for k, got in zip(keys, res["outputs"]) if got != digests[k]]
+    if res["sympy"]:
+        problems.append("read verbs loaded sympy")
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    pythons = argv or [exe for exe in map(_on_path, NAMES) if exe]
+    failed = checked = 0
+    for python in pythons:
+        version = _version(python)
+        if version is None:
+            print(f"{python}: does not start")
+            failed += 1
+            continue
+        checked += 1
+        try:
+            problems = check(python)
+        except (RuntimeError, subprocess.TimeoutExpired) as exc:
+            problems = [f"run failed: {exc}"]
+        failed += bool(problems)
+        verdict = "ok" if not problems else f"{len(problems)} mismatches"
+        print(f"{python} ({version}): {verdict}")
+        for p in problems:
+            print(f"  {p}")
+    if not checked:
+        print("no interpreter could be started", file=sys.stderr)
+        return 2
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
