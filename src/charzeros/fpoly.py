@@ -86,11 +86,12 @@ def gcd(a: list[int], b: list[int], l: int) -> list[int]:
 
 
 def split_roots(f: list[int], l: int) -> list[int] | None:
-    """The roots of f in F_l, ascending, for an odd prime l and an f of
-    positive degree that divides x^l - x, that is, one that is squarefree and
-    splits into linear factors over F_l; None for any other f.
+    """The roots of f in F_l, ascending, for a prime l and an f of positive
+    degree that divides x^l - x, that is, one that is squarefree and splits
+    into linear factors over F_l; None for any other f.
 
-    The roots are split apart by deterministic Cantor-Zassenhaus: for
+    Over F_2 the roots are found by evaluating f at 0 and 1.  For an odd l
+    they are split apart by deterministic Cantor-Zassenhaus: for
     a = 0, 1, 2, ..., gcd(f, (x + a)^((l-1)/2) - 1) holds exactly the roots r
     with r + a a nonzero square.  Two distinct roots r, s are split by some
     a < l, or else the Legendre symbols would give
@@ -98,6 +99,8 @@ def split_roots(f: list[int], l: int) -> list[int] | None:
     where its parent split, as every a before left its roots together."""
     if len(f) < 2 or pow_mod([0, 1], l, f, l) != rem([0, 1], f, l):
         return None
+    if l == 2:  # (l - 1)/2 = 0: every gcd below would be f itself
+        return [r for r, value in ((0, f[0]), (1, sum(f))) if value % 2 == 0]
     out: list[int] = []
     todo = [(f, 0)]
     while todo:

@@ -2,6 +2,7 @@
 as the oracle (sympy serves the tests here, not the table computation)."""
 import json
 import random
+import signal
 from math import isqrt
 from pathlib import Path
 
@@ -88,6 +89,24 @@ def test_roots_match_galoistools_on_split_products():
             assert all(len(f) == 2 for f in factors)
             want = sorted(int(-f[1]) % l for f in factors)
             assert fpoly.split_roots(p[::-1], l) == want == sorted(roots), (l, p)
+
+
+def test_roots_over_f2_in_bounded_time():
+    # at l = 2, (l - 1)/2 = 0 and every Cantor-Zassenhaus gcd is f itself:
+    # x(x + 1) once looped forever
+    def expired(signum, frame):
+        raise TimeoutError("split_roots over F_2 ran past 2 s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(2)
+    try:
+        got = {tuple(f): fpoly.split_roots(f, 2)
+               for f in ([0, 1, 1], [0, 1], [1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1])}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert got == {(0, 1, 1): [0, 1], (0, 1): [0], (1, 1): [1],
+                   (1, 0, 1): None, (1, 1, 1): None, (0, 0, 1): None}
 
 
 @pytest.mark.parametrize("p, l", [

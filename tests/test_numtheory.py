@@ -1,3 +1,4 @@
+import sys
 import time
 from fractions import Fraction
 
@@ -137,22 +138,54 @@ def test_outer_bound_sweep_visits_each_domain_point_once(monkeypatch):
     assert bad == [(3, 2, "B"), (13, 1, "A"), (3, 3, "B")]
 
 
+def test_outer_bound_sweep_visits_each_domain_point_once_with_both_parts_failing(
+        monkeypatch):
+    # at q = 13 and q = 25 both parts fail: the sweep goes prime by prime, so
+    # only its final sort by q puts 25 after 13 (and 9 before 13), and that
+    # sort must keep part A before part B at one q
+    domains = _outer_bound_domains(10**3)
+    calls = []
+    failing = {(13, "A"), (13, "B"), (9, "B"), (25, "A"), (25, "B")}
+
+    def recording(q, f, part):
+        calls.append((q, f, part))
+        return (q, part) not in failing
+
+    monkeypatch.setattr(numtheory, "_outer_bound_ok", recording)
+    bad = outer_bound_sweep(10**3)
+    assert sorted(calls) == sorted(domains) and len(calls) == len(set(calls))
+    assert bad == [(3, 2, "B"), (13, 1, "A"), (13, 1, "B"), (5, 2, "A"), (5, 2, "B")]
+
+
 def test_outer_bound_sweep_proves_no_prime_again(monkeypatch):
-    calls = 0
-    isprime = sympy.isprime
-
-    def counting(n):
-        nonlocal calls
-        calls += 1
-        return isprime(n)
-
-    sympy.sieve._reset()
-    monkeypatch.setattr(sympy, "isprime", counting)
+    # the primes come from the in-house sieve: with sympy blocked, the sweep
+    # to the default bound still runs, and within its budget
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    with pytest.raises(ImportError):
+        __import__("sympy")
     t0 = time.perf_counter()
     bad = outer_bound_sweep(10**6)
     elapsed = time.perf_counter() - t0
-    assert (bad, calls) == ([], 0)
+    assert bad == []
     assert elapsed < 1.0, f"sweep to 10^6 took {elapsed:.2f}s, budget 1s"
+
+
+def test_primes_upto_matches_sympy():
+    # every n up to 3000, each side of each small prime's square (where an
+    # odd prime starts striking), and the default sweep bound
+    ns = {*range(3001), 10**6}
+    ns.update(p * p + d for p in sympy.primerange(2, 200) for d in (-1, 0, 1))
+    for n in sorted(ns):
+        assert list(numtheory._primes_upto(n)) == list(sympy.primerange(2, n + 1)), n
+
+
+def test_prime_powers_upto_yields_each_prime_power_once():
+    for bound in (2, 3, 4, 8, 9, 100, 1024, 3125, 10**4):
+        got = list(numtheory._prime_powers_upto(bound))
+        assert len(got) == len({q for q, _, _ in got})
+        assert sorted(q for q, _, _ in got) == \
+            [q for q in range(2, bound + 1) if prime_power(q) is not None]
+        assert all(q == p**f and prime_power(q) == (p, f) for q, p, f in got)
 
 
 def test_outer_bound_sweep_ceiling(monkeypatch):

@@ -1,7 +1,8 @@
-"""Cold start: `import charzeros`, the read verbs on a table file and the
-verbs that compute a table never import sympy; `numtheory` loads it when it
-needs it.  Each run-time check runs in a fresh interpreter, since this one
-has sympy loaded already; a static check reads every module's imports."""
+"""Cold start: `import charzeros`, the read verbs on a table file, the
+verbs that compute a table and the `outer-bound` sweep never import sympy;
+the other `numtheory` verbs load it when they need it.  Each run-time check
+runs in a fresh interpreter, since this one has sympy loaded already; a
+static check reads every module's imports."""
 import ast
 import json
 import os
@@ -61,19 +62,24 @@ def test_read_verbs_start_without_sympy(capsys):
 
 def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
     # a table, a build and the whole suite compute over F_l with `fpoly` and
-    # trial division; only numtheory, which factors numbers a user supplies,
-    # loads sympy.  Each verb starts from the state the one before it left.
+    # trial division, and `outer-bound` sieves its own primes; only the
+    # numtheory verbs that factor numbers a user supplies load sympy.  Each
+    # verb starts from the state the one before it left.
     out = tmp_path / "suite"
     argvs = [["table", "A5"], ["build", "A5"], ["suite", "--dir", str(out)],
+             ["numtheory", "outer-bound", "--bound", "1000"],
              ["numtheory", "zsigmondy", "2", "10"]]
     child = _fresh(argvs)
-    assert child["loaded"] == [False, False, False, False, True]
+    assert child["loaded"] == [False, False, False, False, False, True]
     assert child["results"][0] == [0, (TABLES / "A5.tbl").read_text()]
     assert child["results"][1] == _here(capsys, argvs[1:2])[0]
     assert child["results"][2] == [0, (TABLES / "report.txt").read_text()]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == \
         {p.name: p.read_bytes() for p in TABLES.iterdir()}
-    assert child["results"][3] == [0, "least primitive prime divisor of 2^10 - 1: 11\n"]
+    assert child["results"][3:] == [
+        [0, "both inequalities hold for every prime power q <= 1000 in their "
+            "domains (A: q > 11; B: odd q >= 7)\n"],
+        [0, "least primitive prime divisor of 2^10 - 1: 11\n"]]
 
 
 def _imports(tree: ast.AST) -> set[str]:

@@ -11,6 +11,8 @@ PYTHONPATH=src and no installed package needed, and must:
   byte-identical to `perfbench/pinned/tables`;
 - give, for verify, zeros, star and classify on each of the 35 pinned
   tables, the exit code and stdout SHA-256 in `perfbench/pinned/digests.json`;
+- print, for `numtheory outer-bound --bound 100000 --format json`, the JSON
+  object {"bound": 100000, "ok": true, "violations": []} and exit 0;
 - load no sympy while doing so.
 
 The pinned files are only read.  Exit 0 when every interpreter passes, 1 on
@@ -19,6 +21,7 @@ a mismatch or a named interpreter that does not start, 2 when none starts.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -32,6 +35,10 @@ PINNED = ROOT / "perfbench" / "pinned"
 TABLES = PINNED / "tables"
 VERBS = ("verify", "zeros", "star", "classify")
 NAMES = tuple(f"python3.{v}" for v in range(10, 14))
+OUTER_BOUND = ["numtheory", "outer-bound", "--bound", "100000", "--format", "json"]
+# What OUTER_BOUND prints: the CLI writes JSON indented by 2, keys sorted.
+OUTER_BOUND_OUT = json.dumps({"bound": 100000, "ok": True, "violations": []},
+                             indent=2, sort_keys=True) + "\n"
 
 # Runs `charzeros.cli.main` on each argv of the JSON list sys.argv[1] in this
 # process; prints each op's exit code and stdout SHA-256, and whether sympy
@@ -102,6 +109,13 @@ def check(python: str) -> list[str]:
                  for k, got in zip(keys, res["outputs"]) if got != digests[k]]
     if res["sympy"]:
         problems.append("read verbs loaded sympy")
+    res = _run(python, [OUTER_BOUND], "0")
+    got, want_sha = res["outputs"][0], hashlib.sha256(OUTER_BOUND_OUT.encode()).hexdigest()
+    if got != {"rc": 0, "sha256": want_sha}:
+        problems.append(f"outer-bound: exit {got['rc']}, stdout {got['sha256'][:12]}; "
+                        f"want exit 0, stdout {want_sha[:12]}")
+    if res["sympy"]:
+        problems.append("outer-bound loaded sympy")
     return problems
 
 
