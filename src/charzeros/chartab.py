@@ -14,8 +14,12 @@ walk stops as soon as every block is a line.  A block is spanned by the
 central characters it holds, all 1 at the identity class, so that class is
 its first pivot.  Hence a block on which A_i is a scalar, which cannot split,
 is seen from its basis alone and kept without reading a class row, and on
-any other block one Krylov row gives the minimal polynomial.  The split is
-deterministic.
+any other block the Krylov rows of one vector give the minimal polynomial:
+each row is reduced against the earlier ones as it is formed, and the
+elimination stops at the first dependence.  The eigenvalues are its roots
+(`fpoly.split_roots`) and each eigenspace is a kernel mod l.  Each inner
+product of the split, as of the transforms of the lift below, is one
+C-level sum(map(mul, a, b)) % l.  The split is deterministic.
 Once the characters are separated, each character degree follows from the
 orthogonality relations and every entry lifts uniquely to an exact
 cyclotomic number through its root-of-unity multiplicities: one length-o
@@ -149,15 +153,31 @@ def _min_poly(b, l):
     """Minimal polynomial (ascending, monic) of a diagonalisable b whose
     eigenvectors all have a nonzero first coordinate.  The row vector e_0 then
     has a component in every eigenspace, so the least p with e_0 p(b) = 0 is
-    the minimal polynomial: the first dependence among e_0 b^j, j = 0..d."""
+    the minimal polynomial: the first dependence among e_0 b^j, j = 0..d.
+    Each Krylov row is reduced against the rows before it as it is formed,
+    carrying the coefficients of the p with row = e_0 p(b), and the next row
+    is the reduced one times b.  The first row that reduces to zero gives the
+    minimal polynomial, so the elimination stops at the first dependence."""
+    d = len(b)
     cols = list(zip(*b))
-    krylov = [[int(t == 0) for t in range(len(b))]]  # e_0
-    for _ in b:
-        krylov.append([sum(x * y for x, y in zip(krylov[-1], c)) % l for c in cols])
-    ann = _kernel_basis([list(c) for c in zip(*krylov)], l)[0]
-    while not ann[-1]:
-        ann.pop()
-    return ann
+    row = [1] + [0] * (d - 1) + [1] + [0] * d  # e_0, then p = 1 as d + 1 coefficients
+    reduced = []  # (pivot, row scaled to 1 there), zero at the earlier pivots
+    while True:
+        for t, done in reduced:
+            c = row[t]
+            if c:
+                row = [(x - c * y) % l for x, y in zip(row, done)]
+        t = next((t for t in range(d) if row[t]), None)
+        if t is None:  # p has degree len(reduced)
+            p = row[d:d + len(reduced) + 1]
+            inv = pow(p[-1], l - 2, l)
+            return [c * inv % l for c in p]
+        inv = pow(row[t], l - 2, l)
+        row = [x * inv % l for x in row]
+        reduced.append((t, row))
+        # at most d rows are independent, so p has degree < d and x p fits;
+        # map stops at the d entries of a column, before the coefficients
+        row = [sum(map(mul, row, c)) % l for c in cols] + [0] + row[d:-1]
 
 
 def _separate(group: Group, l: int) -> list[list[int]]:
@@ -192,15 +212,15 @@ def _separate(group: Group, l: int) -> list[list[int]]:
                 continue
             d = len(basis)
             rows = [group.class_row(i, p) for p in pivots]
-            b = [[sum(x * y for x, y in zip(row, v)) % l for v in basis] for row in rows]
+            b = [[sum(map(mul, row, v)) % l for v in basis] for row in rows]
             roots = fpoly.split_roots(_min_poly(b, l), l)
             if roots is None:  # not squarefree, or not split over F_l
                 raise Degenerate("eigenvalue outside the working prime field")
+            columns = list(zip(*basis))
             for e in roots:
                 shifted = [[(b[s][t] - (e if s == t else 0)) % l
                             for t in range(d)] for s in range(d)]
-                sub = [[sum(kv[t] * basis[t][j] for t in range(d)) % l
-                        for j in range(r)]
+                sub = [[sum(map(mul, kv, c)) % l for c in columns]
                        for kv in _kernel_basis(shifted, l)]
                 split.append((sub, _rref(sub, l)))
         blocks = split
@@ -254,13 +274,14 @@ def character_table(group: Group) -> CharacterTable:
     w = pow(g0, (l - 1) // m, l)
     # dft[o][t][s] = w_o^(-ts) / o, with w_o a primitive o-th root of unity
     # mod l: the multiplicity of zeta_o^t in chi restricted to <g> is
-    # sum_s dft[o][t][s] * chi(g^s).
+    # sum_s dft[o][t][s] * chi(g^s).  Each entry is one of the o values
+    # w_o^(-k) / o, at k = ts mod o.
     dft = {}
     for o in {c.element_order for c in classes}:
         w_inv = pow(pow(w, m // o, l), l - 2, l)
         o_inv = pow(o, l - 2, l)
-        dft[o] = [[pow(w_inv, t * s % o, l) * o_inv % l for s in range(o)]
-                  for t in range(o)]
+        scaled = [pow(w_inv, k, l) * o_inv % l for k in range(o)]
+        dft[o] = [[scaled[t * s % o] for s in range(o)] for t in range(o)]
     # Galois families: class j holds rep_j0^k for k prime to o, j0 the least
     # class of its family.  chi(g^k) = sigma_k(chi(g)), so the multiplicity
     # of zeta_o^(tk) at j is that of zeta_o^t at j0.
@@ -283,7 +304,7 @@ def character_table(group: Group) -> CharacterTable:
             j0, k = family[j]
             if j0 == j:
                 xs = [xval[p] for p in powers[j]]
-                mult = [sum(x * y for x, y in zip(xs, f)) % l for f in dft[o]]
+                mult = [sum(map(mul, xs, f)) % l for f in dft[o]]
             else:
                 mult = [0] * o
                 for t, c in enumerate(mults[j0]):

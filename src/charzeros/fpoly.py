@@ -6,7 +6,10 @@ degree.  `chartab` finds the eigenvalues of the class matrices as the roots
 of their minimal polynomials (`split_roots`), and `fields` searches for and
 multiplies by Conway polynomials.  Degrees stay small there (a table has at
 most 64 classes, a field at most 1024 elements), so products and remainders
-are schoolbook.
+are schoolbook.  Most minimal polynomials the split meets are quadratics,
+which `split_roots` solves in closed form by a square root mod l; a higher
+degree pays one power x^((l-1)/2) mod f, which both tests that f splits
+and starts the search for its roots.
 """
 
 from __future__ import annotations
@@ -85,31 +88,68 @@ def gcd(a: list[int], b: list[int], l: int) -> list[int]:
     return [c * inv % l for c in a]
 
 
+def _sqrt(a: int, l: int) -> int:
+    """A square root of a nonzero square a mod an odd prime l, by
+    Tonelli-Shanks: with l - 1 = q 2^s, q odd, r = a^((q+1)/2) has
+    r^2 = a t, and t = a^q is brought to 1 by powers of z^q, z a non-square."""
+    s = ((l - 1) & (1 - l)).bit_length() - 1
+    q = (l - 1) >> s
+    z = next(z for z in range(2, l) if pow(z, (l - 1) // 2, l) == l - 1)
+    c, t, r = pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
+    while t != 1:  # t has order 2^i < 2^s, c order 2^s
+        i, u = 0, t
+        while u != 1:
+            u, i = u * u % l, i + 1
+        b = pow(c, 1 << (s - i - 1), l)
+        s, c, t, r = i, b * b % l, t * b * b % l, r * b % l
+    return r
+
+
 def split_roots(f: list[int], l: int) -> list[int] | None:
     """The roots of f in F_l, ascending, for a prime l and an f of positive
     degree that divides x^l - x, that is, one that is squarefree and splits
     into linear factors over F_l; None for any other f.
 
-    Over F_2 the roots are found by evaluating f at 0 and 1.  For an odd l
-    they are split apart by deterministic Cantor-Zassenhaus: for
-    a = 0, 1, 2, ..., gcd(f, (x + a)^((l-1)/2) - 1) holds exactly the roots r
-    with r + a a nonzero square.  Two distinct roots r, s are split by some
-    a < l, or else the Legendre symbols would give
-    sum_a (r+a | l)(s+a | l) = l - 2, not -1.  A factor keeps the search
-    where its parent split, as every a before left its roots together."""
-    if len(f) < 2 or pow_mod([0, 1], l, f, l) != rem([0, 1], f, l):
+    Over F_2 the roots are found by evaluating f at 0 and 1.  For an odd l a
+    quadratic a x^2 + b x + c has two distinct roots exactly when its
+    discriminant b^2 - 4ac is a nonzero square, and they are
+    (-b +- sqrt(b^2 - 4ac))/2a.  Any
+    higher degree pays one power h = x^((l-1)/2) mod f: f divides x^l - x
+    when x h^2 = x (mod f), and its roots are split apart by deterministic
+    Cantor-Zassenhaus: for a = 0, 1, 2, ..., gcd(f, (x + a)^((l-1)/2) - 1)
+    holds exactly the roots r with r + a a nonzero square, and at a = 0 that
+    power is h.  Two distinct roots r, s are split by some a < l, or else the
+    Legendre symbols would give sum_a (r+a | l)(s+a | l) = l - 2, not -1.  A
+    factor keeps the search where its parent split, as every a before left
+    its roots together, and one of degree 2 or less is solved directly."""
+    if len(f) < 2:
         return None
     if l == 2:  # (l - 1)/2 = 0: every gcd below would be f itself
-        return [r for r, value in ((0, f[0]), (1, sum(f))) if value % 2 == 0]
+        roots = [r for r, value in ((0, f[0]), (1, sum(f))) if value % 2 == 0]
+        return roots if len(roots) == len(f) - 1 else None
+    if len(f) == 2:
+        return [-f[0] * pow(f[1], l - 2, l) % l]
+    if len(f) == 3:
+        c, b, a = f
+        disc = (b * b - 4 * a * c) % l
+        if pow(disc, (l - 1) // 2, l) != 1:  # zero, or not a square
+            return None
+        root, inv = _sqrt(disc, l), pow(2 * a, l - 2, l)
+        return sorted((e - b) * inv % l for e in (root, -root))
+    h = pow_mod([0, 1], (l - 1) // 2, f, l)
+    if rem(mul([0, 1], mul(h, h, l), l), f, l) != [0, 1]:
+        return None
     out: list[int] = []
     todo = [(f, 0)]
     while todo:
         f, a = todo.pop()
-        if len(f) == 2:
-            out.append(-f[0] * pow(f[1], l - 2, l) % l)
+        if len(f) <= 3:
+            out += split_roots(f, l)
             continue
         while True:
-            g = gcd(f, plus(pow_mod([a, 1], (l - 1) // 2, f, l), -1, l), l)
+            # only the input starts at a = 0, and its power is h
+            power = h if a == 0 else pow_mod([a, 1], (l - 1) // 2, f, l)
+            g = gcd(f, plus(power, -1, l), l)
             a += 1
             if 1 < len(g) < len(f):
                 todo += [(g, a), (divmod_(f, g, l)[0], a)]

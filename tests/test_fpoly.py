@@ -1,5 +1,6 @@
 """F_l[x] arithmetic and the eigenvalue root finder, with sympy's galoistools
 as the oracle (sympy serves the tests here, not the table computation)."""
+import itertools
 import json
 import random
 import signal
@@ -89,6 +90,24 @@ def test_roots_match_galoistools_on_split_products():
             assert all(len(f) == 2 for f in factors)
             want = sorted(int(-f[1]) % l for f in factors)
             assert fpoly.split_roots(p[::-1], l) == want == sorted(roots), (l, p)
+
+
+def test_roots_match_evaluation_at_every_residue():
+    # every f of degree 1-3 with a unit leading coefficient over small
+    # fields: this covers a zero discriminant, a non-square one, and l = 3,
+    # where 1/2 = 2
+    cases = 0
+    for l in (2, 3, 5, 7, 11, 13):
+        for degree in (1, 2, 3):
+            for low in itertools.product(range(l), repeat=degree):
+                for lead in range(1, l):
+                    f = [*low, lead]
+                    roots = [r for r in range(l)
+                             if sum(c * r**i for i, c in enumerate(f)) % l == 0]
+                    want = roots if len(roots) == degree else None
+                    assert fpoly.split_roots(f, l) == want, (f, l)
+                    cases += 1
+    assert cases == 46284
 
 
 def test_roots_over_f2_in_bounded_time():
