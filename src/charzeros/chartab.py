@@ -38,11 +38,12 @@ fails a check has its relations summed as cyclotomic integers, to name
 every failing one.
 The numbers mod l are small (l = 16381 for Sz(8):3, the largest in the
 registry), so the computation needs no computer algebra: the eigenvalues are
-the roots of minimal polynomials in `fpoly`, and l, its least primitive
-root and each degree (the least d <= sqrt|G| with d^2 = |G|/s mod l) are
-found by trial.  Every number factored here goes to `cyclo.trial_factor`,
-trial division alone: an element order or the exponent, whose primes are at
-most 251, and l or l - 1.  sympy serves only `numtheory`.
+the roots of minimal polynomials in `fpoly`, and l, a primitive exp(G)-th
+root of unity mod l (any one, as the rows are sorted) and each degree (the
+least d <= sqrt|G| with d^2 = |G|/s mod l) are found by trial.  Every number
+factored here goes to `cyclo.trial_factor`, trial division alone: an element
+order or the exponent, whose primes are at most 251, p - 1 for such a p, and
+l.  sympy serves only `numtheory`.
 
 A table file is read in one pass (`table_from_text`).  Its class data is
 checked first, the class count against `groupcore.MAX_CLASSES` before the
@@ -237,13 +238,14 @@ def _prime_above(bound: int, step: int) -> int:
     return l
 
 
-def _least_generator(l: int) -> int:
-    """The least generator of the units mod the prime l.  It fixes the
-    embedding of the roots of unity: another generator would give
-    Galois-conjugate rows, and so other file bytes."""
-    qs = [q for q, _ in trial_factor(l - 1)]
-    return next(g for g in range(1, l)
-                if all(pow(g, (l - 1) // q, l) != 1 for q in qs))
+def _root_of_unity(l: int, m: int) -> int:
+    """A primitive m-th root of unity mod the prime l: the first a^((l-1)/m),
+    a = 1, 2, ..., of order m (for m = l - 1, the least primitive root).  Any
+    other conjugates each row by a sigma_k, which permutes the sorted rows.
+    A forced l with m not dividing l - 1 has none, and verify decides."""
+    qs = [q for q, _ in trial_factor(m)]
+    return next((w for w in (pow(a, (l - 1) // m, l) for a in range(1, l))
+                 if all(pow(w, m // q, l) != 1 for q in qs)), 1)
 
 
 def character_table(group: Group) -> CharacterTable:
@@ -270,15 +272,14 @@ def character_table(group: Group) -> CharacterTable:
             raise Degenerate("degree square has no root mod l")
         chars.append((d, u))
 
-    g0 = _least_generator(l)
-    w = pow(g0, (l - 1) // m, l)
     # dft[o][t][s] = w_o^(-ts) / o, with w_o a primitive o-th root of unity
     # mod l: the multiplicity of zeta_o^t in chi restricted to <g> is
     # sum_s dft[o][t][s] * chi(g^s).  Each entry is one of the o values
-    # w_o^(-k) / o, at k = ts mod o.
+    # w_o^(-k) / o, at k = ts mod o.  Any primitive root serves as w_m^(-1).
+    w = _root_of_unity(l, m)
     dft = {}
     for o in {c.element_order for c in classes}:
-        w_inv = pow(pow(w, m // o, l), l - 2, l)
+        w_inv = pow(w, m // o, l)
         o_inv = pow(o, l - 2, l)
         scaled = [pow(w_inv, k, l) * o_inv % l for k in range(o)]
         dft[o] = [[scaled[t * s % o] for s in range(o)] for t in range(o)]
@@ -359,7 +360,7 @@ def _unit_generators(m: int) -> list[int]:
         if p == 2:
             roots = [-1, 5][:k - 1]
         else:
-            g = _least_generator(p)
+            g = _root_of_unity(p, p - 1)
             roots = [g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g]
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
         gens += [(1 + (g - 1) * lift) % m for g in roots]
@@ -438,7 +439,7 @@ def _rows_hold_mod_l(t: CharacterTable, values: list[tuple], cells: list[list[in
     if bound + n >= _MODULAR_CEILING:
         return False
     l = _prime_above(bound + n, m)
-    w = pow(_least_generator(l), (l - 1) // m, l)
+    w = _root_of_unity(l, m)
     at = [sum(c * pow(w, e, l) for e, c in v) % l for v in values]
     conj = [sum(c * pow(w, -e % m, l) for e, c in v) % l for v in values]  # at w^-1
     xs = [[s * at[x] for s, x in zip(sizes, row)] for row in cells]

@@ -189,33 +189,28 @@ def _suzuki_maps(F: FqField):
     return t_perm, m_perm, w_perm, frob_perm
 
 
-def suzuki(q: int = 8) -> Group:
-    if q != 8:
-        raise ValueError("only Sz(8) is within the order budget")
+def suzuki() -> Group:
     F = gf(2, 3)
     t_perm, m_perm, w_perm, _ = _suzuki_maps(F)
     gens = [t_perm(1, 0), t_perm(0, 1), m_perm(F.generator), w_perm()]
-    return Group(gens, degree=65, name=f"Sz({q})")
+    return Group(gens, degree=65, name="Sz(8)")
 
 
-def suzuki_semilinear(q: int = 8) -> Group:
-    base = suzuki(q)
-    F = gf(2, 3)
-    frob = _suzuki_maps(F)[3]
-    return Group(base.generators + (frob(),), degree=65, name=f"Sz({q}):{F.f}")
+def suzuki_semilinear() -> Group:
+    frob = _suzuki_maps(gf(2, 3))[3]
+    return Group(suzuki().generators + (frob(),), degree=65, name="Sz(8):3")
 
 
 # -- unitary group on isotropic points --------------------------------------------
 
-def unitary3(q: int = 4) -> Group:
-    """PSU3(q) (= SU3(q) when gcd(3, q+1) = 1) on the q^3 + 1 isotropic
-    points of the Hermitian form x1*conj(y3) + x2*conj(y2) + x3*conj(y1)."""
-    if q != 4:
-        raise ValueError("only PSU3(4) is within the order budget")
+def unitary3() -> Group:
+    """PSU3(4) (= SU3(4), as gcd(3, 5) = 1) on the 65 isotropic points of the
+    Hermitian form x1*conj(y3) + x2*conj(y2) + x3*conj(y1) over F_16, where
+    conj(x) = x^4; the only such group within the order budget."""
     F = gf(2, 4)
 
     def conj(x):
-        return F.pow(x, q)
+        return F.pow(x, 4)
 
     def herm(x, y):
         s = F.mul(x[0], conj(y[2]))
@@ -249,4 +244,4 @@ def unitary3(q: int = 4) -> Group:
             perm_of(((lam, 0, 0), (0, F.div(conj(lam), lam), 0),
                      (0, 0, F.inv(conj(lam))))),
             perm_of(((0, 0, 1), (0, 1, 0), (1, 0, 0)))]
-    return Group(gens, degree=len(iso), name=f"PSU(3,{q})")
+    return Group(gens, degree=len(iso), name="PSU(3,4)")

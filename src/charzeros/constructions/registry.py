@@ -112,11 +112,9 @@ RECIPES: tuple[GroupRecipe, ...] = (
     GroupRecipe("PSL(2,8):3", partial(builders.psl2_semilinear, 8), order=1512,
                 out=1, derived=504, orders=(1, 2, 3, 6, 7, 9),
                 one_class=(7, 7, 7)),
-    GroupRecipe("PSU(3,4)", partial(builders.unitary3, 4), order=62400, out=4,
-                simple=True),
-    GroupRecipe("Sz(8)", partial(builders.suzuki, 8), order=29120, out=3,
-                simple=True),
-    GroupRecipe("Sz(8):3", partial(builders.suzuki_semilinear, 8), order=87360,
+    GroupRecipe("PSU(3,4)", builders.unitary3, order=62400, out=4, simple=True),
+    GroupRecipe("Sz(8)", builders.suzuki, order=29120, out=3, simple=True),
+    GroupRecipe("Sz(8):3", builders.suzuki_semilinear, order=87360,
                 out=1, derived=29120, one_class=(14,) * 6,
                 two_prime_excused=True),
     GroupRecipe("3.A6", partial(_shipped, "cover_3a6.txt"), order=1080, out=4,

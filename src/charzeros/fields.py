@@ -11,11 +11,12 @@ being the coefficient of x^i.  With the modulus fixed, the integer labels
 (and everything built on them, e.g. permutation images of point sets) are
 reproducible across systems.
 
-Sums work on the digits.  Products work on discrete logarithms to the
-generator g (x for f >= 2, the root of x - g for f = 1): a field holds the
-labels of g^0, ..., g^(q-2), found by q - 1 multiplications by g modulo the
-Conway polynomial, and their inverse map, so a field is built in O(q) and
-mul, inv, div, pow and frobenius are index arithmetic mod q - 1.
+Sums work on the digits.  Products work on discrete logarithms to x, which
+generates the units for every f, since the Conway polynomial is primitive
+(for f = 1 it is x - g, and x is g).  A field holds the labels of x^0, ...,
+x^(q-2), found by q - 1 multiplications by x modulo the Conway polynomial,
+and their inverse map, so a field is built in O(q) and mul, inv, div, pow
+and frobenius are index arithmetic mod q - 1.
 """
 
 from __future__ import annotations
@@ -87,12 +88,10 @@ class FqField:
         self.p = p
         self.f = f
         self.q = p**f
-        # x itself is primitive for f >= 2; for f = 1 the modulus is x - g
-        g = [0, 1] if f >= 2 else [-self.modulus[0] % p]
-        self._exp, y = [], [1]  # _exp[k] is the label of g^k
+        self._exp, y = [], [1]  # _exp[k] is the label of x^k
         for _ in range(self.q - 1):
             self._exp.append(self._encode(y))
-            y = fpoly.rem(fpoly.mul(y, g, p), self.modulus, p)
+            y = fpoly.rem(fpoly.mul(y, [0, 1], p), self.modulus, p)
         self._log = {a: k for k, a in enumerate(self._exp)}
         self.generator = self._exp[1 % (self.q - 1)]
 

@@ -4,9 +4,9 @@ Cyclotomic polynomial values, least primitive prime divisors (with the two
 classical exception patterns), a strict-inequality sweep over every prime
 power bounding field automorphism counts against class counts (its primes
 from an in-house sieve, so it needs no sympy), searches for
-restricted q-1/q+1 factorizations over the candidates q = 2^k +- 1, and
-maximal-torus order evaluation for the classical and exceptional families.
-Everything is integer-exact.
+restricted q-1/q+1 factorizations over q = 2^k +- 1, and maximal-torus order
+evaluation for the classical and exceptional families.  Everything is
+integer-exact; sympy tests and factors only numbers a user supplies.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import isqrt, prod
+
+from .cyclo import trial_factor
 
 
 def _strip(x: int, p: int) -> tuple[int, int]:
@@ -192,8 +194,10 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
     Exponents not constrained to be positive may be zero.  Each part fixes
     q = 2^k + 1 (A, B) or q = 2^k - 1 (C), so only k <= bound.bit_length()
     is walked, and the other exponents are read off by stripping 2, 3 or 5.
-    Only a q of the right shape is tested for being a prime power, so the
-    walk takes bounded time however large the bound.
+    Only a q of the right shape is tested for being a prime power, and it
+    is at most 17: for k >= 2 the shape makes 2^(k-1) = 3^b - 1 (A), 5^c - 1
+    (B) or 5^b + 1 (C), solved only by 2 and 8, by 4, and by 2 (mod 4 or 8 at
+    an odd exponent, a difference of squares at an even one).
     """
     if part not in ("A", "B", "C"):
         raise ValueError(f"unknown part {part!r}")
@@ -216,7 +220,8 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
             a, rest = _strip(q - 1, 2)
             b, rest = _strip(rest, 5)
             c = k
-        if rest == 1 and a >= 1 and prime_power(q) is not None:
+        # q is 3, 5 or 17 (A), 3 or 9 (B), or 3 (C): trial division suffices
+        if rest == 1 and a >= 1 and len(trial_factor(q)) == 1:
             sols.append(DiophantineSolution(q, a, b, c))
     return DiophantineSolutionSet(part, bound, tuple(sols))
 

@@ -525,6 +525,28 @@ def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monk
     assert degrees and min(degrees) >= 2, sorted(degrees)[:5]
 
 
+@pytest.mark.parametrize("power", ["m - 1", "least unit above 1"])
+def test_any_primitive_root_lifts_the_same_table(power, corpus, get_group, monkeypatch):
+    # the lift embeds zeta_m at w^k instead of w: each row is conjugated by
+    # sigma_k, which permutes the characters, and the rows are sorted, so no
+    # byte changes (verify, which reads the same helper, decides with any root)
+    extra = [parse_group_file("degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n"),  # D7
+             parse_group_file("degree 12\n(1 2 3 4)(5 6 7)(8 9 10 11 12)\n")]  # C60
+    want = [table_to_text(character_table(g)) for g in extra]
+    real = chartab._root_of_unity
+
+    def other_root(l, m):
+        k = m - 1 if power == "m - 1" else \
+            next(k for k in range(2, m + 2) if math.gcd(k, m) == 1)
+        return pow(real(l, m), k, l)
+
+    monkeypatch.setattr(chartab, "_root_of_unity", other_root)
+    for name in corpus:
+        pinned = PINNED_TABLES / (re.sub(r"[^0-9A-Za-z]", "_", name) + ".tbl")
+        assert table_to_text(character_table(get_group(name))) == pinned.read_text(), name
+    assert [table_to_text(character_table(g)) for g in extra] == want
+
+
 def _force_dixon_prime(monkeypatch, l):
     """Make l the prime of the next table computation.  Only the first
     `_prime_above` call is forced: verify's own prime must stay above its

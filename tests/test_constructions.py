@@ -164,17 +164,17 @@ def test_cover_extension():
 
 
 def test_suzuki():
-    g = suzuki(8)
+    g = suzuki()
     assert g.order == 29120 and is_simple(character_table(g))
     assert {c.element_order for c in g.classes} == {1, 2, 4, 5, 7, 13}
-    h = suzuki_semilinear(8)
+    h = suzuki_semilinear()
     assert h.order == 87360
     t = character_table(h)
     assert _order(t, derived_classes(t)) == 29120
 
 
 def test_unitary():
-    g = unitary3(4)
+    g = unitary3()
     assert g.order == 62400 and is_simple(character_table(g))
 
 

@@ -15,7 +15,7 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
 from charzeros import fpoly
-from charzeros.chartab import _least_generator, _prime_above
+from charzeros.chartab import _prime_above, _root_of_unity
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
@@ -71,9 +71,9 @@ def test_registry_primes_are_the_least_dixon_primes():
             assert _prime_above(bound, m) == l, (bound, m)
 
 
-def test_least_generator_is_the_least_primitive_root():
+def test_root_of_order_l_minus_1_is_the_least_primitive_root():
     for l in sorted(set(REGISTRY_PRIMES) | set(sympy.primerange(3, 2000))):
-        assert _least_generator(l) == sympy.primitive_root(l), l
+        assert _root_of_unity(l, l - 1) == sympy.primitive_root(l), l
 
 
 def test_roots_match_galoistools_on_split_products():

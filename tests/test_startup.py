@@ -1,8 +1,8 @@
 """Cold start: `import charzeros`, the read verbs on a table file, the
-verbs that compute a table and the `outer-bound` sweep never import sympy;
-the other `numtheory` verbs load it when they need it.  Each run-time check
-runs in a fresh interpreter, since this one has sympy loaded already; a
-static check reads every module's imports."""
+verbs that compute a table, the `outer-bound` sweep and `diophantine` never
+import sympy; the other `numtheory` verbs load it when they need it.  Each
+run-time check runs in a fresh interpreter, since this one has sympy loaded
+already; a static check reads every module's imports."""
 import ast
 import json
 import os
@@ -62,15 +62,17 @@ def test_read_verbs_start_without_sympy(capsys):
 
 def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
     # a table, a build and the whole suite compute over F_l with `fpoly` and
-    # trial division, and `outer-bound` sieves its own primes; only the
-    # numtheory verbs that factor numbers a user supplies load sympy.  Each
-    # verb starts from the state the one before it left.
+    # trial division, `outer-bound` sieves its own primes, and `diophantine`
+    # trial-divides its few candidates; only the numtheory verbs that factor
+    # numbers a user supplies load sympy.  Each verb starts from the state the
+    # one before it left.
     out = tmp_path / "suite"
     argvs = [["table", "A5"], ["build", "A5"], ["suite", "--dir", str(out)],
              ["numtheory", "outer-bound", "--bound", "1000"],
+             ["numtheory", "diophantine", "--part", "A"],
              ["numtheory", "zsigmondy", "2", "10"]]
     child = _fresh(argvs)
-    assert child["loaded"] == [False, False, False, False, False, True]
+    assert child["loaded"] == [False, False, False, False, False, False, True]
     assert child["results"][0] == [0, (TABLES / "A5.tbl").read_text()]
     assert child["results"][1] == _here(capsys, argvs[1:2])[0]
     assert child["results"][2] == [0, (TABLES / "report.txt").read_text()]
@@ -79,6 +81,10 @@ def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
     assert child["results"][3:] == [
         [0, "both inequalities hold for every prime power q <= 1000 in their "
             "domains (A: q > 11; B: odd q >= 7)\n"],
+        [0, "part A, bound 1000000: q in {3, 5, 17}\n"
+            "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
+            "  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
+            "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n"],
         [0, "least primitive prime divisor of 2^10 - 1: 11\n"]]
 
 

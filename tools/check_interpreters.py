@@ -13,6 +13,8 @@ PYTHONPATH=src and no installed package needed, and must:
   tables, the exit code and stdout SHA-256 in `perfbench/pinned/digests.json`;
 - print, for `numtheory outer-bound --bound 100000 --format json`, the JSON
   object {"bound": 100000, "ok": true, "violations": []} and exit 0;
+- print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
+  as in the README, and exit 0;
 - load no sympy while doing so.
 
 The pinned files are only read.  Exit 0 when every interpreter passes, 1 on
@@ -35,10 +37,18 @@ PINNED = ROOT / "perfbench" / "pinned"
 TABLES = PINNED / "tables"
 VERBS = ("verify", "zeros", "star", "classify")
 NAMES = tuple(f"python3.{v}" for v in range(10, 14))
-OUTER_BOUND = ["numtheory", "outer-bound", "--bound", "100000", "--format", "json"]
-# What OUTER_BOUND prints: the CLI writes JSON indented by 2, keys sorted.
-OUTER_BOUND_OUT = json.dumps({"bound": 100000, "ok": True, "violations": []},
-                             indent=2, sort_keys=True) + "\n"
+# numtheory verbs that need no sympy, each with what it prints
+NUMTHEORY = {
+    # the CLI writes JSON indented by 2, keys sorted
+    "outer-bound": (["numtheory", "outer-bound", "--bound", "100000", "--format", "json"],
+                    json.dumps({"bound": 100000, "ok": True, "violations": []},
+                               indent=2, sort_keys=True) + "\n"),
+    "diophantine": (["numtheory", "diophantine", "--part", "A"],
+                    "part A, bound 1000000: q in {3, 5, 17}\n"
+                    "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
+                    "  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
+                    "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n"),
+}
 
 # Runs `charzeros.cli.main` on each argv of the JSON list sys.argv[1] in this
 # process; prints each op's exit code and stdout SHA-256, and whether sympy
@@ -109,13 +119,14 @@ def check(python: str) -> list[str]:
                  for k, got in zip(keys, res["outputs"]) if got != digests[k]]
     if res["sympy"]:
         problems.append("read verbs loaded sympy")
-    res = _run(python, [OUTER_BOUND], "0")
-    got, want_sha = res["outputs"][0], hashlib.sha256(OUTER_BOUND_OUT.encode()).hexdigest()
-    if got != {"rc": 0, "sha256": want_sha}:
-        problems.append(f"outer-bound: exit {got['rc']}, stdout {got['sha256'][:12]}; "
-                        f"want exit 0, stdout {want_sha[:12]}")
-    if res["sympy"]:
-        problems.append("outer-bound loaded sympy")
+    for verb, (argv, out) in NUMTHEORY.items():
+        res = _run(python, [argv], "0")
+        got, want_sha = res["outputs"][0], hashlib.sha256(out.encode()).hexdigest()
+        if got != {"rc": 0, "sha256": want_sha}:
+            problems.append(f"{verb}: exit {got['rc']}, stdout {got['sha256'][:12]}; "
+                            f"want exit 0, stdout {want_sha[:12]}")
+        if res["sympy"]:
+            problems.append(f"{verb} loaded sympy")
     return problems
 
 
