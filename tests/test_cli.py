@@ -771,10 +771,10 @@ def test_numtheory_outer_bound_violations(capsys, monkeypatch):
 
 
 def test_numtheory_outer_bound_ceiling(capsys, monkeypatch):
-    def no_list(bound):
-        raise AssertionError(f"listed the prime powers up to {bound}")
+    def no_sieve(bound):
+        raise AssertionError(f"sieved up to {bound}")
 
-    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_list)
+    monkeypatch.setattr(numtheory, "_odd_sieve", no_sieve)
     for fmt in ("text", "json"):
         rc, out, err = run(capsys, "numtheory", "outer-bound",
                            "--bound", "10000000000", "--format", fmt)

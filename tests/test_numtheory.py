@@ -1,6 +1,10 @@
+import bisect
+import math
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
+from itertools import compress
 
 import pytest
 import sympy
@@ -110,17 +114,19 @@ def test_outer_bound_sweep_small():
 
 
 def _outer_bound_domains(bound):
-    """(q, f, part) for every prime power q <= bound in each part's domain."""
+    """(q, f, part) for every prime power q = p^f <= bound in each part's
+    domain, ascending, from sympy's primes."""
     points = []
-    for q in range(2, bound + 1):
-        pf = prime_power(q)
-        if pf is None:
-            continue
-        if q > 11:
-            points.append((q, pf[1], "A"))
-        if q >= 7 and q % 2 == 1:
-            points.append((q, pf[1], "B"))
-    return points
+    for p in sympy.primerange(2, bound + 1):
+        for f in range(1, bound.bit_length()):
+            q = p**f
+            if q > bound:
+                break
+            if q > 11:
+                points.append((q, f, "A"))
+            if q >= 7 and q % 2 == 1:
+                points.append((q, f, "B"))
+    return sorted(points)
 
 
 def test_outer_bound_sweep_visits_each_domain_point_once(monkeypatch):
@@ -170,31 +176,60 @@ def test_outer_bound_sweep_proves_no_prime_again(monkeypatch):
     assert elapsed < 1.0, f"sweep to 10^6 took {elapsed:.2f}s, budget 1s"
 
 
+def test_outer_bound_sweep_splits_at_the_square_root(monkeypatch):
+    # the sweep walks the powers of the primes up to max(sqrt(bound), 11) and
+    # visits each larger prime once, as p^1, in both parts: on each side of a
+    # prime's square (where it moves from one pass to the other) and of its
+    # cube, every domain point is visited once and with the right f
+    bounds = {*range(2, 301), 1024, 3125, 10**4}
+    bounds.update(p**e + d for p in sympy.primerange(2, 100) for e in (2, 3)
+                  for d in (-1, 0, 1))
+    points = _outer_bound_domains(max(bounds))
+    calls = []
+
+    def recording(q, f, part):
+        calls.append((q, f, part))
+        return True
+
+    monkeypatch.setattr(numtheory, "_outer_bound_ok", recording)
+    for bound in sorted(bounds):
+        calls.clear()
+        assert outer_bound_sweep(bound) == []
+        # points has no duplicates, so neither has calls when they are equal
+        assert sorted(calls) == points[:bisect.bisect_right(points, (bound, math.inf))], bound
+
+
+def test_outer_bound_sweep_memory_peak():
+    # one byte per odd number up to the bound: neither striking a prime's
+    # multiples nor reading the primes above the square root copies the sieve
+    bound = 10**6
+    tracemalloc.start()
+    try:
+        outer_bound_sweep(bound)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * ((bound + 1) // 2), peak
+
+
 def test_primes_upto_matches_sympy():
-    # every n up to 3000, each side of each small prime's square (where an
-    # odd prime starts striking), and the default sweep bound
-    ns = {*range(3001), 10**6}
+    # the odd primes read off the sieve, for every n up to 3000, each side of
+    # each small prime's square (where an odd prime starts striking), and the
+    # default sweep bound
+    ns = {*range(1, 3001), 10**6}
     ns.update(p * p + d for p in sympy.primerange(2, 200) for d in (-1, 0, 1))
     for n in sorted(ns):
-        assert list(numtheory._primes_upto(n)) == list(sympy.primerange(2, n + 1)), n
-
-
-def test_prime_powers_upto_yields_each_prime_power_once():
-    for bound in (2, 3, 4, 8, 9, 100, 1024, 3125, 10**4):
-        got = list(numtheory._prime_powers_upto(bound))
-        assert len(got) == len({q for q, _, _ in got})
-        assert sorted(q for q, _, _ in got) == \
-            [q for q in range(2, bound + 1) if prime_power(q) is not None]
-        assert all(q == p**f and prime_power(q) == (p, f) for q, p, f in got)
+        got = compress(range(1, n + 1, 2), numtheory._odd_sieve(n))
+        assert list(got) == list(sympy.primerange(3, n + 1)), n
 
 
 def test_outer_bound_sweep_ceiling(monkeypatch):
-    def no_list(bound):
+    def no_sieve(bound):
         if bound > numtheory.MAX_SWEEP_BOUND:
-            raise AssertionError(f"listed the prime powers up to {bound}")
-        return []
+            raise AssertionError(f"sieved up to {bound}")
+        return bytearray((bound + 1) // 2)  # no odd primes: only 2's powers
 
-    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_list)
+    monkeypatch.setattr(numtheory, "_odd_sieve", no_sieve)
     assert numtheory.MAX_SWEEP_BOUND == 10**7
     assert outer_bound_sweep(10**7) == []
     for bound in (10**7 + 1, 10**10):
@@ -204,10 +239,10 @@ def test_outer_bound_sweep_ceiling(monkeypatch):
 
 def test_outer_bound_sweep_floor(monkeypatch):
     # a bound below the least prime power once returned [], i.e. "holds"
-    def no_list(bound):
-        raise AssertionError(f"listed the prime powers up to {bound}")
+    def no_sieve(bound):
+        raise AssertionError(f"sieved up to {bound}")
 
-    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_list)
+    monkeypatch.setattr(numtheory, "_odd_sieve", no_sieve)
     for bound in (-5, 0, 1):
         with pytest.raises(ValueError, match=f"^bound must be >= 2, got {bound}$"):
             outer_bound_sweep(bound)
@@ -260,10 +295,10 @@ def test_diophantine_matches_prime_power_scan():
 
 
 def test_diophantine_walks_only_two_power_candidates(monkeypatch):
-    def no_scan(bound):
-        raise AssertionError("diophantine_solutions listed the prime powers")
+    def no_sieve(bound):
+        raise AssertionError("diophantine_solutions sieved the primes")
 
-    monkeypatch.setattr(numtheory, "_prime_powers_upto", no_scan)
+    monkeypatch.setattr(numtheory, "_odd_sieve", no_sieve)
     for bound in (10**6, 10**60):
         # each 2^k +- 1 costs a primality test and a perfect-power root, no factoring
         t0 = time.perf_counter()

@@ -11,8 +11,10 @@ PYTHONPATH=src and no installed package needed, and must:
   byte-identical to `perfbench/pinned/tables`;
 - give, for verify, zeros, star and classify on each of the 35 pinned
   tables, the exit code and stdout SHA-256 in `perfbench/pinned/digests.json`;
-- print, for `numtheory outer-bound --bound 100000 --format json`, the JSON
-  object {"bound": 100000, "ok": true, "violations": []} and exit 0;
+- print, for `numtheory outer-bound --bound B --format json` at B = 100000
+  and at B = 994009 = 997^2 (where 997 moves between the sweep's two
+  passes), the JSON object {"bound": B, "ok": true, "violations": []} and
+  exit 0;
 - print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
   as in the README, and exit 0;
 - load no sympy while doing so.
@@ -37,12 +39,19 @@ PINNED = ROOT / "perfbench" / "pinned"
 TABLES = PINNED / "tables"
 VERBS = ("verify", "zeros", "star", "classify")
 NAMES = tuple(f"python3.{v}" for v in range(10, 14))
+
+
+def _outer_bound_leg(bound: int) -> tuple[list[str], str]:
+    # the CLI writes JSON indented by 2, keys sorted
+    return (["numtheory", "outer-bound", "--bound", str(bound), "--format", "json"],
+            json.dumps({"bound": bound, "ok": True, "violations": []},
+                       indent=2, sort_keys=True) + "\n")
+
+
 # numtheory verbs that need no sympy, each with what it prints
 NUMTHEORY = {
-    # the CLI writes JSON indented by 2, keys sorted
-    "outer-bound": (["numtheory", "outer-bound", "--bound", "100000", "--format", "json"],
-                    json.dumps({"bound": 100000, "ok": True, "violations": []},
-                               indent=2, sort_keys=True) + "\n"),
+    "outer-bound": _outer_bound_leg(100000),
+    "outer-bound at 997^2": _outer_bound_leg(994009),
     "diophantine": (["numtheory", "diophantine", "--part", "A"],
                     "part A, bound 1000000: q in {3, 5, 17}\n"
                     "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
