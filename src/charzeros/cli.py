@@ -72,7 +72,8 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
 def _obtain_table(target: str, max_order: int) -> CharacterTable:
     """Registry name: the table `build` validated.  File: a table file if it
     starts with '{', which must pass verify_table, otherwise a group file to
-    compute from."""
+    compute from, named after the file stem if it has no name line (a stem
+    such as A5 gets A5's facts only if the table meets them, as any name)."""
     if target in registry_names():
         return build(target, max_order=max_order)[1]
     p = Path(target)
@@ -88,6 +89,8 @@ def _obtain_table(target: str, max_order: int) -> CharacterTable:
             raise TableFileError(rep.violations[0])
         return t
     g = parse_group_file(text, max_order=max_order)
+    if g.name is None:
+        g.name = p.stem
     return character_table(g)
 
 

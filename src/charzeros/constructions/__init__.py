@@ -16,6 +16,7 @@ from .registry import (
     GroupRecipe,
     RegistryError,
     ValidationFailed,
+    bind,
     build,
     find_recipe,
     registry_names,
@@ -24,6 +25,6 @@ from .registry import (
 __all__ = [
     "alternating", "cyclic", "pgl2", "psl2", "psl2_semilinear",
     "sl2", "suzuki", "suzuki_semilinear", "twisted_m10", "unitary3",
-    "GroupRecipe", "RegistryError", "ValidationFailed", "build",
+    "GroupRecipe", "RegistryError", "ValidationFailed", "bind", "build",
     "find_recipe", "registry_names",
 ]

@@ -1,13 +1,12 @@
 """The registry of buildable groups: one ordered table of recipes.
 
 RECIPES holds every per-group fact the program knows: how to construct the
-group, the facts its build is validated against, |Out(M/Z(M))|, and the
-expected results the vanishing reports compare with.  Each build is
-followed by its validation; a failure means the construction or the shipped
-generator data is wrong, so it raises instead of returning a questionable
-group.  The other facts are read from the verified table, which `build`
-returns with the group; center_cyclic holds when some central class has
-element order |Z(G)|.
+group, the facts its table must meet, |Out(M/Z(M))|, and the expected
+results the vanishing reports compare with.  `_mismatch` alone reads those
+facts from a verified table: `build` raises when its table fails one (the
+construction or the shipped generator data is wrong), and `bind` gives a
+report the recipe of a table named after it only when the table meets them
+all.  center_cyclic holds when some central class has element order |Z(G)|.
 
 Out orders are |Out(M/Z(M))| per entry, the bound consumed by the
 vanishing-class count condition: gcd(2,q-1)*f for PSL2(q); 1 for complete
@@ -136,44 +135,48 @@ def find_recipe(name: str) -> GroupRecipe:
     raise RegistryError(f"unknown group {name!r}; known: {', '.join(registry_names())}")
 
 
-def _fail(recipe: GroupRecipe, msg: str):
-    raise ValidationFailed(f"{recipe.name}: {msg}")
-
-
-def _validate_group(recipe: GroupRecipe, g: Group):
-    """The order and element orders, checked before the table is computed."""
-    if g.order != recipe.order:
-        _fail(recipe, f"order {g.order} != expected {recipe.order}")
-    got = sorted({c.element_order for c in g.classes})
+def _mismatch(recipe: GroupRecipe, t: CharacterTable) -> str | None:
+    """The first of the recipe's facts that the verified table fails (the
+    order, the element orders, then the normal structure), or None."""
+    if t.order != recipe.order:
+        return f"order {t.order} != expected {recipe.order}"
+    got = sorted({c.element_order for c in t.classes})
     if recipe.orders and got != sorted(recipe.orders):
-        _fail(recipe, f"element orders {got} != expected {sorted(recipe.orders)}")
-
-
-def _validate_table(recipe: GroupRecipe, t: CharacterTable):
-    """The normal structure, read from the verified table."""
+        return f"element orders {got} != expected {sorted(recipe.orders)}"
     z = central_classes(t)
     if recipe.center is not None and len(z) != recipe.center:
-        _fail(recipe, f"center size {len(z)} != expected {recipe.center}")
+        return f"center size {len(z)} != expected {recipe.center}"
     if recipe.simple and not is_simple(t):
-        _fail(recipe, "expected a simple group")
+        return "expected a simple group"
     if recipe.quasisimple and not is_quasisimple(t):
-        _fail(recipe, "expected a quasisimple group")
+        return "expected a quasisimple group"
     if recipe.center_cyclic and not any(t.classes[i].element_order == len(z) for i in z):
-        _fail(recipe, "center is not cyclic")
+        return "center is not cyclic"
     if recipe.derived is not None:
         got = sum(t.classes[j].size for j in derived_classes(t))
         if got != recipe.derived:
-            _fail(recipe, f"derived subgroup order {got} != expected {recipe.derived}")
+            return f"derived subgroup order {got} != expected {recipe.derived}"
+
+
+def bind(t: CharacterTable) -> tuple[GroupRecipe | None, str | None]:
+    """(recipe, None) when a verified table's group is named after a recipe
+    and meets its facts, as a file may name its group at will; otherwise
+    (None, why), why naming the failing fact, or None for an unknown name."""
+    try:
+        recipe = find_recipe(t.group)
+    except RegistryError:
+        return None, None
+    why = _mismatch(recipe, t)
+    return (None, f"not the registry's {recipe.name}: {why}") if why else (recipe, None)
 
 
 def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> tuple[Group, CharacterTable]:
-    """A registry group and its character table, both validated; more than
-    max_order elements, or more than groupcore.MAX_CLASSES classes, raise
-    BudgetExceeded."""
+    """A registry group and its character table, which must meet the recipe's
+    facts; over max_order elements or MAX_CLASSES classes raise BudgetExceeded."""
     recipe = find_recipe(name)
     g = recipe.make()
     g = Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)
-    _validate_group(recipe, g)
     t = character_table(g)
-    _validate_table(recipe, t)
+    if why := _mismatch(recipe, t):
+        raise ValidationFailed(f"{recipe.name}: {why}")
     return g, t

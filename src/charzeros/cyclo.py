@@ -42,13 +42,19 @@ numbers a user supplies.  Every other number the package factors goes to
 - field sizes are at most `fields.MAX_Q`;
 - l and l - 1, for a working prime l just above a bound under 2^32.
 A table file's entry has its m compared with the exponent before m is
-factored.
+factored, and an order m that does not divide lcm(1..256), as every table's
+exponent does, is refused before it is factored, whatever builds the value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import lcm
+
+# lcm(1..256): every exponent of a group on at most 256 points divides it,
+# 256 being groupcore.MAX_DEGREE, so every order a table has does too
+_ORDER_LCM = lcm(*range(1, 257))
 
 
 @dataclass(frozen=True)
@@ -83,6 +89,10 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
 
 @cache
 def _locals(m: int) -> tuple[_LocalPrime, ...]:
+    """The local primes of an order m, which must divide _ORDER_LCM, so that
+    factoring it is quick: any other m is refused before it is factored."""
+    if _ORDER_LCM % m:
+        raise ValueError(f"order {m} does not divide lcm(1..256)")
     out = []
     for p, k in trial_factor(m):
         q = p**k

@@ -6,6 +6,8 @@ order within the outer-automorphism bound and with a compatible centre,
 whether every nonlinear row vanishes somewhere, which single-vanishing-class
 rows carry degrees with two distinct prime factors, and how the observed
 single-vanishing-class rows compare against the registry's expected results.
+A report reads a registry entry only through `constructions.bind`, once per
+call, which gives none to a table that fails the entry's facts.
 """
 from __future__ import annotations
 
@@ -13,20 +15,10 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .chartab import CharacterTable, central_classes, is_faithful
-from .constructions import GroupRecipe, RegistryError, find_recipe
+from .constructions import bind
 from .cyclo import trial_factor
 
 PRIMITIVITY_NOTE = "primitivity of the flagged row is assumed, not computed"
-
-
-def _recipe(t: CharacterTable) -> GroupRecipe | None:
-    """The registry entry a table's group name refers to, if any and if it
-    has the table's order: a file sets the name at will."""
-    try:
-        recipe = find_recipe(t.group)
-    except RegistryError:
-        return None
-    return recipe if recipe.order == t.order else None
 
 
 def _prime_power(n: int) -> tuple[int, int] | None:
@@ -70,21 +62,27 @@ class StarReport:
         return "\n".join([head] + body)
 
 
+def _out_order(t: CharacterTable, out_order: int | None) -> int:
+    """out_order, or the bound of the table's recipe; |Out| >= 1, so below 1,
+    or none for a table with no recipe, raises ValueError."""
+    if out_order is None:
+        recipe, why = bind(t)
+        if recipe is None:
+            raise ValueError(f"no outer-order bound known for {t.group!r}"
+                             + (f" ({why})" if why else "") + "; pass out_order explicitly")
+        return recipe.out
+    if out_order < 1:
+        raise ValueError(f"out_order must be >= 1, got {out_order}")
+    return out_order
+
+
 def star_check(t: CharacterTable, row: int, *,
                out_order: int | None = None) -> StarReport:
     """Evaluate, on one row, the three-part vanishing condition: all zeros at
     one common prime-power element order, at most out_order vanishing
     classes, and a centre that is cyclic of order a power of the same prime.
-    A non-faithful row never satisfies it.  |Out| >= 1, so an out_order
-    below 1 raises ValueError."""
-    if out_order is None:
-        recipe = _recipe(t)
-        if recipe is None:
-            raise ValueError(f"no outer-order bound known for {t.group!r}; "
-                             "pass out_order explicitly")
-        out_order = recipe.out
-    elif out_order < 1:
-        raise ValueError(f"out_order must be >= 1, got {out_order}")
+    A non-faithful row never satisfies it.  See `_out_order` for the bound."""
+    out_order = _out_order(t, out_order)
 
     vc = vanishing_classes(t, row)
     vanishing = tuple((j, t.classes[j].element_order) for j in vc)
@@ -148,6 +146,7 @@ def star_check(t: CharacterTable, row: int, *,
 
 
 def star_survey(t: CharacterTable, *, out_order: int | None = None) -> tuple[StarReport, ...]:
+    out_order = _out_order(t, out_order)  # once, not once per row
     return tuple(star_check(t, i, out_order=out_order)
                  for i in range(len(t.rows)))
 
@@ -205,7 +204,7 @@ def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
         if len(trial_factor(d)) >= 2 and len(vanishing_classes(t, i)) == 1:
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
-    recipe = _recipe(t)
+    recipe = bind(t)[0]
     return TwoPrimeReport(group=t.group, flagged=tuple(flagged),
                           excused=recipe is not None and recipe.two_prime_excused,
                           notes=notes)
@@ -254,11 +253,9 @@ def classify_one_class(t: CharacterTable) -> OneClassReport:
                 observed.append(t.degree(i))
     observed.sort()
 
-    recipe = _recipe(t)
+    recipe, why = bind(t)
     expected = recipe.one_class if recipe else None
-    notes = []
-    if recipe and recipe.note:
-        notes.append(recipe.note)
+    notes = [n for n in (why, recipe and recipe.note) if n]
     if expected is None:
         match = None
         notes.append("group has no expected entry; no comparison performed")
@@ -296,7 +293,7 @@ def simple_one_class_survey(tables) -> SurveyReport:
     that groups without a permitted entry have no such rows)."""
     entries = []
     for t in sorted(tables, key=lambda t: t.group):
-        recipe = _recipe(t)
+        recipe = bind(t)[0]
         allowed = recipe.simple_allowed if recipe else ()
         found = tuple((i, t.degree(i)) for i in range(len(t.rows))
                       if len(vanishing_classes(t, i)) == 1)

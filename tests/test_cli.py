@@ -488,15 +488,45 @@ def test_registry_ops_compute_one_table(tmp_path, capsys, monkeypatch):
 
 
 def test_registry_facts_need_the_registry_order(tmp_path, capsys):
-    # a file may call any group A5; A5's facts apply only at order 60
-    f = tmp_path / "c5.grp"
-    f.write_text("degree 5\nname A5\n(1 2 3 4 5)\n")
+    # a file may call any group A5; A5's facts apply only to a table that
+    # meets them all, so neither C5 nor C60 (order 60, not simple), as a
+    # group file or as a verified table file, gets them
+    (tmp_path / "c5.grp").write_text("degree 5\nname A5\n(1 2 3 4 5)\n")
+    (tmp_path / "c60.grp").write_text("degree 12\nname A5\n(1 2 3 4 5)(6 7 8)(9 10 11 12)\n")
+    assert run(capsys, "table", str(tmp_path / "c60.grp"),
+               "--out", str(tmp_path / "c60.tbl"))[0] == 0
+    for name, why in (("c5.grp", "order 5 != expected 60"),
+                      ("c60.grp", "expected a simple group"),
+                      ("c60.tbl", "expected a simple group")):
+        f = str(tmp_path / name)
+        why = f"not the registry's A5: {why}"
+        rc, out, _ = run(capsys, "classify", f)
+        assert rc == 0 and out.splitlines()[:2] == [
+            "A5: faithful single-vanishing-class degrees [] (no expected entry)",
+            f"  {why}"], name
+        rc, out, err = run(capsys, "star", f)
+        assert (rc, out) == (2, ""), name
+        assert err == f"error: no outer-order bound known for 'A5' ({why}); " \
+                      "pass out_order explicitly\n", name
+        rc, out, _ = run(capsys, "star", f, "--out-order", "2")
+        assert rc == 0 and out, name
+
+
+def test_nameless_group_file_is_named_after_its_stem(tmp_path, capsys):
+    f = tmp_path / "d7.txt"
+    f.write_text("degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n")
+    rc, out, _ = run(capsys, "table", str(f), "--out", str(tmp_path / "d7.tbl"))
+    assert (rc, out) == (0, f"wrote {tmp_path / 'd7.tbl'} (d7: order 14, 5 classes)\n")
+    assert table_from_text((tmp_path / "d7.tbl").read_text()).group == "d7"
     rc, out, _ = run(capsys, "classify", str(f))
-    assert rc == 0 and "(no expected entry)" in out
-    rc, out, err = run(capsys, "star", str(f))
-    assert (rc, out) == (2, "") and "no outer-order bound known for 'A5'" in err
-    rc, out, _ = run(capsys, "star", str(f), "--out-order", "2")
-    assert rc == 0 and out
+    assert rc == 0 and out.splitlines()[0] == (
+        "d7: faithful single-vanishing-class degrees [2, 2, 2] (no expected entry)")
+    # a stem that is a registry name gets the registry's facts only if the
+    # table meets them: a nameless C5 in A5.grp is not A5
+    f = tmp_path / "A5.grp"
+    f.write_text("degree 5\n(1 2 3 4 5)\n")
+    rc, out, _ = run(capsys, "classify", str(f))
+    assert rc == 0 and "not the registry's A5: order 5 != expected 60" in out
 
 
 def test_suite_reports_burnside_violation(capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from functools import partial
 from math import gcd
@@ -16,6 +17,7 @@ from charzeros.constructions import (
     RegistryError,
     ValidationFailed,
     alternating,
+    bind,
     build,
     cyclic,
     find_recipe,
@@ -218,22 +220,32 @@ def test_builder_rejections():
         alternating(4)
 
 
-def test_validation_hooks(add_recipe):
+def test_validation_hooks(add_recipe, get_table):
+    # build and bind read a recipe's facts through one function: a recipe
+    # that fails its own build also leaves psl2(5)'s table, named after it,
+    # unbound, and with the same fact
     def bogus(make=partial(psl2, 5), order=60, **facts):
         return GroupRecipe("bogus", make, order=order, out=2, **facts)
 
+    psl25 = dataclasses.replace(get_table("PSL(2,5)"), group="bogus")
     four_group = partial(Group, [(1, 0, 2, 3), (0, 1, 3, 2)], degree=4)
     for recipe in (bogus(order=61), bogus(center=2), bogus(orders=(1, 2)),
                    bogus(derived=30), bogus(make=partial(pgl2, 5), order=120, simple=True),
                    bogus(make=partial(pgl2, 5), order=120, quasisimple=True),
                    bogus(make=four_group, order=4, center_cyclic=True)):
         add_recipe(recipe)
-        with pytest.raises(ValidationFailed, match="^bogus: "):
+        with pytest.raises(ValidationFailed, match="^bogus: ") as exc:
             build("bogus")
-    add_recipe(bogus(simple=True, quasisimple=True, center_cyclic=True,
-                     derived=60, orders=(1, 2, 3, 5)))
+        recipe_psl25, why = bind(psl25)
+        assert recipe_psl25 is None and why.startswith("not the registry's bogus: ")
+        if recipe.make.func is psl2:
+            assert why == f"not the registry's {exc.value}"
+    recipe = bogus(simple=True, quasisimple=True, center_cyclic=True,
+                   derived=60, orders=(1, 2, 3, 5))
+    add_recipe(recipe)
     g, t = build("bogus")
     assert g.name == t.group == "bogus"
+    assert bind(t) == bind(psl25) == (recipe, None)
     # each fact is a typed field; there is no free-form check kind
     with pytest.raises(TypeError):
         bogus(normal=60)
@@ -245,6 +257,14 @@ def test_build_validates_whole_registry(corpus, get_group):
     for name in corpus:
         g = get_group(name)
         assert g.name == name
+
+
+def test_every_registry_table_binds_to_its_recipe(corpus, get_table):
+    assert len(corpus) == 35
+    for name in corpus:
+        assert bind(get_table(name)) == (find_recipe(name), None), name
+    # a name outside the registry binds to nothing, with nothing to say
+    assert bind(dataclasses.replace(get_table("A5"), group="A5 ")) == (None, None)
 
 
 def test_group_files_are_pinned(get_group):

@@ -1,6 +1,9 @@
 import json
 import random
+import signal
+import time
 from cmath import exp, pi
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -248,11 +251,35 @@ def test_trial_factor_matches_sympy():
         assert trial_factor(n) == sorted(sympy.factorint(n).items()), n
 
 
-def test_order_with_two_large_primes_by_trial_division():
-    m = 40009 * 40013  # no table has such an order; trial division finishes it
+def test_order_with_two_large_primes_is_refused():
+    # no table has an order outside lcm(1..256): it is refused, not factored
     cyclo._locals.cache_clear()
-    assert [(L.p, L.q) for L in cyclo._locals(m)] == [(40009, 40009), (40013, 40013)]
-    assert CycloNum(m, {1: 1}).coeffs == {1: 1}
+    for m in (40009 * 40013, 257, 289, 512):
+        for make in (cyclo._locals, lambda m: CycloNum(m, {1: 1})):
+            with pytest.raises(ValueError, match=rf"^order {m} does not divide lcm\(1..256\)$"):
+                make(m)
+    for m in (1, 251 * 256, 243 * 125 * 49, cyclo._ORDER_LCM):
+        assert prod(L.q for L in cyclo._locals(m)) == m
+    assert CycloNum(cyclo._ORDER_LCM, {0: 1}) == 1
+    cyclo._locals.cache_clear()
+
+
+def test_large_order_refused_in_bounded_time():
+    # two primes near 10^9: the order was once trial-divided until killed
+    def expired(signum, frame):
+        raise TimeoutError("CycloNum ran past 2 s")
+
+    old = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(2)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="does not divide lcm"):
+            CycloNum(1000000007 * 998244353, {1: 1})
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    assert elapsed < 1
 
 
 def test_read_path_factors_pinned_tables_without_sympy():

@@ -5,8 +5,9 @@ from functools import partial
 import pytest
 import sympy
 
+from charzeros import vanishing
 from charzeros.chartab import character_table, is_faithful
-from charzeros.constructions import GroupRecipe, alternating, build, psl2
+from charzeros.constructions import GroupRecipe, alternating, bind, build, psl2, suzuki_semilinear
 from charzeros.cyclo import CycloNum
 from charzeros.groupcore import Group
 from charzeros.vanishing import (
@@ -233,6 +234,41 @@ def test_survey(get_table, add_recipe):
     rep = simple_one_class_survey([build("bogus")[1]])
     assert not rep.ok and not rep.entries[0].ok
     assert rep.entries[0].allowed == (4,)
+
+
+@pytest.mark.parametrize("center", [None, 2])
+def test_reports_use_a_recipe_only_when_the_table_meets_it(get_table, add_recipe,
+                                                          monkeypatch, center):
+    # Sz(8):3's table named after a recipe that promises it everything; with
+    # center=2 the table fails a fact, and every report treats it as unknown
+    add_recipe(GroupRecipe("bogus", suzuki_semilinear, order=87360, out=5, derived=29120,
+                           center=center, one_class=(14,) * 6, simple_allowed=(14,),
+                           two_prime_excused=True, note="bogus note"))
+    t = replace(get_table("Sz(8):3"), group="bogus")
+    calls = []
+    monkeypatch.setattr(vanishing, "bind", lambda t: calls.append(t) or bind(t))
+    two = two_prime_degree_check(t)
+    cls = classify_one_class(t)
+    survey = simple_one_class_survey([t])
+    if center is None:
+        assert two.excused and two.ok
+        assert cls.match is True and cls.notes == ("bogus note",)
+        assert survey.ok and survey.entries[0].allowed == (14,)
+        assert {r.out_order for r in star_survey(t)} == {5}
+        assert star_check(t, 1).out_order == 5
+    else:
+        why = "not the registry's bogus: center size 1 != expected 2"
+        assert not two.excused and not two.ok
+        assert (cls.expected, cls.match) == (None, None)
+        assert cls.notes == (why, "group has no expected entry; no comparison performed")
+        assert not survey.ok and survey.entries[0].allowed == ()
+        for report in (star_survey, partial(star_check, row=1)):
+            with pytest.raises(ValueError, match=rf"^no outer-order bound known for "
+                                                 rf"'bogus' \({why}\); pass"):
+                report(t)
+    # one binding per report call: star_survey does not bind once per row
+    assert len(calls) == 5 and all(c is t for c in calls)
+    assert len(star_survey(t, out_order=1)) == len(t.rows) and len(calls) == 5
 
 
 def test_report_objects_serialize(get_table):
