@@ -49,13 +49,17 @@ A table file is read in one pass (`table_from_text`).  Its class data is
 checked first, the class count against `groupcore.MAX_CLASSES` before the
 rest.  Each distinct entry is then built once and shared by its cells, so
 `verify_table` finds the distinct entries by object identity.
+
+A table, its class summaries and a verify report are immutable named tuples:
+`t._replace(rows=...)` derives an edited copy, which `verify_table` checks
+like any other table, and `_asdict()` gives a report's fields as a dict.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from . import fpoly
 from .cyclo import CycloNum, hermitian_sum, serial_terms, trial_factor
@@ -74,8 +78,7 @@ class Degenerate(RuntimeError):
 
 # -- table container ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableClass:
+class TableClass(NamedTuple):
     """Per-class summary carried with a table so that verification and the
     Galois/power-map checks work on a loaded file without the group."""
     size: int
@@ -85,8 +88,7 @@ class TableClass:
     powers: tuple[int, ...]  # class of rep^k for k = 0 .. element_order-1
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     group: str
     order: int
     exponent: int
@@ -200,10 +202,10 @@ def _separate(group: Group, l: int) -> list[list[int]]:
     block would leave fewer blocks than classes.  Each block gives one vector,
     so the table has too few rows and `verify_table` refuses its shape.
     """
-    classes = group.classes
-    r = len(classes)
+    sizes = group.class_sizes
+    r = len(sizes)
     blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
-    for i in sorted(range(1, r), key=lambda i: (classes[i].size, i)):
+    for i in sorted(range(1, r), key=lambda i: (sizes[i], i)):
         if all(len(basis) == 1 for basis, _ in blocks):
             break
         split = []
@@ -257,7 +259,8 @@ def character_table(group: Group) -> CharacterTable:
 
     vecs = _separate(group, l)
 
-    sizes = [c.size for c in classes]
+    sizes = group.class_sizes
+    orders = [c.element_order for c in classes]
     size_inv = [pow(s, l - 2, l) for s in sizes]
     powers = group.power_maps
     inv_class = [p[-1] for p in powers]
@@ -278,7 +281,7 @@ def character_table(group: Group) -> CharacterTable:
     # w_o^(-k) / o, at k = ts mod o.  Any primitive root serves as w_m^(-1).
     w = _root_of_unity(l, m)
     dft = {}
-    for o in {c.element_order for c in classes}:
+    for o in set(orders):
         w_inv = pow(w, m // o, l)
         o_inv = pow(o, l - 2, l)
         scaled = [pow(w_inv, k, l) * o_inv % l for k in range(o)]
@@ -287,9 +290,8 @@ def character_table(group: Group) -> CharacterTable:
     # class of its family.  chi(g^k) = sigma_k(chi(g)), so the multiplicity
     # of zeta_o^(tk) at j is that of zeta_o^t at j0.
     family = [None] * r
-    for j0, c in enumerate(classes):
+    for j0, o in enumerate(orders):
         if family[j0] is None:
-            o = c.element_order
             for k in range(1, o + 1):  # k = o stands for k = 0 when o = 1
                 if gcd(k, o) == 1 and family[powers[j0][k % o]] is None:
                     family[powers[j0][k % o]] = (j0, k)
@@ -300,8 +302,7 @@ def character_table(group: Group) -> CharacterTable:
         xval = [d * u[j] % l * size_inv[j] % l for j in range(r)]
         mults = [None] * r
         row = []
-        for j in range(r):
-            o = classes[j].element_order
+        for j, o in enumerate(orders):
             j0, k = family[j]
             if j0 == j:
                 xs = [xval[p] for p in powers[j]]
@@ -338,8 +339,7 @@ def character_table(group: Group) -> CharacterTable:
 
 # -- verification --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 
@@ -487,7 +487,8 @@ def verify_table(t: CharacterTable) -> TableReport:
     # needs the sizes positive.
     cols_follow = t.order > 0 and all(s >= 1 and t.order % s == 0 for s in sizes)
     galois = []  # read only from a square table with every entry at the exponent
-    if all(len(row) == r and all(v.order == t.exponent for v in row) for row in t.rows):
+    m = t.exponent
+    if all(len(row) == r and all(v.order == m for v in row) for row in t.rows):
         values, cells = _distinct_entries(t)
         galois = _galois_violations(t, values, cells)
         if not galois and cols_follow and _rows_hold_mod_l(t, values, cells):
@@ -515,8 +516,9 @@ def verify_table(t: CharacterTable) -> TableReport:
 def kernel_of(t: CharacterTable, row: int) -> tuple[int, ...]:
     """Classes on which the row equals its degree; always a union of classes
     forming a normal subgroup."""
-    deg = t.rows[row][0]
-    return tuple(j for j in range(len(t.classes)) if t.rows[row][j] == deg)
+    values = t.rows[row]
+    deg = values[0]
+    return tuple(j for j, v in enumerate(values) if v == deg)
 
 
 def is_faithful(t: CharacterTable, row: int) -> bool:
@@ -611,6 +613,7 @@ def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -
     r = len(classes)
     if r > MAX_CLASSES:
         raise TableFileError(f"{r} classes exceed the class ceiling {MAX_CLASSES}")
+    orders = [c.element_order for c in classes]
     for j, c in enumerate(classes):
         o, powers = c.element_order, c.powers
         if o < 1 or len(powers) != o or c.size * c.centralizer != order:
@@ -618,23 +621,23 @@ def _check_classes(classes: tuple[TableClass, ...], order: int, exponent: int) -
         if not all(0 <= p < r for p in powers) or powers[0] != 0 or powers[1 % o] != j:
             raise TableFileError(f"class {j}: power map out of range or not "
                                  f"anchored at the identity and the class itself")
-        if any(classes[p].element_order != o // gcd(o, k) for k, p in enumerate(powers)):
+        if any(orders[p] != o // gcd(o, k) for k, p in enumerate(powers)):
             raise TableFileError(f"class {j}: power map disagrees with the class orders")
         if _rep_order(c.rep) != o:
             raise TableFileError(f"class {j}: representative does not have order {o}")
     if order < 1 or sum(c.size for c in classes) != order:
         raise TableFileError("class sizes do not sum to a positive group order")
-    if exponent != lcm(*(c.element_order for c in classes)) or order % exponent:
+    if exponent != lcm(*orders) or order % exponent:
         raise TableFileError("exponent is not the lcm of the class orders")
     # (g^a)^b = g^(ab).  If this holds at every class for a1 and for a2, it
     # holds for a1*a2, so generators of Z/o under multiplication suffice.
-    generators = {o: _product_generators(o) for o in {c.element_order for c in classes}}
+    generators = {o: _product_generators(o) for o in set(orders)}
     for j, c in enumerate(classes):
-        o = c.element_order
+        o, powers = c.element_order, c.powers
         for a in generators[o]:
-            p = c.powers[a % o]
+            p = powers[a % o]
             q = classes[p].powers
-            if any(c.powers[a * b % o] != q[b] for b in range(len(q))):
+            if any(powers[a * b % o] != q[b] for b in range(len(q))):
                 raise TableFileError(f"class {j}: power map does not compose "
                                      f"through class {p} = rep^{a}")
 

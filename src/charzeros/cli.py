@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from functools import cache
 from pathlib import Path
 
@@ -169,7 +168,7 @@ def _cmd_star(args) -> int:
     else:
         reports = list(star_survey(t, out_order=args.out_order))
     if args.format == "json":
-        sys.stdout.write(_json([asdict(r) for r in reports]))
+        sys.stdout.write(_json([r._asdict() for r in reports]))
     else:
         sys.stdout.write("\n\n".join(r.text() for r in reports) + "\n")
     return 0
@@ -179,7 +178,7 @@ def _cmd_classify(args) -> int:
     t = _obtain_table(args.target, args.max_order)
     rep = classify_one_class(t)
     if args.format == "json":
-        sys.stdout.write(_json(asdict(rep)))
+        sys.stdout.write(_json(rep._asdict()))
     else:
         print(rep.text())
     return 1 if rep.match is False else 0
@@ -217,6 +216,8 @@ def _suite_rows(args, failures: list[str]):
             except BrokenProcessPool:
                 raise ChildProcessError(
                     f"a worker process died; the table of {name} was not built") from None
+            except BudgetExceeded as exc:
+                raise BudgetExceeded(f"{name}: {exc}") from None
             burn = burnside_check(t)
             two = two_prime_degree_check(t)
             cls = classify_one_class(t)
@@ -259,7 +260,8 @@ def _cmd_suite(args) -> int:
     rows, survey = _suite_rows(args, failures)
     if args.format == "json":
         report = _json({"seed": args.seed, "groups": rows,
-                        "survey": {**asdict(survey), "ok": survey.ok},
+                        "survey": {"entries": [e._asdict() for e in survey.entries],
+                                   "ok": survey.ok},
                         "ok": not failures})
     else:
         flag = {True: "ok", False: "FAIL", None: "--"}

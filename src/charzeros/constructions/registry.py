@@ -7,6 +7,8 @@ facts from a verified table: `build` raises when its table fails one (the
 construction or the shipped generator data is wrong), and `bind` gives a
 report the recipe of a table named after it only when the table meets them
 all.  center_cyclic holds when some central class has element order |Z(G)|.
+A recipe is an immutable named tuple, so `recipe._replace(...)` derives an
+edited copy.
 
 Out orders are |Out(M/Z(M))| per entry, the bound consumed by the
 vanishing-class count condition: gcd(2,q-1)*f for PSL2(q); 1 for complete
@@ -22,10 +24,8 @@ the projective one, and neither occurs in the remaining extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ..chartab import (CharacterTable, central_classes, character_table, derived_classes,
                        is_quasisimple, is_simple)
@@ -41,8 +41,7 @@ class ValidationFailed(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class GroupRecipe:
+class GroupRecipe(NamedTuple):
     name: str
     make: Callable[[], Group]
     order: int
@@ -64,6 +63,8 @@ class GroupRecipe:
 
 
 def _shipped(filename: str) -> Group:
+    from importlib import resources  # only the two 3.A6 recipes read shipped data
+
     return parse_group_file((resources.files("charzeros") / "data" / filename).read_text())
 
 

@@ -48,23 +48,12 @@ exponent does, is refused before it is factored, whatever builds the value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
 # lcm(1..256): every exponent of a group on at most 256 points divides it,
 # 256 being groupcore.MAX_DEGREE, so every order a table has does too
 _ORDER_LCM = lcm(*range(1, 257))
-
-
-@dataclass(frozen=True)
-class _LocalPrime:
-    p: int
-    q: int        # p^k, the full p-part of m
-    phi: int      # phi(p^k)
-    step: int     # p^(k-1), the exponent gap q - phi
-    cof: int      # m / q
-    inv: int      # cof^(-1) mod q
 
 
 def trial_factor(n: int) -> list[tuple[int, int]]:
@@ -88,9 +77,13 @@ def trial_factor(n: int) -> list[tuple[int, int]]:
 
 
 @cache
-def _locals(m: int) -> tuple[_LocalPrime, ...]:
+def _locals(m: int) -> tuple[tuple[int, int, int, int, int, int], ...]:
     """The local primes of an order m, which must divide _ORDER_LCM, so that
-    factoring it is quick: any other m is refused before it is factored."""
+    factoring it is quick: any other m is refused before it is factored.
+    Each is a plain tuple (p, q, phi, step, cof, inv): q = p^k the full p-part
+    of m, phi = phi(q), step = p^(k-1) the exponent gap q - phi, cof = m / q
+    and inv = cof^(-1) mod q.  `_reduce` unpacks it once per term, and only
+    an exact tuple unpacks at full speed."""
     if _ORDER_LCM % m:
         raise ValueError(f"order {m} does not divide lcm(1..256)")
     out = []
@@ -98,7 +91,7 @@ def _locals(m: int) -> tuple[_LocalPrime, ...]:
         q = p**k
         step = q // p
         cof = m // q
-        out.append(_LocalPrime(p, q, q - step, step, cof, pow(cof, -1, q)))
+        out.append((p, q, q - step, step, cof, pow(cof, -1, q)))
     return tuple(out)
 
 
@@ -108,17 +101,17 @@ def _reduce(m: int, raw: dict[int, int]) -> dict[int, int]:
     out: dict[int, int] = {}
     for e, c in raw.items():
         terms = [(e, c)]
-        for L in locs:
-            u = (e * L.inv) % L.q
-            if u < L.phi:
+        for p, q, phi, step, cof, inv in locs:
+            u = (e * inv) % q
+            if u < phi:
                 continue
-            r = u - L.phi
+            r = u - phi
             # replace the eta_p^u factor: shift exponent by (u' - u) * cof
             nxt = []
             for e1, c1 in terms:
-                for j in range(L.p - 1):
-                    u1 = j * L.step + r
-                    nxt.append(((e1 + (u1 - u) * L.cof) % m, -c1))
+                for j in range(p - 1):
+                    u1 = j * step + r
+                    nxt.append(((e1 + (u1 - u) * cof) % m, -c1))
             terms = nxt
         for e1, c1 in terms:
             s = out.get(e1, 0) + c1

@@ -49,9 +49,9 @@ Normal structure is read from the verified character table (`chartab`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 Perm = bytes
 
@@ -274,8 +274,7 @@ def _new_conjugates(store: dict[Perm, int], x: Perm, o: int) -> list[tuple[int, 
     return new
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     rep: Perm
     size: int
     element_order: int
@@ -399,6 +398,10 @@ class Group:
         return len(self.classes)
 
     @cached_property
+    def class_sizes(self) -> tuple[int, ...]:
+        return tuple(c.size for c in self.classes)
+
+    @cached_property
     def exponent(self) -> int:
         return lcm(*(c.element_order for c in self.classes))
 
@@ -441,8 +444,8 @@ class Group:
         the second factor.  Class sums commute, so c_ipk = c_pik and the
         column is read from the smaller class (the lower index on a tie).
         """
-        classes = self.classes
-        if (classes[i].size, i) > (classes[p].size, p):
+        sizes = self.class_sizes
+        if (sizes[i], i) > (sizes[p], p):
             i, p = p, i
-        size_p = classes[p].size
-        return [n * size_p // c.size for n, c in zip(self.class_column(i, p), classes)]
+        size_p = sizes[p]
+        return [n * size_p // s for n, s in zip(self.class_column(i, p), sizes)]

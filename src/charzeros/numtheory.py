@@ -11,10 +11,10 @@ integer-exact; sympy tests and factors only numbers a user supplies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import compress
 from math import isqrt, prod
+from typing import NamedTuple
 
 from .cyclo import trial_factor
 
@@ -59,8 +59,7 @@ def cyclotomic_poly_value(n: int, q: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class ZsigmondyOutcome:
+class ZsigmondyOutcome(NamedTuple):
     q: int
     n: int
     prime: int | None
@@ -166,16 +165,14 @@ def outer_bound_sweep(bound: int) -> list[tuple[int, int, str]]:
     return [(p, f, part) for _, p, f, part in bad]
 
 
-@dataclass(frozen=True)
-class DiophantineSolution:
+class DiophantineSolution(NamedTuple):
     q: int
     a: int | None
     b: int | None
     c: int | None
 
 
-@dataclass(frozen=True)
-class DiophantineSolutionSet:
+class DiophantineSolutionSet(NamedTuple):
     part: str  # "A", "B" or "C"
     bound: int
     solutions: tuple[DiophantineSolution, ...]
@@ -226,8 +223,7 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
     return DiophantineSolutionSet(part, bound, tuple(sols))
 
 
-@dataclass(frozen=True)
-class TorusOrder:
+class TorusOrder(NamedTuple):
     label: str  # "T1", "T2" or "T3"
     order: int
     zsig_n: int  # the l(k) argument attached to this torus in the tables

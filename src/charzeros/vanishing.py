@@ -7,12 +7,14 @@ whether every nonlinear row vanishes somewhere, which single-vanishing-class
 rows carry degrees with two distinct prime factors, and how the observed
 single-vanishing-class rows compare against the registry's expected results.
 A report reads a registry entry only through `constructions.bind`, once per
-call, which gives none to a table that fails the entry's facts.
+call, which gives none to a table that fails the entry's facts.  Every report
+is an immutable named tuple; `_asdict()` gives its fields as a dict, but not
+recursively: a survey's entries stay named tuples.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import lcm
+from typing import NamedTuple
 
 from .chartab import CharacterTable, central_classes, is_faithful
 from .constructions import bind
@@ -37,8 +39,7 @@ def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
 
 # -- property star -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StarReport:
+class StarReport(NamedTuple):
     group: str
     row: int
     degree: int
@@ -153,8 +154,7 @@ def star_survey(t: CharacterTable, *, out_order: int | None = None) -> tuple[Sta
 
 # -- Burnside ------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BurnsideReport:
+class BurnsideReport(NamedTuple):
     group: str
     checked_rows: int
     violations: tuple[int, ...]  # nonlinear rows with no vanishing class
@@ -180,8 +180,7 @@ def burnside_check(t: CharacterTable) -> BurnsideReport:
 
 # -- two distinct prime factors in one-class degrees ----------------------------------
 
-@dataclass(frozen=True)
-class TwoPrimeReport:
+class TwoPrimeReport(NamedTuple):
     group: str
     flagged: tuple[tuple[int, int], ...]  # (row, degree) with >= 2 prime factors
     excused: bool  # group is on the exception list
@@ -212,15 +211,14 @@ def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
 
 # -- expected results for single-vanishing-class rows ---------------------------------
 
-@dataclass(frozen=True)
-class OneClassReport:
+class OneClassReport(NamedTuple):
     group: str
     rows: tuple[tuple[int, int, int, bool], ...]  # (row, degree, #vanishing, faithful)
     one_class_rows: tuple[tuple[int, int, bool], ...]  # (row, degree, faithful)
     observed: tuple[int, ...]  # degrees of faithful one-class rows, sorted
     expected: tuple[int, ...] | None
     match: bool | None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def text(self) -> str:
         if self.expected is None:
@@ -270,16 +268,14 @@ def classify_one_class(t: CharacterTable) -> OneClassReport:
 
 # -- survey over the simple corpus ----------------------------------------------------
 
-@dataclass(frozen=True)
-class SurveyEntry:
+class SurveyEntry(NamedTuple):
     group: str
     one_class_rows: tuple[tuple[int, int], ...]  # (row, degree)
     allowed: tuple[int, ...]
     ok: bool
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     entries: tuple[SurveyEntry, ...]
 
     @property

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import pickle
@@ -200,7 +199,7 @@ def test_verify_table_catches_tampered_entry(get_table):
     t = get_table("PSL(2,7)")
     rows = [list(r) for r in t.rows]
     rows[2][1], rows[2][2] = rows[2][2], rows[2][1]
-    bad = dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
+    bad = t._replace(rows=tuple(tuple(r) for r in rows))
     rep = verify_table(bad)
     assert not rep.ok
     assert any(v.startswith(("row-orth", "col-orth")) for v in rep.violations)
@@ -211,7 +210,7 @@ def test_verify_table_catches_degree_tamper(get_table):
     rows = [list(r) for r in t.rows]
     v = rows[1][0]
     rows[1][0] = CycloNum(v.order, {e: 2 * c for e, c in v.coeffs.items()})
-    bad = dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
+    bad = t._replace(rows=tuple(tuple(r) for r in rows))
     rep = verify_table(bad)
     assert not rep.ok
     assert any(v.startswith("degree-sum") for v in rep.violations)
@@ -256,7 +255,7 @@ def test_verify_table_catches_any_single_entry_change(get_table):
                 for w in _other_values(v, rng):
                     rows = [list(r) for r in t.rows]
                     rows[i][j] = w
-                    bad = dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
+                    bad = t._replace(rows=tuple(tuple(r) for r in rows))
                     rep = verify_table(bad)
                     assert not rep.ok, (name, i, j, w)
                     assert [x for x in rep.violations if "-orth " in x] == \
@@ -349,7 +348,7 @@ def test_modular_relations_use_a_prime_above_their_size(get_table):
     t = get_table("C2")
     for x in range(-40, 41):
         rows = (t.rows[0], (t.rows[1][0], CycloNum(2, {0: x})))
-        bad = dataclasses.replace(t, rows=rows)
+        bad = t._replace(rows=rows)
         assert verify_table(bad).ok == (x == -1) == (brute_orth_violations(bad) == []), x
 
 
@@ -404,7 +403,7 @@ def _single_entry_mutations(t, rng):
             for w in _other_values(v, rng):
                 rows = [list(r) for r in t.rows]
                 rows[i][j] = w
-                yield dataclasses.replace(t, rows=tuple(tuple(r) for r in rows))
+                yield t._replace(rows=tuple(tuple(r) for r in rows))
 
 
 def test_distinct_entries_index_by_value_as_well_as_identity(get_table):
@@ -413,7 +412,7 @@ def test_distinct_entries_index_by_value_as_well_as_identity(get_table):
     # identity first; a table whose every entry is its own object, with its
     # coefficients in another order, must get the same report
     def rebuilt(t):
-        return dataclasses.replace(t, rows=tuple(
+        return t._replace(rows=tuple(
             tuple(CycloNum(v.order, dict(reversed(v.coeffs.items())), reduced=True)
                   for v in row) for row in t.rows))
 
@@ -454,12 +453,12 @@ def test_verify_rejects_a_class_map_that_is_not_a_size_preserving_permutation(ge
     assert [x.powers for x in c[3:]] == [(0, 3, 4, 4, 3), (0, 4, 3, 3, 4)]
     line = "galois 7: g -> g^7 is not a size-preserving permutation of the classes"
     # g -> g^7, which is g -> g^2 on 5-elements, sends 5A and 5B to 5B
-    merged = c[:4] + [dataclasses.replace(c[4], powers=(0, 4, 4, 3, 4))]
-    rep = verify_table(dataclasses.replace(t, classes=tuple(merged)))
+    merged = c[:4] + [c[4]._replace(powers=(0, 4, 4, 3, 4))]
+    rep = verify_table(t._replace(classes=tuple(merged)))
     assert rep == chartab.TableReport(False, (line,))
     # 5A and 5B swapped by g -> g^7 but given sizes 11 and 13
-    resized = c[:3] + [dataclasses.replace(c[3], size=11), dataclasses.replace(c[4], size=13)]
-    rep = verify_table(dataclasses.replace(t, classes=tuple(resized)))
+    resized = c[:3] + [c[3]._replace(size=11), c[4]._replace(size=13)]
+    rep = verify_table(t._replace(classes=tuple(resized)))
     assert not rep.ok
     assert rep.violations[-1] == line
     assert all(not x.startswith("galois") for x in rep.violations[:-1])
@@ -784,7 +783,7 @@ def test_power_map_composition_check_matches_full_scan(get_table):
                 for p in (p for p, d in enumerate(t.classes) if d.element_order == o):
                     powers = c.powers[:k] + (p,) + c.powers[k + 1:]
                     classes = list(t.classes)
-                    classes[j] = dataclasses.replace(c, powers=powers)
+                    classes[j] = c._replace(powers=powers)
                     try:
                         _check_classes(tuple(classes), t.order, t.exponent)
                         ok = True

@@ -1,6 +1,5 @@
 """End-to-end checks of the command-line surface through main(argv)."""
 import argparse
-import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -548,7 +547,7 @@ def test_suite_reports_burnside_violation(capsys, monkeypatch):
 def test_suite_reports_each_recipe_mismatch(capsys, monkeypatch, add_recipe, name, change,
                                             line):
     monkeypatch.setattr(cli, "registry_names", lambda: (name,))
-    add_recipe(dataclasses.replace(registry.find_recipe(name), **change))
+    add_recipe(registry.find_recipe(name)._replace(**change))
     rc, out, err = run(capsys, "suite")
     assert rc == 1 and out.endswith("suite: 1 groups, 1 failures\n")
     assert err == line + "\n"
@@ -560,7 +559,7 @@ def test_suite_failure_is_the_first_group_by_name(tmp_path, capsys, monkeypatch)
     # suite reports A5, the first by name, after writing the tables before it
     wrong = {"A5": 59, "PSL(2,7)": 10**6}
     monkeypatch.setattr(registry, "RECIPES", tuple(
-        dataclasses.replace(r, order=wrong[r.name]) if r.name in wrong else r
+        r._replace(order=wrong[r.name]) if r.name in wrong else r
         for r in registry.RECIPES))
     rc, out, err = run(capsys, "suite", "--dir", str(tmp_path))
     assert (rc, out, err) == (1, "", "error: A5: order 60 != expected 59\n")
@@ -571,7 +570,7 @@ def test_suite_failure_is_the_first_group_by_name(tmp_path, capsys, monkeypatch)
 def test_suite_over_the_order_budget(tmp_path, capsys):
     # the first group by name, 3.A6 of order 1080, is over the budget
     rc, out, err = run(capsys, "suite", "--max-order", "100", "--dir", str(tmp_path))
-    assert (rc, out, err) == (1, "", "error: group exceeds order budget 100\n")
+    assert (rc, out, err) == (1, "", "error: 3.A6: group exceeds order budget 100\n")
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
 
@@ -621,6 +620,23 @@ def test_suite_json_matches_the_text_report(capsys):
     assert survey == f"simple-group survey over {len(rep['survey']['entries'])} groups: ok"
     assert summary == f"suite: {len(rep['groups'])} groups, all checks passed"
     assert (rep["seed"], rep["ok"], rep["survey"]["ok"]) == (0, True, True)
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["star", "Sz(8)", "--format", "json"],
+     "f449f8f57f69375ebc449aadfaac30e0b7988eb435e38afb4589f2a64a6f8bac"),
+    (["classify", "PSL(2,5)", "--format", "json"],
+     "9c054aa6c31fb775bd89f467a05712a23f443bd95ec8f08d0c09507e1162ee64"),
+    (["suite", "--format", "json", "--dir", "D"],
+     "9740d80ad672dd069b3d4121fb3173bde5b0b413f1fc74a2c656bd629e9fca8d"),
+])
+def test_json_reports_keep_their_bytes(tmp_path, capsys, argv, digest):
+    # each report record is written as a JSON object of its fields, the
+    # survey's entries included, never as an array of its values
+    argv = [str(tmp_path) if a == "D" else a for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_zeros_text(capsys):

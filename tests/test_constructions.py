@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from functools import partial
 from math import gcd
@@ -227,7 +226,7 @@ def test_validation_hooks(add_recipe, get_table):
     def bogus(make=partial(psl2, 5), order=60, **facts):
         return GroupRecipe("bogus", make, order=order, out=2, **facts)
 
-    psl25 = dataclasses.replace(get_table("PSL(2,5)"), group="bogus")
+    psl25 = get_table("PSL(2,5)")._replace(group="bogus")
     four_group = partial(Group, [(1, 0, 2, 3), (0, 1, 3, 2)], degree=4)
     for recipe in (bogus(order=61), bogus(center=2), bogus(orders=(1, 2)),
                    bogus(derived=30), bogus(make=partial(pgl2, 5), order=120, simple=True),
@@ -264,7 +263,7 @@ def test_every_registry_table_binds_to_its_recipe(corpus, get_table):
     for name in corpus:
         assert bind(get_table(name)) == (find_recipe(name), None), name
     # a name outside the registry binds to nothing, with nothing to say
-    assert bind(dataclasses.replace(get_table("A5"), group="A5 ")) == (None, None)
+    assert bind(get_table("A5")._replace(group="A5 ")) == (None, None)
 
 
 def test_group_files_are_pinned(get_group):

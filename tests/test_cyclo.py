@@ -259,7 +259,7 @@ def test_order_with_two_large_primes_is_refused():
             with pytest.raises(ValueError, match=rf"^order {m} does not divide lcm\(1..256\)$"):
                 make(m)
     for m in (1, 251 * 256, 243 * 125 * 49, cyclo._ORDER_LCM):
-        assert prod(L.q for L in cyclo._locals(m)) == m
+        assert prod(q for _, q, *_ in cyclo._locals(m)) == m
     assert CycloNum(cyclo._ORDER_LCM, {0: 1}) == 1
     cyclo._locals.cache_clear()
 

@@ -1,8 +1,10 @@
 """Cold start: `import charzeros`, the read verbs on a table file, the
 verbs that compute a table, the `outer-bound` sweep and `diophantine` never
-import sympy; the other `numtheory` verbs load it when they need it.  Each
-run-time check runs in a fresh interpreter, since this one has sympy loaded
-already; a static check reads every module's imports."""
+import sympy; the other `numtheory` verbs load it when they need it.  Nor
+does the program import `dataclasses` (its records are named tuples), which
+would pull in `inspect` and `ast`.  Each run-time check runs in a fresh
+interpreter, since this one has both loaded already; a static check reads
+every module's imports."""
 import ast
 import json
 import os
@@ -16,12 +18,14 @@ from charzeros.cli import main
 SRC = str(Path(charzeros.__file__).parents[1])
 TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
-# Runs each argv of sys.argv[1] through main in turn; prints whether sympy was
-# loaded after the import and after each op, and each op's exit code and stdout.
+# Runs each argv of sys.argv[1] through main in turn; prints whether sympy and
+# dataclasses were loaded after the import and after each op, and each op's
+# exit code and stdout.
 CHILD = """
 import contextlib, io, json, sys
 import charzeros
 loaded = ["sympy" in sys.modules]
+dataclasses = ["dataclasses" in sys.modules]
 from charzeros.cli import main
 results = []
 for argv in json.loads(sys.argv[1]):
@@ -30,7 +34,8 @@ for argv in json.loads(sys.argv[1]):
         rc = main(argv)
     results.append([rc, out.getvalue()])
     loaded.append("sympy" in sys.modules)
-print(json.dumps({"loaded": loaded, "results": results}))
+    dataclasses.append("dataclasses" in sys.modules)
+print(json.dumps({"loaded": loaded, "dataclasses": dataclasses, "results": results}))
 """
 
 
@@ -109,3 +114,21 @@ def test_only_numtheory_imports_sympy():
     users = [p.relative_to(package).as_posix() for p in modules
              if "sympy" in _imports(ast.parse(p.read_text(), str(p)))]
     assert users == ["numtheory.py"]
+
+
+def test_no_module_imports_dataclasses():
+    # every record is a typing.NamedTuple: a frozen dataclass costs its
+    # exec-generated methods at import, and the module pulls in inspect
+    package = Path(SRC) / "charzeros"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) > 10
+    assert [p.relative_to(package).as_posix() for p in modules
+            if "dataclasses" in _imports(ast.parse(p.read_text(), str(p)))] == []
+
+
+def test_verify_and_table_start_without_dataclasses(capsys):
+    argvs = [["verify", str(TABLES / "PSU_3_4_.tbl")], ["table", "A5"]]
+    child = _fresh(argvs)
+    assert child["dataclasses"] == [False, False, False]
+    assert child["results"] == _here(capsys, argvs)
+    assert [rc for rc, _ in child["results"]] == [0, 0]

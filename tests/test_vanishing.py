@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict, replace
 from functools import partial
 
 import pytest
@@ -117,7 +116,7 @@ def test_star_branches_on_hand_built_tables(get_table, kept, cond_i, cond_iii, p
     assert (t.degree(8), vanishing_classes(t, 8)) == (6, (2, 3, 6))
     one = CycloNum(t.exponent, {0: 1})
     row = tuple(one if v.is_zero() and j != kept else v for j, v in enumerate(t.rows[8]))
-    rep = star_check(replace(t, rows=t.rows[:8] + (row,)), 8)
+    rep = star_check(t._replace(rows=t.rows[:8] + (row,)), 8)
     assert rep.vanishing == ((kept, t.classes[kept].element_order),)
     assert (rep.faithful, rep.cond_i, rep.cond_ii, rep.cond_iii) == (True, cond_i, True, cond_iii)
     assert (rep.p, rep.holds) == (p, False)
@@ -131,7 +130,7 @@ def test_star_survey_and_report_forms(get_table):
     holding = {r.degree for r in reps if r.holds}
     assert holding == {14}
     for r in reps:
-        obj = asdict(r)
+        obj = r._asdict()
         json.dumps(obj)
         assert obj["group"] == "Sz(8)"
         text = r.text()
@@ -155,7 +154,7 @@ def test_burnside_violation_on_a_hand_built_table(get_table):
     one = CycloNum(t.exponent, {0: 1})
     edited = tuple(one if v.is_zero() else v for v in t.rows[1])
     assert edited != t.rows[1]
-    rep = burnside_check(replace(t, rows=(t.rows[0], edited) + t.rows[2:]))
+    rep = burnside_check(t._replace(rows=(t.rows[0], edited) + t.rows[2:]))
     assert (rep.ok, rep.checked_rows, rep.violations) == (False, 4, (1,))
 
 
@@ -168,7 +167,7 @@ def test_two_prime(get_table):
     assert all(d == 14 for _, d in rep.flagged)
     assert PRIMITIVITY_NOTE in rep.notes
     # the excuse is by group name: the same rows under another name fail
-    renamed = replace(get_table("Sz(8):3"), group="Sz(8):3 renamed")
+    renamed = get_table("Sz(8):3")._replace(group="Sz(8):3 renamed")
     strict = two_prime_degree_check(renamed)
     assert strict.flagged == rep.flagged and not strict.excused and not strict.ok
 
@@ -183,7 +182,7 @@ def test_two_prime_degree_outside_the_exponent(get_table):
     for d in (2 * 7 * 11, 11**2, 3 * 7**3, 14):
         rows = tuple((CycloNum(t.exponent, {0: d}),) + row[1:] if i in one_class else row
                      for i, row in enumerate(t.rows))
-        rep = two_prime_degree_check(replace(t, rows=rows))
+        rep = two_prime_degree_check(t._replace(rows=rows))
         flagged = [i for i in one_class if len(sympy.primefactors(d)) >= 2]
         assert rep.flagged == tuple((i, d) for i in flagged), d
 
@@ -244,7 +243,7 @@ def test_reports_use_a_recipe_only_when_the_table_meets_it(get_table, add_recipe
     add_recipe(GroupRecipe("bogus", suzuki_semilinear, order=87360, out=5, derived=29120,
                            center=center, one_class=(14,) * 6, simple_allowed=(14,),
                            two_prime_excused=True, note="bogus note"))
-    t = replace(get_table("Sz(8):3"), group="bogus")
+    t = get_table("Sz(8):3")._replace(group="bogus")
     calls = []
     monkeypatch.setattr(vanishing, "bind", lambda t: calls.append(t) or bind(t))
     two = two_prime_degree_check(t)
@@ -275,4 +274,4 @@ def test_report_objects_serialize(get_table):
     t = get_table("A5")
     for rep in (burnside_check(t), two_prime_degree_check(t),
                 classify_one_class(t), simple_one_class_survey([t])):
-        json.dumps(asdict(rep))
+        json.dumps(rep._asdict())
