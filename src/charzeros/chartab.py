@@ -17,7 +17,10 @@ is seen from its basis alone and kept without reading a class row, and on
 any other block the Krylov rows of one vector give the minimal polynomial:
 each row is reduced against the earlier ones as it is formed, and the
 elimination stops at the first dependence.  The eigenvalues are its roots
-(`fpoly.split_roots`) and each eigenspace is a kernel mod l.  Each inner
+(`fpoly.split_roots`).  Each eigenvector comes from the Krylov vectors of
+the block's part of the identity class, one combination per root, and a
+kernel mod l is solved only for an eigenspace that is not a line, on the
+quotient of the block by those vectors (`_eigenspaces`).  Each inner
 product of the split, as of the transforms of the lift below, is one
 C-level sum(map(mul, a, b)) % l.  The split is deterministic.
 Once the characters are separated, each character degree follows from the
@@ -54,8 +57,6 @@ A table, its class summaries and a verify report are immutable named tuples:
 `t._replace(rows=...)` derives an edited copy, which `verify_table` checks
 like any other table, and `_asdict()` gives a report's fields as a dict.
 """
-from __future__ import annotations
-
 import json
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -160,7 +161,9 @@ def _min_poly(b, l):
     Each Krylov row is reduced against the rows before it as it is formed,
     carrying the coefficients of the p with row = e_0 p(b), and the next row
     is the reduced one times b.  The first row that reduces to zero gives the
-    minimal polynomial, so the elimination stops at the first dependence."""
+    minimal polynomial, so the elimination stops at the first dependence.
+    `_eigenspaces` forms the transposed Krylov vectors, the columns b^j c,
+    and needs the transposed assumption of c (see `_separate`)."""
     d = len(b)
     cols = list(zip(*b))
     row = [1] + [0] * (d - 1) + [1] + [0] * d  # e_0, then p = 1 as d + 1 coefficients
@@ -183,6 +186,97 @@ def _min_poly(b, l):
         row = [sum(map(mul, row, c)) % l for c in cols] + [0] + row[d:-1]
 
 
+def _shift(m, e, l):
+    """m - e I."""
+    return [[(x - e * (t == k)) % l for k, x in enumerate(row)] for t, row in enumerate(m)]
+
+
+def _by_linear(f, e, l):
+    """Quotient and remainder of f (ascending) by x - e: synthetic division."""
+    q, acc = [0] * (len(f) - 1), 0
+    for j in range(len(f) - 1, 0, -1):
+        q[j - 1] = acc = (f[j] + e * acc) % l
+    return q, (f[0] + e * acc) % l
+
+
+def _eigenspaces(b, p, roots, c, basis, l):
+    """The eigenspaces of b, the restriction of a class matrix to a block, as
+    one new block (basis, pivots, start vector) per root e of its minimal
+    polynomial p, in the order of the roots.  `basis` is the block's basis and
+    c its start vector in block coordinates (see `_separate`).
+
+    Let s = deg p and K_j = b^j c, the Krylov vectors of c.  For
+    q = p/(x - e), u_e = q(b) c = sum_j q_j K_j satisfies
+    (b - e) u_e = p(b) c, so once p(b) c = 0 is checked every nonzero u_e is
+    an eigenvector.  The span K of the K_j is then b-invariant and meets the
+    e-eigenspace in the line of u_e alone, so that eigenspace is larger than
+    a line exactly when e is an eigenvalue of b on V/K, of dimension d - s at
+    a splitting prime.  If s = d, p is squarefree of degree d, so b has d
+    distinct eigenvalues and every eigenspace is a line: nothing is left to
+    test.  Otherwise b acts on V/K as Q, its columns at the non-pivots of
+    the row-echelon K reduced against it, and each w in the kernel of Q - e
+    lifts to an eigenvector: with v = w at the non-pivots and 0 at the
+    pivots, (b - e) v lies in K, say g(b) c, and when g(e) = 0,
+    v - (g/(x - e))(b) c is in the e-eigenspace.  Those lifts and u_e span
+    it.  The kernels of Q - e are solved root after root until they fill the
+    quotient, so a root whose eigenspace is a line costs no kernel of b - e,
+    at most a rank test on Q.
+
+    A root with u_e = 0 or with a lift whose g(e) != 0, or every root when
+    p(b) c != 0, gets its eigenspace as the kernel of b - e instead.  None
+    of these happens at a splitting prime (`_separate`), and either way each
+    block is the eigenspace that the kernels of b - e alone would give."""
+    d, s = len(b), len(p) - 1
+    krylov = [c]
+    for _ in range(s):
+        krylov.append([sum(map(mul, row, krylov[-1])) % l for row in b])
+    if any(sum(map(mul, p, col)) % l for col in zip(*krylov)):  # p(b) c != 0
+        krylov = [[0] * d] * (s + 1)  # so every u_e is 0
+    del krylov[s]
+    left = 0  # dimensions of V/K that no kernel of Q - e has filled yet
+    if s < d:
+        # K in reduced row-echelon form, each row R followed by the T with
+        # R = sum_j T_j K_j
+        echelon = [k + [int(j == t) for t in range(s)] for j, k in enumerate(krylov)]
+        pivots = [t for t in _rref(echelon, l) if t < d]
+        echelon = echelon[:len(pivots)]
+        rest = [j for j in range(d) if j not in pivots]
+        at_pivots = [[b[t][j] for t in pivots] for j in rest]  # b's columns at the pivots
+        quotient = [[(b[i][j] - sum(map(mul, ri, bj))) % l for j, bj in zip(rest, at_pivots)]
+                    for i, ri in zip(rest, ([row[i] for row in echelon] for i in rest))]
+        coefficients = list(zip(*(row[d:] for row in echelon)))  # T_j of the rows, by j
+        left = len(rest)
+    kcols = list(zip(*krylov))
+    # a block of the whole space has the identity basis, and needs no mapping
+    columns = list(zip(*basis)) if d < len(basis[0]) else None
+    split = []
+    for e in roots:
+        q = _by_linear(p, e, l)[0]
+        u = [sum(map(mul, q, col)) % l for col in kcols]
+        vecs = [u] if any(u) else None
+        for w in _kernel_basis(_shift(quotient, e, l), l) if vecs and left else ():
+            left -= 1
+            v = [0] * d
+            for j, x in zip(rest, w):
+                v[j] = x
+            # (b - e) v lies in K, so its entries at the pivots, those of b v,
+            # are its coordinates on the rows R; then (b - e) v = g(b) c
+            at = [sum(map(mul, b[t], v)) % l for t in pivots]
+            g = [sum(map(mul, at, tj)) % l for tj in coefficients]
+            h, r = _by_linear(g, e, l)
+            if r:
+                vecs = None
+                break
+            vecs.append([(x - sum(map(mul, h, col))) % l for x, col in zip(v, kcols)])
+        if vecs is None:
+            vecs = _kernel_basis(_shift(b, e, l), l)
+        if columns:  # to the whole space
+            vecs = [[sum(map(mul, x, col)) % l for col in columns] for x in vecs]
+        start = vecs[0]
+        split.append((vecs, _rref(vecs, l), start))  # a line's _rref only scales it
+    return split
+
+
 def _separate(group: Group, l: int) -> list[list[int]]:
     """The common eigenvectors of the class matrices over F_l, one per
     central character.
@@ -192,7 +286,8 @@ def _separate(group: Group, l: int) -> list[list[int]]:
     coordinates of a vector in the block are its entries at the pivots, so
     A_i restricts to the d x d matrix whose (s, t) entry is
     class_row(i, p_s) . b_t.  Each block is split into the eigenspaces of
-    that matrix, one class at a time, smallest classes first.
+    that matrix, one class at a time, smallest classes first
+    (`_eigenspaces`).
 
     The first pivot p_1 is class 0, and class_row(i, 0) is the indicator of
     class i, so row 1 of the restriction is (b_1[i], .., b_d[i]).  A_i is a
@@ -201,33 +296,40 @@ def _separate(group: Group, l: int) -> list[list[int]]:
     not split the class algebra allows, a missed eigenvalue or an unsplit
     block would leave fewer blocks than classes.  Each block gives one vector,
     so the table has too few rows and `verify_table` refuses its shape.
+
+    Each block also carries a start vector c for `_eigenspaces`: its part of
+    e_0, the indicator of the identity class.  At a splitting prime the
+    central characters w_chi, each 1 at the identity class, are a basis, and
+    by the column orthogonality relations e_0 = sum_chi (chi(1)^2/|G|) w_chi.
+    So the left eigenvectors, the dual basis of the w_chi, have the nonzero
+    identity-class coordinates chi(1)^2/|G| (chi(1) < l, and l does not
+    divide |G|): the transposed form of `_min_poly`'s assumption.  A block's
+    part of e_0 then has a nonzero component on each of its characters,
+    q(b) maps it to a nonzero multiple of its part in the e-eigenspace, and
+    that is the start vector of the new block.  Hence u_e is never 0 at a
+    splitting prime, and no kernel of b - e is solved there.
     """
     sizes = group.class_sizes
     r = len(sizes)
-    blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)))]
+    blocks = [([[int(i == j) for j in range(r)] for i in range(r)], list(range(r)),
+               [int(j == 0) for j in range(r)])]
     for i in sorted(range(1, r), key=lambda i: (sizes[i], i)):
-        if all(len(basis) == 1 for basis, _ in blocks):
+        if all(len(basis) == 1 for basis, _, _ in blocks):
             break
         split = []
-        for basis, pivots in blocks:
+        for basis, pivots, start in blocks:
             if not any(v[i] for v in basis[1:]):
-                split.append((basis, pivots))  # A_i is scalar here: no split
+                split.append((basis, pivots, start))  # A_i is scalar here: no split
                 continue
-            d = len(basis)
             rows = [group.class_row(i, p) for p in pivots]
             b = [[sum(map(mul, row, v)) % l for v in basis] for row in rows]
-            roots = fpoly.split_roots(_min_poly(b, l), l)
+            p = _min_poly(b, l)
+            roots = fpoly.split_roots(p, l)
             if roots is None:  # not squarefree, or not split over F_l
                 raise Degenerate("eigenvalue outside the working prime field")
-            columns = list(zip(*basis))
-            for e in roots:
-                shifted = [[(b[s][t] - (e if s == t else 0)) % l
-                            for t in range(d)] for s in range(d)]
-                sub = [[sum(map(mul, kv, c)) % l for c in columns]
-                       for kv in _kernel_basis(shifted, l)]
-                split.append((sub, _rref(sub, l)))
+            split += _eigenspaces(b, p, roots, [start[t] for t in pivots], basis, l)
         blocks = split
-    return [basis[0] for basis, _ in blocks]
+    return [basis[0] for basis, _, _ in blocks]
 
 
 # -- the table computation -----------------------------------------------------------

@@ -22,8 +22,6 @@ orders 6 appear only in the symmetric-group extension, orders 10 only in
 the projective one, and neither occurs in the remaining extension.
 """
 
-from __future__ import annotations
-
 from functools import partial
 from typing import Callable, NamedTuple
 

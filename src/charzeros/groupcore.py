@@ -46,8 +46,6 @@ small share of the r*|G| products that the full matrices cost.
 Normal structure is read from the verified character table (`chartab`).
 """
 
-from __future__ import annotations
-
 import re
 from functools import cached_property
 from math import gcd, lcm

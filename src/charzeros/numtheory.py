@@ -9,8 +9,6 @@ evaluation for the classical and exceptional families.  Everything is
 integer-exact; sympy tests and factors only numbers a user supplies.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from itertools import compress
 from math import isqrt, prod

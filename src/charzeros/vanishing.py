@@ -11,8 +11,6 @@ call, which gives none to a table that fails the entry's facts.  Every report
 is an immutable named tuple; `_asdict()` gives its fields as a dict, but not
 recursively: a survey's entries stay named tuples.
 """
-from __future__ import annotations
-
 from math import lcm
 from typing import NamedTuple
 

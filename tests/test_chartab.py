@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pickle
@@ -7,8 +8,9 @@ from pathlib import Path
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
-from charzeros import chartab, cyclo, groupcore
+from charzeros import chartab, cyclo, fpoly, groupcore
 from charzeros.chartab import (
     TableFileError,
     _check_classes,
@@ -21,9 +23,11 @@ from charzeros.chartab import (
     table_to_text,
     verify_table,
 )
+from charzeros.cli import main
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import BudgetExceeded, format_group_file, parse_group_file, pinv
+from charzeros.groupcore import (BudgetExceeded, format_cycles, format_group_file,
+                                 parse_group_file, pinv)
 from helpers import brute_galois_law, brute_min_poly_degree, brute_orth_violations, pmul
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
@@ -109,7 +113,8 @@ def _sample_matrices(rng, l):
     """Seeded diagonalisable matrices up to 8x8 over F_l, the kind the split
     restricts a class matrix to: b = S D S^-1 with repeated values in D, so
     the minimal polynomial is often of lower degree than the characteristic
-    one, and with no zero in row 0 of S, so every eigenspace meets e_0."""
+    one, and with no zero in row 0 of S, so every eigenspace meets e_0.
+    Each comes as (b, S, the diagonal of D)."""
     for d in range(1, 9):
         for spread in (2, 3, d):
             while True:
@@ -120,7 +125,7 @@ def _sample_matrices(rng, l):
             s_inv = sympy.Matrix(s).inv_mod(l).tolist()
             vals = [rng.randrange(spread) for _ in range(d)]
             yield [[sum(s[i][t] * vals[t] * s_inv[t][j] for t in range(d)) % l
-                    for j in range(d)] for i in range(d)]
+                    for j in range(d)] for i in range(d)], s, vals
 
 
 def test_min_poly_matches_brute():
@@ -128,7 +133,7 @@ def test_min_poly_matches_brute():
     # e_0 meet their first dependence well before the size of b
     for l in (3, 7, 101):
         rng = random.Random(7)
-        for b in _sample_matrices(rng, l):
+        for b, _, _ in _sample_matrices(rng, l):
             d = len(b)
             mp = _min_poly(b, l)
             assert mp[-1] == 1  # monic, ascending coefficients
@@ -138,6 +143,59 @@ def test_min_poly_matches_brute():
                 acc = [[(sum(acc[i][t] * b[t][j] for t in range(d)) + c * (i == j)) % l
                         for j in range(d)] for i in range(d)]
             assert not any(any(row) for row in acc), (l, b)
+
+
+def _assert_eigenspaces(b, p, roots, c, l):
+    """`_eigenspaces` on the whole space (identity basis) gives, root by root,
+    the e-eigenspace of b in reduced row-echelon form, with a start vector in
+    it; dimensions and ranks come from sympy over GF(l)."""
+    d = len(b)
+    field = sympy.GF(l)
+
+    def rank(m):
+        return DomainMatrix([[field(x) for x in row] for row in m], (len(m), d), field).rank()
+
+    identity = [[int(i == j) for j in range(d)] for i in range(d)]
+    blocks = chartab._eigenspaces(b, p, roots, c, identity, l)
+    assert len(blocks) == len(roots)
+    for e, (basis, pivots, start) in zip(roots, blocks):
+        shifted = [[(x - e * (i == j)) % l for j, x in enumerate(row)] for i, row in enumerate(b)]
+        assert len(basis) == d - rank(shifted) == rank(basis), (b, c, e)
+        for v in basis + [start]:
+            assert not any(sum(x * y for x, y in zip(row, v)) % l for row in shifted), (b, c, e)
+        assert any(start)
+        for v, pc in zip(basis, pivots):
+            assert v[pc] == 1 and not any(v[:pc]) and all(w[pc] == 0 for w in basis if w is not v)
+        assert pivots == sorted(pivots)
+
+
+def test_eigenspaces_are_the_kernels_of_b_minus_e():
+    # the start vector decides the path, not the result: e_0, a random vector,
+    # and one with no component on the eigenvectors of one eigenvalue (u_e = 0,
+    # answered by a kernel of b - e); with repeated values in D many
+    # eigenspaces are not lines and are read from the quotient V/K
+    for l in (7, 101):
+        rng = random.Random(5)
+        for b, s, vals in _sample_matrices(rng, l):
+            d = len(b)
+            p = _min_poly(b, l)
+            roots = fpoly.split_roots(p, l)
+            weights = [rng.randrange(l) * (v != vals[0]) for v in vals]
+            for c in ([int(i == 0) for i in range(d)],
+                      [rng.randrange(l) for _ in range(d)],
+                      [sum(s[i][k] * w for k, w in enumerate(weights)) % l for i in range(d)]):
+                if any(c):
+                    _assert_eigenspaces(b, p, roots, c, l)
+
+
+def test_eigenspaces_fall_back_to_kernels():
+    # each case leaves the Krylov path: a p that misses an eigenvalue, so
+    # p(b) c != 0; and a b that is not diagonalisable, where the quotient's
+    # eigenvector for 1 lifts to no eigenvector (g(1) != 0).  Neither arises at
+    # a prime that splits the class algebra; the blocks are the kernels' all the same
+    l = 7
+    _assert_eigenspaces([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [2, 4, 1], [1, 2], [1, 1, 1], l)
+    _assert_eigenspaces([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [2, 4, 1], [1, 2], [1, 0, 1], l)
 
 
 def _degrees(t):
@@ -524,6 +582,37 @@ def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monk
     assert degrees and min(degrees) >= 2, sorted(degrees)[:5]
 
 
+def test_a_split_solves_kernels_only_on_its_quotient(corpus, get_group, monkeypatch):
+    # a line's eigenvector comes from the Krylov vectors of the block's start
+    # vector, so no kernel of a d x d restriction b - e is solved, not even
+    # for a line: every kernel is of the (d - s)-dimensional quotient by their
+    # span, and the kernels of one split hold its d - s missing dimensions.
+    # Solving one kernel of b - e per root would fail both.
+    splits = []  # per split: d - s, then (rows, vectors) of each kernel
+    real_min_poly, real_kernel = chartab._min_poly, chartab._kernel_basis
+
+    def min_poly(b, l):
+        p = real_min_poly(b, l)
+        splits.append((len(b) - len(p) + 1, []))
+        return p
+
+    def kernel(m, l):
+        basis = real_kernel(m, l)
+        splits[-1][1].append((len(m), len(basis)))
+        return basis
+
+    monkeypatch.setattr(chartab, "_min_poly", min_poly)
+    monkeypatch.setattr(chartab, "_kernel_basis", kernel)
+    files = ["degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n",  # D7
+             "degree 12\n(1 2 3 4)(5 6 7)(8 9 10 11 12)\n"]  # C60
+    for g in [get_group(name) for name in corpus] + list(map(parse_group_file, files)):
+        character_table(g)
+    assert sum(len(kernels) for _, kernels in splits) >= 100
+    for missing, kernels in splits:
+        assert all(rows == missing for rows, _ in kernels), (missing, kernels)
+        assert sum(n for _, n in kernels) == missing, (missing, kernels)
+
+
 @pytest.mark.parametrize("power", ["m - 1", "least unit above 1"])
 def test_any_primitive_root_lifts_the_same_table(power, corpus, get_group, monkeypatch):
     # the lift embeds zeta_m at w^k instead of w: each row is conjugated by
@@ -611,6 +700,22 @@ def test_tables_match_pinned_files(corpus, get_table):
     for name in corpus:
         pinned = PINNED_TABLES / (re.sub(r"[^0-9A-Za-z]", "_", name) + ".tbl")
         assert table_to_text(get_table(name)) == pinned.read_text(), name
+
+
+def test_frobenius_251_5_table_is_pinned(tmp_path, capsys):
+    # x -> x + 1 and x -> a x on Z/251, a of order 5: the first split meets
+    # the whole 55-dimensional space with 51 roots, where the 5-dimensional
+    # eigenspace of the linear characters is read from a 4-dimensional
+    # quotient, and every other eigenspace is a line.  `table` on the file
+    # prints the same bytes as before the split used Krylov vectors
+    p = 251
+    a = next(a for a in range(2, p) if pow(a, 5, p) == 1)
+    gens = [bytes((x + 1) % p for x in range(p)), bytes(a * x % p for x in range(p))]
+    path = tmp_path / "frob.txt"
+    path.write_text(f"degree {p}\n" + "".join(format_cycles(g) + "\n" for g in gens))
+    assert main(["table", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "a776e06720aa70ff7db06ed444776b9d216ea33815205bc7ae3bbc126e7b8b92"
 
 
 def test_table_class_powers(get_table, get_group):

@@ -6,10 +6,12 @@ would pull in `inspect` and `ast`.  Each run-time check runs in a fresh
 interpreter, since this one has both loaded already; a static check reads
 every module's imports."""
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import charzeros
@@ -132,3 +134,20 @@ def test_verify_and_table_start_without_dataclasses(capsys):
     assert child["dataclasses"] == [False, False, False]
     assert child["results"] == _here(capsys, argvs)
     assert [rc for rc, _ in child["results"]] == [0, 0]
+
+
+def test_record_fields_hold_types_not_forward_references():
+    # no module defers its annotations, so each named-tuple field is
+    # annotated with its type: a string annotation is compiled to a
+    # typing.ForwardRef at import, one per field
+    package = Path(SRC) / "charzeros"
+    records = []
+    for p in sorted(package.rglob("*.py")):
+        name = ".".join(("charzeros",) + p.relative_to(package).with_suffix("").parts)
+        module = importlib.import_module(name.removesuffix(".__init__"))
+        records += [x for x in vars(module).values() if isinstance(x, type)
+                    and issubclass(x, tuple) and hasattr(x, "_fields")
+                    and x.__module__ == module.__name__]
+    assert len(records) >= 15
+    assert [(r.__name__, f) for r in records for f, a in r.__annotations__.items()
+            if isinstance(a, (str, typing.ForwardRef))] == []
