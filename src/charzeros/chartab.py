@@ -13,16 +13,16 @@ A_i at the block's pivots (`Group.class_row`), never the whole matrix; the
 walk stops as soon as every block is a line.  A block is spanned by the
 central characters it holds, all 1 at the identity class, so that class is
 its first pivot.  Hence a block on which A_i is a scalar, which cannot split,
-is seen from its basis alone and kept without reading a class row, and on
-any other block the Krylov rows of one vector give the minimal polynomial:
-each row is reduced against the earlier ones as it is formed, and the
-elimination stops at the first dependence.  The eigenvalues are its roots
-(`fpoly.split_roots`).  Each eigenvector comes from the Krylov vectors of
-the block's part of the identity class, one combination per root, and a
-kernel mod l is solved only for an eigenspace that is not a line, on the
-quotient of the block by those vectors (`_eigenspaces`).  Each inner
-product of the split, as of the transforms of the lift below, is one
-C-level sum(map(mul, a, b)) % l.  The split is deterministic.
+is seen from its basis alone and kept without reading a class row.  Any
+other block takes one Krylov pass over the block's part of the identity
+class: each vector is reduced against the earlier ones as it is formed, and
+the first dependence gives the minimal polynomial, whose roots are the
+eigenvalues (`fpoly.split_roots`).  Each eigenvector is one combination of
+those vectors per root, and a kernel mod l is solved only for an eigenspace
+that is not a line, on the quotient of the block by their span
+(`_eigenspaces`).  Each inner product of the split, as of the transforms of
+the lift below, is one C-level sum(map(mul, a, b)) % l.  The split is
+deterministic.
 Once the characters are separated, each character degree follows from the
 orthogonality relations and every entry lifts uniquely to an exact
 cyclotomic number through its root-of-unity multiplicities: one length-o
@@ -30,8 +30,8 @@ discrete Fourier transform mod l, through one matrix per element order o.
 Classes fall into Galois families, the classes of rep^k for k prime to o,
 and chi(g^k) = sigma_k(chi(g)), so the transform runs only at the least
 class of each family and the other classes permute its multiplicities.
-Each distinct multiplicity vector of a table becomes one shared value.  A
-table is released only after `verify_table` has re-checked it exactly: the
+Each distinct multiplicity vector of a table becomes one shared value, and
+the row sort keys each value once (`_sorted_rows`).  A table is released only after `verify_table` has re-checked it exactly: the
 Galois law chi(g^k) = sigma_k(chi(g)) against the power maps, at generators
 of the units mod the exponent, and then the row orthogonality relations.
 The law makes each row inner product a rational integer, so these are
@@ -73,8 +73,8 @@ class TableFileError(ValueError):
 
 class Degenerate(RuntimeError):
     """The table computation cannot go on at its prime: an eigenvalue outside
-    the prime field, a degree square without a root, or a computed table that
-    fails exact verification."""
+    the prime field, eigenspaces that do not fill a block, a degree square
+    without a root, or a computed table that fails exact verification."""
 
 
 # -- table container ----------------------------------------------------------------
@@ -106,8 +106,12 @@ def _entry_key(v: CycloNum):
     return tuple((e, c < 0, abs(c)) for e, c in sorted(v.coeffs.items()))
 
 
-def _row_key(degree: int, row) -> tuple:
-    return (degree, tuple(_entry_key(v) for v in row))
+def _sorted_rows(rows) -> list:
+    """The rows in canonical order, entry by entry by `_entry_key`, so by
+    degree first.  Each distinct entry object is keyed once, for its cells."""
+    distinct = {id(v): v for row in rows for v in row}  # one per entry object
+    keys = {k: _entry_key(v) for k, v in distinct.items()}
+    return sorted(rows, key=lambda row: [keys[id(v)] for v in row])
 
 
 # -- linear algebra mod l ------------------------------------------------------------
@@ -153,37 +157,29 @@ def _kernel_basis(mat, l):
     return basis
 
 
-def _min_poly(b, l):
-    """Minimal polynomial (ascending, monic) of a diagonalisable b whose
-    eigenvectors all have a nonzero first coordinate.  The row vector e_0 then
-    has a component in every eigenspace, so the least p with e_0 p(b) = 0 is
-    the minimal polynomial: the first dependence among e_0 b^j, j = 0..d.
-    Each Krylov row is reduced against the rows before it as it is formed,
-    carrying the coefficients of the p with row = e_0 p(b), and the next row
-    is the reduced one times b.  The first row that reduces to zero gives the
-    minimal polynomial, so the elimination stops at the first dependence.
-    `_eigenspaces` forms the transposed Krylov vectors, the columns b^j c,
-    and needs the transposed assumption of c (see `_separate`)."""
+def _krylov(b, c, l):
+    """(p, K, reduced) for a d x d matrix b and a nonzero vector c: p the
+    monic (ascending) polynomial of least degree s with p(b) c = 0, K the
+    Krylov vectors K_j = b^j c for j < s, and `reduced` their echelon rows.
+    Each K_j is reduced against the rows before it as it is formed, carrying
+    the T with row = sum_j T_j K_j, and kept as (pivot, row scaled to 1 there
+    followed by T).  K_s reduces to 0, and its T, still 1 at s, is p."""
     d = len(b)
-    cols = list(zip(*b))
-    row = [1] + [0] * (d - 1) + [1] + [0] * d  # e_0, then p = 1 as d + 1 coefficients
-    reduced = []  # (pivot, row scaled to 1 there), zero at the earlier pivots
+    krylov, reduced = [c], []
     while True:
+        j = len(reduced)
+        row = krylov[j] + [0] * j + [1] + [0] * (d - j)
         for t, done in reduced:
-            c = row[t]
-            if c:
-                row = [(x - c * y) % l for x, y in zip(row, done)]
+            x = row[t]
+            if x:
+                row = [(y - x * z) % l for y, z in zip(row, done)]
         t = next((t for t in range(d) if row[t]), None)
-        if t is None:  # p has degree len(reduced)
-            p = row[d:d + len(reduced) + 1]
-            inv = pow(p[-1], l - 2, l)
-            return [c * inv % l for c in p]
+        if t is None:
+            del krylov[j]
+            return row[d:d + j + 1], krylov, reduced
         inv = pow(row[t], l - 2, l)
-        row = [x * inv % l for x in row]
-        reduced.append((t, row))
-        # at most d rows are independent, so p has degree < d and x p fits;
-        # map stops at the d entries of a column, before the coefficients
-        row = [sum(map(mul, row, c)) % l for c in cols] + [0] + row[d:-1]
+        reduced.append((t, [x * inv % l for x in row]))
+        krylov.append([sum(map(mul, r, krylov[j])) % l for r in b])
 
 
 def _shift(m, e, l):
@@ -199,63 +195,64 @@ def _by_linear(f, e, l):
     return q, (f[0] + e * acc) % l
 
 
-def _eigenspaces(b, p, roots, c, basis, l):
+def _eigenspaces(b, c, basis, l):
     """The eigenspaces of b, the restriction of a class matrix to a block, as
-    one new block (basis, pivots, start vector) per root e of its minimal
-    polynomial p, in the order of the roots.  `basis` is the block's basis and
-    c its start vector in block coordinates (see `_separate`).
+    one new block (basis, pivots, start vector) per eigenvalue, ascending.
+    `basis` is the block's basis and c its start vector in block coordinates.
 
-    Let s = deg p and K_j = b^j c, the Krylov vectors of c.  For
-    q = p/(x - e), u_e = q(b) c = sum_j q_j K_j satisfies
-    (b - e) u_e = p(b) c, so once p(b) c = 0 is checked every nonzero u_e is
-    an eigenvector.  The span K of the K_j is then b-invariant and meets the
-    e-eigenspace in the line of u_e alone, so that eigenspace is larger than
-    a line exactly when e is an eigenvalue of b on V/K, of dimension d - s at
-    a splitting prime.  If s = d, p is squarefree of degree d, so b has d
-    distinct eigenvalues and every eigenspace is a line: nothing is left to
-    test.  Otherwise b acts on V/K as Q, its columns at the non-pivots of
-    the row-echelon K reduced against it, and each w in the kernel of Q - e
-    lifts to an eigenvector: with v = w at the non-pivots and 0 at the
-    pivots, (b - e) v lies in K, say g(b) c, and when g(e) = 0,
+    One Krylov pass (`_krylov`) gives the least p with p(b) c = 0, of degree
+    s, and K_j = b^j c for j < s.  At a splitting prime c has a component on
+    every eigenvector of b (`_separate`), so p is b's minimal polynomial and
+    its roots e (`fpoly.split_roots`) are the eigenvalues.  For
+    q = p/(x - e), u_e = q(b) c = sum_j q_j K_j is not 0, as deg q < s, and
+    (b - e) u_e = p(b) c = 0.  The span K of the K_j is b-invariant and
+    meets the e-eigenspace in the line of u_e alone, so that eigenspace is
+    larger than a line exactly when e is an eigenvalue of b on V/K, of
+    dimension d - s.  If s = d, every eigenspace is a line.  Otherwise the
+    pass's rows are back-substituted to the reduced row-echelon form of K, b
+    acts on V/K as Q, its columns at the non-pivots reduced against K, and
+    each w in the kernel of Q - e lifts: with v = w at the non-pivots and 0
+    at the pivots, (b - e) v lies in K, say g(b) c, and when g(e) = 0,
     v - (g/(x - e))(b) c is in the e-eigenspace.  Those lifts and u_e span
     it.  The kernels of Q - e are solved root after root until they fill the
-    quotient, so a root whose eigenspace is a line costs no kernel of b - e,
-    at most a rank test on Q.
+    quotient, so a root whose eigenspace is a line costs at most a rank test.
 
-    A root with u_e = 0 or with a lift whose g(e) != 0, or every root when
-    p(b) c != 0, gets its eigenspace as the kernel of b - e instead.  None
-    of these happens at a splitting prime (`_separate`), and either way each
-    block is the eigenspace that the kernels of b - e alone would give."""
-    d, s = len(b), len(p) - 1
-    krylov = [c]
-    for _ in range(s):
-        krylov.append([sum(map(mul, row, krylov[-1])) % l for row in b])
-    if any(sum(map(mul, p, col)) % l for col in zip(*krylov)):  # p(b) c != 0
-        krylov = [[0] * d] * (s + 1)  # so every u_e is 0
-    del krylov[s]
-    left = 0  # dimensions of V/K that no kernel of Q - e has filled yet
-    if s < d:
-        # K in reduced row-echelon form, each row R followed by the T with
-        # R = sum_j T_j K_j
-        echelon = [k + [int(j == t) for t in range(s)] for j, k in enumerate(krylov)]
-        pivots = [t for t in _rref(echelon, l) if t < d]
-        echelon = echelon[:len(pivots)]
+    `Degenerate` is raised when p has a repeated root or one outside F_l,
+    and when the eigenspaces do not fill the block: c misses an eigenvalue,
+    which V/K keeps, or a lift has g(e) != 0, as when b is not
+    diagonalisable.  Neither happens at a splitting prime."""
+    d = len(b)
+    p, krylov, reduced = _krylov(b, c, l)
+    roots = fpoly.split_roots(p, l)
+    if roots is None:  # not squarefree, or not split over F_l
+        raise Degenerate("eigenvalue outside the working prime field")
+    s = len(krylov)
+    left = d - s  # dimensions of V/K that no lift has filled yet
+    if left:
+        # each row R = sum_j T_j K_j zeroed also at the pivots of the rows
+        # formed after it: K in reduced row-echelon form, each R followed by T
+        echelon = []
+        for t, row in reversed(reduced):
+            for u, done in echelon:
+                x = row[u]
+                if x:
+                    row = [(y - x * z) % l for y, z in zip(row, done)]
+            echelon.append((t, row))
+        echelon.sort()
+        pivots = [t for t, _ in echelon]
         rest = [j for j in range(d) if j not in pivots]
         at_pivots = [[b[t][j] for t in pivots] for j in rest]  # b's columns at the pivots
         quotient = [[(b[i][j] - sum(map(mul, ri, bj))) % l for j, bj in zip(rest, at_pivots)]
-                    for i, ri in zip(rest, ([row[i] for row in echelon] for i in rest))]
-        coefficients = list(zip(*(row[d:] for row in echelon)))  # T_j of the rows, by j
-        left = len(rest)
+                    for i, ri in zip(rest, ([row[i] for _, row in echelon] for i in rest))]
+        coefficients = list(zip(*(row[d:d + s] for _, row in echelon)))  # T_j of the rows, by j
     kcols = list(zip(*krylov))
     # a block of the whole space has the identity basis, and needs no mapping
     columns = list(zip(*basis)) if d < len(basis[0]) else None
     split = []
     for e in roots:
         q = _by_linear(p, e, l)[0]
-        u = [sum(map(mul, q, col)) % l for col in kcols]
-        vecs = [u] if any(u) else None
-        for w in _kernel_basis(_shift(quotient, e, l), l) if vecs and left else ():
-            left -= 1
+        vecs = [[sum(map(mul, q, col)) % l for col in kcols]]  # u_e
+        for w in _kernel_basis(_shift(quotient, e, l), l) if left else ():
             v = [0] * d
             for j, x in zip(rest, w):
                 v[j] = x
@@ -264,16 +261,15 @@ def _eigenspaces(b, p, roots, c, basis, l):
             at = [sum(map(mul, b[t], v)) % l for t in pivots]
             g = [sum(map(mul, at, tj)) % l for tj in coefficients]
             h, r = _by_linear(g, e, l)
-            if r:
-                vecs = None
-                break
-            vecs.append([(x - sum(map(mul, h, col))) % l for x, col in zip(v, kcols)])
-        if vecs is None:
-            vecs = _kernel_basis(_shift(b, e, l), l)
+            if not r:  # else this w lifts to no eigenvector, and V/K stays unfilled
+                left -= 1
+                vecs.append([(x - sum(map(mul, h, col))) % l for x, col in zip(v, kcols)])
         if columns:  # to the whole space
             vecs = [[sum(map(mul, x, col)) % l for col in columns] for x in vecs]
-        start = vecs[0]
+        start = vecs[0]  # u_e, taken before _rref rewrites the rows in place
         split.append((vecs, _rref(vecs, l), start))  # a line's _rref only scales it
+    if left:
+        raise Degenerate("eigenspaces of a class matrix do not fill its block")
     return split
 
 
@@ -290,24 +286,24 @@ def _separate(group: Group, l: int) -> list[list[int]]:
     (`_eigenspaces`).
 
     The first pivot p_1 is class 0, and class_row(i, 0) is the indicator of
-    class i, so row 1 of the restriction is (b_1[i], .., b_d[i]).  A_i is a
-    scalar on the block exactly when b_2[i] = .. = b_d[i] = 0 (see
-    `_min_poly`).  Were p_1 ever another class, which only a prime that does
-    not split the class algebra allows, a missed eigenvalue or an unsplit
-    block would leave fewer blocks than classes.  Each block gives one vector,
-    so the table has too few rows and `verify_table` refuses its shape.
+    class i, so row 1 of the restriction is (b_1[i], .., b_d[i]).  The
+    block's central characters, each 1 at class 0, differ by vectors in the
+    span of b_2..b_d, so A_i is a scalar there exactly when
+    b_2[i] = .. = b_d[i] = 0.  Were p_1 ever another class, which only a
+    prime that does not split the class algebra allows, an unsplit block
+    would leave too few rows, and `verify_table` refuses their shape.
 
     Each block also carries a start vector c for `_eigenspaces`: its part of
     e_0, the indicator of the identity class.  At a splitting prime the
     central characters w_chi, each 1 at the identity class, are a basis, and
-    by the column orthogonality relations e_0 = sum_chi (chi(1)^2/|G|) w_chi.
-    So the left eigenvectors, the dual basis of the w_chi, have the nonzero
-    identity-class coordinates chi(1)^2/|G| (chi(1) < l, and l does not
-    divide |G|): the transposed form of `_min_poly`'s assumption.  A block's
-    part of e_0 then has a nonzero component on each of its characters,
-    q(b) maps it to a nonzero multiple of its part in the e-eigenspace, and
-    that is the start vector of the new block.  Hence u_e is never 0 at a
-    splitting prime, and no kernel of b - e is solved there.
+    by the column orthogonality relations e_0 = sum_chi (chi(1)^2/|G|) w_chi,
+    with chi(1)^2/|G| nonzero (chi(1) < l, and l does not divide |G|).  A
+    block's part of e_0 then has a nonzero component on each of its
+    characters, so its Krylov vectors give the minimal polynomial of the
+    restriction, and q(b) maps it to a nonzero multiple of its part in the
+    e-eigenspace, the start vector of the new block.  So `_eigenspaces`
+    raises `Degenerate` only at a forced prime, and `verify_table` decides
+    every table it lets through.
     """
     sizes = group.class_sizes
     r = len(sizes)
@@ -323,11 +319,7 @@ def _separate(group: Group, l: int) -> list[list[int]]:
                 continue
             rows = [group.class_row(i, p) for p in pivots]
             b = [[sum(map(mul, row, v)) % l for v in basis] for row in rows]
-            p = _min_poly(b, l)
-            roots = fpoly.split_roots(p, l)
-            if roots is None:  # not squarefree, or not split over F_l
-                raise Degenerate("eigenvalue outside the working prime field")
-            split += _eigenspaces(b, p, roots, [start[t] for t in pivots], basis, l)
+            split += _eigenspaces(b, [start[t] for t in pivots], basis, l)
         blocks = split
     return [basis[0] for basis, _, _ in blocks]
 
@@ -419,9 +411,8 @@ def character_table(group: Group) -> CharacterTable:
                 values[key] = CycloNum(m, {t * (m // o): c
                                            for t, c in enumerate(mult) if c})
             row.append(values[key])
-        rows.append((d, tuple(row)))
+        rows.append(tuple(row))
 
-    rows.sort(key=lambda pair: _row_key(pair[0], pair[1]))
     table = CharacterTable(
         group=group.name or "",
         order=n,
@@ -430,7 +421,7 @@ def character_table(group: Group) -> CharacterTable:
                                  centralizer=n // c.size, rep=format_cycles(c.rep),
                                  powers=powers[j])
                       for j, c in enumerate(classes)),
-        rows=tuple(row for _, row in rows),
+        rows=tuple(_sorted_rows(rows)),
     )
     report = verify_table(table)
     if not report.ok:
@@ -664,22 +655,28 @@ FORMAT_TAG = "chartab/1"
 
 
 def table_to_text(t: CharacterTable, seed: int = 0) -> str:
-    """The table file of t.  `seed` is recorded in the file only: the table
-    computation is deterministic, so no seed reaches it."""
-    obj = {
+    """The table file of t, compact JSON with sorted keys.  `seed` is recorded
+    in the file only: the table computation is deterministic, so no seed
+    reaches it.  Each distinct entry object is encoded once, for its cells."""
+    dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    head = dumps({
         "format": FORMAT_TAG,
         "group": t.group,
         "order": t.order,
         "exponent": t.exponent,
-        "seed": seed,
         "classes": [
             {"size": c.size, "order": c.element_order, "centralizer": c.centralizer,
              "rep": c.rep, "powers": list(c.powers)}
             for c in t.classes
         ],
-        "rows": [[v.to_obj() for v in row] for row in t.rows],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    })
+    distinct = {id(v): v for row in t.rows for v in row}  # one per entry object
+    # one encoding of the distinct entries, cut apart at each "},{": an
+    # entry's text holds no brace but its own two
+    cut = dumps([v.to_obj() for v in distinct.values()])[2:-2].split("},{")
+    texts = {k: "{" + x + "}" for k, x in zip(distinct, cut)}
+    rows = ",".join("[" + ",".join([texts[id(v)] for v in row]) + "]" for row in t.rows)
+    return f'{head[:-1]},"rows":[{rows}],"seed":{dumps(seed)}}}\n'  # the last two keys
 
 
 def _rep_order(rep: str) -> int:

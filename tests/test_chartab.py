@@ -10,11 +10,11 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
-from charzeros import chartab, cyclo, fpoly, groupcore
+from charzeros import chartab, cyclo, groupcore
 from charzeros.chartab import (
     TableFileError,
     _check_classes,
-    _min_poly,
+    _krylov,
     _rep_order,
     character_table,
     is_faithful,
@@ -113,7 +113,7 @@ def _sample_matrices(rng, l):
     """Seeded diagonalisable matrices up to 8x8 over F_l, the kind the split
     restricts a class matrix to: b = S D S^-1 with repeated values in D, so
     the minimal polynomial is often of lower degree than the characteristic
-    one, and with no zero in row 0 of S, so every eigenspace meets e_0.
+    one.  The columns of S are b's eigenvectors, each nonzero at coordinate 0.
     Each comes as (b, S, the diagonal of D)."""
     for d in range(1, 9):
         for spread in (2, 3, d):
@@ -128,14 +128,23 @@ def _sample_matrices(rng, l):
                     for j in range(d)] for i in range(d)], s, vals
 
 
+def _full_start(s, l):
+    """S times the all-ones vector: a vector with the nonzero component 1 on
+    every eigenvector of b = S D S^-1, the columns of S."""
+    return [sum(row) % l for row in s]
+
+
 def test_min_poly_matches_brute():
-    # eigenvalues collide often mod a small prime, so the Krylov rows of
-    # e_0 meet their first dependence well before the size of b
+    # the split's one Krylov pass gives b's minimal polynomial from a start
+    # vector with a component on every eigenvector; eigenvalues collide often
+    # mod a small prime, so the pass meets its first dependence well before
+    # the size of b
     for l in (3, 7, 101):
         rng = random.Random(7)
-        for b, _, _ in _sample_matrices(rng, l):
+        for b, s, _ in _sample_matrices(rng, l):
             d = len(b)
-            mp = _min_poly(b, l)
+            mp, krylov, _ = _krylov(b, _full_start(s, l), l)
+            assert len(krylov) == len(mp) - 1
             assert mp[-1] == 1  # monic, ascending coefficients
             assert len(mp) - 1 == brute_min_poly_degree(b, l), (l, b)
             acc = [[0] * d for _ in range(d)]  # Horner: acc = acc*B + c*I
@@ -145,10 +154,11 @@ def test_min_poly_matches_brute():
             assert not any(any(row) for row in acc), (l, b)
 
 
-def _assert_eigenspaces(b, p, roots, c, l):
-    """`_eigenspaces` on the whole space (identity basis) gives, root by root,
-    the e-eigenspace of b in reduced row-echelon form, with a start vector in
-    it; dimensions and ranks come from sympy over GF(l)."""
+def _assert_eigenspaces(b, c, roots, l):
+    """`_eigenspaces` on the whole space (identity basis) gives, for each of
+    b's eigenvalues `roots` (ascending), the e-eigenspace of b in reduced
+    row-echelon form, with a start vector in it; dimensions and ranks come
+    from sympy over GF(l)."""
     d = len(b)
     field = sympy.GF(l)
 
@@ -156,7 +166,7 @@ def _assert_eigenspaces(b, p, roots, c, l):
         return DomainMatrix([[field(x) for x in row] for row in m], (len(m), d), field).rank()
 
     identity = [[int(i == j) for j in range(d)] for i in range(d)]
-    blocks = chartab._eigenspaces(b, p, roots, c, identity, l)
+    blocks = chartab._eigenspaces(b, c, identity, l)
     assert len(blocks) == len(roots)
     for e, (basis, pivots, start) in zip(roots, blocks):
         shifted = [[(x - e * (i == j)) % l for j, x in enumerate(row)] for i, row in enumerate(b)]
@@ -170,32 +180,41 @@ def _assert_eigenspaces(b, p, roots, c, l):
 
 
 def test_eigenspaces_are_the_kernels_of_b_minus_e():
-    # the start vector decides the path, not the result: e_0, a random vector,
-    # and one with no component on the eigenvectors of one eigenvalue (u_e = 0,
-    # answered by a kernel of b - e); with repeated values in D many
+    # the start vector decides the path, not the result: S times the
+    # all-ones vector, and S times random nonzero weights, each with a
+    # component on every eigenvector; with repeated values in D many
     # eigenspaces are not lines and are read from the quotient V/K
     for l in (7, 101):
         rng = random.Random(5)
         for b, s, vals in _sample_matrices(rng, l):
             d = len(b)
-            p = _min_poly(b, l)
-            roots = fpoly.split_roots(p, l)
-            weights = [rng.randrange(l) * (v != vals[0]) for v in vals]
-            for c in ([int(i == 0) for i in range(d)],
-                      [rng.randrange(l) for _ in range(d)],
+            weights = [rng.randrange(1, l) for _ in range(d)]
+            for c in (_full_start(s, l),
                       [sum(s[i][k] * w for k, w in enumerate(weights)) % l for i in range(d)]):
-                if any(c):
-                    _assert_eigenspaces(b, p, roots, c, l)
+                _assert_eigenspaces(b, c, sorted({v % l for v in vals}), l)
 
 
-def test_eigenspaces_fall_back_to_kernels():
-    # each case leaves the Krylov path: a p that misses an eigenvalue, so
-    # p(b) c != 0; and a b that is not diagonalisable, where the quotient's
-    # eigenvector for 1 lifts to no eigenvector (g(1) != 0).  Neither arises at
-    # a prime that splits the class algebra; the blocks are the kernels' all the same
+def test_each_former_eigenspace_fallback_raises_degenerate():
+    # the kernel of b - e once answered each of these; none arises at a prime
+    # that splits the class algebra, so each now stops the computation.  A c
+    # with no component on one eigenvalue (where u_e = 0, or a p that missed
+    # it so that p(b) c != 0, came from): its eigenspace is left in V/K.  A b
+    # that is not diagonalisable: the quotient's eigenvector for 1 lifts to
+    # no eigenvector (g(1) != 0).  A p with a repeated root: no split at all
     l = 7
-    _assert_eigenspaces([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [2, 4, 1], [1, 2], [1, 1, 1], l)
-    _assert_eigenspaces([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [2, 4, 1], [1, 2], [1, 0, 1], l)
+    for b, c, why in (
+            ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 0], "eigenspaces of a class matrix "
+                                                           "do not fill its block$"),
+            ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [0, 0, 1], "eigenspaces of a class matrix "
+                                                           "do not fill its block$"),
+            ([[1, 1, 0], [0, 1, 0], [0, 0, 2]], [1, 0, 1], "eigenspaces of a class matrix "
+                                                           "do not fill its block$"),
+            ([[1, 1], [0, 1]], [0, 1], "eigenvalue outside the working prime field$")):
+        with pytest.raises(chartab.Degenerate, match="^" + why):
+            chartab._eigenspaces(b, c, [[int(i == j) for j in range(len(b))]
+                                        for i in range(len(b))], l)
+    # the same b with a c on every eigenvector splits
+    _assert_eigenspaces([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 1], [1, 2, 3], l)
 
 
 def _degrees(t):
@@ -566,16 +585,17 @@ def test_computed_tables_obey_galois_law(corpus, get_table):
 def test_split_factors_only_blocks_that_split(corpus, get_group, get_table, monkeypatch):
     # a block on which A_i is a scalar cannot split, so its minimal
     # polynomial (degree 1) is never computed; on every other block the
-    # Krylov row of e_0 alone gives the whole minimal polynomial
+    # Krylov vectors of the block's part of e_0 alone give the whole minimal
+    # polynomial
     degrees = []
 
-    def recording(b, l):
-        mp = _min_poly(b, l)
+    def recording(b, c, l):
+        mp, krylov, reduced = _krylov(b, c, l)
         assert len(mp) - 1 == brute_min_poly_degree(b, l), b
         degrees.append(len(mp) - 1)
-        return mp
+        return mp, krylov, reduced
 
-    monkeypatch.setattr(chartab, "_min_poly", recording)
+    monkeypatch.setattr(chartab, "_krylov", recording)
     for name in corpus:
         assert table_to_text(character_table(get_group(name))) == \
             table_to_text(get_table(name)), name
@@ -589,19 +609,19 @@ def test_a_split_solves_kernels_only_on_its_quotient(corpus, get_group, monkeypa
     # span, and the kernels of one split hold its d - s missing dimensions.
     # Solving one kernel of b - e per root would fail both.
     splits = []  # per split: d - s, then (rows, vectors) of each kernel
-    real_min_poly, real_kernel = chartab._min_poly, chartab._kernel_basis
+    real_krylov, real_kernel = chartab._krylov, chartab._kernel_basis
 
-    def min_poly(b, l):
-        p = real_min_poly(b, l)
+    def krylov(b, c, l):
+        p, vectors, reduced = real_krylov(b, c, l)
         splits.append((len(b) - len(p) + 1, []))
-        return p
+        return p, vectors, reduced
 
     def kernel(m, l):
         basis = real_kernel(m, l)
         splits[-1][1].append((len(m), len(basis)))
         return basis
 
-    monkeypatch.setattr(chartab, "_min_poly", min_poly)
+    monkeypatch.setattr(chartab, "_krylov", krylov)
     monkeypatch.setattr(chartab, "_kernel_basis", kernel)
     files = ["degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n",  # D7
              "degree 12\n(1 2 3 4)(5 6 7)(8 9 10 11 12)\n"]  # C60
@@ -700,6 +720,22 @@ def test_tables_match_pinned_files(corpus, get_table):
     for name in corpus:
         pinned = PINNED_TABLES / (re.sub(r"[^0-9A-Za-z]", "_", name) + ".tbl")
         assert table_to_text(get_table(name)) == pinned.read_text(), name
+
+
+def test_work_once_per_entry_object_is_only_a_cache(corpus, get_table):
+    # table_to_text and the row sort do their work once per distinct entry
+    # object and reuse it for the cells that share it: a table whose every
+    # cell is an object of its own, equal to the shared value, must give the
+    # same bytes, and its rows, in any order, must sort to the pinned order
+    rng = random.Random(37)
+    for name in corpus:
+        t = get_table(name)
+        rows = [tuple(CycloNum(v.order, dict(v.coeffs)) for v in row) for row in t.rows]
+        assert len({id(v) for row in rows for v in row}) == sum(map(len, rows)), name
+        pinned = PINNED_TABLES / (re.sub(r"[^0-9A-Za-z]", "_", name) + ".tbl")
+        assert table_to_text(t._replace(rows=tuple(rows))) == pinned.read_text(), name
+        rng.shuffle(rows)
+        assert chartab._sorted_rows(rows) == list(t.rows), name
 
 
 def test_frobenius_251_5_table_is_pinned(tmp_path, capsys):
