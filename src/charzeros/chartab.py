@@ -24,14 +24,20 @@ that is not a line, on the quotient of the block by their span
 the lift below, is one C-level sum(map(mul, a, b)) % l.  The split is
 deterministic.
 Once the characters are separated, each character degree follows from the
-orthogonality relations and every entry lifts uniquely to an exact
-cyclotomic number through its root-of-unity multiplicities: one length-o
-discrete Fourier transform mod l, through one matrix per element order o.
-Classes fall into Galois families, the classes of rep^k for k prime to o,
-and chi(g^k) = sigma_k(chi(g)), so the transform runs only at the least
-class of each family and the other classes permute its multiplicities.
-Each distinct multiplicity vector of a table becomes one shared value, and
-the row sort keys each value once (`_sorted_rows`).  A table is released only after `verify_table` has re-checked it exactly: the
+orthogonality relations, and each entry, known mod l, lifts uniquely to an
+exact cyclotomic number.  At a rational class, holding rep^k for every k
+prime to o = ord(rep), it is an integer of absolute value at most chi(1) <=
+sqrt|G| < l/2: its symmetric residue mod l.  As chi(g^k) = sigma_k(chi(g)),
+a Galois conjugate row and its central character are the row and its
+central character read through a power map, so only the first row of each
+orbit is lifted, and each conjugate that the split found takes its values,
+permuted.  Other entries lift through their root-of-unity multiplicities:
+one length-o discrete Fourier transform mod l, at the least class of each
+Galois family (the classes of rep^k, k prime to o), whose other classes
+permute the multiplicities.  Each distinct integer and multiplicity vector
+becomes one shared value, and the row sort keys each value once
+(`_sorted_rows`).
+A table is released only after `verify_table` has re-checked it exactly: the
 Galois law chi(g^k) = sigma_k(chi(g)) against the power maps, at generators
 of the units mod the exponent, and then the row orthogonality relations.
 The law makes each row inner product a rational integer, so these are
@@ -344,6 +350,12 @@ def _root_of_unity(l: int, m: int) -> int:
                  if all(pow(w, m // q, l) != 1 for q in qs)), 1)
 
 
+def _dft(xval, powers, mat, l):
+    """Multiplicities mod l of the roots of unity in chi on <g>, from chi mod l."""
+    xs = [xval[p] for p in powers]
+    return [sum(map(mul, xs, f)) % l for f in mat]
+
+
 def character_table(group: Group) -> CharacterTable:
     classes = group.classes
     r = len(classes)
@@ -369,13 +381,17 @@ def character_table(group: Group) -> CharacterTable:
             raise Degenerate("degree square has no root mod l")
         chars.append((d, u))
 
+    # rational: the class holds rep^k for every k prime to its order
+    rational = [all(p == j for k, p in enumerate(powers[j]) if gcd(k, o) == 1)
+                for j, o in enumerate(orders)]
     # dft[o][t][s] = w_o^(-ts) / o, with w_o a primitive o-th root of unity
     # mod l: the multiplicity of zeta_o^t in chi restricted to <g> is
-    # sum_s dft[o][t][s] * chi(g^s).  Each entry is one of the o values
-    # w_o^(-k) / o, at k = ts mod o.  Any primitive root serves as w_m^(-1).
+    # sum_s dft[o][t][s] * chi(g^s), for o the order of an irrational class.
+    # Each entry is one of the o values w_o^(-k) / o, at k = ts mod o.  Any
+    # primitive root serves as w_m^(-1).
     w = _root_of_unity(l, m)
     dft = {}
-    for o in set(orders):
+    for o in {o for o, q in zip(orders, rational) if not q}:
         w_inv = pow(w, m // o, l)
         o_inv = pow(o, l - 2, l)
         scaled = [pow(w_inv, k, l) * o_inv % l for k in range(o)]
@@ -389,18 +405,24 @@ def character_table(group: Group) -> CharacterTable:
             for k in range(1, o + 1):  # k = o stands for k = 0 when o = 1
                 if gcd(k, o) == 1 and family[powers[j0][k % o]] is None:
                     family[powers[j0][k % o]] = (j0, k)
-
+    # chi^sigma_a(g_j) = chi(g_j^a): a row's conjugate by a unit a has its u
+    # and its row read through the a-th power map
+    images = [[powers[j][a % o] for j, o in enumerate(orders)] for a in _unit_generators(m)]
+    split = {tuple(u): i for i, (_, u) in enumerate(chars)}
     values = {}  # (o, multiplicities) -> value; CycloNum is immutable
-    rows = []
-    for d, u in chars:
+    rows = [None] * len(chars)
+    for i, (d, u) in enumerate(chars):
+        if rows[i] is not None:  # a conjugate of an earlier row
+            continue
         xval = [d * u[j] % l * size_inv[j] % l for j in range(r)]
         mults = [None] * r
         row = []
         for j, o in enumerate(orders):
             j0, k = family[j]
-            if j0 == j:
-                xs = [xval[p] for p in powers[j]]
-                mult = [sum(map(mul, xs, f)) % l for f in dft[o]]
+            if rational[j]:  # |chi(g)| <= d < l/2: the symmetric residue, as at o = 1
+                o, mult = 1, [xval[j] - l if 2 * xval[j] > l else xval[j]]
+            elif j0 == j:
+                mult = _dft(xval, powers[j], dft[o], l)
             else:
                 mult = [0] * o
                 for t, c in enumerate(mults[j0]):
@@ -408,10 +430,18 @@ def character_table(group: Group) -> CharacterTable:
             mults[j] = mult
             key = (o, tuple(mult))
             if key not in values:
-                values[key] = CycloNum(m, {t * (m // o): c
-                                           for t, c in enumerate(mult) if c})
+                values[key] = CycloNum(m, {t * (m // o): c for t, c in enumerate(mult) if c},
+                                       reduced=o == 1)  # an integer is canonical
             row.append(values[key])
-        rows.append(tuple(row))
+        rows[i] = tuple(row)
+        # its orbit, through the split's vectors: a u' the split did not give is not trusted
+        orbit = [i]
+        for x in orbit:
+            for image in images:
+                y = split.get(tuple(chars[x][1][p] for p in image))
+                if y is not None and rows[y] is None:
+                    rows[y] = tuple(rows[x][p] for p in image)
+                    orbit.append(y)
 
     table = CharacterTable(
         group=group.name or "",

@@ -57,7 +57,7 @@ DEFAULT_ORDER_BUDGET = 200_000
 # Largest class count `Group.classes` accepts.  The scan checks it after each
 # class (and its Galois family) and stops as soon as it is passed.
 # The exact verify grows as r^3 in the class count r: at r = 64 a table takes
-# 0.045 s (C2^6, Python 3.11.7, 2-vCPU host), and the registry needs at most 22.
+# 0.047 s (C2^6, Python 3.11.7, 2-vCPU host), and the registry needs at most 22.
 # A fixed limit, not a setting.
 MAX_CLASSES = 64
 MAX_DEGREE = 256  # points are byte values

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import pickle
 import random
 import re
@@ -738,20 +739,133 @@ def test_work_once_per_entry_object_is_only_a_cache(corpus, get_table):
         assert chartab._sorted_rows(rows) == list(t.rows), name
 
 
+def _frobenius_file(p, k):
+    """The group file of the Frobenius group p:k, generated by x -> x + 1 and
+    x -> a x on Z/p, a of order k mod p."""
+    a = next(a for a in range(2, p) if pow(a, k, p) == 1)
+    gens = [bytes((x + 1) % p for x in range(p)), bytes(a * x % p for x in range(p))]
+    return f"degree {p}\n" + "".join(format_cycles(g) + "\n" for g in gens)
+
+
 def test_frobenius_251_5_table_is_pinned(tmp_path, capsys):
     # x -> x + 1 and x -> a x on Z/251, a of order 5: the first split meets
     # the whole 55-dimensional space with 51 roots, where the 5-dimensional
     # eigenspace of the linear characters is read from a 4-dimensional
     # quotient, and every other eigenspace is a line.  `table` on the file
     # prints the same bytes as before the split used Krylov vectors
-    p = 251
-    a = next(a for a in range(2, p) if pow(a, 5, p) == 1)
-    gens = [bytes((x + 1) % p for x in range(p)), bytes(a * x % p for x in range(p))]
     path = tmp_path / "frob.txt"
-    path.write_text(f"degree {p}\n" + "".join(format_cycles(g) + "\n" for g in gens))
+    path.write_text(_frobenius_file(251, 5))
     assert main(["table", str(path)]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
         "a776e06720aa70ff7db06ed444776b9d216ea33815205bc7ae3bbc126e7b8b92"
+
+
+def test_frobenius_229_4_table_is_pinned(tmp_path, capsys):
+    # order 916 and 61 classes, near the class ceiling: the 57 classes of
+    # order 229 form one Galois family, and the 57 rows of degree 4 one Galois
+    # orbit, so 4 rows are lifted by transforms, one per orbit, and 57 are
+    # permuted.  `table` prints the same bytes as when every row was lifted
+    path = tmp_path / "frob.txt"
+    path.write_text(_frobenius_file(229, 4))
+    assert main(["table", str(path)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        "32e0f8cb37f9f1053ab57cc0d840878acd97d44ae0a7fbc61cebee97ecaf597b"
+
+
+def _reference_lift(group):
+    """The table of `group` with every row lifted by discrete Fourier
+    transforms, at the least class of each Galois family of classes, from the
+    same split: rational classes and conjugate rows take no shortcut."""
+    classes, n, m = group.classes, group.order, group.exponent
+    r = len(classes)
+    l = chartab._prime_above(math.isqrt(4 * n), m)
+    orders = [c.element_order for c in classes]
+    powers = group.power_maps
+    size_inv = [pow(s, -1, l) for s in group.class_sizes]
+    w = chartab._root_of_unity(l, m)
+    dft = {}  # dft[o][t][s] = w^(ts m/o) / o
+    for o in set(orders):
+        scaled = [pow(w, m // o * e, l) * pow(o, -1, l) % l for e in range(o)]
+        dft[o] = [[scaled[t * s % o] for s in range(o)] for t in range(o)]
+    family = {}
+    for j0, o in enumerate(orders):
+        for k in range(1, o + 1):
+            if math.gcd(k, o) == 1:
+                family.setdefault(powers[j0][k % o], (j0, k))
+    rows = []
+    for u in chartab._separate(group, l):
+        s = sum(u[j] * u[powers[j][-1]] * size_inv[j] for j in range(r)) % l
+        d = next(x for x in range(1, math.isqrt(n) + 1) if x * x * s % l == n % l)
+        xval = [d * u[j] * size_inv[j] % l for j in range(r)]
+        mults, row = {}, []
+        for j, o in enumerate(orders):
+            j0, k = family[j]
+            if j0 == j:
+                xs = [xval[p] for p in powers[j]]
+                mults[j] = [sum(map(operator.mul, xs, f)) % l for f in dft[o]]
+            else:
+                mults[j] = [mults[j0][pow(k, -1, o) * t % o] for t in range(o)]
+            row.append(CycloNum(m, {t * (m // o): c for t, c in enumerate(mults[j]) if c}))
+        rows.append(tuple(row))
+    return rows
+
+
+def _lift_groups(corpus, get_group):
+    """The registry groups and D7, C60, C2^6, 251:5 and 229:4 from group files."""
+    files = {"D7": "degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n",
+             "C60": "degree 12\n(1 2 3 4)(5 6 7)(8 9 10 11 12)\n",
+             "C2^6": "degree 12\n" + "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(6)),
+             "251:5": _frobenius_file(251, 5), "229:4": _frobenius_file(229, 4)}
+    return [(name, get_group(name)) for name in corpus] + \
+        [(name, parse_group_file(text)) for name, text in files.items()]
+
+
+def test_lift_equals_a_transform_at_every_family(corpus, get_group, get_table):
+    # integers read as symmetric residues and rows permuted from a Galois
+    # conjugate give the values of the transform, cell for cell, and so the
+    # same file
+    for name, g in _lift_groups(corpus, get_group):
+        t = get_table(name) if name in corpus else character_table(g)
+        want = t._replace(rows=tuple(chartab._sorted_rows(_reference_lift(g))))
+        assert t.rows == want.rows, name
+        assert table_to_text(t) == table_to_text(want), name
+
+
+def test_transforms_run_once_per_galois_orbit_of_rows(corpus, get_group, monkeypatch):
+    # a rational class takes no transform, and only one row of each Galois
+    # orbit is lifted: the transforms see one row per orbit, none at all
+    # when every class is rational (C2^6)
+    lifted = []
+    real = chartab._dft
+
+    def recording(xval, powers, mat, l):
+        lifted.append(tuple(xval))
+        return real(xval, powers, mat, l)
+
+    monkeypatch.setattr(chartab, "_dft", recording)
+    for name, g in _lift_groups(corpus, get_group):
+        lifted.clear()
+        t = character_table(g)
+        m, r = t.exponent, len(t.classes)
+        l = chartab._prime_above(math.isqrt(4 * t.order), m)
+        w_inv = pow(chartab._root_of_unity(l, m), -1, l)  # the lift's image of zeta_m
+        residues = {tuple(sum(c * pow(w_inv, e, l) for e, c in v.coeffs.items()) % l
+                          for v in row): i for i, row in enumerate(t.rows)}
+        rows = {residues[x] for x in lifted}
+        # the orbits of the rows, from the verified table's power maps
+        images = {tuple(c.powers[k % c.element_order] for c in t.classes)
+                  for k in range(1, m + 1) if math.gcd(k, m) == 1}
+        index = {row: i for i, row in enumerate(t.rows)}
+        orbits = {frozenset(index[tuple(row[p] for p in image)] for image in images)
+                  for row in t.rows}
+        irrational = any(len({c.powers[k] for k in range(c.element_order)
+                              if math.gcd(k, c.element_order) == 1}) > 1 for c in t.classes)
+        if not irrational:
+            assert lifted == [], name
+            continue
+        assert len(set(lifted)) == len(rows) == len(orbits), name
+        assert all(len(rows & orbit) == 1 for orbit in orbits), name
+        assert r == sum(map(len, orbits)), name
 
 
 def test_table_class_powers(get_table, get_group):
