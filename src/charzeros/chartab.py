@@ -52,7 +52,7 @@ root of unity mod l (any one, as the rows are sorted) and each degree (the
 least d <= sqrt|G| with d^2 = |G|/s mod l) are found by trial.  Every number
 factored here goes to `cyclo.trial_factor`, trial division alone: an element
 order or the exponent, whose primes are at most 251, p - 1 for such a p, and
-l.  sympy serves only `numtheory`.
+l.
 
 A table file is read in one pass (`table_from_text`).  Its class data is
 checked first, the class count against `groupcore.MAX_CLASSES` before the

@@ -39,6 +39,7 @@ from .groupcore import (
     parse_group_file,
 )
 from .numtheory import (
+    Unresolved,
     diophantine_solutions,
     outer_bound_sweep,
     torus_orders,
@@ -485,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     except TableFileError as exc:
         print(f"error: malformed table file: {exc}", file=sys.stderr)
         return 1
-    except (ValidationFailed, Degenerate, BudgetExceeded, ChildProcessError) as exc:
+    except (ValidationFailed, Degenerate, BudgetExceeded, ChildProcessError, Unresolved) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (OSError, ValueError) as exc:

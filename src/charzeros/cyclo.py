@@ -30,17 +30,17 @@ ring Z[C_m] and reduced once, serves the orthogonality checks of a table
 that fails `chartab.verify_table`: an accepted table has its inner products
 decided modulo a prime instead.
 
-Reading and checking a table needs no computer algebra, and neither does
-computing a table or a field: sympy serves only `numtheory`, which factors
-numbers a user supplies.  Every other number the package factors goes to
-`trial_factor`, trial division alone, and is bounded:
+Nothing in the package needs computer algebra.  Every number it factors
+goes to `trial_factor`, trial division alone, and is bounded:
 - element orders and the exponent are orders of permutations on at most 256
   points (a table file's are checked against its representatives before any
   entry is read), so their primes are at most 251;
-- the centre order is at most the class count;
-- degrees, factored only for the registry tables `suite` checks, divide |G|;
 - field sizes are at most `fields.MAX_Q`;
-- l and l - 1, for a working prime l just above a bound under 2^32.
+- l and l - 1, for a working prime l just above a bound under 2^32;
+- the n of a `numtheory` primitive-divisor search, below
+  `numtheory.SEARCH_LIMIT`, or of a cyclotomic value it forms.
+Whether a number is a prime power (a centre order or a degree, say) is
+decided by `numtheory.prime_power`, which needs no factorisation.
 A table file's entry has its m compared with the exponent before m is
 factored, and an order m that does not divide lcm(1..256), as every table's
 exponent does, is refused before it is factored, whatever builds the value.

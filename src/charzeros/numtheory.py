@@ -1,20 +1,57 @@
-"""Exact number-theoretic primitives.
+"""Exact number-theoretic primitives, in integer arithmetic alone.
 
-Cyclotomic polynomial values, least primitive prime divisors (with the two
-classical exception patterns), a strict-inequality sweep over every prime
-power bounding field automorphism counts against class counts (its primes
-from an in-house sieve, so it needs no sympy), searches for
-restricted q-1/q+1 factorizations over q = 2^k +- 1, and maximal-torus order
-evaluation for the classical and exceptional families.  Everything is
-integer-exact; sympy tests and factors only numbers a user supplies.
+Primality (deterministic Miller-Rabin below 3.3 * 10^24, BPSW above),
+prime powers, cyclotomic polynomial values, least primitive prime divisors
+(with the two classical exception patterns), a strict-inequality sweep over
+every prime power bounding field automorphism counts against class counts
+(its primes from an in-house sieve), searches for restricted q-1/q+1
+factorizations over q = 2^k +- 1, and maximal-torus order evaluation for
+the classical and exceptional families.  Everything is integer-exact and
+needs no computer algebra.  The verbs that take a number from a user end in
+bounded time: an input past one of the fixed limits below (`MAX_BITS`,
+`SEARCH_LIMIT`, `RHO_STEPS`) raises `Unresolved`, never a guess.
 """
 
 from functools import cache
 from itertools import compress
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 from .cyclo import trial_factor
+
+
+class Unresolved(RuntimeError):
+    """An input past one of this module's fixed limits: refused, not guessed."""
+
+
+# The largest number, in bits, that `zsigmondy` and `torus_orders` take as q,
+# factor as Phi_n(q) or print as a torus order.  At 1024 bits one BPSW test
+# takes 9 ms and the whole rho budget below 0.24 s (Python 3.11, 2-vCPU host);
+# at 2048 bits the budget alone takes 0.81 s.  A fixed limit, not a setting.
+MAX_BITS = 1024
+# `zsigmondy` tries at most this many candidates l = kn + 1 by the order of q
+# mod l, and takes no n above it.  Each costs a modular power: the whole
+# search takes 22 ms at n = 11, 34 ms at n = 3 with a 1024-bit q and 0.17 s
+# at n = 100000.
+SEARCH_LIMIT = 2**17
+# Pollard-Brent rho steps spent on Phi_n(q)'s cofactor, in all, before
+# `zsigmondy` falls back on the search: enough for a prime factor near 2^32.
+# The whole budget takes 17 ms on a 128-bit cofactor and 0.24 s on a
+# 1024-bit one.
+RHO_STEPS = 2**16
+# The search stops after this many candidates (about 2 us at n = 5) and turns
+# to the cofactor of Phi_n(q), so that neither a large prime cofactor nor one
+# with two large factors pays for the whole search.
+_FIRST = 16
+
+# psi_k, the least odd composite that passes Miller-Rabin to each of the
+# first k primes (OEIS A014233; psi_12 and psi_13 are Sorenson and Webster's,
+# Math. Comp. 86, 2017): below psi_k those k bases decide primality.  Above
+# psi_13, BPSW.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
 
 
 def _strip(x: int, p: int) -> tuple[int, int]:
@@ -26,35 +63,134 @@ def _strip(x: int, p: int) -> tuple[int, int]:
     return e, x
 
 
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin to base a, for odd n > a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    t = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters, for odd n > 41 with
+    no prime factor up to 41: D is the first of 5, -7, 9, -11, ... with
+    (D / n) = -1, P = 1 and Q = (1 - D) / 4."""
+    if isqrt(n) ** 2 == n:
+        return False  # no such D exists for a square
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0:
+            return False  # |d| < n here, so gcd(d, n) is a proper factor
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> s
+    u, v, qk = 1, 1, q  # U_1, V_1 and Q^1
+    for bit in bin(k)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":  # U_(j+1) = (U_j + V_j) / 2, V_(j+1) = (D U_j + V_j) / 2
+            u, v = u + v, d * u + v
+            u, v = (u + n if u & 1 else u) // 2 % n, (v + n if v & 1 else v) // 2 % n
+            qk = qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by the primes up to 41, then below
+    psi_13 Miller-Rabin to them as bases, in turn, until n < psi_k, which
+    decides.  From psi_13 on, BPSW: Miller-Rabin to base 2, then the strong
+    Lucas test; no composite is known to pass both."""
+    if n < 2:
+        return False
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    if n < _PSI[-1]:
+        for a, psi in zip(_BASES, _PSI):
+            if not _strong_probable_prime(n, a):
+                return False
+            if n < psi:
+                return True
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x^(1/k)) for x >= 1 and k >= 2, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
 def prime_power(q: int) -> tuple[int, int] | None:
     """Return (p, f) with q = p**f and p prime, or None."""
-    import sympy
-
     if q < 2:
         return None
-    if sympy.isprime(q):
+    for p in _BASES:
+        if q % p == 0:
+            f, rest = _strip(q, p)
+            return (p, f) if rest == 1 else None
+    if is_prime(q):
         return q, 1
-    root = sympy.perfect_power(q)
-    if not root or not sympy.isprime(root[0]):
-        return None
-    return root[0], _strip(q, root[0])[0]
+    # every prime factor is at least 43 > 2^5, so q = r^k needs k < bits / 5;
+    # the first k that works is prime, as a k-th power is a p-th for p | k
+    for k in range(2, q.bit_length() // 5 + 1):
+        r = _iroot(q, k)
+        if r**k == q:
+            root = prime_power(r)
+            return None if root is None else (root[0], root[1] * k)
+    return None
 
 
 @cache
 def cyclotomic_poly_value(n: int, q: int) -> int:
-    """Phi_n(q), exactly, by dividing q^n - 1 by the proper-divisor values."""
-    import sympy
-
+    """Phi_n(q), exactly, as the product of (q^(n/s) - 1)^mu(s) over the
+    squarefree divisors s of n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if q < 2:
         raise ValueError("q must be >= 2")
-    val = q**n - 1
-    for d in sympy.divisors(n):
-        if d < n:
-            val, r = divmod(val, cyclotomic_poly_value(d, q))
-            assert r == 0
-    return val
+    num = den = 1
+    squarefree = [(1, 1)]  # (s, mu(s))
+    for p, _ in trial_factor(n):
+        squarefree += [(s * p, -mu) for s, mu in squarefree]
+    for s, mu in squarefree:
+        if mu > 0:
+            num *= q ** (n // s) - 1
+        else:
+            den *= q ** (n // s) - 1
+    return _exact_div(num, den)
 
 
 class ZsigmondyOutcome(NamedTuple):
@@ -68,16 +204,90 @@ def _is_power_of_two(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
 
 
+def _check_bits(q: int) -> None:
+    if q.bit_length() > MAX_BITS:
+        raise Unresolved(f"q has {q.bit_length()} bits, over the {MAX_BITS}-bit cap")
+
+
+def _order_search(q: int, n: int, tests: list[int], lo: int, hi: int) -> int | None:
+    """The least prime l = lo, lo + n, ... <= hi modulo which q has order n:
+    q^n = 1 and q^m != 1 for each m = n / r, r a prime of n.  A composite l
+    can pass the order test, so a pass is proved prime too."""
+    for l in range(lo, hi + 1, n):
+        if pow(q, n, l) == 1 and all(pow(q, m, l) != 1 for m in tests) and is_prime(l):
+            return l
+    return None
+
+
+def _brent(m: int, budget: int) -> tuple[int | None, int]:
+    """A proper factor of the odd composite m by Brent's variant of Pollard's
+    rho (x -> x^2 + a, with the differences multiplied up and gcd'd with m
+    every 128 steps), and the steps left of `budget`; (None, 0) when the
+    next doubling of the cycle length would spend more than is left."""
+    for a in range(1, budget + 1):  # each constant a spends at least 2 steps
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            if 2 * r > budget:
+                return None, 0
+            budget -= 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + a) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + a) % m
+                    acc = acc * (x - y) % m
+                g = gcd(acc, m)
+                k += 128
+            r *= 2
+        if g == m:  # the batch overshot: step back through it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + a) % m
+                g = gcd(x - ys, m)
+        if g != m:
+            return g, budget
+    return None, 0
+
+
+def _rho_factors(c: int) -> tuple[int, bool]:
+    """The least prime factor of c > 1 that `_brent` splits off within
+    RHO_STEPS steps in all (c itself when c is prime, or when none is), and
+    whether c was factored completely, so that this is its least prime
+    factor."""
+    budget, least, todo = RHO_STEPS, c, [c]
+    while todo:
+        m = todo.pop()
+        if is_prime(m):
+            least = min(least, m)
+            continue
+        d, budget = _brent(m, budget)
+        if d is None:
+            return least, False
+        todo += [d, m // d]
+    return least, True
+
+
 def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
     """Least prime dividing q^n - 1 but no q^i - 1 for i < n, or the exception.
 
     The two exception patterns: (q, n) = (2, 6), and n = 2 with q + 1 a power
-    of two.  Primitive prime divisors all divide Phi_n(q), so only its prime
-    factors are tested.  For a prime l dividing Phi_n(q), n is the order of
-    q mod l times a power of l, so l is primitive iff l does not divide n.
+    of two.  Otherwise the answer is the least prime l modulo which q has
+    order n, and every such l is 1 mod n.  The first _FIRST of l = n+1, 2n+1,
+    ... are tried by that order.  Then the cofactor of Phi_n(q), with the
+    primes of n struck out, has exactly those l as its prime factors: it is
+    tested for being prime itself, so that a large prime is not searched
+    for, and else factored by rho, which finds a factor p in about sqrt(p)
+    steps where the search takes p/n.  Phi_n(q) is
+    formed only when phi(n) times the bit length of q, a bound on its own,
+    is at most MAX_BITS.  Past the cap, or when rho leaves part of the
+    cofactor unsplit, the search goes on, to the least prime rho split off
+    (which it then proves least) or to SEARCH_LIMIT candidates, and beyond
+    that `Unresolved` is raised.
     """
-    import sympy
-
+    _check_bits(q)
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
     if n < 2:
@@ -86,10 +296,33 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
         return ZsigmondyOutcome(q, n, None, "Q2N6")
     if n == 2 and _is_power_of_two(q + 1):
         return ZsigmondyOutcome(q, n, None, "N2_QPLUS1_POW2")
-    for l in sorted(sympy.primefactors(cyclotomic_poly_value(n, q))):
-        if n % l:
-            return ZsigmondyOutcome(q, n, l, None)
-    raise AssertionError(f"no primitive prime divisor for ({q}, {n})")
+    if n > SEARCH_LIMIT:
+        # phi(n) > 23,000 here (Rosser and Schoenfeld's lower bound for phi)
+        raise Unresolved(f"n = {n} is over the search limit of {SEARCH_LIMIT}, and "
+                         f"Phi_{n}({q}) is over the {MAX_BITS}-bit cap")
+    primes = trial_factor(n)
+    tests = [n // r for r, _ in primes]
+    first, last = _FIRST * n + 1, SEARCH_LIMIT * n + 1
+    l = _order_search(q, n, tests, n + 1, first)
+    if l is not None:
+        return ZsigmondyOutcome(q, n, l, None)
+    cap = f"Phi_{n}({q}) is over the {MAX_BITS}-bit cap"
+    if prod((r - 1) * r ** (k - 1) for r, k in primes) * q.bit_length() <= MAX_BITS:
+        c = cyclotomic_poly_value(n, q)
+        for r, _ in primes:
+            c = _strip(c, r)[1]
+        if c == 1:  # Zsigmondy's theorem: only the two exceptions above
+            raise AssertionError(f"no primitive prime divisor for ({q}, {n})")
+        least, complete = _rho_factors(c)
+        if complete:
+            return ZsigmondyOutcome(q, n, least, None)
+        last = min(last, least)
+        cap = f"the cofactor of Phi_{n}({q}) is not factored within {RHO_STEPS} rho steps"
+    l = _order_search(q, n, tests, first + n, last)
+    if l is None:
+        raise Unresolved(f"no primitive prime divisor of {q}^{n} - 1 is at most {last}, "
+                         f"and {cap}")
+    return ZsigmondyOutcome(q, n, l, None)
 
 
 # Largest bound `outer_bound_sweep` accepts.  The sweep sieves every odd number
@@ -215,8 +448,8 @@ def diophantine_solutions(part: str, bound: int) -> DiophantineSolutionSet:
             a, rest = _strip(q - 1, 2)
             b, rest = _strip(rest, 5)
             c = k
-        # q is 3, 5 or 17 (A), 3 or 9 (B), or 3 (C): trial division suffices
-        if rest == 1 and a >= 1 and len(trial_factor(q)) == 1:
+        # q is 3, 5 or 17 (A), 3 or 9 (B), or 3 (C)
+        if rest == 1 and a >= 1 and prime_power(q) is not None:
             sols.append(DiophantineSolution(q, a, b, c))
     return DiophantineSolutionSet(part, bound, tuple(sols))
 
@@ -234,6 +467,7 @@ def _exact_div(num: int, den: int) -> int:
     return v
 
 
+_CLASSICAL = ("A", "2A", "B", "C", "D", "2D")
 # Exceptional-family rows: rank, then (order as product of Phi_k's, l-argument).
 _EXCEPTIONAL_ROWS = {
     "F4": (4, [((12,), 12), ((8,), 8)]),
@@ -244,15 +478,28 @@ _EXCEPTIONAL_ROWS = {
 }
 
 
+def _order_over_cap(family: str, n: int, q: int) -> Unresolved:
+    return Unresolved(f"family {family} at n = {n}, q = {q} has a torus order of more "
+                      f"than {MAX_BITS} bits")
+
+
 def torus_orders(family: str, n: int, q: int) -> list[TorusOrder]:
     """Maximal-torus orders |T_i| and their attached primitive-divisor data.
 
     Classical families branch on the parity of n exactly as tabulated; the
     "D_n odd" second torus is (q^{n-1}+1)(q+1), completing an unbalanced
-    parenthesis in the source table by the even-row pattern.
+    parenthesis in the source table by the even-row pattern.  An order of
+    more than MAX_BITS bits is refused (`Unresolved`) before any primitive
+    divisor is sought; past rank MAX_BITS a classical family always has one,
+    so it is refused before any order is formed.
     """
+    _check_bits(q)
     if prime_power(q) is None:
         raise ValueError(f"{q} is not a prime power")
+    if family not in _CLASSICAL and family not in _EXCEPTIONAL_ROWS:
+        raise ValueError(f"unknown family {family!r}")
+    if family in _CLASSICAL and n > MAX_BITS:
+        raise _order_over_cap(family, n, q)
     rows: list[tuple[int, int]] | None = None  # (order, l-argument)
     if family == "A":
         if n >= 1:
@@ -281,10 +528,10 @@ def torus_orders(family: str, n: int, q: int) -> list[TorusOrder]:
         if n == rank:
             rows = [(prod(cyclotomic_poly_value(k, q) for k in ks), arg)
                     for ks, arg in shapes]
-    else:
-        raise ValueError(f"unknown family {family!r}")
     if rows is None:
         raise ValueError(f"family {family!r} has no row for n = {n}")
+    if any(order.bit_length() > MAX_BITS for order, _ in rows):
+        raise _order_over_cap(family, n, q)
     out = []
     for i, (order, arg) in enumerate(rows):
         zs = zsigmondy(q, arg) if arg >= 2 else None

@@ -16,18 +16,9 @@ from typing import NamedTuple
 
 from .chartab import CharacterTable, central_classes, is_faithful
 from .constructions import bind
-from .cyclo import trial_factor
+from .numtheory import prime_power
 
 PRIMITIVITY_NOTE = "primitivity of the flagged row is assumed, not computed"
-
-
-def _prime_power(n: int) -> tuple[int, int] | None:
-    """(p, k) with n = p^k and p prime, or None.  n is an element order of a
-    table, the order of a permutation on at most 256 points, or the centre
-    order, at most the class count, so its primes are at most 251 and
-    `trial_factor`, trial division alone, finishes it at once."""
-    f = trial_factor(n)
-    return f[0] if len(f) == 1 else None
 
 
 def vanishing_classes(t: CharacterTable, row: int) -> tuple[int, ...]:
@@ -100,7 +91,7 @@ def star_check(t: CharacterTable, row: int, *,
         notes.append("vanishing elements have distinct orders "
                      + "{" + ", ".join(map(str, orders)) + "}")
     else:
-        pk = _prime_power(orders[0])
+        pk = prime_power(orders[0])
         if pk is None:
             cond_i = False
             notes.append(f"common vanishing order {orders[0]} is not a prime power")
@@ -121,7 +112,7 @@ def star_check(t: CharacterTable, row: int, *,
         cond_iii = True
         notes.append("centre is trivial")
     else:
-        zpk = _prime_power(z)
+        zpk = prime_power(z)
         cyclic = z_exp == z
         if not cyclic or zpk is None:
             cond_iii = False
@@ -192,13 +183,12 @@ class TwoPrimeReport(NamedTuple):
 def two_prime_degree_check(t: CharacterTable) -> TwoPrimeReport:
     """Flag rows with exactly one vanishing class whose degree has at least
     two distinct prime factors; such rows should occur only in the known
-    exceptional groups.  A degree divides |G|, whose primes are element
-    orders, at most 251, so `trial_factor`, trial division alone, finishes
-    it; `suite` runs this on the registry tables only."""
+    exceptional groups: a degree above 1 that is not a prime power.  `suite`
+    runs this on the registry tables only."""
     flagged = []
     for i in range(len(t.rows)):
         d = t.degree(i)
-        if len(trial_factor(d)) >= 2 and len(vanishing_classes(t, i)) == 1:
+        if d > 1 and prime_power(d) is None and len(vanishing_classes(t, i)) == 1:
             flagged.append((i, d))
     notes = (PRIMITIVITY_NOTE,) if flagged else ()
     recipe = bind(t)[0]

@@ -875,6 +875,20 @@ def test_numtheory_torus_json(capsys):
         "zsig_exception": None}  # l(1) not applicable
 
 
+def test_numtheory_refusal_is_one_line(capsys):
+    # past the search limit and the size cap: exit 1, one stderr line that
+    # names the limits, nothing on stdout
+    for fmt in ("text", "json"):
+        rc, out, err = run(capsys, "numtheory", "zsigmondy", "2", "100000", "--format", fmt)
+        assert (rc, out) == (1, "")
+        assert err == ("error: no primitive prime divisor of 2^100000 - 1 is at most "
+                       "13107200001, and Phi_100000(2) is over the 1024-bit cap\n")
+    rc, out, err = run(capsys, "numtheory", "torus", "A", "100000", "2")
+    assert (rc, out) == (1, "")
+    assert err == ("error: family A at n = 100000, q = 2 has a torus order of more "
+                   "than 1024 bits\n")
+
+
 def test_usage_errors(capsys):
     assert run(capsys, )[0] == 2
     assert run(capsys, "numtheory")[0] == 2

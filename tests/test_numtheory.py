@@ -1,5 +1,6 @@
 import bisect
 import math
+import random
 import sys
 import time
 import tracemalloc
@@ -8,12 +9,16 @@ from itertools import compress
 
 import pytest
 import sympy
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from charzeros import numtheory
 from charzeros.numtheory import (
+    MAX_BITS,
     DiophantineSolutionSet,
+    Unresolved,
     cyclotomic_poly_value,
     diophantine_solutions,
+    is_prime,
     outer_bound_sweep,
     prime_power,
     torus_orders,
@@ -22,6 +27,66 @@ from charzeros.numtheory import (
 from helpers import brute_diophantine, brute_zsigmondy
 
 PRIME_POWERS_50 = [q for q in range(2, 51) if prime_power(q) is not None]
+
+# psi_k, the least strong pseudoprime to each of the first k prime bases
+# (OEIS A014233), k = 1..13; psi_13 is the bound of the deterministic test
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 3825123056546413051, 318665857834031151167461,
+       3317044064679887385961981)
+
+
+def test_is_prime_matches_sympy_below_200000():
+    assert [n for n in range(200_000) if is_prime(n) != sympy.isprime(n)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # each psi_k passes Miller-Rabin to the first k primes; psi_13 is past the
+    # deterministic range, so BPSW's Lucas half must reject it, as it must
+    # the composite Mersenne numbers and Fermat numbers above it, which are
+    # all strong pseudoprimes to base 2
+    for n in PSI:
+        assert not sympy.isprime(n) and not is_prime(n), n
+    big = [2**p - 1 for p in sympy.primerange(83, 400) if not sympy.isprime(2**p - 1)]
+    big += [2**128 + 1, 2**256 + 1]
+    assert len(big) > 50
+    for n in big:
+        assert n > PSI[-1] and numtheory._strong_probable_prime(n, 2)
+        assert not is_prime(n), n
+    for p in (2**89 - 1, 2**107 - 1, 2**127 - 1, 2**521 - 1):
+        assert is_prime(p)
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    # Chernick's (6k+1)(12k+1)(18k+1) with all three factors prime, on both
+    # sides of psi_13, and the Carmichael numbers below 10^5
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                for k in (*range(1, 400), *range(14_000_000, 14_002_000))
+                if all(sympy.isprime(f * k + 1) for f in (6, 12, 18))]
+    assert min(chernick) == 1729 and max(chernick) > PSI[-1]
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+                  46657, 52633, 62745, 63973, 75361]
+    for n in carmichael + chernick:
+        assert not is_prime(n), n
+
+
+def test_is_prime_on_seeded_semiprimes():
+    rng = random.Random(39)
+    for bits in (64, 96, 128, 192, 256):
+        for _ in range(20):
+            p, q = (sympy.nextprime(rng.getrandbits(bits // 2) | 1 << (bits // 2 - 1))
+                    for _ in range(2))
+            assert is_prime(p) and is_prime(q)
+            assert not is_prime(p * q) and not sympy.isprime(p * q)
+            odd = rng.getrandbits(bits) | 1
+            assert is_prime(odd) == sympy.isprime(odd), odd
+
+
+def test_strong_lucas_matches_sympy():
+    # below psi_13 is_prime never reaches the Lucas half, so it is checked on
+    # its own: every odd n < 300,000 with no prime factor up to 41
+    for n in range(43 * 43, 300_000, 2):
+        if all(n % p for p in numtheory._BASES):
+            assert numtheory._strong_lucas_probable_prime(n) == is_strong_lucas_prp(n), n
 
 
 def test_prime_power():
@@ -65,11 +130,53 @@ def test_cyclotomic_examples():
 
 
 def test_zsigmondy_matches_brute():
-    for q in PRIME_POWERS_50[:8]:
-        for n in range(2, 9):
+    for q in (q for q in range(2, 65) if prime_power(q) is not None):
+        for n in range(2, 17):
             out = zsigmondy(q, n)
             assert out.prime == brute_zsigmondy(q, n), (q, n)
             assert (out.prime is None) == (out.exception_reason is not None)
+
+
+def test_zsigmondy_beyond_the_search_by_rho(monkeypatch):
+    # no primitive prime divisor of 13^19 - 1 is below 10^7: the search stops
+    # after its first stretch, and rho factors Phi_19(13)'s cofactor
+    calls = []
+    rho = numtheory._rho_factors
+    monkeypatch.setattr(numtheory, "_rho_factors", lambda c: calls.append(c) or rho(c))
+    assert zsigmondy(13, 19).prime == 12_865_927 == brute_zsigmondy(13, 19)
+    assert calls == [cyclotomic_poly_value(19, 13)]
+
+
+def test_zsigmondy_large_inputs():
+    # each once ran for minutes (all of Phi_n(q) was factored); the order
+    # search now answers them
+    assert zsigmondy(1000003, 60).prime == 61
+    assert zsigmondy(10000000019, 97).prime == 3299
+    assert [r.zsig.prime for r in torus_orders("E8", 8, 1000003)] == [211, 97849, 181]
+    assert [r.zsig.prime for r in torus_orders("A", 1000, 2)] == [6007, 4001]
+    # a large prime cofactor is proved prime, not searched to its root
+    assert zsigmondy(23, 11).prime == 3_937_230_404_603
+
+
+def test_zsigmondy_refuses_past_its_limits(monkeypatch):
+    with pytest.raises(Unresolved, match="^no primitive prime divisor of 2\\^100000 - 1 is at "
+                       "most 13107200001, and Phi_100000\\(2\\) is over the 1024-bit cap$"):
+        zsigmondy(2, 100_000)
+    with pytest.raises(Unresolved, match=f"^n = {10**30} is over the search limit of 131072"):
+        zsigmondy(2, 10**30)  # never factored
+    with pytest.raises(Unresolved, match=f"^q has {MAX_BITS + 1} bits"):
+        zsigmondy(2**MAX_BITS + 1, 2)
+    monkeypatch.setattr(numtheory, "RHO_STEPS", 100)
+    with pytest.raises(Unresolved, match="is at most 2490369, and the cofactor of "
+                       "Phi_19\\(13\\) is not factored within 100 rho steps$"):
+        zsigmondy(13, 19)
+
+
+def test_zsigmondy_search_stops_at_the_least_prime_rho_splits_off():
+    # Phi_19(157)'s cofactor is 234271 times primes of 49 and 65 bits, which
+    # rho cannot split within its budget; the search up to 234271 proves it
+    # least
+    assert zsigmondy(157, 19).prime == 234271 == brute_zsigmondy(157, 19)
 
 
 def test_zsigmondy_exceptions():
@@ -370,6 +477,15 @@ def test_torus_exceptional_families():
     assert [r.order for r in torus_orders("E8", 8, 2)] == [
         phi(30, 2), phi(24, 2), phi(20, 2)]
     assert torus_orders("E8", 8, 2)[0].order == 331
+
+
+def test_torus_refuses_orders_over_the_cap():
+    for family, n, q in (("A", MAX_BITS, 2), ("B", 10**12, 2), ("E8", 8, 2**200 + 235)):
+        with pytest.raises(Unresolved, match=f"^family {family} at n = {n}, q = {q} has a "
+                           f"torus order of more than {MAX_BITS} bits$"):
+            torus_orders(family, n, q)
+    with pytest.raises(Unresolved, match=f"^q has {MAX_BITS + 1} bits"):
+        torus_orders("A", 1, 2**MAX_BITS + 1)
 
 
 def test_torus_rejects():

@@ -1,10 +1,9 @@
-"""Cold start: `import charzeros`, the read verbs on a table file, the
-verbs that compute a table, the `outer-bound` sweep and `diophantine` never
-import sympy; the other `numtheory` verbs load it when they need it.  Nor
-does the program import `dataclasses` (its records are named tuples), which
-would pull in `inspect` and `ast`.  Each run-time check runs in a fresh
-interpreter, since this one has both loaded already; a static check reads
-every module's imports."""
+"""Cold start: no verb imports sympy, which is a test oracle only: not
+`import charzeros`, the read verbs on a table file, the verbs that compute a
+table, nor any `numtheory` verb.  Nor does the program import `dataclasses`
+(its records are named tuples), which would pull in `inspect` and `ast`.
+Each run-time check runs in a fresh interpreter, since this one has both
+loaded already; a static check reads every module's imports."""
 import ast
 import importlib
 import json
@@ -67,19 +66,19 @@ def test_read_verbs_start_without_sympy(capsys):
     assert all(rc == 0 for rc, _ in child["results"])
 
 
-def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
+def test_no_verb_loads_sympy(tmp_path, capsys):
     # a table, a build and the whole suite compute over F_l with `fpoly` and
-    # trial division, `outer-bound` sieves its own primes, and `diophantine`
-    # trial-divides its few candidates; only the numtheory verbs that factor
-    # numbers a user supplies load sympy.  Each verb starts from the state the
-    # one before it left.
+    # trial division, `outer-bound` sieves its own primes, and `diophantine`,
+    # `zsigmondy` and `torus` test primes by Miller-Rabin and BPSW.  Each
+    # verb starts from the state the one before it left.
     out = tmp_path / "suite"
     argvs = [["table", "A5"], ["build", "A5"], ["suite", "--dir", str(out)],
              ["numtheory", "outer-bound", "--bound", "1000"],
              ["numtheory", "diophantine", "--part", "A"],
-             ["numtheory", "zsigmondy", "2", "10"]]
+             ["numtheory", "zsigmondy", "2", "10"],
+             ["numtheory", "torus", "E8", "8", "2"]]
     child = _fresh(argvs)
-    assert child["loaded"] == [False, False, False, False, False, False, True]
+    assert child["loaded"] == [False] * 8
     assert child["results"][0] == [0, (TABLES / "A5.tbl").read_text()]
     assert child["results"][1] == _here(capsys, argvs[1:2])[0]
     assert child["results"][2] == [0, (TABLES / "report.txt").read_text()]
@@ -92,7 +91,25 @@ def test_computing_verbs_load_sympy_on_demand(tmp_path, capsys):
             "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
             "  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
             "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n"],
-        [0, "least primitive prime divisor of 2^10 - 1: 11\n"]]
+        [0, "least primitive prime divisor of 2^10 - 1: 11\n"],
+        _here(capsys, argvs[6:])[0]]
+
+
+def test_numtheory_examples_with_sympy_blocked():
+    # README's zsigmondy and torus examples, in a process that cannot import
+    # sympy at all
+    examples = {("numtheory", "zsigmondy", "2", "4"):
+                "least primitive prime divisor of 2^4 - 1: 5\n",
+                ("numtheory", "torus", "A", "1", "7"):
+                "family A, n = 1, q = 7:\n"
+                "  T1: order 8, l(2) exception (N2_QPLUS1_POW2)\n"
+                "  T2: order 6, l(1) not applicable\n"}
+    blocked = "import sys; sys.modules['sympy'] = None\n" + CHILD
+    proc = subprocess.run([sys.executable, "-c", blocked, json.dumps(list(examples))],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"] == [[0, out] for out in examples.values()]
 
 
 def _imports(tree: ast.AST) -> set[str]:
@@ -106,16 +123,15 @@ def _imports(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_only_numtheory_imports_sympy():
-    # the table side factors by trial division alone (`cyclo.trial_factor`):
-    # sympy serves numtheory, which factors numbers a user supplies, and no
-    # other module may import it, even inside a function.
+def test_no_module_imports_sympy():
+    # the table side factors by trial division alone (`cyclo.trial_factor`)
+    # and numtheory by Miller-Rabin, BPSW and rho: no module may import sympy,
+    # even inside a function.
     package = Path(SRC) / "charzeros"
     modules = sorted(package.rglob("*.py"))
     assert len(modules) > 10
-    users = [p.relative_to(package).as_posix() for p in modules
-             if "sympy" in _imports(ast.parse(p.read_text(), str(p)))]
-    assert users == ["numtheory.py"]
+    assert [p.relative_to(package).as_posix() for p in modules
+            if "sympy" in _imports(ast.parse(p.read_text(), str(p)))] == []
 
 
 def test_no_module_imports_dataclasses():

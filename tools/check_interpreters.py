@@ -17,6 +17,12 @@ PYTHONPATH=src and no installed package needed, and must:
   exit 0;
 - print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
   as in the README, and exit 0;
+- print, for `numtheory zsigmondy` at (2, 4), (1000003, 60) and (13, 19),
+  and for `numtheory torus A 1 7`, the fixed answers below (the first and
+  last as in the README), and exit 0;
+- give, for every 8th of the 238 `torus/...` keys of
+  `perfbench/pinned/digests.json` in sorted order, the pinned exit code and
+  stdout SHA-256 of `numtheory torus FAMILY N Q --format json`;
 - load no sympy while doing so.
 
 The pinned files are only read.  Exit 0 when every interpreter passes, 1 on
@@ -57,7 +63,19 @@ NUMTHEORY = {
                     "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
                     "  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
                     "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n"),
+    "zsigmondy": (["numtheory", "zsigmondy", "2", "4"],
+                  "least primitive prime divisor of 2^4 - 1: 5\n"),
+    "zsigmondy by the order search": (["numtheory", "zsigmondy", "1000003", "60"],
+                                      "least primitive prime divisor of 1000003^60 - 1: 61\n"),
+    "zsigmondy by rho": (["numtheory", "zsigmondy", "13", "19"],
+                         "least primitive prime divisor of 13^19 - 1: 12865927\n"),
+    "torus": (["numtheory", "torus", "A", "1", "7"],
+              "family A, n = 1, q = 7:\n"
+              "  T1: order 8, l(2) exception (N2_QPLUS1_POW2)\n"
+              "  T2: order 6, l(1) not applicable\n"),
 }
+# every TORUS_STRIDE-th pinned torus digest, in sorted key order
+TORUS_STRIDE = 8
 
 # Runs `charzeros.cli.main` on each argv of the JSON list sys.argv[1] in this
 # process; prints each op's exit code and stdout SHA-256, and whether sympy
@@ -136,6 +154,14 @@ def check(python: str) -> list[str]:
                             f"want exit 0, stdout {want_sha[:12]}")
         if res["sympy"]:
             problems.append(f"{verb} loaded sympy")
+    keys = sorted(k for k in digests if k.startswith("torus/"))[::TORUS_STRIDE]
+    res = _run(python, [["numtheory", "torus", *k.split("/")[1].split(), "--format", "json"]
+                        for k in keys], "0")
+    problems += [f"{k}: exit {got['rc']}, stdout {got['sha256'][:12]}; pinned exit "
+                 f"{digests[k]['rc']}, stdout {digests[k]['sha256'][:12]}"
+                 for k, got in zip(keys, res["outputs"]) if got != digests[k]]
+    if res["sympy"]:
+        problems.append("torus loaded sympy")
     return problems
 
 
