@@ -9,7 +9,8 @@ factorizations over q = 2^k +- 1, and maximal-torus order evaluation for
 the classical and exceptional families.  Everything is integer-exact and
 needs no computer algebra.  The verbs that take a number from a user end in
 bounded time: an input past one of the fixed limits below (`MAX_BITS`,
-`SEARCH_LIMIT`, `RHO_STEPS`) raises `Unresolved`, never a guess.
+`SEARCH_LIMIT`, `RHO_STEPS`, `ECM_STEPS`) raises `Unresolved`, never a
+guess.
 """
 
 from functools import cache
@@ -39,6 +40,17 @@ SEARCH_LIMIT = 2**17
 # The whole budget takes 17 ms on a 128-bit cofactor and 0.24 s on a
 # 1024-bit one.
 RHO_STEPS = 2**16
+# Lenstra's elliptic curve method then spends at most this many ECM steps on
+# what rho left unsplit: a curve with stage 1 bound B1 (stage 2 bound 100 B1)
+# costs B1 steps per 64-bit word of the number it splits, about 2 us at 256
+# bits and 4.5 us at 1024.  The curves run through the levels of GMP-ECM's
+# table for factors of 15, 20 and 25 digits, (B1, curves) below; the budget
+# covers the first two levels on a number of up to 192 bits.  Spent in full
+# it takes 8 s on a 256-bit cofactor and 18 s on a 1024-bit one.
+ECM_STEPS = 4 * 10**6
+_ECM_LEVELS = ((2000, 25), (11000, 90), (50000, 300))
+# Stage 2 takes giant steps of D Q and baby steps j Q, j < D / 2 prime to D.
+_ECM_D = 2310
 # The search stops after this many candidates (about 2 us at n = 5) and turns
 # to the cofactor of Phi_n(q), so that neither a large prime cofactor nor one
 # with two large factors pays for the whole search.
@@ -204,6 +216,14 @@ def _is_power_of_two(x: int) -> bool:
     return x >= 1 and x & (x - 1) == 0
 
 
+def _check_prime_power(q: int) -> None:
+    """ValueError when q is not a prime power.  Deciding that takes 0.06 s at
+    2 MAX_BITS bits and 3 s at 8 MAX_BITS, so a longer q is let through
+    undecided, for `_check_bits` to refuse."""
+    if q.bit_length() <= 2 * MAX_BITS and prime_power(q) is None:
+        raise ValueError(f"{q} is not a prime power")
+
+
 def _check_bits(q: int) -> None:
     if q.bit_length() > MAX_BITS:
         raise Unresolved(f"q has {q.bit_length()} bits, over the {MAX_BITS}-bit cap")
@@ -252,20 +272,133 @@ def _brent(m: int, budget: int) -> tuple[int | None, int]:
     return None, 0
 
 
-def _rho_factors(c: int) -> tuple[int, bool]:
-    """The least prime factor of c > 1 that `_brent` splits off within
-    RHO_STEPS steps in all (c itself when c is prime, or when none is), and
-    whether c was factored completely, so that this is its least prime
-    factor."""
-    budget, least, todo = RHO_STEPS, c, [c]
+def _ladder(k: int, x: int, a24: int, m: int) -> tuple[int, int]:
+    """k (x : 1) for k >= 1 on the Montgomery curve with (A + 2) / 4 = a24,
+    by Montgomery's ladder: (x1 : z1) = j (x : 1) and (x2 : z2) = (j + 1)
+    (x : 1), which differ by (x : 1), as j runs over the leading bits of k."""
+    s, d = (x + 1) ** 2 % m, (x - 1) ** 2 % m
+    x1, z1, x2, z2 = x, 1, s * d % m, (s - d) * (d + a24 * (s - d)) % m
+    for bit in bin(k)[3:]:
+        u, v = (x1 - z1) * (x2 + z2), (x1 + z1) * (x2 - z2)
+        xs, zs = (u + v) ** 2 % m, x * (u - v) ** 2 % m  # the sum
+        if bit == "1":
+            s, d = (x2 + z2) ** 2 % m, (x2 - z2) ** 2 % m
+            x1, z1, x2, z2 = xs, zs, s * d % m, (s - d) * (d + a24 * (s - d)) % m
+        else:
+            s, d = (x1 + z1) ** 2 % m, (x1 - z1) ** 2 % m
+            x1, z1, x2, z2 = s * d % m, (s - d) * (d + a24 * (s - d)) % m, xs, zs
+    return x1, z1
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int],
+          m: int) -> tuple[int, int]:
+    """P + Q on a Montgomery curve, from P, Q and P - Q."""
+    u, v = (p[0] - p[1]) * (q[0] + q[1]), (p[0] + p[1]) * (q[0] - q[1])
+    return diff[1] * (u + v) ** 2 % m, diff[0] * (u - v) ** 2 % m
+
+
+@cache
+def _ecm_plan(b1: int) -> tuple[int, tuple[int, ...], int, tuple[bytes, ...]]:
+    """For the bounds b1 (even) and 100 b1: stage 1's multiplier, the product
+    of the largest power <= b1 of each prime <= b1; the baby steps j < D / 2
+    prime to D; the first giant step k; and for each k from there on, the
+    indices of the j with k D - j or k D + j a prime in (b1, 100 b1]."""
+    odd = _odd_sieve(100 * b1)
+    k1 = 1 << (b1.bit_length() - 1)
+    for p in compress(range(1, b1, 2), memoryview(odd)[:b1 // 2]):
+        q = p
+        while q * p <= b1:
+            q *= p
+        k1 *= q
+    babies = tuple(j for j in range(1, _ECM_D // 2, 2) if gcd(j, _ECM_D) == 1)
+    index = {j: i for i, j in enumerate(babies)}
+    steps: dict[int, set[int]] = {}
+    for p in compress(range(b1 + 1, 100 * b1, 2), memoryview(odd)[b1 // 2:]):
+        k = (p + _ECM_D // 2) // _ECM_D
+        steps.setdefault(k, set()).add(index[abs(p - k * _ECM_D)])
+    k0 = min(steps)
+    giants = tuple(bytes(sorted(steps.get(k, ()))) for k in range(k0, max(steps) + 1))
+    return k1, babies, k0, giants
+
+
+def _ecm_curve(m: int, sigma: int, b1: int) -> int | None:
+    """A proper factor of the odd composite m from one curve of Lenstra's
+    elliptic curve method, or None.  The curve is Suyama's for sigma >= 6,
+    whose group order has 12 as a factor, in Montgomery's x-only form.
+    Stage 1 multiplies its point Q by every prime power <= b1.  Stage 2 then
+    looks for one more prime l in (b1, 100 b1] in the order: it multiplies
+    up x(k D Q) - x(j Q) over the l = k D +- j with j < D / 2 prime to D, as
+    x(P) = x(-P), after one gcd shows every z it divides by to be a unit."""
+    k1, baby_steps, k0, steps = _ecm_plan(b1)
+    u, v = (sigma * sigma - 5) % m, 4 * sigma % m
+    den = 16 * u**3 * v**3 % m  # x = u^3 / v^3, a24 = (v - u)^3 (3u + v) / (16 u^3 v)
+    g = gcd(den, m)
+    if g == 1:
+        inv = pow(den, -1, m)
+        a24 = (v - u) ** 3 * (3 * u + v) * v * v * inv % m
+        x, z = _ladder(k1, 16 * u**6 * inv % m, a24, m)
+        g = gcd(z, m)
+    if g != 1:
+        return g if g < m else None
+    x = x * pow(z, -1, m) % m
+    q, q2 = (x, 1), _ladder(2, x, a24, m)
+    odd = [q, _xadd(q2, q, q, m)]  # (2i + 1) Q
+    while len(odd) < _ECM_D // 4:
+        odd.append(_xadd(odd[-1], q2, odd[-2], m))
+    step = _ladder(_ECM_D, x, a24, m)
+    points = [odd[j // 2] for j in baby_steps]
+    points += [_ladder(k0 * _ECM_D, x, a24, m), _ladder((k0 + 1) * _ECM_D, x, a24, m)]
+    while len(points) < len(baby_steps) + len(steps):
+        points.append(_xadd(points[-1], step, points[-2], m))
+    # every x / z at once by Montgomery's trick: one inverse, three products each
+    partial = [1]
+    for _, z in points:
+        partial.append(partial[-1] * z % m)
+    g = gcd(partial[-1], m)
+    if g != 1:
+        return g if g < m else None
+    inv, xs = pow(partial[-1], -1, m), [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xs[i] = points[i][0] * partial[i] * inv % m
+        inv = inv * points[i][1] % m
+    babies, acc = xs[:len(baby_steps)], 1
+    for xk, js in zip(xs[len(baby_steps):], steps):
+        for j in js:
+            acc = acc * (xk - babies[j]) % m
+    g = gcd(acc, m)
+    return g if 1 < g < m else None
+
+
+def _ecm_b1(curve: int) -> int | None:
+    """The stage 1 bound of the curve-th curve (from 0) in _ECM_LEVELS, or
+    None past the last level."""
+    for b1, curves in _ECM_LEVELS:
+        if curve < curves:
+            return b1
+        curve -= curves
+    return None
+
+
+def _factor(c: int) -> tuple[int, bool]:
+    """The least prime factor of c > 1 that Brent's rho, within RHO_STEPS
+    steps in all, and then elliptic curves, within ECM_STEPS, split off (c
+    itself when c is prime, or when none is), and whether c was factored
+    completely, so that this is its least prime factor.  The curves run
+    through _ECM_LEVELS once, with sigma = 6, 7, ..., from part to part."""
+    budget, work, curve, least, todo = RHO_STEPS, ECM_STEPS, 0, c, [c]
     while todo:
         m = todo.pop()
         if is_prime(m):
             least = min(least, m)
             continue
         d, budget = _brent(m, budget)
-        if d is None:
-            return least, False
+        while d is None:
+            b1 = _ecm_b1(curve)
+            if b1 is None or b1 * -(-m.bit_length() // 64) > work:
+                return least, False
+            work -= b1 * -(-m.bit_length() // 64)
+            d = _ecm_curve(m, curve + 6, b1)
+            curve += 1
         todo += [d, m // d]
     return least, True
 
@@ -280,18 +413,18 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
     primes of n struck out, has exactly those l as its prime factors: it is
     tested for being prime itself, so that a large prime is not searched
     for, and else factored by rho, which finds a factor p in about sqrt(p)
-    steps where the search takes p/n.  Phi_n(q) is
-    formed only when phi(n) times the bit length of q, a bound on its own,
-    is at most MAX_BITS.  Past the cap, or when rho leaves part of the
-    cofactor unsplit, the search goes on, to the least prime rho split off
-    (which it then proves least) or to SEARCH_LIMIT candidates, and beyond
-    that `Unresolved` is raised.
+    steps where the search takes p/n, and then by elliptic curves, which
+    reach primes of 20 digits and more.  Phi_n(q) is formed only when phi(n)
+    times the bit length of q, a bound on its own, is at most MAX_BITS.
+    Past the cap, or when the budgets leave part of the cofactor unsplit,
+    the search goes on, to the least prime split off (which it then proves
+    least) or to SEARCH_LIMIT candidates, and beyond that `Unresolved` is
+    raised.
     """
-    _check_bits(q)
-    if prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
+    _check_prime_power(q)
     if n < 2:
         raise ValueError("n must be >= 2")
+    _check_bits(q)
     if (q, n) == (2, 6):
         return ZsigmondyOutcome(q, n, None, "Q2N6")
     if n == 2 and _is_power_of_two(q + 1):
@@ -313,11 +446,12 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
             c = _strip(c, r)[1]
         if c == 1:  # Zsigmondy's theorem: only the two exceptions above
             raise AssertionError(f"no primitive prime divisor for ({q}, {n})")
-        least, complete = _rho_factors(c)
+        least, complete = _factor(c)
         if complete:
             return ZsigmondyOutcome(q, n, least, None)
         last = min(last, least)
-        cap = f"the cofactor of Phi_{n}({q}) is not factored within {RHO_STEPS} rho steps"
+        cap = (f"the cofactor of Phi_{n}({q}) is not factored within {RHO_STEPS} rho steps "
+               f"and {ECM_STEPS} ECM steps")
     l = _order_search(q, n, tests, first + n, last)
     if l is None:
         raise Unresolved(f"no primitive prime divisor of {q}^{n} - 1 is at most {last}, "
@@ -493,11 +627,10 @@ def torus_orders(family: str, n: int, q: int) -> list[TorusOrder]:
     divisor is sought; past rank MAX_BITS a classical family always has one,
     so it is refused before any order is formed.
     """
-    _check_bits(q)
-    if prime_power(q) is None:
-        raise ValueError(f"{q} is not a prime power")
+    _check_prime_power(q)
     if family not in _CLASSICAL and family not in _EXCEPTIONAL_ROWS:
         raise ValueError(f"unknown family {family!r}")
+    _check_bits(q)
     if family in _CLASSICAL and n > MAX_BITS:
         raise _order_over_cap(family, n, q)
     rows: list[tuple[int, int]] | None = None  # (order, l-argument)

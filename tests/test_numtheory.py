@@ -139,12 +139,66 @@ def test_zsigmondy_matches_brute():
 
 def test_zsigmondy_beyond_the_search_by_rho(monkeypatch):
     # no primitive prime divisor of 13^19 - 1 is below 10^7: the search stops
-    # after its first stretch, and rho factors Phi_19(13)'s cofactor
-    calls = []
-    rho = numtheory._rho_factors
-    monkeypatch.setattr(numtheory, "_rho_factors", lambda c: calls.append(c) or rho(c))
+    # after its first stretch, and rho factors Phi_19(13)'s cofactor, with no
+    # elliptic curve
+    calls, curves = [], []
+    factor, curve = numtheory._factor, numtheory._ecm_curve
+    monkeypatch.setattr(numtheory, "_factor", lambda c: calls.append(c) or factor(c))
+    monkeypatch.setattr(numtheory, "_ecm_curve", lambda *a: curves.append(a) or curve(*a))
     assert zsigmondy(13, 19).prime == 12_865_927 == brute_zsigmondy(13, 19)
-    assert calls == [cyclotomic_poly_value(19, 13)]
+    assert calls == [cyclotomic_poly_value(19, 13)] and curves == []
+
+
+# (q, n) -> the least primitive prime divisor of q^n - 1, by sympy's factorint
+# (`helpers.brute_zsigmondy`, up to 18 s each), for the q < 400 and n <= 30
+# whose cofactor of Phi_n(q) has a prime factor that neither rho nor the
+# order search reaches
+ECM_ANSWERS = {
+    (29, 23): 131327761273, (31, 27): 1836205027201, (32, 25): 269089806001,
+    (43, 23): 11264087821629961, (43, 27): 1102642863391, (47, 23): 6630274723,
+    (47, 29): 368592716837, (59, 29): 80986039, (67, 23): 95052547721497,
+    (71, 19): 1900857799450121, (71, 21): 9401987029, (79, 19): 200413027,
+    (81, 26): 2093124281, (89, 25): 3802641100328251, (89, 29): 17175865789597,
+    (97, 26): 2892928273, (103, 17): 1879495234129, (107, 23): 2898050293273,
+    (113, 19): 4278041, (127, 13): 12346432697, (127, 17): 527532101,
+    (127, 19): 496833428679257, (131, 17): 167517083, (131, 25): 20445701,
+    (139, 17): 50368445538589, (157, 29): 25374827, (169, 19): 12865927,
+    (179, 27): 31367899, (191, 11): 34179328063, (193, 19): 14848802443,
+    (193, 26): 37919936939, (199, 11): 75449464927, (199, 13): 3581839,
+    (199, 21): 14848851902767, (211, 29): 74953823981, (223, 17): 49438818584964793,
+    (223, 24): 1820325601, (227, 29): 1214609209253467, (233, 17): 165787221569,
+    (239, 17): 20351620493988061, (241, 27): 3023489431, (251, 15): 2376251641,
+    (251, 25): 10648657951, (263, 17): 84004624433, (269, 25): 1901256964351,
+    (277, 17): 251149560317, (281, 11): 201637702531, (281, 23): 72872721877,
+    (283, 19): 3147161, (283, 27): 7137397, (289, 26): 19825313, (293, 25): 10245631444151,
+    (307, 30): 1596520171, (311, 17): 3918246517569193, (311, 26): 11447583629,
+    (313, 13): 284101057787, (313, 17): 642681586231, (313, 28): 5408437553,
+    (317, 27): 951036607, (331, 19): 282349518620419, (337, 17): 60227864741094026321,
+    (343, 15): 1527007411, (343, 28): 13564461457, (349, 15): 14594668651,
+    (349, 19): 2058082831913, (349, 22): 941727139, (353, 25): 7848454439201,
+    (359, 17): 85001215236190499, (359, 20): 2270254381, (361, 17): 3044803,
+    (367, 19): 21916622172737, (367, 24): 5210195161, (367, 26): 3201328729,
+    (373, 11): 7734564311, (373, 27): 4195222741, (379, 13): 37028483467,
+    (379, 27): 2316975064310922247, (383, 11): 51495687563, (383, 26): 125207707,
+    (383, 27): 9613243, (383, 28): 5175857, (389, 27): 716918942071, (397, 22): 1495868221,
+}
+
+
+def test_zsigmondy_by_elliptic_curves():
+    assert len(ECM_ANSWERS) == 83
+    assert {(q, n): zsigmondy(q, n).prime for q, n in ECM_ANSWERS} == ECM_ANSWERS
+
+
+def test_elliptic_curves_split_what_rho_cannot(monkeypatch):
+    # 2^61 - 1 is past rho's budget; the 32nd curve, sigma = 37 at B1 = 11000,
+    # finds it, and only in stage 2
+    p, m = 2**61 - 1, (2**61 - 1) * (2**89 - 1)
+    assert numtheory._brent(m, numtheory.RHO_STEPS)[0] is None
+    assert numtheory._factor(m) == (p, True)
+    assert numtheory._ecm_curve(m, 37, 11000) == p
+    k1, babies, k0, steps = numtheory._ecm_plan(11000)
+    monkeypatch.setattr(numtheory, "_ecm_plan", lambda b1: (k1, babies, k0, (b"",) * len(steps)))
+    assert numtheory._ecm_curve(m, 37, 11000) is None
 
 
 def test_zsigmondy_large_inputs():
@@ -165,17 +219,24 @@ def test_zsigmondy_refuses_past_its_limits(monkeypatch):
     with pytest.raises(Unresolved, match=f"^n = {10**30} is over the search limit of 131072"):
         zsigmondy(2, 10**30)  # never factored
     with pytest.raises(Unresolved, match=f"^q has {MAX_BITS + 1} bits"):
-        zsigmondy(2**MAX_BITS + 1, 2)
+        zsigmondy(2**MAX_BITS, 2)
+    # past 2 MAX_BITS bits q is refused before it is decided to be a prime power
+    with pytest.raises(Unresolved, match=f"^q has {2 * MAX_BITS + 1} bits"):
+        zsigmondy(2**(2 * MAX_BITS) + 1, 2)
     monkeypatch.setattr(numtheory, "RHO_STEPS", 100)
+    monkeypatch.setattr(numtheory, "ECM_STEPS", 0)
     with pytest.raises(Unresolved, match="is at most 2490369, and the cofactor of "
-                       "Phi_19\\(13\\) is not factored within 100 rho steps$"):
+                       "Phi_19\\(13\\) is not factored within 100 rho steps and 0 ECM steps$"):
         zsigmondy(13, 19)
+    monkeypatch.setattr(numtheory, "ECM_STEPS", 10**4)
+    assert zsigmondy(13, 19).prime == 12_865_927  # one curve at B1 = 2000
 
 
-def test_zsigmondy_search_stops_at_the_least_prime_rho_splits_off():
+def test_zsigmondy_search_stops_at_the_least_prime_rho_splits_off(monkeypatch):
     # Phi_19(157)'s cofactor is 234271 times primes of 49 and 65 bits, which
-    # rho cannot split within its budget; the search up to 234271 proves it
-    # least
+    # rho cannot split within its budget; with no elliptic curve the search up
+    # to 234271 proves it least
+    monkeypatch.setattr(numtheory, "ECM_STEPS", 0)
     assert zsigmondy(157, 19).prime == 234271 == brute_zsigmondy(157, 19)
 
 
@@ -203,6 +264,11 @@ def test_zsigmondy_rejects():
         zsigmondy(6, 3)
     with pytest.raises(ValueError):
         zsigmondy(4, 1)
+    # malformed input over the size cap is still malformed, not refused
+    with pytest.raises(ValueError, match=f"^{2**MAX_BITS * 3} is not a prime power$"):
+        zsigmondy(2**MAX_BITS * 3, 2)
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        zsigmondy(2**MAX_BITS, 1)
 
 
 def test_outer_bound_truth_by_fractions():
@@ -485,7 +551,7 @@ def test_torus_refuses_orders_over_the_cap():
                            f"torus order of more than {MAX_BITS} bits$"):
             torus_orders(family, n, q)
     with pytest.raises(Unresolved, match=f"^q has {MAX_BITS + 1} bits"):
-        torus_orders("A", 1, 2**MAX_BITS + 1)
+        torus_orders("A", 1, 2**MAX_BITS)
 
 
 def test_torus_rejects():
@@ -495,3 +561,7 @@ def test_torus_rejects():
         torus_orders("D", 3, 5)
     with pytest.raises(ValueError, match="6 is not a prime power"):
         torus_orders("A", 2, 6)
+    with pytest.raises(ValueError, match=f"^{2**MAX_BITS * 3} is not a prime power$"):
+        torus_orders("A", 2, 2**MAX_BITS * 3)
+    with pytest.raises(ValueError, match="^unknown family 'Z'$"):
+        torus_orders("Z", 2, 2**MAX_BITS)

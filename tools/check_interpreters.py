@@ -17,9 +17,9 @@ PYTHONPATH=src and no installed package needed, and must:
   exit 0;
 - print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
   as in the README, and exit 0;
-- print, for `numtheory zsigmondy` at (2, 4), (1000003, 60) and (13, 19),
-  and for `numtheory torus A 1 7`, the fixed answers below (the first and
-  last as in the README), and exit 0;
+- print, for `numtheory zsigmondy` at (2, 4), (1000003, 60), (13, 19) and
+  (43, 23), and for `numtheory torus A 1 7`, the fixed answers below (the
+  first and last as in the README), and exit 0;
 - give, for every 8th of the 238 `torus/...` keys of
   `perfbench/pinned/digests.json` in sorted order, the pinned exit code and
   stdout SHA-256 of `numtheory torus FAMILY N Q --format json`;
@@ -69,6 +69,9 @@ NUMTHEORY = {
                                       "least primitive prime divisor of 1000003^60 - 1: 61\n"),
     "zsigmondy by rho": (["numtheory", "zsigmondy", "13", "19"],
                          "least primitive prime divisor of 13^19 - 1: 12865927\n"),
+    "zsigmondy by elliptic curves": (["numtheory", "zsigmondy", "43", "23"],
+                                     "least primitive prime divisor of 43^23 - 1: "
+                                     "11264087821629961\n"),
     "torus": (["numtheory", "torus", "A", "1", "7"],
               "family A, n = 1, q = 7:\n"
               "  T1: order 8, l(2) exception (N2_QPLUS1_POW2)\n"
