@@ -324,7 +324,10 @@ def _separate(group: Group, l: int) -> list[list[int]]:
                 split.append((basis, pivots, start))  # A_i is scalar here: no split
                 continue
             rows = [group.class_row(i, p) for p in pivots]
-            b = [[sum(map(mul, row, v)) % l for v in basis] for row in rows]
+            if len(basis) == r:  # the whole space: the identity basis, every pivot
+                b = [[x % l for x in row] for row in rows]
+            else:
+                b = [[sum(map(mul, row, v)) % l for v in basis] for row in rows]
             split += _eigenspaces(b, [start[t] for t in pivots], basis, l)
         blocks = split
     return [basis[0] for basis, _, _ in blocks]

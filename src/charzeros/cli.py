@@ -4,6 +4,12 @@ Verbs: build, table, verify, zeros, star, classify, suite, numtheory.
 Exit codes: 0 when everything succeeds or passes, 1 when a computation or
 check fails (details on the error stream), 2 on usage errors.  All output is
 deterministic; reruns are byte-identical.
+
+The argparse tree is built once per process.  `main` parses argv with the
+parser of the command that its leading words name (the verb, and for
+numtheory the subverb): a parse from the top of the tree would hand those
+words to that same parser, so usage errors and help are unchanged.  Argv that
+names no command, or that leaves words over, gets the full parse.
 """
 
 from __future__ import annotations
@@ -388,6 +394,17 @@ def _add_table_options(p, seed: bool = False) -> None:
                         f"(default {DEFAULT_ORDER_BUDGET})")
 
 
+# the parser of each command, keyed by its words: ("table",), ("numtheory",),
+# ("numtheory", "zsigmondy"), ...; filled once by _build_parser
+_COMMANDS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+def _command(sub, *words: str, **kwargs) -> argparse.ArgumentParser:
+    """Add the parser of the command `words` to `sub`, and record it."""
+    p = _COMMANDS[words] = sub.add_parser(words[-1], **kwargs)
+    return p
+
+
 @cache  # one tree per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -395,30 +412,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact character tables and vanishing-class analysis")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("build", help="construct a registry group file")
+    p = _command(sub, "build", help="construct a registry group file")
     p.add_argument("group")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_build)
 
-    p = sub.add_parser("table", help="compute a character table")
+    p = _command(sub, "table", help="compute a character table")
     p.add_argument("target", help="registry group name or group file path")
     p.add_argument("--out")
     _add_table_options(p, seed=True)
     p.set_defaults(func=_cmd_table)
 
-    p = sub.add_parser("verify", help="check a table file's orthogonality")
+    p = _command(sub, "verify", help="check a table file's orthogonality")
     p.add_argument("file")
     _add_format(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("zeros", help="list each row's vanishing classes")
+    p = _command(sub, "zeros", help="list each row's vanishing classes")
     p.add_argument("target", help="registry group, group file, or table file")
     p.add_argument("--row", type=int)
     _add_format(p)
     _add_table_options(p)
     p.set_defaults(func=_cmd_zeros)
 
-    p = sub.add_parser("star", help="vanishing-pattern reports per row")
+    p = _command(sub, "star", help="vanishing-pattern reports per row")
     p.add_argument("target", help="registry group, group file, or table file")
     p.add_argument("--row", type=int)
     p.add_argument("--out-order", type=int,
@@ -427,45 +444,44 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_table_options(p)
     p.set_defaults(func=_cmd_star)
 
-    p = sub.add_parser("classify",
-                       help="faithful single-vanishing-class degrees")
+    p = _command(sub, "classify",
+                 help="faithful single-vanishing-class degrees")
     p.add_argument("target", help="registry group, group file, or table file")
     _add_format(p)
     _add_table_options(p)
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("suite", help="run every registry group through "
-                                     "table, verification, and checks")
+    p = _command(sub, "suite", help="run every registry group through "
+                                    "table, verification, and checks")
     p.add_argument("--dir", help="directory for table files and report.txt")
     _add_format(p)
     _add_table_options(p, seed=True)
     p.set_defaults(func=_cmd_suite)
 
-    p = sub.add_parser("numtheory", help="integer-arithmetic reports")
+    p = _command(sub, "numtheory", help="integer-arithmetic reports")
     nsub = p.add_subparsers(dest="subverb", required=True)
 
-    q = nsub.add_parser("diophantine",
-                        help="prime powers with constrained q-1/q+1 "
-                             "factorizations")
+    q = _command(nsub, "numtheory", "diophantine",
+                 help="prime powers with constrained q-1/q+1 factorizations")
     q.add_argument("--part", type=str.upper, choices=("A", "B", "C"),
                    required=True)
     q.add_argument("--bound", type=int, default=1_000_000)
     _add_format(q)
     q.set_defaults(func=_cmd_diophantine)
 
-    q = nsub.add_parser("outer-bound",
-                        help="sweep both automorphism-count inequalities")
+    q = _command(nsub, "numtheory", "outer-bound",
+                 help="sweep both automorphism-count inequalities")
     q.add_argument("--bound", type=int, default=1_000_000)
     _add_format(q)
     q.set_defaults(func=_cmd_outer_bound)
 
-    q = nsub.add_parser("zsigmondy", help="least primitive prime divisor")
+    q = _command(nsub, "numtheory", "zsigmondy", help="least primitive prime divisor")
     q.add_argument("q", type=int)
     q.add_argument("n", type=int)
     _add_format(q)
     q.set_defaults(func=_cmd_zsigmondy)
 
-    q = nsub.add_parser("torus", help="maximal-torus orders for a family")
+    q = _command(nsub, "numtheory", "torus", help="maximal-torus orders for a family")
     q.add_argument("family")
     q.add_argument("n", type=int)
     q.add_argument("q", type=int)
@@ -475,10 +491,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What `_build_parser().parse_args(argv)` gives, parsing only with the
+    parser of argv's command when its leading words name one exactly: a
+    top-down parse hands that parser the same words and copies its Namespace
+    up, with `verb` and `subverb` set.  Words it leaves over, and argv that
+    names no command, get the full parse, which reports them."""
+    parser = _build_parser()  # the first call fills _COMMANDS
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        command = _COMMANDS.get(words)
+        if command is None:
+            continue
+        args, rest = command.parse_known_args(argv[len(words):])
+        if rest:
+            break
+        args.verb = words[0]
+        if len(words) == 2:
+            args.subverb = words[1]
+        return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

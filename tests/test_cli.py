@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface through main(argv)."""
 import argparse
 import hashlib
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -897,6 +898,124 @@ def test_usage_errors(capsys):
     assert run(capsys, "numtheory", "zsigmondy", "6", "3")[0] == 2
     assert run(capsys, "numtheory", "torus", "Z", "1", "5")[0] == 2
     assert run(capsys, "verify", "/no/such/file")[0] == 2
+
+
+TOP_USAGE = ("usage: charzeros [-h]\n"
+             "                 {build,table,verify,zeros,star,classify,suite,numtheory} ...\n")
+NUMTHEORY_USAGE = ("usage: charzeros numtheory [-h] "
+                   "{diophantine,outer-bound,zsigmondy,torus} ...\n")
+ZSIGMONDY_USAGE = "usage: charzeros numtheory zsigmondy [-h] [--format {text,json}] q n\n"
+
+# (argv, exit code, stdout, stderr) at 80 columns
+USAGE_BYTES = [
+    ([], 2, "", TOP_USAGE + "charzeros: error: the following arguments are required: verb\n"),
+    (["bogus"], 2, "", TOP_USAGE + (
+        "charzeros: error: argument verb: invalid choice: 'bogus' (choose from 'build', "
+        "'table', 'verify', 'zeros', 'star', 'classify', 'suite', 'numtheory')\n")),
+    (["table"], 2, "", (
+        "usage: charzeros table [-h] [--out OUT] [--seed SEED] [--max-order MAX_ORDER]\n"
+        "                       target\n"
+        "charzeros table: error: the following arguments are required: target\n")),
+    (["table", "A5", "extra"], 2, "",
+     TOP_USAGE + "charzeros: error: unrecognized arguments: extra\n"),
+    (["numtheory"], 2, "", NUMTHEORY_USAGE
+     + "charzeros numtheory: error: the following arguments are required: subverb\n"),
+    (["numtheory", "zsigmondy", "2", "4", "extra"], 2, "",
+     TOP_USAGE + "charzeros: error: unrecognized arguments: extra\n"),
+    (["zeros", "C6", "--format", "xml"], 2, "", (
+        "usage: charzeros zeros [-h] [--row ROW] [--format {text,json}]\n"
+        "                       [--max-order MAX_ORDER]\n"
+        "                       target\n"
+        "charzeros zeros: error: argument --format: invalid choice: 'xml' "
+        "(choose from 'text', 'json')\n")),
+    (["numtheory", "zsigmondy", "x", "4"], 2, "", ZSIGMONDY_USAGE
+     + "charzeros numtheory zsigmondy: error: argument q: invalid int value: 'x'\n"),
+    (["--help"], 0, TOP_USAGE + """
+Exact character tables and vanishing-class analysis
+
+positional arguments:
+  {build,table,verify,zeros,star,classify,suite,numtheory}
+    build               construct a registry group file
+    table               compute a character table
+    verify              check a table file's orthogonality
+    zeros               list each row's vanishing classes
+    star                vanishing-pattern reports per row
+    classify            faithful single-vanishing-class degrees
+    suite               run every registry group through table, verification,
+                        and checks
+    numtheory           integer-arithmetic reports
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["numtheory", "--help"], 0, NUMTHEORY_USAGE + """
+positional arguments:
+  {diophantine,outer-bound,zsigmondy,torus}
+    diophantine         prime powers with constrained q-1/q+1 factorizations
+    outer-bound         sweep both automorphism-count inequalities
+    zsigmondy           least primitive prime divisor
+    torus               maximal-torus orders for a family
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    (["numtheory", "zsigmondy", "--help"], 0, ZSIGMONDY_USAGE + """
+positional arguments:
+  q
+  n
+
+options:
+  -h, --help            show this help message and exit
+  --format {text,json}
+""", ""),
+]
+
+
+@pytest.mark.parametrize("argv,rc,out,err", USAGE_BYTES,
+                         ids=[" ".join(c[0]) or "(no words)" for c in USAGE_BYTES])
+def test_usage_error_and_help_bytes(capsys, monkeypatch, argv, rc, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage and help to the terminal
+    assert run(capsys, *argv) == (rc, out, err)
+
+
+def test_dispatch_matches_the_full_parse(capsys, monkeypatch):
+    # main must give what a parse from the top of the tree gives: the same
+    # exit code, stdout and stderr on every argv of the interpreter check's
+    # corpus, and for valid argv the same Namespace for the handler
+    tool = Path(__file__).resolve().parents[1] / "tools" / "check_interpreters.py"
+    spec = importlib.util.spec_from_file_location("check_interpreters", tool)
+    check_interpreters = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check_interpreters)
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = cli._build_parser()
+    seen = []  # the Namespace of each outermost parse_known_args
+    depth = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def recording(self, args=None, namespace=None):
+        depth.append(self)
+        try:
+            parsed = parse_known_args(self, args, namespace)
+        finally:
+            depth.pop()
+        if not depth:
+            seen.append(parsed[0])
+        return parsed
+
+    for argv in check_interpreters.DISPATCH:
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(argparse.ArgumentParser, "parse_known_args", recording)
+            got = run(capsys, *argv)
+            handed = seen[-1] if seen else None
+            m.setattr(cli, "_COMMANDS", {}, raising=False)  # every argv parsed from the top
+            assert run(capsys, *argv) == got, argv
+        try:
+            want = parser.parse_args(argv)
+        except SystemExit:  # a usage error or help: no handler runs
+            capsys.readouterr()
+            continue
+        assert handed == want, argv
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):

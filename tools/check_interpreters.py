@@ -23,7 +23,12 @@ PYTHONPATH=src and no installed package needed, and must:
 - give, for every 8th of the 238 `torus/...` keys of
   `perfbench/pinned/digests.json` in sorted order, the pinned exit code and
   stdout SHA-256 of `numtheory torus FAMILY N Q --format json`;
-- load no sympy while doing so.
+- load no sympy while doing so;
+- give, for each argv of `DISPATCH`, the same exit code, stdout and stderr
+  from `charzeros.cli.main` as from `main` parsing through
+  `_build_parser().parse_args` alone (its table of command parsers emptied).
+  `main` hands argv to the parser of the command its leading words name, so
+  this is where a change of argparse between versions would show.
 
 The pinned files are only read.  Exit 0 when every interpreter passes, 1 on
 a mismatch or a named interpreter that does not start, 2 when none starts.
@@ -96,6 +101,55 @@ print(json.dumps({"outputs": out, "sympy": "sympy" in sys.modules}))
 """
 
 
+# Usage errors and help at each depth, missing, unknown and extra words, bad
+# choices and ints, `--`, abbreviations and negative numbers, and valid argv
+# whose commands are cheap.
+DISPATCH = (
+    [], ["-h"], ["--help"], ["--"], ["--version"], ["bogus"], ["tab", "C6"],
+    ["table"], ["table", "-h"], ["table", "C6", "--h"], ["table", "A5", "extra"],
+    ["table", "C6", "--bogus"], ["table", "C6", "--seed", "x"], ["table", "--", "C6"],
+    ["zeros", "C6", "--format", "xml"], ["zeros", "C6", "--form", "json"],
+    ["zeros", "C6", "--row", "-1"], ["classify", "C6", "--format=json"],
+    ["verify", "/no/such/file"], ["suite", "--dir"],
+    ["numtheory"], ["numtheory", "-h"], ["numtheory", "bogus"],
+    ["numtheory", "zsig", "2", "4"], ["numtheory", "--", "zsigmondy", "2", "4"],
+    ["numtheory", "zsigmondy"], ["numtheory", "zsigmondy", "2"],
+    ["numtheory", "zsigmondy", "2", "4"], ["numtheory", "zsigmondy", "2", "4", "extra"],
+    ["numtheory", "zsigmondy", "2", "4", "-x"], ["numtheory", "zsigmondy", "x", "4"],
+    ["numtheory", "zsigmondy", "--help"], ["numtheory", "zsigmondy", "2", "-h"],
+    ["numtheory", "zsigmondy", "2", "4", "--form", "json"],
+    ["numtheory", "zsigmondy", "2", "4", "--format", "yaml"],
+    ["numtheory", "zsigmondy", "-5", "4"], ["numtheory", "zsigmondy", "--", "-5", "4"],
+    ["numtheory", "diophantine", "--part", "a"], ["numtheory", "diophantine"],
+    ["numtheory", "diophantine", "--part", "D"],
+    ["numtheory", "torus", "A", "1", "x", "extra"], ["numtheory", "torus", "A", "1", "7"],
+)
+
+# Runs each argv of the JSON list sys.argv[1] through `main` twice: as it is,
+# and with its table of command parsers emptied, so that it parses from the
+# top of the tree; prints both (exit code, stdout, stderr) of each.
+DISPATCH_CHILD = """
+import contextlib, io, json, sys
+from charzeros import cli
+cli._build_parser()
+commands = cli._COMMANDS
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return [rc, out.getvalue(), err.getvalue()]
+
+pairs = []
+for argv in json.loads(sys.argv[1]):
+    cli._COMMANDS = commands
+    fast = run(argv)
+    cli._COMMANDS = {}
+    pairs.append([fast, run(argv)])
+print(json.dumps(pairs))
+"""
+
+
 def _version(python: str) -> str | None:
     """The interpreter's version, or None when it does not start."""
     try:
@@ -116,9 +170,9 @@ def _on_path(name: str) -> str | None:
     return None
 
 
-def _run(python: str, argvs: list[list[str]], hashseed: str) -> dict:
+def _run(python: str, argvs: list[list[str]], hashseed: str, child: str = CHILD) -> dict | list:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
-    proc = subprocess.run([python, "-c", CHILD, json.dumps(argvs)], capture_output=True,
+    proc = subprocess.run([python, "-c", child, json.dumps(argvs)], capture_output=True,
                           text=True, timeout=600, env=env, cwd=ROOT)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()
@@ -165,6 +219,11 @@ def check(python: str) -> list[str]:
                  for k, got in zip(keys, res["outputs"]) if got != digests[k]]
     if res["sympy"]:
         problems.append("torus loaded sympy")
+    pairs = _run(python, list(DISPATCH), "0", DISPATCH_CHILD)
+    problems += [f"dispatch {' '.join(argv) or '(no words)'}: exit {fast[0]}, "
+                 f"{len(fast[1])}/{len(fast[2])} chars on stdout/stderr; from the top, "
+                 f"exit {full[0]}, {len(full[1])}/{len(full[2])}"
+                 for argv, (fast, full) in zip(DISPATCH, pairs) if fast != full]
     return problems
 
 
