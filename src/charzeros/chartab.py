@@ -49,10 +49,11 @@ The numbers mod l are small (l = 16381 for Sz(8):3, the largest in the
 registry), so the computation needs no computer algebra: the eigenvalues are
 the roots of minimal polynomials in `fpoly`, and l, a primitive exp(G)-th
 root of unity mod l (any one, as the rows are sorted) and each degree (the
-least d <= sqrt|G| with d^2 = |G|/s mod l) are found by trial.  Every number
-factored here goes to `cyclo.trial_factor`, trial division alone: an element
-order or the exponent, whose primes are at most 251, p - 1 for such a p, and
-l.
+least d <= sqrt|G| with d^2 = |G|/s mod l) are found by trial.  l is the
+first candidate that `numtheory.is_prime` (Miller-Rabin) accepts.  Every
+number factored here goes to `cyclo.trial_factor`, trial division alone: an
+element order or the exponent, whose primes are at most 251, and p - 1 for
+such a p.
 
 A table file is read in one pass (`table_from_text`).  Its class data is
 checked first, the class count against `groupcore.MAX_CLASSES` before the
@@ -71,6 +72,7 @@ from typing import NamedTuple
 from . import fpoly
 from .cyclo import CycloNum, hermitian_sum, serial_terms, trial_factor
 from .groupcore import MAX_CLASSES, Group, canonical_cycle_points, format_cycles
+from .numtheory import is_prime
 
 
 class TableFileError(ValueError):
@@ -146,8 +148,8 @@ def _rref(mat, l):
     return pivots
 
 
-def _kernel_basis(mat, l):
-    m = [row[:] for row in mat]
+def _kernel_basis(m, l):
+    """A basis of the kernel of the matrix m mod l; reduces m in place."""
     cols = len(m[0])
     pivots = _rref(m, l)
     pivot_set = set(pivots)
@@ -215,7 +217,7 @@ def _eigenspaces(b, c, basis, l):
     meets the e-eigenspace in the line of u_e alone, so that eigenspace is
     larger than a line exactly when e is an eigenvalue of b on V/K, of
     dimension d - s.  If s = d, every eigenspace is a line.  Otherwise the
-    pass's rows are back-substituted to the reduced row-echelon form of K, b
+    pass's rows are brought to the reduced row-echelon form of K (`_rref`), b
     acts on V/K as Q, its columns at the non-pivots reduced against K, and
     each w in the kernel of Q - e lifts: with v = w at the non-pivots and 0
     at the pivots, (b - e) v lies in K, say g(b) c, and when g(e) = 0,
@@ -235,22 +237,16 @@ def _eigenspaces(b, c, basis, l):
     s = len(krylov)
     left = d - s  # dimensions of V/K that no lift has filled yet
     if left:
-        # each row R = sum_j T_j K_j zeroed also at the pivots of the rows
-        # formed after it: K in reduced row-echelon form, each R followed by T
-        echelon = []
-        for t, row in reversed(reduced):
-            for u, done in echelon:
-                x = row[u]
-                if x:
-                    row = [(y - x * z) % l for y, z in zip(row, done)]
-            echelon.append((t, row))
-        echelon.sort()
-        pivots = [t for t, _ in echelon]
+        # K in reduced row-echelon form, each row R = sum_j T_j K_j followed
+        # by its T; the rows are independent in their first d columns, so
+        # every pivot is there
+        echelon = [row for _, row in reduced]
+        pivots = _rref(echelon, l)
         rest = [j for j in range(d) if j not in pivots]
         at_pivots = [[b[t][j] for t in pivots] for j in rest]  # b's columns at the pivots
         quotient = [[(b[i][j] - sum(map(mul, ri, bj))) % l for j, bj in zip(rest, at_pivots)]
-                    for i, ri in zip(rest, ([row[i] for _, row in echelon] for i in rest))]
-        coefficients = list(zip(*(row[d:d + s] for _, row in echelon)))  # T_j of the rows, by j
+                    for i, ri in zip(rest, ([row[i] for row in echelon] for i in rest))]
+        coefficients = list(zip(*(row[d:d + s] for row in echelon)))  # T_j of the rows, by j
     kcols = list(zip(*krylov))
     # a block of the whole space has the identity basis, and needs no mapping
     columns = list(zip(*basis)) if d < len(basis[0]) else None
@@ -338,7 +334,7 @@ def _separate(group: Group, l: int) -> list[list[int]]:
 def _prime_above(bound: int, step: int) -> int:
     """The least prime l > bound with l = 1 (mod step)."""
     l = bound + 1 + -bound % step
-    while trial_factor(l) != [(l, 1)]:
+    while not is_prime(l):
         l += step
     return l
 
@@ -471,8 +467,10 @@ class TableReport(NamedTuple):
 
 
 # From this bound on |<chi_i, chi_j> - want| up, the row relations are summed
-# exactly: it caps the trial division that finds the prime of `_rows_hold_mod_l`.
-# The registry's largest bound is 686,400 (PSU(3,4)).
+# exactly instead of mod the prime of `_rows_hold_mod_l`, so that the search
+# for that prime, and the arithmetic mod it, stay bounded however large a
+# table file's coefficients are.  The registry's largest bound is 686,400
+# (PSU(3,4)).
 _MODULAR_CEILING = 1 << 32
 
 

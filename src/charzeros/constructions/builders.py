@@ -4,29 +4,38 @@ Projective-line groups act on q+1 points ordered [infinity, 0, 1, ..., q-1]
 with field elements in their canonical integer labels; matrix groups act on
 canonically ordered vector or point lists.  Both conventions exist so that
 generator permutations, and hence everything downstream, are reproducible.
+Each generator is a map of the points, read as a permutation of their
+indices by `_action`.
 """
 
 from __future__ import annotations
 
 from ..fields import FqField, gf
 from ..groupcore import MAX_DEGREE, Group
-from ..cyclo import trial_factor
+from ..numtheory import prime_power
 
 
 MIN_Q, MAX_Q_LINEAR = 4, 32
 
 
 def _field_of(q: int) -> FqField:
-    pf = trial_factor(q)
-    if len(pf) != 1:
+    pf = prime_power(q)
+    if pf is None:
         raise ValueError(f"{q} is not a prime power")
-    return gf(*pf[0])
+    return gf(*pf)
 
 
 def _check_q(q: int):
     if not MIN_Q <= q <= MAX_Q_LINEAR:
         raise ValueError(f"q = {q} outside the supported range "
                           f"[{MIN_Q}, {MAX_Q_LINEAR}]")
+
+
+def _action(points: list, f) -> tuple[int, ...]:
+    """The permutation that sends the index of each point x to the index
+    of f(x)."""
+    index = {x: i for i, x in enumerate(points)}
+    return tuple(index[f(x)] for x in points)
 
 
 # -- cyclic and alternating ------------------------------------------------
@@ -51,24 +60,21 @@ def alternating(n: int) -> Group:
 
 # -- projective-line groups --------------------------------------------------
 
-INF = 0
+INF = None
 
 
 def _mobius_perm(F: FqField, a: int, b: int, c: int, d: int) -> tuple[int, ...]:
     """z -> (az + b)/(cz + d) on [infinity] + field elements."""
-    imgs = [0] * (F.q + 1)
-    imgs[INF] = INF if c == 0 else 1 + F.div(a, c)
-    for z in F.elements():
+    def image(z):
+        if z is INF:
+            return INF if c == 0 else F.div(a, c)
         den = F.add(F.mul(c, z), d)
-        if den == 0:
-            imgs[1 + z] = INF
-        else:
-            imgs[1 + z] = 1 + F.div(F.add(F.mul(a, z), b), den)
-    return tuple(imgs)
+        return INF if den == 0 else F.div(F.add(F.mul(a, z), b), den)
+    return _action([INF, *F.elements()], image)
 
 
 def _frobenius_perm(F: FqField) -> tuple[int, ...]:
-    return (INF,) + tuple(1 + F.frobenius(z) for z in F.elements())
+    return _action([INF, *F.elements()], lambda z: z if z is INF else F.frobenius(z))
 
 
 def psl2(q: int) -> Group:
@@ -122,12 +128,11 @@ def sl2(q: int) -> Group:
                           f"more than the largest degree {MAX_DEGREE}")
     F = _field_of(q)
     vecs = [(x, y) for x in F.elements() for y in F.elements() if (x, y) != (0, 0)]
-    idx = {v: i for i, v in enumerate(vecs)}
 
     def perm_of(m):
         (a, b), (c, d) = m
-        return tuple(idx[(F.add(F.mul(a, x), F.mul(b, y)),
-                          F.add(F.mul(c, x), F.mul(d, y)))] for x, y in vecs)
+        return _action(vecs, lambda v: (F.add(F.mul(a, v[0]), F.mul(b, v[1])),
+                                         F.add(F.mul(c, v[0]), F.mul(d, v[1]))))
 
     g = F.generator
     gens = [perm_of(((1, 1), (0, 1))),
@@ -141,50 +146,39 @@ def sl2(q: int) -> Group:
 def _suzuki_maps(F: FqField):
     """Sz(q) for q = 2^(2n+1), acting on [infinity] + F_q^2 with the twisting
     endomorphism theta: x -> x^(2^(n+1)), theta^2 = Frobenius."""
-    q = F.q
+    points = [INF] + [(a, b) for a in F.elements() for b in F.elements()]
     theta_exp = 1 << ((F.f + 1) // 2)
 
     def theta(x):
         return F.pow(x, theta_exp)
 
-    def pt(a, b):
-        return 1 + q * a + b
+    def affine(f):
+        """The permutation of a map f(a, b) of F_q^2 that fixes infinity."""
+        return _action(points, lambda v: INF if v is INF else f(*v))
 
     def t_perm(c, d):
-        imgs = [INF] * (q * q + 1)
-        for a in F.elements():
-            act = F.mul(a, theta(c))
-            for b in F.elements():
-                imgs[pt(a, b)] = pt(F.add(a, c), F.add(F.add(b, d), act))
-        return tuple(imgs)
+        tc = theta(c)
+        return affine(lambda a, b: (F.add(a, c), F.add(F.add(b, d), F.mul(a, tc))))
 
     def m_perm(k):
         kt = F.mul(k, theta(k))
-        imgs = [INF] * (q * q + 1)
-        for a in F.elements():
-            for b in F.elements():
-                imgs[pt(a, b)] = pt(F.mul(k, a), F.mul(kt, b))
-        return tuple(imgs)
+        return affine(lambda a, b: (F.mul(k, a), F.mul(kt, b)))
+
+    def w(v):
+        if v is INF:
+            return 0, 0
+        if v == (0, 0):
+            return INF
+        a, b = v
+        fi = F.inv(F.add(F.add(F.mul(theta(a), F.mul(a, a)), F.mul(a, b)),
+                         theta(b)))
+        return F.mul(b, fi), F.mul(a, fi)
 
     def w_perm():
-        imgs = [pt(0, 0)] * (q * q + 1)
-        for a in F.elements():
-            for b in F.elements():
-                if a == 0 and b == 0:
-                    imgs[pt(a, b)] = INF
-                    continue
-                f = F.add(F.add(F.mul(theta(a), F.mul(a, a)), F.mul(a, b)),
-                          theta(b))
-                fi = F.inv(f)
-                imgs[pt(a, b)] = pt(F.mul(b, fi), F.mul(a, fi))
-        return tuple(imgs)
+        return _action(points, w)
 
     def frob_perm():
-        imgs = [INF] * (q * q + 1)
-        for a in F.elements():
-            for b in F.elements():
-                imgs[pt(a, b)] = pt(F.frobenius(a), F.frobenius(b))
-        return tuple(imgs)
+        return affine(lambda a, b: (F.frobenius(a), F.frobenius(b)))
 
     return t_perm, m_perm, w_perm, frob_perm
 
@@ -228,7 +222,6 @@ def unitary3() -> Group:
     pts += [(0, 1, x3) for x3 in F.elements()]
     pts.append((0, 0, 1))
     iso = [v for v in pts if herm(v, v) == 0]
-    idx = {v: i for i, v in enumerate(iso)}
 
     def perm_of(m):
         def apply(v):
@@ -236,7 +229,7 @@ def unitary3() -> Group:
                 F.add(F.add(F.mul(m[i][0], v[0]), F.mul(m[i][1], v[1])),
                       F.mul(m[i][2], v[2]))
                 for i in range(3))
-        return tuple(idx[normalize(apply(v))] for v in iso)
+        return _action(iso, lambda v: normalize(apply(v)))
 
     b0 = next(b for b in F.elements() if F.add(b, conj(b)) == 1)
     lam = F.generator

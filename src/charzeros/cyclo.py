@@ -36,11 +36,12 @@ goes to `trial_factor`, trial division alone, and is bounded:
   points (a table file's are checked against its representatives before any
   entry is read), so their primes are at most 251;
 - field sizes are at most `fields.MAX_Q`;
-- l and l - 1, for a working prime l just above a bound under 2^32;
 - the n of a `numtheory` primitive-divisor search, below
   `numtheory.SEARCH_LIMIT`, or of a cyclotomic value it forms.
-Whether a number is a prime power (a centre order or a degree, say) is
-decided by `numtheory.prime_power`, which needs no factorisation.
+Whether a number is prime (the working prime l of `chartab`, the p of a
+field) or a prime power (a field size, a centre order or a degree) is
+decided by `numtheory.is_prime` and `numtheory.prime_power`, which need no
+factorisation.
 A table file's entry has its m compared with the exponent before m is
 factored, and an order m that does not divide lcm(1..256), as every table's
 exponent does, is refused before it is factored, whatever builds the value.

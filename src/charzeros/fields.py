@@ -26,6 +26,7 @@ from functools import cache
 
 from . import fpoly
 from .cyclo import trial_factor
+from .numtheory import is_prime
 
 
 # Largest field order.  Building a field takes q - 1 polynomial products, a
@@ -49,8 +50,8 @@ def _word_to_poly(word: tuple[int, ...], p: int) -> list[int]:
 @cache
 def conway_polynomial(p: int, f: int) -> tuple[int, ...]:
     """Ascending coefficients (c_0, ..., c_f) of the Conway polynomial."""
-    # a p above MAX_Q is refused by size, so trial division stays bounded
-    if p < 2 or (p <= MAX_Q and trial_factor(p) != [(p, 1)]):
+    # a p above MAX_Q is refused by size below, prime or not
+    if p <= MAX_Q and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("f must be >= 1")

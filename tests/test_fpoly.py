@@ -15,7 +15,7 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
 from charzeros import fpoly
-from charzeros.chartab import _prime_above, _root_of_unity
+from charzeros.chartab import _MODULAR_CEILING, _prime_above, _root_of_unity
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
@@ -57,6 +57,12 @@ def test_arithmetic_matches_galoistools(args, e):
 
 
 def test_registry_primes_are_the_least_dixon_primes():
+    def least(bound, m):
+        l = bound + 1
+        while l % m != 1 % m or not sympy.isprime(l):
+            l += 1
+        return l
+
     assert len(SHAPES) > 20 and REGISTRY_PRIMES[-1] == 16381  # Sz(8):3
     for n, m in SHAPES:
         l = m + 1
@@ -65,10 +71,11 @@ def test_registry_primes_are_the_least_dixon_primes():
         assert _prime_above(isqrt(4 * n), m) == l, (n, m)
         # any lower bound, as verify's l > B + |G| takes
         for bound in (0, 1, m, 10 * n, 10 * n + 1):
-            l = bound + 1
-            while l % m != 1 % m or not sympy.isprime(l):
-                l += 1
-            assert _prime_above(bound, m) == l, (bound, m)
+            assert _prime_above(bound, m) == least(bound, m), (bound, m)
+    # verify's bound B + |G| stays below the ceiling, so these are its largest
+    for m in (1, 2, 60, 2520):
+        for bound in (_MODULAR_CEILING - 2520, _MODULAR_CEILING - 2, _MODULAR_CEILING - 1):
+            assert _prime_above(bound, m) == least(bound, m), (bound, m)
 
 
 def test_root_of_order_l_minus_1_is_the_least_primitive_root():
