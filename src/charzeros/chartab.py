@@ -18,8 +18,9 @@ other block takes one Krylov pass over the block's part of the identity
 class: each vector is reduced against the earlier ones as it is formed, and
 the first dependence gives the minimal polynomial, whose roots are the
 eigenvalues (`fpoly.split_roots`).  Each eigenvector is one combination of
-those vectors per root, and a kernel mod l is solved only for an eigenspace
-that is not a line, on the quotient of the block by their span
+those vectors per root e, read off the quotient of the minimal polynomial
+by x - e (`fpoly.divmod_`), and a kernel mod l is solved only for an
+eigenspace that is not a line, on the quotient of the block by their span
 (`_eigenspaces`).  Each inner product of the split, as of the transforms of
 the lift below, is one C-level sum(map(mul, a, b)) % l.  The split is
 deterministic.
@@ -48,12 +49,11 @@ every failing one.
 The numbers mod l are small (l = 16381 for Sz(8):3, the largest in the
 registry), so the computation needs no computer algebra: the eigenvalues are
 the roots of minimal polynomials in `fpoly`, and l, a primitive exp(G)-th
-root of unity mod l (any one, as the rows are sorted) and each degree (the
-least d <= sqrt|G| with d^2 = |G|/s mod l) are found by trial.  l is the
-first candidate that `numtheory.is_prime` (Miller-Rabin) accepts.  Every
-number factored here goes to `cyclo.trial_factor`, trial division alone: an
-element order or the exponent, whose primes are at most 251, and p - 1 for
-such a p.
+root of unity mod l (`numtheory.root_of_unity`; any one, as the rows are
+sorted) and each degree (the least d <= sqrt|G| with d^2 = |G|/s mod l) are
+found by trial.  l is the first candidate that `numtheory.is_prime`
+accepts.  The `numtheory` module docstring states which numbers are
+factored, and how.
 
 A table file is read in one pass (`table_from_text`).  Its class data is
 checked first, the class count against `groupcore.MAX_CLASSES` before the
@@ -70,9 +70,9 @@ from operator import mul
 from typing import NamedTuple
 
 from . import fpoly
-from .cyclo import CycloNum, hermitian_sum, serial_terms, trial_factor
+from .cyclo import CycloNum, hermitian_sum, serial_terms
 from .groupcore import MAX_CLASSES, Group, canonical_cycle_points, format_cycles
-from .numtheory import is_prime
+from .numtheory import is_prime, root_of_unity, trial_factor
 
 
 class TableFileError(ValueError):
@@ -195,14 +195,6 @@ def _shift(m, e, l):
     return [[(x - e * (t == k)) % l for k, x in enumerate(row)] for t, row in enumerate(m)]
 
 
-def _by_linear(f, e, l):
-    """Quotient and remainder of f (ascending) by x - e: synthetic division."""
-    q, acc = [0] * (len(f) - 1), 0
-    for j in range(len(f) - 1, 0, -1):
-        q[j - 1] = acc = (f[j] + e * acc) % l
-    return q, (f[0] + e * acc) % l
-
-
 def _eigenspaces(b, c, basis, l):
     """The eigenspaces of b, the restriction of a class matrix to a block, as
     one new block (basis, pivots, start vector) per eigenvalue, ascending.
@@ -252,7 +244,7 @@ def _eigenspaces(b, c, basis, l):
     columns = list(zip(*basis)) if d < len(basis[0]) else None
     split = []
     for e in roots:
-        q = _by_linear(p, e, l)[0]
+        q = fpoly.divmod_(p, [-e % l, 1], l)[0]
         vecs = [[sum(map(mul, q, col)) % l for col in kcols]]  # u_e
         for w in _kernel_basis(_shift(quotient, e, l), l) if left else ():
             v = [0] * d
@@ -262,7 +254,7 @@ def _eigenspaces(b, c, basis, l):
             # are its coordinates on the rows R; then (b - e) v = g(b) c
             at = [sum(map(mul, b[t], v)) % l for t in pivots]
             g = [sum(map(mul, at, tj)) % l for tj in coefficients]
-            h, r = _by_linear(g, e, l)
+            h, r = fpoly.divmod_(g, [-e % l, 1], l)
             if not r:  # else this w lifts to no eigenvector, and V/K stays unfilled
                 left -= 1
                 vecs.append([(x - sum(map(mul, h, col))) % l for x, col in zip(v, kcols)])
@@ -339,16 +331,6 @@ def _prime_above(bound: int, step: int) -> int:
     return l
 
 
-def _root_of_unity(l: int, m: int) -> int:
-    """A primitive m-th root of unity mod the prime l: the first a^((l-1)/m),
-    a = 1, 2, ..., of order m (for m = l - 1, the least primitive root).  Any
-    other conjugates each row by a sigma_k, which permutes the sorted rows.
-    A forced l with m not dividing l - 1 has none, and verify decides."""
-    qs = [q for q, _ in trial_factor(m)]
-    return next((w for w in (pow(a, (l - 1) // m, l) for a in range(1, l))
-                 if all(pow(w, m // q, l) != 1 for q in qs)), 1)
-
-
 def _dft(xval, powers, mat, l):
     """Multiplicities mod l of the roots of unity in chi on <g>, from chi mod l."""
     xs = [xval[p] for p in powers]
@@ -388,7 +370,7 @@ def character_table(group: Group) -> CharacterTable:
     # sum_s dft[o][t][s] * chi(g^s), for o the order of an irrational class.
     # Each entry is one of the o values w_o^(-k) / o, at k = ts mod o.  Any
     # primitive root serves as w_m^(-1).
-    w = _root_of_unity(l, m)
+    w = root_of_unity(l, m)
     dft = {}
     for o in {o for o, q in zip(orders, rational) if not q}:
         w_inv = pow(w, m // o, l)
@@ -484,7 +466,7 @@ def _unit_generators(m: int) -> list[int]:
         if p == 2:
             roots = [-1, 5][:k - 1]
         else:
-            g = _root_of_unity(p, p - 1)
+            g = root_of_unity(p, p - 1)
             roots = [g + p if k > 1 and pow(g, p - 1, p * p) == 1 else g]
         lift = m // q * pow(m // q, -1, q)  # 1 mod q, 0 mod m/q
         gens += [(1 + (g - 1) * lift) % m for g in roots]
@@ -563,7 +545,7 @@ def _rows_hold_mod_l(t: CharacterTable, values: list[tuple], cells: list[list[in
     if bound + n >= _MODULAR_CEILING:
         return False
     l = _prime_above(bound + n, m)
-    w = _root_of_unity(l, m)
+    w = root_of_unity(l, m)
     at = [sum(c * pow(w, e, l) for e, c in v) % l for v in values]
     conj = [sum(c * pow(w, -e % m, l) for e, c in v) % l for v in values]  # at w^-1
     xs = [[s * at[x] for s, x in zip(sizes, row)] for row in cells]

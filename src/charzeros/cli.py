@@ -70,7 +70,7 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    Path(out).write_text(text)
+    Path(out).write_text(text, encoding="utf-8")
     if summary:
         print(f"wrote {out} ({summary})")
 
@@ -87,7 +87,7 @@ def _obtain_table(target: str, max_order: int) -> CharacterTable:
         raise RegistryError(
             f"{target!r} is neither a registry group nor a readable file; "
             f"known groups: {', '.join(sorted(registry_names()))}")
-    text = p.read_text()
+    text = p.read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
         t = table_from_text(text)
         rep = verify_table(t)
@@ -119,8 +119,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        t = table_from_text(Path(args.file).read_text())
-    except TableFileError as exc:
+        t = table_from_text(Path(args.file).read_text(encoding="utf-8"))
+    except (TableFileError, UnicodeDecodeError) as exc:
         print(f"{args.file}: malformed table file: {exc}", file=sys.stderr)
         return 1
     rep = verify_table(t)
@@ -248,7 +248,7 @@ def _suite_rows(args, failures: list[str]):
             })
             if args.dir:
                 fname = "".join(c if c.isalnum() else "_" for c in name) + ".tbl"
-                (Path(args.dir) / fname).write_text(table_to_text(t, args.seed))
+                (Path(args.dir) / fname).write_text(table_to_text(t, args.seed), encoding="utf-8")
     finally:
         pool.shutdown(cancel_futures=True)
     survey = simple_one_class_survey(simple_tables)
@@ -290,7 +290,7 @@ def _cmd_suite(args) -> int:
         report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
     if args.dir:
-        (Path(args.dir) / "report.txt").write_text(report)
+        (Path(args.dir) / "report.txt").write_text(report, encoding="utf-8")
     for f in failures:
         print(f, file=sys.stderr)
     return 1 if failures else 0

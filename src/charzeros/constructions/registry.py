@@ -63,7 +63,8 @@ class GroupRecipe(NamedTuple):
 def _shipped(filename: str) -> Group:
     from importlib import resources  # only the two 3.A6 recipes read shipped data
 
-    return parse_group_file((resources.files("charzeros") / "data" / filename).read_text())
+    data = resources.files("charzeros") / "data" / filename
+    return parse_group_file(data.read_text(encoding="utf-8"))
 
 
 RECIPES: tuple[GroupRecipe, ...] = (

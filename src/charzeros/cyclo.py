@@ -30,21 +30,12 @@ ring Z[C_m] and reduced once, serves the orthogonality checks of a table
 that fails `chartab.verify_table`: an accepted table has its inner products
 decided modulo a prime instead.
 
-Nothing in the package needs computer algebra.  Every number it factors
-goes to `trial_factor`, trial division alone, and is bounded:
-- element orders and the exponent are orders of permutations on at most 256
-  points (a table file's are checked against its representatives before any
-  entry is read), so their primes are at most 251;
-- field sizes are at most `fields.MAX_Q`;
-- the n of a `numtheory` primitive-divisor search, below
-  `numtheory.SEARCH_LIMIT`, or of a cyclotomic value it forms.
-Whether a number is prime (the working prime l of `chartab`, the p of a
-field) or a prime power (a field size, a centre order or a degree) is
-decided by `numtheory.is_prime` and `numtheory.prime_power`, which need no
-factorisation.
-A table file's entry has its m compared with the exponent before m is
-factored, and an order m that does not divide lcm(1..256), as every table's
-exponent does, is refused before it is factored, whatever builds the value.
+Nothing in the package needs computer algebra.  An order m is factored by
+`numtheory.trial_factor`; the `numtheory` module docstring states the
+package's one policy for primes and factoring.  A table file's entry has its m compared with the
+exponent before m is factored, and an order m that does not divide
+lcm(1..256), as every table's exponent does, is refused before it is
+factored, whatever builds the value.
 """
 
 from __future__ import annotations
@@ -52,29 +43,11 @@ from __future__ import annotations
 from functools import cache
 from math import lcm
 
+from .numtheory import trial_factor
+
 # lcm(1..256): every exponent of a group on at most 256 points divides it,
 # 256 being groupcore.MAX_DEGREE, so every order a table has does too
 _ORDER_LCM = lcm(*range(1, 257))
-
-
-def trial_factor(n: int) -> list[tuple[int, int]]:
-    """The prime factorisation of n >= 1 as ascending (p, k) pairs, by trial
-    division.  Once d * d exceeds what is left, the rest is 1 or prime, so
-    it takes about max(p2, sqrt(p1)) / 2 steps for the largest primes
-    p1 >= p2 of n: it serves the bounded numbers of the module docstring."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            k = 0
-            while n % d == 0:
-                n //= d
-                k += 1
-            out.append((d, k))
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 @cache

@@ -25,8 +25,7 @@ import itertools
 from functools import cache
 
 from . import fpoly
-from .cyclo import trial_factor
-from .numtheory import is_prime
+from .numtheory import is_prime, trial_factor
 
 
 # Largest field order.  Building a field takes q - 1 polynomial products, a

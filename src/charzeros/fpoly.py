@@ -14,6 +14,8 @@ and starts the search for its roots.
 
 from __future__ import annotations
 
+from .numtheory import root_of_unity
+
 
 def _strip(a: list[int]) -> list[int]:
     while a and not a[-1]:
@@ -91,11 +93,11 @@ def gcd(a: list[int], b: list[int], l: int) -> list[int]:
 def _sqrt(a: int, l: int) -> int:
     """A square root of a nonzero square a mod an odd prime l, by
     Tonelli-Shanks: with l - 1 = q 2^s, q odd, r = a^((q+1)/2) has
-    r^2 = a t, and t = a^q is brought to 1 by powers of z^q, z a non-square."""
+    r^2 = a t, and t = a^q is brought to 1 by powers of c, a primitive
+    2^s-th root of unity (z^q for the least non-square z)."""
     s = ((l - 1) & (1 - l)).bit_length() - 1
     q = (l - 1) >> s
-    z = next(z for z in range(2, l) if pow(z, (l - 1) // 2, l) == l - 1)
-    c, t, r = pow(z, q, l), pow(a, q, l), pow(a, (q + 1) // 2, l)
+    c, t, r = root_of_unity(l, 1 << s), pow(a, q, l), pow(a, (q + 1) // 2, l)
     while t != 1:  # t has order 2^i < 2^s, c order 2^s
         i, u = 0, t
         while u != 1:

@@ -1,24 +1,41 @@
 """Exact number-theoretic primitives, in integer arithmetic alone.
 
 Primality (deterministic Miller-Rabin below 3.3 * 10^24, BPSW above),
-prime powers, cyclotomic polynomial values, least primitive prime divisors
-(with the two classical exception patterns), a strict-inequality sweep over
-every prime power bounding field automorphism counts against class counts
-(its primes from an in-house sieve), searches for restricted q-1/q+1
-factorizations over q = 2^k +- 1, and maximal-torus order evaluation for
-the classical and exceptional families.  Everything is integer-exact and
-needs no computer algebra.  The verbs that take a number from a user end in
-bounded time: an input past one of the fixed limits below (`MAX_BITS`,
-`SEARCH_LIMIT`, `RHO_STEPS`, `ECM_STEPS`) raises `Unresolved`, never a
-guess.
+prime powers, trial factorisation, roots of unity mod a prime, cyclotomic
+polynomial values, least primitive prime divisors (with the two classical
+exception patterns), a strict-inequality sweep over every prime power
+bounding field automorphism counts against class counts (its primes from an
+in-house sieve), searches for restricted q-1/q+1 factorizations over
+q = 2^k +- 1, and maximal-torus order evaluation for the classical and
+exceptional families.  Everything is integer-exact and needs no computer
+algebra.  The verbs that take a number from a user end in bounded time: an
+input past one of the fixed limits below (`MAX_BITS`, `SEARCH_LIMIT`,
+`RHO_STEPS`, `ECM_STEPS`) raises `Unresolved`, never a guess.
+
+This module is the package's one home of integer arithmetic, and imports no
+other module of the package.  Every module tests primes and factors numbers
+by its one policy:
+- whether a number is prime (the working prime l of `chartab`, the p of a
+  field) or a prime power (a field size, a centre order, a degree, the q of
+  a builder) is decided by `is_prime` and `prime_power`, which factor
+  nothing;
+- every other number the package factors goes to `trial_factor`, trial
+  division alone, and is bounded: element orders and the exponent are
+  orders of permutations on at most 256 points, so their primes are at most
+  251 (a table file's are checked against its representatives before any
+  entry is read, and a cyclotomic order that does not divide lcm(1..256) is
+  refused before it is factored); p - 1 for such a prime p; a field size
+  less one, below `fields.MAX_Q`; and the n of a primitive-divisor search,
+  at most `SEARCH_LIMIT`, or of a cyclotomic value;
+- only the cofactor of Phi_n(q) in `zsigmondy` is factored otherwise, by a
+  budgeted Pollard-Brent rho and then budgeted elliptic curves, and
+  `outer_bound_sweep` sieves its own primes.
 """
 
 from functools import cache
 from itertools import compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
-
-from .cyclo import trial_factor
 
 
 class Unresolved(RuntimeError):
@@ -73,6 +90,34 @@ def _strip(x: int, p: int) -> tuple[int, int]:
         x //= p
         e += 1
     return e, x
+
+
+def trial_factor(n: int) -> list[tuple[int, int]]:
+    """The prime factorisation of n >= 1 as ascending (p, k) pairs, by trial
+    division.  Once d * d exceeds what is left, the rest is 1 or prime, so
+    it takes about max(p2, sqrt(p1)) / 2 steps for the largest primes
+    p1 >= p2 of n: it serves the bounded numbers of the module docstring."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k, n = _strip(n, d)
+            out.append((d, k))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
+def root_of_unity(l: int, m: int) -> int:
+    """A primitive m-th root of unity mod the prime l: the first a^((l-1)/m),
+    a = 1, 2, ..., of order m.  For m = l - 1 it is the least primitive
+    root, and for m = 2^s exactly dividing l - 1 it is z^((l-1)/m) for the
+    least non-residue z.  When m does not divide l - 1 there is none, and
+    what comes back is no such root: the caller decides."""
+    qs = [q for q, _ in trial_factor(m)]
+    return next((w for w in (pow(a, (l - 1) // m, l) for a in range(1, l))
+                 if all(pow(w, m // q, l) != 1 for q in qs)), 1)
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -642,14 +642,14 @@ def test_any_primitive_root_lifts_the_same_table(power, corpus, get_group, monke
     extra = [parse_group_file("degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n"),  # D7
              parse_group_file("degree 12\n(1 2 3 4)(5 6 7)(8 9 10 11 12)\n")]  # C60
     want = [table_to_text(character_table(g)) for g in extra]
-    real = chartab._root_of_unity
+    real = chartab.root_of_unity
 
     def other_root(l, m):
         k = m - 1 if power == "m - 1" else \
             next(k for k in range(2, m + 2) if math.gcd(k, m) == 1)
         return pow(real(l, m), k, l)
 
-    monkeypatch.setattr(chartab, "_root_of_unity", other_root)
+    monkeypatch.setattr(chartab, "root_of_unity", other_root)
     for name in corpus:
         pinned = PINNED_TABLES / (re.sub(r"[^0-9A-Za-z]", "_", name) + ".tbl")
         assert table_to_text(character_table(get_group(name))) == pinned.read_text(), name
@@ -782,7 +782,7 @@ def _reference_lift(group):
     orders = [c.element_order for c in classes]
     powers = group.power_maps
     size_inv = [pow(s, -1, l) for s in group.class_sizes]
-    w = chartab._root_of_unity(l, m)
+    w = chartab.root_of_unity(l, m)
     dft = {}  # dft[o][t][s] = w^(ts m/o) / o
     for o in set(orders):
         scaled = [pow(w, m // o * e, l) * pow(o, -1, l) % l for e in range(o)]
@@ -848,7 +848,7 @@ def test_transforms_run_once_per_galois_orbit_of_rows(corpus, get_group, monkeyp
         t = character_table(g)
         m, r = t.exponent, len(t.classes)
         l = chartab._prime_above(math.isqrt(4 * t.order), m)
-        w_inv = pow(chartab._root_of_unity(l, m), -1, l)  # the lift's image of zeta_m
+        w_inv = pow(chartab.root_of_unity(l, m), -1, l)  # the lift's image of zeta_m
         residues = {tuple(sum(c * pow(w_inv, e, l) for e, c in v.coeffs.items()) % l
                           for v in row): i for i, row in enumerate(t.rows)}
         rows = {residues[x] for x in lifted}

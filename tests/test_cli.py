@@ -85,6 +85,29 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert rc == 1 and "malformed table file" in err
 
 
+def test_verify_non_utf8_file_is_malformed(tmp_path, capsys):
+    # a table file is UTF-8 JSON: any other bytes are a malformed table file
+    f = tmp_path / "bad.tbl"
+    f.write_bytes(b"\xff{")
+    rc, out, err = run(capsys, "verify", str(f))
+    assert (rc, out) == (1, "") and "malformed table file" in err
+
+
+def test_files_are_read_and_written_as_utf8(tmp_path):
+    # every file the program opens names its encoding: one that does not
+    # warns under -X warn_default_encoding, and the warning is made an error
+    src = str(Path(charzeros.__file__).parents[1])
+    cmd = [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+           "-m", "charzeros.cli"]
+    group = str(tmp_path / "a5.txt")
+    for argv in (["build", "A5", "--out", group], ["table", group], ["build", "3.A6"],
+                 ["verify", str(PINNED_TABLES / "A5.tbl")],
+                 ["suite", "--dir", str(tmp_path / "suite")]):
+        proc = subprocess.run(cmd + argv, capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
 def _a5_table(tmp_path, capsys, edit):
     f = tmp_path / "a5.json"
     run(capsys, "table", "A5", "--out", str(f))

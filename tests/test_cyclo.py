@@ -7,13 +7,12 @@ from math import prod
 from pathlib import Path
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charzeros import cyclo
-from charzeros.chartab import central_classes, table_from_text, verify_table
-from charzeros.cyclo import CycloNum, hermitian_sum, serial_terms, trial_factor
+from charzeros.chartab import table_from_text, verify_table
+from charzeros.cyclo import CycloNum, hermitian_sum, serial_terms
 from charzeros.vanishing import classify_one_class, star_survey, two_prime_degree_check
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -246,11 +245,6 @@ def test_hash_consistent_across_orders():
 PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
 
-def test_trial_factor_matches_sympy():
-    for n in (*range(1, 10**5 + 1), 40009 * 40013, 2**3 * 1000003**2):
-        assert trial_factor(n) == sorted(sympy.factorint(n).items()), n
-
-
 def test_order_with_two_large_primes_is_refused():
     # no table has an order outside lcm(1..256): it is refused, not factored
     cyclo._locals.cache_clear()
@@ -283,17 +277,8 @@ def test_large_order_refused_in_bounded_time():
 
 
 def test_read_path_factors_pinned_tables_without_sympy():
-    # every number the read path factors, checked against sympy ...
-    tables = [table_from_text(f.read_text()) for f in sorted(PINNED_TABLES.glob("*.tbl"))]
-    assert len(tables) == 35
-    for t in tables:
-        z = sum(t.classes[j].size for j in central_classes(t))
-        numbers = {t.exponent, z, *(c.element_order for c in t.classes),
-                   *(t.degree(i) for i in range(len(t.rows)))}
-        for n in numbers:
-            assert trial_factor(n) == sorted(sympy.factorint(n).items()), (t.group, n)
-
-    # ... and the read path, cold, runs every verdict on them
+    # the read path, cold, runs every verdict on the pinned tables (the
+    # numbers it factors there are checked against sympy in test_numtheory)
     cyclo._locals.cache_clear()
     for f in sorted(PINNED_TABLES.glob("*.tbl")):
         t = table_from_text(f.read_text())

@@ -15,7 +15,7 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import ZZ
 
 from charzeros import fpoly
-from charzeros.chartab import _MODULAR_CEILING, _prime_above, _root_of_unity
+from charzeros.chartab import _MODULAR_CEILING, _prime_above
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
@@ -76,11 +76,6 @@ def test_registry_primes_are_the_least_dixon_primes():
     for m in (1, 2, 60, 2520):
         for bound in (_MODULAR_CEILING - 2520, _MODULAR_CEILING - 2, _MODULAR_CEILING - 1):
             assert _prime_above(bound, m) == least(bound, m), (bound, m)
-
-
-def test_root_of_order_l_minus_1_is_the_least_primitive_root():
-    for l in sorted(set(REGISTRY_PRIMES) | set(sympy.primerange(3, 2000))):
-        assert _root_of_unity(l, l - 1) == sympy.primitive_root(l), l
 
 
 def test_roots_match_galoistools_on_split_products():

@@ -6,12 +6,14 @@ import time
 import tracemalloc
 from fractions import Fraction
 from itertools import compress
+from pathlib import Path
 
 import pytest
 import sympy
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from charzeros import numtheory
+from charzeros.chartab import central_classes, table_from_text
 from charzeros.numtheory import (
     MAX_BITS,
     DiophantineSolutionSet,
@@ -21,10 +23,15 @@ from charzeros.numtheory import (
     is_prime,
     outer_bound_sweep,
     prime_power,
+    root_of_unity,
     torus_orders,
+    trial_factor,
     zsigmondy,
 )
 from helpers import brute_diophantine, brute_zsigmondy
+from test_fpoly import REGISTRY_PRIMES
+
+PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
 
 PRIME_POWERS_50 = [q for q in range(2, 51) if prime_power(q) is not None]
 
@@ -106,6 +113,28 @@ def test_prime_power_matches_factoring():
     assert prime_power(3**40) == (3, 40)
     assert prime_power((2**61 - 1)**3) == (2**61 - 1, 3)
     assert prime_power(2**64 + 1) is None  # 274177 * 67280421310721
+
+
+def test_trial_factor_matches_sympy():
+    for n in (*range(1, 10**5 + 1), 40009 * 40013, 2**3 * 1000003**2):
+        assert trial_factor(n) == sorted(sympy.factorint(n).items()), n
+
+
+def test_trial_factor_matches_sympy_on_the_read_path():
+    # every number the read path factors on the pinned tables
+    tables = [table_from_text(f.read_text()) for f in sorted(PINNED_TABLES.glob("*.tbl"))]
+    assert len(tables) == 35
+    for t in tables:
+        z = sum(t.classes[j].size for j in central_classes(t))
+        numbers = {t.exponent, z, *(c.element_order for c in t.classes),
+                   *(t.degree(i) for i in range(len(t.rows)))}
+        for n in numbers:
+            assert trial_factor(n) == sorted(sympy.factorint(n).items()), (t.group, n)
+
+
+def test_root_of_order_l_minus_1_is_the_least_primitive_root():
+    for l in sorted(set(REGISTRY_PRIMES) | set(sympy.primerange(3, 2000))):
+        assert root_of_unity(l, l - 1) == sympy.primitive_root(l), l
 
 
 def test_cyclotomic_poly_value_matches_sympy():

@@ -112,26 +112,37 @@ def test_numtheory_examples_with_sympy_blocked():
     assert json.loads(proc.stdout)["results"] == [[0, out] for out in examples.values()]
 
 
-def _imports(tree: ast.AST) -> set[str]:
-    """The top-level package of every import in a module, at any depth."""
+def _imports(path: Path) -> set[str]:
+    """The full name of every module that the module at path imports, at any
+    depth.  A relative import is read against the module's package, and
+    `from . import x` names the submodule x."""
+    package = path.relative_to(SRC).parent.parts
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Import):
-            names.update(a.name.split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) + 1 - node.level] if node.level else ()
+            if node.module:
+                names.add(".".join(base + (node.module,)))
+            else:
+                names.update(".".join(base + (a.name,)) for a in node.names)
     return names
 
 
+def _top(names: set[str]) -> set[str]:
+    return {n.split(".")[0] for n in names}
+
+
 def test_no_module_imports_sympy():
-    # the table side factors by trial division alone (`cyclo.trial_factor`)
+    # the table side factors by trial division alone (`numtheory.trial_factor`)
     # and numtheory by Miller-Rabin, BPSW and rho: no module may import sympy,
     # even inside a function.
     package = Path(SRC) / "charzeros"
     modules = sorted(package.rglob("*.py"))
     assert len(modules) > 10
     assert [p.relative_to(package).as_posix() for p in modules
-            if "sympy" in _imports(ast.parse(p.read_text(), str(p)))] == []
+            if "sympy" in _top(_imports(p))] == []
 
 
 def test_no_module_imports_dataclasses():
@@ -141,7 +152,26 @@ def test_no_module_imports_dataclasses():
     modules = sorted(package.rglob("*.py"))
     assert len(modules) > 10
     assert [p.relative_to(package).as_posix() for p in modules
-            if "dataclasses" in _imports(ast.parse(p.read_text(), str(p)))] == []
+            if "dataclasses" in _top(_imports(p))] == []
+
+
+def test_numtheory_is_the_leaf_of_the_import_graph():
+    # integer arithmetic lives in numtheory, which imports no module of the
+    # package; fpoly, the one F_l[x], imports numtheory alone; and no other
+    # module defines its own trial division or root-of-unity search
+    package = Path(SRC) / "charzeros"
+
+    def ours(name):
+        return sorted(n for n in _imports(package / name) if n.startswith("charzeros."))
+
+    assert ours("numtheory.py") == []
+    assert ours("fpoly.py") == ["charzeros.numtheory"]
+    defined = sorted(f"{p.relative_to(package).as_posix()}:{node.name}"
+                     for p in package.rglob("*.py")
+                     for node in ast.walk(ast.parse(p.read_text(encoding="utf-8"), str(p)))
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name.lstrip("_") in ("trial_factor", "root_of_unity"))
+    assert defined == ["numtheory.py:root_of_unity", "numtheory.py:trial_factor"]
 
 
 def test_verify_and_table_start_without_dataclasses(capsys):

@@ -5,7 +5,9 @@
 Each PYTHON is an interpreter to check.  With none, the first working
 `python3.10` ... `python3.13` on PATH is checked for each version.  Every
 interpreter runs `charzeros` from `src/` of this checkout, with
-PYTHONPATH=src and no installed package needed, and must:
+PYTHONPATH=src and no installed package needed, under
+`-X warn_default_encoding -W error::EncodingWarning`, so that a file opened
+without its encoding named fails the leg, and must:
 
 - write with `suite --seed 0 --dir D`, under PYTHONHASHSEED 0 and 1, files
   byte-identical to `perfbench/pinned/tables`;
@@ -50,6 +52,9 @@ PINNED = ROOT / "perfbench" / "pinned"
 TABLES = PINNED / "tables"
 VERBS = ("verify", "zeros", "star", "classify")
 NAMES = tuple(f"python3.{v}" for v in range(10, 14))
+# every file the program opens names its encoding (UTF-8): one that does not
+# warns, and the warning is an error
+ENCODING_GUARD = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
 
 
 def _outer_bound_leg(bound: int) -> tuple[list[str], str]:
@@ -172,8 +177,8 @@ def _on_path(name: str) -> str | None:
 
 def _run(python: str, argvs: list[list[str]], hashseed: str, child: str = CHILD) -> dict | list:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
-    proc = subprocess.run([python, "-c", child, json.dumps(argvs)], capture_output=True,
-                          text=True, timeout=600, env=env, cwd=ROOT)
+    proc = subprocess.run([python, *ENCODING_GUARD, "-c", child, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=600, env=env, cwd=ROOT)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()
         raise RuntimeError(tail[-1] if tail else f"exit {proc.returncode}")
