@@ -10,6 +10,10 @@ all.  center_cyclic holds when some central class has element order |Z(G)|.
 A recipe is an immutable named tuple, so `recipe._replace(...)` derives an
 edited copy.
 
+Only `_mismatch` and `build` use the table code, and each imports `chartab`
+when it runs, so reading the registry (`registry_names`, `find_recipe`)
+loads none of it.
+
 Out orders are |Out(M/Z(M))| per entry, the bound consumed by the
 vanishing-class count condition: gcd(2,q-1)*f for PSL2(q); 1 for complete
 groups (PGL2(q) with prime q, the full automorphism extensions PSL(2,8):3
@@ -25,8 +29,6 @@ the projective one, and neither occurs in the remaining extension.
 from functools import partial
 from typing import Callable, NamedTuple
 
-from ..chartab import (CharacterTable, central_classes, character_table, derived_classes,
-                       is_quasisimple, is_simple)
 from ..groupcore import DEFAULT_ORDER_BUDGET, Group, parse_group_file
 from . import builders
 
@@ -135,9 +137,11 @@ def find_recipe(name: str) -> GroupRecipe:
     raise RegistryError(f"unknown group {name!r}; known: {', '.join(registry_names())}")
 
 
-def _mismatch(recipe: GroupRecipe, t: CharacterTable) -> str | None:
+def _mismatch(recipe: GroupRecipe, t: "CharacterTable") -> str | None:
     """The first of the recipe's facts that the verified table fails (the
     order, the element orders, then the normal structure), or None."""
+    from ..chartab import central_classes, derived_classes, is_quasisimple, is_simple
+
     if t.order != recipe.order:
         return f"order {t.order} != expected {recipe.order}"
     got = sorted({c.element_order for c in t.classes})
@@ -158,7 +162,7 @@ def _mismatch(recipe: GroupRecipe, t: CharacterTable) -> str | None:
             return f"derived subgroup order {got} != expected {recipe.derived}"
 
 
-def bind(t: CharacterTable) -> tuple[GroupRecipe | None, str | None]:
+def bind(t: "CharacterTable") -> tuple[GroupRecipe | None, str | None]:
     """(recipe, None) when a verified table's group is named after a recipe
     and meets its facts, as a file may name its group at will; otherwise
     (None, why), why naming the failing fact, or None for an unknown name."""
@@ -170,9 +174,11 @@ def bind(t: CharacterTable) -> tuple[GroupRecipe | None, str | None]:
     return (None, f"not the registry's {recipe.name}: {why}") if why else (recipe, None)
 
 
-def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> tuple[Group, CharacterTable]:
+def build(name: str, max_order: int = DEFAULT_ORDER_BUDGET) -> tuple[Group, "CharacterTable"]:
     """A registry group and its character table, which must meet the recipe's
     facts; over max_order elements or MAX_CLASSES classes raise BudgetExceeded."""
+    from ..chartab import character_table
+
     recipe = find_recipe(name)
     g = recipe.make()
     g = Group(g.generators, degree=g.degree, name=recipe.name, max_order=max_order)

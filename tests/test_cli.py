@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import charzeros
-from charzeros import cli, numtheory
+from charzeros import chartab, cli, numtheory
 from charzeros.chartab import table_from_text, table_to_text, verify_table
 from charzeros.cli import main
 from charzeros.constructions import registry
@@ -498,8 +498,8 @@ def test_registry_ops_compute_one_table(tmp_path, capsys, monkeypatch):
         log.unlink()
         return names
 
-    real = registry.character_table
-    monkeypatch.setattr(registry, "character_table", counted)
+    real = chartab.character_table
+    monkeypatch.setattr(chartab, "character_table", counted)
     monkeypatch.setattr(cli, "character_table", counted)
     for argv in (["build", "A5"], ["table", "A5"], ["zeros", "A5"], ["star", "A5"],
                  ["classify", "A5"]):

@@ -1,9 +1,12 @@
 import bisect
 import math
+import multiprocessing
+import os
 import random
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import compress
 from pathlib import Path
@@ -214,8 +217,15 @@ ECM_ANSWERS = {
 
 
 def test_zsigmondy_by_elliptic_curves():
+    # the inputs are independent, so they run across the usable CPUs, in
+    # processes started as the suite starts its own (`cli._suite_rows`)
     assert len(ECM_ANSWERS) == 83
-    assert {(q, n): zsigmondy(q, n).prime for q, n in ECM_ANSWERS} == ECM_ANSWERS
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    start = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    with ProcessPoolExecutor(cpus, mp_context=multiprocessing.get_context(start)) as pool:
+        found = pool.map(zsigmondy, *zip(*ECM_ANSWERS))
+        assert {qn: z.prime for qn, z in zip(ECM_ANSWERS, found)} == ECM_ANSWERS
 
 
 def test_elliptic_curves_split_what_rho_cannot(monkeypatch):

@@ -2,10 +2,13 @@
 `import charzeros`, the read verbs on a table file, the verbs that compute a
 table, nor any `numtheory` verb.  Nor does the program import `dataclasses`
 (its records are named tuples), which would pull in `inspect` and `ast`.
-Each run-time check runs in a fresh interpreter, since this one has both
-loaded already; a static check reads every module's imports."""
+Nor does a process import a module of the package that its caller does not
+use: `import charzeros` loads no submodule, and the registry no table code.
+Each run-time check runs in a fresh interpreter, since this one has all of
+them loaded already; a static check reads every module's imports."""
 import ast
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,11 +16,21 @@ import sys
 import typing
 from pathlib import Path
 
+import pytest
+
 import charzeros
 from charzeros.cli import main
 
 SRC = str(Path(charzeros.__file__).parents[1])
-TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
+ROOT = Path(__file__).resolve().parents[1]
+TABLES = ROOT / "perfbench" / "pinned" / "tables"
+
+# the interpreter check pins the modules each import statement loads, and
+# runs that statement alone in a fresh interpreter
+_spec = importlib.util.spec_from_file_location("check_interpreters",
+                                               ROOT / "tools" / "check_interpreters.py")
+check_interpreters = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(check_interpreters)
 
 # Runs each argv of sys.argv[1] through main in turn; prints whether sympy and
 # dataclasses were loaded after the import and after each op, and each op's
@@ -180,6 +193,24 @@ def test_verify_and_table_start_without_dataclasses(capsys):
     assert child["dataclasses"] == [False, False, False]
     assert child["results"] == _here(capsys, argvs)
     assert [rc for rc, _ in child["results"]] == [0, 0]
+
+
+@pytest.mark.parametrize("statement", check_interpreters.IMPORTS)
+def test_each_import_loads_only_the_modules_it_uses(statement):
+    # the package reads each public name from its module on first use, the
+    # registry imports the table code only to compute or check a table, and
+    # numtheory imports no other module; the CLI loads every module
+    assert check_interpreters.loaded(sys.executable, statement) == \
+        check_interpreters.IMPORTS[statement]
+
+
+def test_public_names_resolve_on_first_use():
+    # in a fresh interpreter, dir() lists every public name before it is
+    # read, and each reads as its module's own attribute; any other name is
+    # an AttributeError, as hasattr() needs
+    assert check_interpreters.misread_names(sys.executable) == []
+    with pytest.raises(AttributeError, match="has no attribute 'chartab_'"):
+        charzeros.chartab_
 
 
 def test_record_fields_hold_types_not_forward_references():

@@ -26,6 +26,16 @@ without its encoding named fails the leg, and must:
   `perfbench/pinned/digests.json` in sorted order, the pinned exit code and
   stdout SHA-256 of `numtheory torus FAMILY N Q --format json`;
 - load no sympy while doing so;
+- leave loaded, after each statement of `IMPORTS` run alone in a fresh
+  interpreter, exactly the `charzeros` modules listed for it: `import
+  charzeros` loads no submodule, the registry no table code, `from
+  charzeros.numtheory import zsigmondy` no other module, and
+  `import charzeros.cli` every module;
+- list every name of `charzeros.__all__` in `dir(charzeros)` before any is
+  read, and read each as the attribute of the module that defines it.  The
+  package reads its names on first use through a module `__getattr__` and
+  `__dir__` (PEP 562), so this is where a change of either between
+  versions would show;
 - give, for each argv of `DISPATCH`, the same exit code, stdout and stderr
   from `charzeros.cli.main` as from `main` parsing through
   `_build_parser().parse_args` alone (its table of command parsers emptied).
@@ -89,6 +99,38 @@ NUMTHEORY = {
 }
 # every TORUS_STRIDE-th pinned torus digest, in sorted key order
 TORUS_STRIDE = 8
+
+# The `charzeros` modules that each statement leaves loaded in a fresh
+# interpreter: a process imports only the modules its caller uses.
+IMPORTS = {
+    "import charzeros": ["charzeros"],
+    "import charzeros; charzeros.registry_names()": [
+        "charzeros", "charzeros.constructions", "charzeros.constructions.builders",
+        "charzeros.constructions.registry", "charzeros.fields", "charzeros.fpoly",
+        "charzeros.groupcore", "charzeros.numtheory"],
+    "from charzeros.numtheory import zsigmondy": ["charzeros", "charzeros.numtheory"],
+    "import charzeros.cli": [
+        "charzeros", "charzeros.chartab", "charzeros.cli", "charzeros.constructions",
+        "charzeros.constructions.builders", "charzeros.constructions.registry",
+        "charzeros.cyclo", "charzeros.fields", "charzeros.fpoly", "charzeros.groupcore",
+        "charzeros.numtheory", "charzeros.vanishing"],
+}
+# Appended to a statement of IMPORTS: prints the `charzeros` modules loaded.
+LOADED = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "charzeros")))
+"""
+# Prints each name of `charzeros.__all__` that `dir(charzeros)` leaves out
+# before any name is read, or that reads as other than the attribute of the
+# module that defines it.
+NAMES_CHILD = """
+import importlib, json
+import charzeros
+listed = dir(charzeros)
+print(json.dumps([name for name in charzeros.__all__ if name not in listed
+                  or getattr(charzeros, name) is not getattr(
+                      importlib.import_module(getattr(charzeros, name).__module__), name)]))
+"""
 
 # Runs `charzeros.cli.main` on each argv of the JSON list sys.argv[1] in this
 # process; prints each op's exit code and stdout SHA-256, and whether sympy
@@ -185,6 +227,18 @@ def _run(python: str, argvs: list[list[str]], hashseed: str, child: str = CHILD)
     return json.loads(proc.stdout)
 
 
+def loaded(python: str, statement: str) -> list[str]:
+    """The `charzeros` modules loaded after statement, run alone in a fresh
+    interpreter."""
+    return _run(python, [], "0", statement + LOADED)
+
+
+def misread_names(python: str) -> list[str]:
+    """The names of `charzeros.__all__` that a fresh interpreter leaves out of
+    `dir(charzeros)` or reads as other than their module's attribute."""
+    return _run(python, [], "0", NAMES_CHILD)
+
+
 def check(python: str) -> list[str]:
     """The mismatches of one interpreter against the pinned files."""
     problems = []
@@ -224,6 +278,13 @@ def check(python: str) -> list[str]:
                  for k, got in zip(keys, res["outputs"]) if got != digests[k]]
     if res["sympy"]:
         problems.append("torus loaded sympy")
+    for statement, want in IMPORTS.items():
+        got = loaded(python, statement)
+        if got != want:
+            problems.append(f"{statement}: loads {sorted(set(got) - set(want))} more, "
+                            f"{sorted(set(want) - set(got))} fewer")
+    problems += [f"charzeros.{name}: missing from dir() or not its module's attribute"
+                 for name in misread_names(python)]
     pairs = _run(python, list(DISPATCH), "0", DISPATCH_CHILD)
     problems += [f"dispatch {' '.join(argv) or '(no words)'}: exit {fast[0]}, "
                  f"{len(fast[1])}/{len(fast[2])} chars on stdout/stderr; from the top, "
