@@ -32,8 +32,9 @@ by its one policy:
   `outer_bound_sweep` sieves its own primes.
 """
 
+from collections.abc import Iterable
 from functools import cache
-from itertools import compress
+from itertools import chain, compress
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -506,19 +507,30 @@ def zsigmondy(q: int, n: int) -> ZsigmondyOutcome:
 
 # Largest bound `outer_bound_sweep` accepts.  The sweep sieves every odd number
 # up to its bound, one byte each, so time and memory grow with it: at 10^7 a
-# fresh process takes 0.5-0.75 s and a 23 MB peak (Python 3.11, 2-vCPU host).
+# fresh process takes 0.27-0.31 s and a 23 MB peak (Python 3.11, 2-vCPU host).
 # A fixed limit, not a setting.
 MAX_SWEEP_BOUND = 10**7
 
 
-def _outer_bound_ok(q: int, f: int, part: str) -> bool:
-    """The part's strict inequality at q = p^f, cross-multiplied, so exact:
-    6f + 1 < (q^2 - q - 2) / 9 (part A) or 4f + 1 < (q^2 - 1) / 8 (part B).
+def _outer_bound_failures(qs: Iterable[int], f: int) -> list[tuple[int, str]]:
+    """The points of one run of prime powers q = p^f, all sharing f, where
+    a part's strict inequality fails: 6f + 1 < (q^2 - q - 2) / 9 (part A,
+    on q > 11) or 4f + 1 < (q^2 - 1) / 8 (part B, on odd q >= 7).
 
-    The caller guarantees p prime, f >= 1 and q in the part's domain."""
-    if part == "A":
-        return 9 * (6 * f + 1) < q * q - q - 2
-    return 8 * (4 * f + 1) < q * q - 1
+    Cross-multiplied, so exact: A fails when q^2 - q <= 9(6f + 1) + 2, and
+    B when q^2 <= 8(4f + 1) + 1.  A part is never reported outside its
+    domain.  Returns (q, part) in the order of qs, A before B at one q; qs
+    is read once, so it may be an iterator."""
+    a, b = 9 * (6 * f + 1) + 2, 8 * (4 * f + 1) + 1
+    bad = []
+    for q in qs:
+        s = q * q
+        # the inequality first: past the least q it almost never fails
+        if a >= s - q and q > 11:
+            bad.append((q, "A"))
+        if b >= s and q >= 7 and q % 2 == 1:
+            bad.append((q, "B"))
+    return bad
 
 
 def _odd_sieve(n: int) -> bytearray:
@@ -540,37 +552,30 @@ def outer_bound_sweep(bound: int) -> list[tuple[int, int, str]]:
 
     Each part is checked on its own domain (A: q > 11; B: odd q >= 7), at
     every prime power there, once.  A fresh sieve (`_odd_sieve`) gives the
-    primes, none proved prime again and none stored: the powers of 2 and of
-    the odd primes up to max(sqrt(bound), 11) are walked, then every larger
-    prime is tested as p^1.  Returns the failing (p, f, part) triples in
-    ascending q, part A before part B at the same q; an empty list means both
-    inequalities hold everywhere below the bound.  A bound below 2 or above
-    MAX_SWEEP_BOUND (10^7) raises ValueError before anything is sieved.
+    primes, none proved prime again and none stored but those up to
+    sqrt(bound): every prime is tested as p^1 in one run straight off the
+    sieve, then the powers p^f of the primes up to sqrt(bound) in one run per
+    f >= 2 (`_outer_bound_failures`).  Returns the failing (p, f, part)
+    triples in ascending q, part A before part B at the same q; an empty list
+    means both inequalities hold everywhere below the bound.  A bound below 2
+    or above MAX_SWEEP_BOUND (10^7) raises ValueError before anything is
+    sieved.
     """
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
     if bound > MAX_SWEEP_BOUND:
         raise ValueError(f"bound must be <= {MAX_SWEEP_BOUND}, got {bound}")
     odd = _odd_sieve(bound)
-    # bytes below `half`: the odd primes whose squares may be <= bound or that
-    # lie outside part A's domain
-    half = (max(isqrt(bound), 11) + 1) // 2
-    bad = []
-    for p in (2, *compress(range(1, 2 * half, 2), memoryview(odd)[:half])):
-        q, f = p, 1
-        while q <= bound:
-            if q > 11 and not _outer_bound_ok(q, f, "A"):
-                bad.append((q, p, f, "A"))
-            if q >= 7 and q % 2 == 1 and not _outer_bound_ok(q, f, "B"):
-                bad.append((q, p, f, "B"))
-            q *= p
-            f += 1
-    # each larger prime is in both domains as p^1; the view copies no byte
-    for p in compress(range(2 * half + 1, bound + 1, 2), memoryview(odd)[half:]):
-        if not _outer_bound_ok(p, 1, "A"):
-            bad.append((p, p, 1, "A"))
-        if not _outer_bound_ok(p, 1, "B"):
-            bad.append((p, p, 1, "B"))
+    # compress reads the sieve bytes in place, without a copy
+    primes = chain((2,), compress(range(1, bound + 1, 2), odd))
+    bad = [(q, q, 1, part) for q, part in _outer_bound_failures(primes, 1)]
+    roots = [2, *compress(range(1, isqrt(bound) + 1, 2), odd)]
+    run, f = roots, 1
+    # p^f ascends with p, so the powers over the bound are a tail of the run
+    while run := [q * p for q, p in zip(run, roots) if q * p <= bound]:
+        f += 1
+        bad += [(q, roots[run.index(q)], f, part)
+                for q, part in _outer_bound_failures(run, f)]
     bad.sort(key=lambda v: v[0])  # stable, so A stays before B at one q
     return [(p, f, part) for _, p, f, part in bad]
 

@@ -828,8 +828,8 @@ def test_numtheory_outer_bound(capsys):
 
 def test_numtheory_outer_bound_violations(capsys, monkeypatch):
     failing = {(13, "A"), (9, "B"), (27, "B")}
-    monkeypatch.setattr(numtheory, "_outer_bound_ok",
-                        lambda q, f, part: (q, part) not in failing)
+    monkeypatch.setattr(numtheory, "_outer_bound_failures", lambda qs, f: [
+        (q, part) for q in qs for part in "AB" if (q, part) in failing])
     rc, out, err = run(capsys, "numtheory", "outer-bound", "--bound", "100",
                        "--format", "json")
     assert rc == 1

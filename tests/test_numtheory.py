@@ -311,67 +311,83 @@ def test_zsigmondy_rejects():
 
 
 def test_outer_bound_truth_by_fractions():
+    # each part against Fraction on its own domain, and never reported
+    # outside it: at f = 100 both inequalities fail at every q <= 50, so the
+    # domains alone decide what is reported; at q = 8, f = 3 both fail
+    # (171 >= 54 and 104 >= 63), but 8 is in neither domain; at q = 19,
+    # f = 11 part B fails by equality (45 = 45)
+    assert numtheory._outer_bound_failures([8], 3) == []
+    assert numtheory._outer_bound_failures([19], 11) == [(19, "A"), (19, "B")]
+    runs = {}
     for q in PRIME_POWERS_50:
-        f = prime_power(q)[1]
-        if q > 11:
-            want = 6 * f + 1 < Fraction(q * q - q - 2, 9)
-            assert numtheory._outer_bound_ok(q, f, "A") == want
-        if q >= 7 and q % 2 == 1:
-            want = 4 * f + 1 < Fraction(q * q - 1, 8)
-            assert numtheory._outer_bound_ok(q, f, "B") == want
+        for f in (prime_power(q)[1], 3, 100):
+            want = []
+            if q > 11 and not 6 * f + 1 < Fraction(q * q - q - 2, 9):
+                want.append((q, "A"))
+            if q >= 7 and q % 2 == 1 and not 4 * f + 1 < Fraction(q * q - 1, 8):
+                want.append((q, "B"))
+            got = numtheory._outer_bound_failures(iter([q]), f)
+            assert got == want, (q, f)
+            if q <= 11:
+                assert (q, "A") not in got, (q, f)
+            if q < 7 or q % 2 == 0:
+                assert (q, "B") not in got, (q, f)
+            runs.setdefault(f, []).extend(want)
+    # a whole run at once, as an iterator: the same points, in order of q
+    for f in (3, 100):
+        assert numtheory._outer_bound_failures(iter(PRIME_POWERS_50), f) == runs[f]
 
 
 def test_outer_bound_sweep_small():
     assert outer_bound_sweep(10**4) == []
 
 
-def _outer_bound_domains(bound):
-    """(q, f, part) for every prime power q = p^f <= bound in each part's
-    domain, ascending, from sympy's primes."""
+def _prime_powers(bound):
+    """(q, f) for every prime power q = p^f <= bound, ascending, from sympy's
+    primes."""
     points = []
     for p in sympy.primerange(2, bound + 1):
         for f in range(1, bound.bit_length()):
             q = p**f
             if q > bound:
                 break
-            if q > 11:
-                points.append((q, f, "A"))
-            if q >= 7 and q % 2 == 1:
-                points.append((q, f, "B"))
+            points.append((q, f))
     return sorted(points)
 
 
+def _recording(calls, failing):
+    """A stand-in for `_outer_bound_failures` that records (q, f) for each q
+    it is handed and reports the points of `failing` among them, A before B."""
+    def failures(qs, f):
+        bad = []
+        for q in qs:
+            calls.append((q, f))
+            bad += [(q, part) for part in "AB" if (q, part) in failing]
+        return bad
+    return failures
+
+
 def test_outer_bound_sweep_visits_each_domain_point_once(monkeypatch):
-    domains = _outer_bound_domains(10**4)
+    points = _prime_powers(10**4)
     calls = []
     failing = {(13, "A"), (9, "B"), (27, "B")}
-
-    def recording(q, f, part):
-        calls.append((q, f, part))
-        return (q, part) not in failing
-
-    monkeypatch.setattr(numtheory, "_outer_bound_ok", recording)
+    monkeypatch.setattr(numtheory, "_outer_bound_failures", _recording(calls, failing))
     bad = outer_bound_sweep(10**4)
-    assert sorted(calls) == sorted(domains) and len(calls) == len(set(calls))
+    assert sorted(calls) == points and len(calls) == len(set(calls))
     assert bad == [(3, 2, "B"), (13, 1, "A"), (3, 3, "B")]
 
 
 def test_outer_bound_sweep_visits_each_domain_point_once_with_both_parts_failing(
         monkeypatch):
-    # at q = 13 and q = 25 both parts fail: the sweep goes prime by prime, so
-    # only its final sort by q puts 25 after 13 (and 9 before 13), and that
-    # sort must keep part A before part B at one q
-    domains = _outer_bound_domains(10**3)
+    # at q = 13 and q = 25 both parts fail: the sweep goes run by run, so
+    # only its final sort by q puts 9 (of the run of squares) before 13, and
+    # that sort must keep part A before part B at one q
+    points = _prime_powers(10**3)
     calls = []
     failing = {(13, "A"), (13, "B"), (9, "B"), (25, "A"), (25, "B")}
-
-    def recording(q, f, part):
-        calls.append((q, f, part))
-        return (q, part) not in failing
-
-    monkeypatch.setattr(numtheory, "_outer_bound_ok", recording)
+    monkeypatch.setattr(numtheory, "_outer_bound_failures", _recording(calls, failing))
     bad = outer_bound_sweep(10**3)
-    assert sorted(calls) == sorted(domains) and len(calls) == len(set(calls))
+    assert sorted(calls) == points and len(calls) == len(set(calls))
     assert bad == [(3, 2, "B"), (13, 1, "A"), (13, 1, "B"), (5, 2, "A"), (5, 2, "B")]
 
 
@@ -389,21 +405,16 @@ def test_outer_bound_sweep_proves_no_prime_again(monkeypatch):
 
 
 def test_outer_bound_sweep_splits_at_the_square_root(monkeypatch):
-    # the sweep walks the powers of the primes up to max(sqrt(bound), 11) and
-    # visits each larger prime once, as p^1, in both parts: on each side of a
-    # prime's square (where it moves from one pass to the other) and of its
-    # cube, every domain point is visited once and with the right f
+    # the sweep hands over every prime as p^1 in one run, then the powers p^f
+    # of the primes up to sqrt(bound) in one run per f >= 2: on each side of
+    # a prime's square (where its powers join the later runs) and of its
+    # cube, every prime power is handed over once and with the right f
     bounds = {*range(2, 301), 1024, 3125, 10**4}
     bounds.update(p**e + d for p in sympy.primerange(2, 100) for e in (2, 3)
                   for d in (-1, 0, 1))
-    points = _outer_bound_domains(max(bounds))
+    points = _prime_powers(max(bounds))
     calls = []
-
-    def recording(q, f, part):
-        calls.append((q, f, part))
-        return True
-
-    monkeypatch.setattr(numtheory, "_outer_bound_ok", recording)
+    monkeypatch.setattr(numtheory, "_outer_bound_failures", _recording(calls, set()))
     for bound in sorted(bounds):
         calls.clear()
         assert outer_bound_sweep(bound) == []

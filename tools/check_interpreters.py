@@ -14,9 +14,9 @@ without its encoding named fails the leg, and must:
 - give, for verify, zeros, star and classify on each of the 35 pinned
   tables, the exit code and stdout SHA-256 in `perfbench/pinned/digests.json`;
 - print, for `numtheory outer-bound --bound B --format json` at B = 100000
-  and at B = 994009 = 997^2 (where 997 moves between the sweep's two
-  passes), the JSON object {"bound": B, "ok": true, "violations": []} and
-  exit 0;
+  and at B = 994009 = 997^2 (where the powers of 997 join the sweep's run
+  of squares), the JSON object {"bound": B, "ok": true, "violations": []}
+  and exit 0;
 - print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
   as in the README, and exit 0;
 - print, for `numtheory zsigmondy` at (2, 4), (1000003, 60), (13, 19) and
