@@ -338,6 +338,31 @@ def test_outer_bound_truth_by_fractions():
         assert numtheory._outer_bound_failures(iter(PRIME_POWERS_50), f) == runs[f]
 
 
+def test_outer_bound_thresholds_are_exact():
+    # the check compares each q with integer thresholds taken by isqrt: at
+    # every q up to two past the larger one, and around both at f = 10^40
+    # (far past float precision), it reports exactly the points where a
+    # cross-multiplied inequality fails on its part's domain
+    def want(qs, f):
+        return [(q, part) for q in qs for part, fails in (
+            ("A", q > 11 and not 9 * (6 * f + 1) < q * q - q - 2),
+            ("B", q >= 7 and q % 2 == 1 and not 8 * (4 * f + 1) < q * q - 1)) if fails]
+
+    for f in (*range(1, 2001), 10**40):
+        # ta is the largest q with q^2 - q <= 9(6f + 1) + 2, tb the largest
+        # with q^2 <= 8(4f + 1) + 1: walk up from a q that holds
+        ta, tb = math.isqrt(54 * f), math.isqrt(32 * f)
+        while (ta + 1) * ta <= 54 * f + 11:
+            ta += 1
+        while (tb + 1) ** 2 <= 32 * f + 9:
+            tb += 1
+        if f <= 2000:
+            qs = range(2, max(ta, tb) + 3)
+        else:
+            qs = [q for t in (tb, ta) for q in range(t - 2, t + 3)]
+        assert numtheory._outer_bound_failures(iter(qs), f) == want(qs, f), f
+
+
 def test_outer_bound_sweep_small():
     assert outer_bound_sweep(10**4) == []
 
@@ -408,8 +433,12 @@ def test_outer_bound_sweep_splits_at_the_square_root(monkeypatch):
     # the sweep hands over every prime as p^1 in one run, then the powers p^f
     # of the primes up to sqrt(bound) in one run per f >= 2: on each side of
     # a prime's square (where its powers join the later runs) and of its
-    # cube, every prime power is handed over once and with the right f
-    bounds = {*range(2, 301), 1024, 3125, 10**4}
+    # cube, every prime power is handed over once and with the right f.  The
+    # run of primes is 2, 3 and 5 (bounds 2..6 decide whether 3 and 5 are in
+    # it), then one residue class mod 30 after another: the bounds 30k + r,
+    # for every r at k = 1..9 and k = 3333 (near 10^5), end each class at
+    # each of its places in the wheel
+    bounds = {*range(2, 301), 1024, 3125, 10**4, *range(99990, 100020)}
     bounds.update(p**e + d for p in sympy.primerange(2, 100) for e in (2, 3)
                   for d in (-1, 0, 1))
     points = _prime_powers(max(bounds))

@@ -17,6 +17,12 @@ without its encoding named fails the leg, and must:
   and at B = 994009 = 997^2 (where the powers of 997 join the sweep's run
   of squares), the JSON object {"bound": B, "ok": true, "violations": []}
   and exit 0;
+- hand over, in `numtheory.outer_bound_sweep(100000)` with a recording
+  `_outer_bound_failures` in its place, every prime power q = p^f up to
+  100000 once with its f: the SHA-256 of the sorted (q, f) list is pinned
+  in `SWEEP_SHA256`.  The CLI's "ok" cannot show a prime the sweep skipped,
+  and the sweep reads the primes off strided memoryviews of its sieve, so
+  this is where a change of memoryview slicing between versions would show;
 - print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
   as in the README, and exit 0;
 - print, for `numtheory zsigmondy` at (2, 4), (1000003, 60), (13, 19) and
@@ -99,6 +105,20 @@ NUMTHEORY = {
 }
 # every TORUS_STRIDE-th pinned torus digest, in sorted key order
 TORUS_STRIDE = 8
+
+# The SHA-256 of the JSON list of sorted [q, f], one for each prime power
+# q = p^f <= 100000 (9700 of them), as sympy's primes give them.
+SWEEP_SHA256 = "ecde43549e5c7cc9add642d6732469ae595c91e2c070f9baaf75aba292018674"
+# Runs `outer_bound_sweep(100000)` with a stand-in for `_outer_bound_failures`
+# that records (q, f) for every q it is handed; prints the SHA-256 above.
+SWEEP_CHILD = """
+import hashlib, json
+from charzeros import numtheory
+calls = []
+numtheory._outer_bound_failures = lambda qs, f: calls.extend((q, f) for q in qs) or []
+numtheory.outer_bound_sweep(100000)
+print(json.dumps(hashlib.sha256(json.dumps(sorted(calls)).encode()).hexdigest()))
+"""
 
 # The `charzeros` modules that each statement leaves loaded in a fresh
 # interpreter: a process imports only the modules its caller uses.
@@ -270,6 +290,10 @@ def check(python: str) -> list[str]:
                             f"want exit 0, stdout {want_sha[:12]}")
         if res["sympy"]:
             problems.append(f"{verb} loaded sympy")
+    got = _run(python, [], "0", SWEEP_CHILD)
+    if got != SWEEP_SHA256:
+        problems.append(f"outer-bound sweep to 100000 hands over points {got[:12]}; "
+                        f"want {SWEEP_SHA256[:12]}")
     keys = sorted(k for k in digests if k.startswith("torus/"))[::TORUS_STRIDE]
     res = _run(python, [["numtheory", "torus", *k.split("/")[1].split(), "--format", "json"]
                         for k in keys], "0")
