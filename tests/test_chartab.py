@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import operator
@@ -24,11 +23,10 @@ from charzeros.chartab import (
     table_to_text,
     verify_table,
 )
-from charzeros.cli import main
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
-from charzeros.groupcore import (BudgetExceeded, format_cycles, format_group_file,
-                                 parse_group_file, pinv)
+from charzeros.groupcore import BudgetExceeded, format_group_file, parse_group_file, pinv
+from check_interpreters import frobenius_file
 from helpers import brute_galois_law, brute_min_poly_degree, brute_orth_violations, pmul
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
@@ -739,39 +737,6 @@ def test_work_once_per_entry_object_is_only_a_cache(corpus, get_table):
         assert chartab._sorted_rows(rows) == list(t.rows), name
 
 
-def _frobenius_file(p, k):
-    """The group file of the Frobenius group p:k, generated by x -> x + 1 and
-    x -> a x on Z/p, a of order k mod p."""
-    a = next(a for a in range(2, p) if pow(a, k, p) == 1)
-    gens = [bytes((x + 1) % p for x in range(p)), bytes(a * x % p for x in range(p))]
-    return f"degree {p}\n" + "".join(format_cycles(g) + "\n" for g in gens)
-
-
-def test_frobenius_251_5_table_is_pinned(tmp_path, capsys):
-    # x -> x + 1 and x -> a x on Z/251, a of order 5: the first split meets
-    # the whole 55-dimensional space with 51 roots, where the 5-dimensional
-    # eigenspace of the linear characters is read from a 4-dimensional
-    # quotient, and every other eigenspace is a line.  `table` on the file
-    # prints the same bytes as before the split used Krylov vectors
-    path = tmp_path / "frob.txt"
-    path.write_text(_frobenius_file(251, 5))
-    assert main(["table", str(path)]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        "a776e06720aa70ff7db06ed444776b9d216ea33815205bc7ae3bbc126e7b8b92"
-
-
-def test_frobenius_229_4_table_is_pinned(tmp_path, capsys):
-    # order 916 and 61 classes, near the class ceiling: the 57 classes of
-    # order 229 form one Galois family, and the 57 rows of degree 4 one Galois
-    # orbit, so 4 rows are lifted by transforms, one per orbit, and 57 are
-    # permuted.  `table` prints the same bytes as when every row was lifted
-    path = tmp_path / "frob.txt"
-    path.write_text(_frobenius_file(229, 4))
-    assert main(["table", str(path)]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        "32e0f8cb37f9f1053ab57cc0d840878acd97d44ae0a7fbc61cebee97ecaf597b"
-
-
 def _reference_lift(group):
     """The table of `group` with every row lifted by discrete Fourier
     transforms, at the least class of each Galois family of classes, from the
@@ -815,7 +780,7 @@ def _lift_groups(corpus, get_group):
     files = {"D7": "degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n",
              "C60": "degree 12\n(1 2 3 4)(5 6 7)(8 9 10 11 12)\n",
              "C2^6": "degree 12\n" + "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(6)),
-             "251:5": _frobenius_file(251, 5), "229:4": _frobenius_file(229, 4)}
+             "251:5": frobenius_file(251, 5), "229:4": frobenius_file(229, 4)}
     return [(name, get_group(name)) for name in corpus] + \
         [(name, parse_group_file(text)) for name, text in files.items()]
 

@@ -1,7 +1,6 @@
 """End-to-end checks of the command-line surface through main(argv)."""
 import argparse
 import hashlib
-import importlib.util
 import json
 import multiprocessing
 import os
@@ -22,6 +21,7 @@ from charzeros.cli import main
 from charzeros.constructions import registry
 from charzeros.groupcore import Group, parse_group_file
 from charzeros.vanishing import BurnsideReport
+from check_interpreters import DISPATCH, FILES, LEGS, TOP_USAGE, ZSIGMONDY_USAGE
 
 
 PINNED_TABLES = Path(__file__).resolve().parents[1] / "perfbench" / "pinned" / "tables"
@@ -175,13 +175,6 @@ def test_table_file_reps_only_in_canonical_form(tmp_path, capsys):
         assert (rc, out) == (1, "") and "malformed table file" in err, (rep, err)
 
 
-def test_table_of_a_table_file_records_the_given_seed(capsys):
-    text = (PINNED_TABLES / "C6.tbl").read_text()
-    assert '"seed":0' in text
-    rc, out, err = run(capsys, "table", str(PINNED_TABLES / "C6.tbl"), "--seed", "5")
-    assert (rc, out, err) == (0, text.replace('"seed":0', '"seed":5'), "")
-
-
 def test_table_of_a_pinned_table_file_is_that_file(capsys):
     # a table file read back and written again is the same bytes
     files = sorted(PINNED_TABLES.glob("*.tbl"))
@@ -200,21 +193,6 @@ def test_table_file_verdicts_read_verified_tables(tmp_path, capsys):
         assert (rc, out) == (1, ""), verb
         assert err.startswith("error: ") and err.count("\n") == 1, (verb, err)
         assert "row-orth" in err, verb
-
-
-def test_power_maps_breaking_the_galois_law_fail_every_read_verb(tmp_path, capsys):
-    # 5A and 5B each sent to itself by every unit: the file loads, and its
-    # rows and columns are orthonormal, but sigma_2 swaps 5A's and 5B's values
-    def edit(obj):
-        obj["classes"][3]["powers"] = [0, 3, 3, 3, 3]
-        obj["classes"][4]["powers"] = [0, 4, 4, 4, 4]
-
-    f = str(_a5_table(tmp_path, capsys, edit))
-    line = "galois 7: class 3 -> 3: rows 1, 2 break chi(g^7) = sigma_7(chi(g))"
-    rc, out, err = run(capsys, "verify", f)
-    assert (rc, out) == (1, "") and err.splitlines()[0] == f"A5: {line}"
-    for verb in ("zeros", "star", "classify"):
-        assert run(capsys, verb, f) == (1, "", f"error: malformed table file: {line}\n"), verb
 
 
 def test_os_errors_exit_2(tmp_path, capsys):
@@ -278,44 +256,15 @@ def test_denominator_is_refused_by_every_read_verb(tmp_path, capsys):
                 assert err.count("\n") == 1 and "malformed table file" in err, (den, verb, err)
 
 
-def test_class_ceiling_stops_the_scan(tmp_path, capsys):
+def test_class_ceiling_stops_the_scan(tmp_path, capsys, monkeypatch):
     # C2^16 has 65536 classes; the scan stops once it has found 65
-    f = tmp_path / "c2_16.grp"
-    f.write_text("degree 32\n" + "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(16)))
+    leg = LEGS["table c2_16.txt"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c2_16.txt").write_text(FILES["c2_16.txt"]())
     start = time.perf_counter()
-    rc, out, err = run(capsys, "table", str(f))
-    assert (rc, out, err) == (1, "", "error: more than 64 conjugacy classes exceed the budget 64\n")
+    got = run(capsys, *leg.words())
     assert time.perf_counter() - start < 1
-
-
-def _c2_power_table(n: int) -> str:
-    """The table file of C2^n, by hand: class x is the product of the
-    transpositions (2i+1 2i+2) over the bits i of x, and row y is
-    x -> (-1)^|x & y|."""
-    size = 1 << n
-    classes = [{"size": 1, "order": 2 if x else 1, "centralizer": size,
-                "rep": "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n) if x >> i & 1)
-                or "()", "powers": [0, x] if x else [0]} for x in range(size)]
-    rows = [[{"m": 2, "c": [[0, (-1) ** (x & y).bit_count(), 1]]} for x in range(size)]
-            for y in range(size)]
-    return json.dumps({"format": "chartab/1", "group": f"C2^{n}", "order": size,
-                       "exponent": 2, "seed": 0, "classes": classes, "rows": rows})
-
-
-def test_class_ceiling_holds_for_table_files(tmp_path, capsys):
-    # no table the program computes has more than 64 classes, and verify
-    # grows as the cube of the class count, so a table file over the
-    # ceiling is refused on load, before any entry is read
-    f = tmp_path / "c2_6.tbl"
-    f.write_text(_c2_power_table(6))
-    assert run(capsys, "verify", str(f))[0] == 0
-    f = tmp_path / "c2_7.tbl"
-    f.write_text(_c2_power_table(7))
-    for verb in ("verify", "zeros", "star", "classify"):
-        rc, out, err = run(capsys, verb, str(f))
-        assert (rc, out) == (1, ""), (verb, err)
-        assert err.count("\n") == 1, (verb, err)
-        assert err.endswith("malformed table file: 128 classes exceed the class ceiling 64\n")
+    assert leg.outcome(*got) == leg.pinned()
 
 
 def test_retyped_copy_of_a_seen_entry_is_refused(tmp_path, capsys):
@@ -510,31 +459,6 @@ def test_registry_ops_compute_one_table(tmp_path, capsys, monkeypatch):
     assert sorted(calls()) == ["A5", "SL(2,5)"]
 
 
-def test_registry_facts_need_the_registry_order(tmp_path, capsys):
-    # a file may call any group A5; A5's facts apply only to a table that
-    # meets them all, so neither C5 nor C60 (order 60, not simple), as a
-    # group file or as a verified table file, gets them
-    (tmp_path / "c5.grp").write_text("degree 5\nname A5\n(1 2 3 4 5)\n")
-    (tmp_path / "c60.grp").write_text("degree 12\nname A5\n(1 2 3 4 5)(6 7 8)(9 10 11 12)\n")
-    assert run(capsys, "table", str(tmp_path / "c60.grp"),
-               "--out", str(tmp_path / "c60.tbl"))[0] == 0
-    for name, why in (("c5.grp", "order 5 != expected 60"),
-                      ("c60.grp", "expected a simple group"),
-                      ("c60.tbl", "expected a simple group")):
-        f = str(tmp_path / name)
-        why = f"not the registry's A5: {why}"
-        rc, out, _ = run(capsys, "classify", f)
-        assert rc == 0 and out.splitlines()[:2] == [
-            "A5: faithful single-vanishing-class degrees [] (no expected entry)",
-            f"  {why}"], name
-        rc, out, err = run(capsys, "star", f)
-        assert (rc, out) == (2, ""), name
-        assert err == f"error: no outer-order bound known for 'A5' ({why}); " \
-                      "pass out_order explicitly\n", name
-        rc, out, _ = run(capsys, "star", f, "--out-order", "2")
-        assert rc == 0 and out, name
-
-
 def test_nameless_group_file_is_named_after_its_stem(tmp_path, capsys):
     f = tmp_path / "d7.txt"
     f.write_text("degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n")
@@ -651,13 +575,10 @@ def test_suite_json_matches_the_text_report(capsys):
      "f449f8f57f69375ebc449aadfaac30e0b7988eb435e38afb4589f2a64a6f8bac"),
     (["classify", "PSL(2,5)", "--format", "json"],
      "9c054aa6c31fb775bd89f467a05712a23f443bd95ec8f08d0c09507e1162ee64"),
-    (["suite", "--format", "json", "--dir", "D"],
-     "9740d80ad672dd069b3d4121fb3173bde5b0b413f1fc74a2c656bd629e9fca8d"),
 ])
-def test_json_reports_keep_their_bytes(tmp_path, capsys, argv, digest):
+def test_json_reports_keep_their_bytes(capsys, argv, digest):
     # each report record is written as a JSON object of its fields, the
     # survey's entries included, never as an array of its values
-    argv = [str(tmp_path) if a == "D" else a for a in argv]
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -683,15 +604,6 @@ def test_zeros_json_row(capsys):
     assert order == 3
 
 
-def test_zeros_row_out_of_range(capsys):
-    rc, _, err = run(capsys, "zeros", "C6", "--row", "99")
-    assert rc == 2 and "out of range" in err
-    for verb in ("zeros", "star"):
-        for row in ("6", "-1"):
-            assert run(capsys, verb, "C6", "--row", row) == (
-                2, "", f"error: row {row} out of range 0..5\n")
-
-
 def test_star_single_row(capsys):
     rc, out, _ = run(capsys, "star", "PSL(2,5)", "--row", "3")
     assert rc == 0
@@ -703,15 +615,6 @@ def test_star_out_order_override(capsys):
     rc, out, _ = run(capsys, "star", "PSL(2,5)", "--row", "4",
                      "--out-order", "1")
     assert rc == 0 and "star fails" in out
-
-
-def test_star_out_order_below_one_is_refused(capsys):
-    # |Out| >= 1, so a smaller bound is a usage error, with or without --row
-    for bound in ("0", "-1"):
-        for row in (["--row", "1"], []):
-            rc, out, err = run(capsys, "star", "PSL(2,5)", *row, "--out-order", bound)
-            assert (rc, out) == (2, "")
-            assert err == f"error: out_order must be >= 1, got {bound}\n"
 
 
 def test_star_survey_json(capsys):
@@ -817,15 +720,6 @@ def test_numtheory_diophantine_json(capsys):
     assert obj["part"] == "C" and obj["values"] == [3]
 
 
-def test_numtheory_outer_bound(capsys):
-    rc, out, _ = run(capsys, "numtheory", "outer-bound", "--bound", "500")
-    assert rc == 0 and "both inequalities hold" in out
-    rc, out, _ = run(capsys, "numtheory", "outer-bound", "--bound", "500",
-                     "--format", "json")
-    obj = json.loads(out)
-    assert obj == {"bound": 500, "ok": True, "violations": []}
-
-
 def test_numtheory_outer_bound_violations(capsys, monkeypatch):
     failing = {(13, "A"), (9, "B"), (27, "B")}
     monkeypatch.setattr(numtheory, "_outer_bound_failures", lambda qs, f: [
@@ -852,19 +746,7 @@ def test_numtheory_outer_bound_ceiling(capsys, monkeypatch):
         assert err == "error: bound must be <= 10000000, got 10000000000\n"
 
 
-def test_numtheory_outer_bound_floor(capsys):
-    # these once exited 0 with "both inequalities hold for every prime power q <= -5"
-    for bound in ("-5", "0", "1"):
-        for fmt in ("text", "json"):
-            rc, out, err = run(capsys, "numtheory", "outer-bound",
-                               "--bound", bound, "--format", fmt)
-            assert (rc, out) == (2, "")
-            assert err == f"error: bound must be >= 2, got {bound}\n"
-
-
 def test_numtheory_zsigmondy(capsys):
-    rc, out, _ = run(capsys, "numtheory", "zsigmondy", "2", "4")
-    assert rc == 0 and "least primitive prime divisor of 2^4 - 1: 5" in out
     rc, out, _ = run(capsys, "numtheory", "zsigmondy", "2", "6")
     assert rc == 0 and "(q, n) = (2, 6)" in out
     rc, out, _ = run(capsys, "numtheory", "zsigmondy", "7", "2")
@@ -899,23 +781,7 @@ def test_numtheory_torus_json(capsys):
         "zsig_exception": None}  # l(1) not applicable
 
 
-def test_numtheory_refusal_is_one_line(capsys):
-    # past the search limit and the size cap: exit 1, one stderr line that
-    # names the limits, nothing on stdout
-    for fmt in ("text", "json"):
-        rc, out, err = run(capsys, "numtheory", "zsigmondy", "2", "100000", "--format", fmt)
-        assert (rc, out) == (1, "")
-        assert err == ("error: no primitive prime divisor of 2^100000 - 1 is at most "
-                       "13107200001, and Phi_100000(2) is over the 1024-bit cap\n")
-    rc, out, err = run(capsys, "numtheory", "torus", "A", "100000", "2")
-    assert (rc, out) == (1, "")
-    assert err == ("error: family A at n = 100000, q = 2 has a torus order of more "
-                   "than 1024 bits\n")
-
-
 def test_usage_errors(capsys):
-    assert run(capsys, )[0] == 2
-    assert run(capsys, "numtheory")[0] == 2
     assert run(capsys, "table", "C6", "--bogus")[0] == 2
     assert run(capsys, "numtheory", "diophantine", "--part", "D")[0] == 2
     assert run(capsys, "numtheory", "zsigmondy", "6", "3")[0] == 2
@@ -923,18 +789,28 @@ def test_usage_errors(capsys):
     assert run(capsys, "verify", "/no/such/file")[0] == 2
 
 
-TOP_USAGE = ("usage: charzeros [-h]\n"
-             "                 {build,table,verify,zeros,star,classify,suite,numtheory} ...\n")
 NUMTHEORY_USAGE = ("usage: charzeros numtheory [-h] "
                    "{diophantine,outer-bound,zsigmondy,torus} ...\n")
-ZSIGMONDY_USAGE = "usage: charzeros numtheory zsigmondy [-h] [--format {text,json}] q n\n"
+
+
+def _choices(*names: str) -> str:
+    """The choices as this interpreter's argparse lists them after an invalid
+    one: quoted by older releases (3.12.1, 3.13.0), bare by newer (3.13.13)."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("x", choices=["a"])
+    with pytest.raises(argparse.ArgumentError) as exc:
+        parser.parse_args(["b"])
+    quote = "'" if "'a'" in str(exc.value) else ""
+    return ", ".join(f"{quote}{n}{quote}" for n in names)
+
 
 # (argv, exit code, stdout, stderr) at 80 columns
 USAGE_BYTES = [
     ([], 2, "", TOP_USAGE + "charzeros: error: the following arguments are required: verb\n"),
     (["bogus"], 2, "", TOP_USAGE + (
-        "charzeros: error: argument verb: invalid choice: 'bogus' (choose from 'build', "
-        "'table', 'verify', 'zeros', 'star', 'classify', 'suite', 'numtheory')\n")),
+        "charzeros: error: argument verb: invalid choice: 'bogus' (choose from "
+        + _choices("build", "table", "verify", "zeros", "star", "classify", "suite",
+                   "numtheory") + ")\n")),
     (["table"], 2, "", (
         "usage: charzeros table [-h] [--out OUT] [--seed SEED] [--max-order MAX_ORDER]\n"
         "                       target\n"
@@ -943,14 +819,12 @@ USAGE_BYTES = [
      TOP_USAGE + "charzeros: error: unrecognized arguments: extra\n"),
     (["numtheory"], 2, "", NUMTHEORY_USAGE
      + "charzeros numtheory: error: the following arguments are required: subverb\n"),
-    (["numtheory", "zsigmondy", "2", "4", "extra"], 2, "",
-     TOP_USAGE + "charzeros: error: unrecognized arguments: extra\n"),
     (["zeros", "C6", "--format", "xml"], 2, "", (
         "usage: charzeros zeros [-h] [--row ROW] [--format {text,json}]\n"
         "                       [--max-order MAX_ORDER]\n"
         "                       target\n"
         "charzeros zeros: error: argument --format: invalid choice: 'xml' "
-        "(choose from 'text', 'json')\n")),
+        f"(choose from {_choices('text', 'json')})\n")),
     (["numtheory", "zsigmondy", "x", "4"], 2, "", ZSIGMONDY_USAGE
      + "charzeros numtheory zsigmondy: error: argument q: invalid int value: 'x'\n"),
     (["--help"], 0, TOP_USAGE + """
@@ -982,15 +856,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """, ""),
-    (["numtheory", "zsigmondy", "--help"], 0, ZSIGMONDY_USAGE + """
-positional arguments:
-  q
-  n
-
-options:
-  -h, --help            show this help message and exit
-  --format {text,json}
-""", ""),
 ]
 
 
@@ -1005,10 +870,6 @@ def test_dispatch_matches_the_full_parse(capsys, monkeypatch):
     # main must give what a parse from the top of the tree gives: the same
     # exit code, stdout and stderr on every argv of the interpreter check's
     # corpus, and for valid argv the same Namespace for the handler
-    tool = Path(__file__).resolve().parents[1] / "tools" / "check_interpreters.py"
-    spec = importlib.util.spec_from_file_location("check_interpreters", tool)
-    check_interpreters = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(check_interpreters)
     monkeypatch.setenv("COLUMNS", "80")
     parser = cli._build_parser()
     seen = []  # the Namespace of each outermost parse_known_args
@@ -1025,7 +886,7 @@ def test_dispatch_matches_the_full_parse(capsys, monkeypatch):
             seen.append(parsed[0])
         return parsed
 
-    for argv in check_interpreters.DISPATCH:
+    for argv in DISPATCH:
         seen.clear()
         with monkeypatch.context() as m:
             m.setattr(argparse.ArgumentParser, "parse_known_args", recording)
@@ -1073,7 +934,7 @@ def test_installed_script():
     src = str(Path(charzeros.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(cmd + ["numtheory", "zsigmondy", "2", "4"],
-                          capture_output=True, text=True, timeout=60, env=env)
-    assert proc.returncode == 0
-    assert "5" in proc.stdout
+    leg = LEGS["numtheory zsigmondy 2 4"]
+    proc = subprocess.run(cmd + list(leg.words()), capture_output=True, text=True, timeout=60,
+                          env=env)
+    assert leg.outcome(proc.returncode, proc.stdout, proc.stderr) == leg.pinned()

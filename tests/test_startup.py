@@ -8,7 +8,6 @@ Each run-time check runs in a fresh interpreter, since this one has all of
 them loaded already; a static check reads every module's imports."""
 import ast
 import importlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -19,18 +18,12 @@ from pathlib import Path
 import pytest
 
 import charzeros
+import check_interpreters
 from charzeros.cli import main
 
 SRC = str(Path(charzeros.__file__).parents[1])
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = ROOT / "perfbench" / "pinned" / "tables"
-
-# the interpreter check pins the modules each import statement loads, and
-# runs that statement alone in a fresh interpreter
-_spec = importlib.util.spec_from_file_location("check_interpreters",
-                                               ROOT / "tools" / "check_interpreters.py")
-check_interpreters = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_interpreters)
 
 # Runs each argv of sys.argv[1] through main in turn; prints whether sympy and
 # dataclasses were loaded after the import and after each op, and each op's
@@ -100,10 +93,7 @@ def test_no_verb_loads_sympy(tmp_path, capsys):
     assert child["results"][3:] == [
         [0, "both inequalities hold for every prime power q <= 1000 in their "
             "domains (A: q > 11; B: odd q >= 7)\n"],
-        [0, "part A, bound 1000000: q in {3, 5, 17}\n"
-            "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
-            "  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
-            "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n"],
+        list(check_interpreters.LEGS["numtheory diophantine --part A"].pinned()[:2]),
         [0, "least primitive prime divisor of 2^10 - 1: 11\n"],
         _here(capsys, argvs[6:])[0]]
 
@@ -111,18 +101,14 @@ def test_no_verb_loads_sympy(tmp_path, capsys):
 def test_numtheory_examples_with_sympy_blocked():
     # README's zsigmondy and torus examples, in a process that cannot import
     # sympy at all
-    examples = {("numtheory", "zsigmondy", "2", "4"):
-                "least primitive prime divisor of 2^4 - 1: 5\n",
-                ("numtheory", "torus", "A", "1", "7"):
-                "family A, n = 1, q = 7:\n"
-                "  T1: order 8, l(2) exception (N2_QPLUS1_POW2)\n"
-                "  T2: order 6, l(1) not applicable\n"}
+    legs = [check_interpreters.LEGS[f"numtheory {example}"]
+            for example in ("zsigmondy 2 4", "torus A 1 7")]
     blocked = "import sys; sys.modules['sympy'] = None\n" + CHILD
-    proc = subprocess.run([sys.executable, "-c", blocked, json.dumps(list(examples))],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": SRC})
+    argvs = json.dumps([leg.words() for leg in legs])
+    proc = subprocess.run([sys.executable, "-c", blocked, argvs], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"] == [[0, out] for out in examples.values()]
+    assert json.loads(proc.stdout)["results"] == [list(leg.pinned()[:2]) for leg in legs]
 
 
 def _imports(path: Path) -> set[str]:

@@ -1,55 +1,37 @@
 """Check that other Python interpreters give the pinned outputs.
 
     python3 tools/check_interpreters.py [PYTHON ...]
+    python3 tools/check_interpreters.py --script CHARZEROS
 
-Each PYTHON is an interpreter to check.  With none, the first working
-`python3.10` ... `python3.13` on PATH is checked for each version.  Every
-interpreter runs `charzeros` from `src/` of this checkout, with
-PYTHONPATH=src and no installed package needed, under
-`-X warn_default_encoding -W error::EncodingWarning`, so that a file opened
-without its encoding named fails the leg, and must:
+Each PYTHON is an interpreter to check; with none, the first working
+`python3.10` ... `python3.13` on PATH for each version.  Each runs
+`charzeros` from `src/` of this checkout (PYTHONPATH=src, no installed
+package) under `-X warn_default_encoding -W error::EncodingWarning`, so that
+a file opened without its encoding named fails, and must give:
 
-- write with `suite --seed 0 --dir D`, under PYTHONHASHSEED 0 and 1, files
-  byte-identical to `perfbench/pinned/tables`;
-- give, for verify, zeros, star and classify on each of the 35 pinned
-  tables, the exit code and stdout SHA-256 in `perfbench/pinned/digests.json`;
-- print, for `numtheory outer-bound --bound B --format json` at B = 100000
-  and at B = 994009 = 997^2 (where the powers of 997 join the sweep's run
-  of squares), the JSON object {"bound": B, "ok": true, "violations": []}
-  and exit 0;
-- hand over, in `numtheory.outer_bound_sweep(100000)` with a recording
-  `_outer_bound_failures` in its place, every prime power q = p^f up to
-  100000 once with its f: the SHA-256 of the sorted (q, f) list is pinned
-  in `SWEEP_SHA256`.  The CLI's "ok" cannot show a prime the sweep skipped,
-  and the sweep reads the primes off strided memoryviews of its sieve, so
-  this is where a change of memoryview slicing between versions would show;
-- print, for `numtheory diophantine --part A`, the solutions q = 3, 5, 17
-  as in the README, and exit 0;
-- print, for `numtheory zsigmondy` at (2, 4), (1000003, 60), (13, 19) and
-  (43, 23), and for `numtheory torus A 1 7`, the fixed answers below (the
-  first and last as in the README), and exit 0;
-- give, for every 8th of the 238 `torus/...` keys of
-  `perfbench/pinned/digests.json` in sorted order, the pinned exit code and
-  stdout SHA-256 of `numtheory torus FAMILY N Q --format json`;
-- load no sympy while doing so;
-- leave loaded, after each statement of `IMPORTS` run alone in a fresh
-  interpreter, exactly the `charzeros` modules listed for it: `import
-  charzeros` loads no submodule, the registry no table code, `from
-  charzeros.numtheory import zsigmondy` no other module, and
-  `import charzeros.cli` every module;
-- list every name of `charzeros.__all__` in `dir(charzeros)` before any is
-  read, and read each as the attribute of the module that defines it.  The
-  package reads its names on first use through a module `__getattr__` and
-  `__dir__` (PEP 562), so this is where a change of either between
-  versions would show;
-- give, for each argv of `DISPATCH`, the same exit code, stdout and stderr
-  from `charzeros.cli.main` as from `main` parsing through
-  `_build_parser().parse_args` alone (its table of command parsers emptied).
-  `main` hands argv to the parser of the command its leading words name, so
-  this is where a change of argparse between versions would show.
+- for each leg of LEGS, its exit code, stdout and stderr.  A leg is one run
+  of the command line in a directory that holds the files of FILES its
+  words name.  The legs are the README's examples; answers that need a
+  prime test, rho or the elliptic curves; refusals at each limit, in
+  bounded time; usage errors and help; and tables computed from group
+  files, or read from table files, pinned or changed;
+- for `suite --seed 0 --dir D` under PYTHONHASHSEED 0 and 1, the files of
+  `perfbench/pinned/tables` byte for byte; for the read verbs on each
+  pinned table and every TORUS_STRIDE-th torus key, the exit code and
+  stdout SHA-256 of `perfbench/pinned/digests.json`;
+- no sympy loaded by any of these;
+- the sweep's points (SWEEP_CHILD), the modules each statement of IMPORTS
+  loads, the public names (NAMES_CHILD) and the parse of each argv of
+  DISPATCH: where a change between versions of memoryview slicing, of
+  module attributes (PEP 562) or of argparse would show.
 
-The pinned files are only read.  Exit 0 when every interpreter passes, 1 on
-a mismatch or a named interpreter that does not start, 2 when none starts.
+With --script, each leg runs instead through the installed console script
+CHARZEROS, in a fresh directory, within the leg's timeout: CI's install
+smoke test.  A leg whose words start with `-c` runs that Python statement
+in the interpreter running this tool.
+
+The pinned files are only read.  Exit 0 when all passes, 1 on a mismatch
+or a named interpreter that does not start, 2 when none starts.
 """
 
 from __future__ import annotations
@@ -57,54 +39,342 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = ROOT / "perfbench" / "pinned"
 TABLES = PINNED / "tables"
-VERBS = ("verify", "zeros", "star", "classify")
 NAMES = tuple(f"python3.{v}" for v in range(10, 14))
 # every file the program opens names its encoding (UTF-8): one that does not
 # warns, and the warning is an error
 ENCODING_GUARD = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+# argparse wraps usage and help to the terminal's width
+ENV = {"COLUMNS": "80"}
 
 
-def _outer_bound_leg(bound: int) -> tuple[list[str], str]:
-    # the CLI writes JSON indented by 2, keys sorted
-    return (["numtheory", "outer-bound", "--bound", str(bound), "--format", "json"],
-            json.dumps({"bound": bound, "ok": True, "violations": []},
-                       indent=2, sort_keys=True) + "\n")
+class Leg(NamedTuple):
+    """One run of the command line, and what it must give."""
+    argv: str  # split as a shell splits it; a word naming a file of FILES reads it
+    rc: int
+    out: str  # the exact stdout, or "sha256:" and its digest
+    why: str
+    err: str = ""  # the exact stderr
+    timeout: int | None = None  # CI's limit, in seconds, on the console script
+    name: str | None = None  # where the words are too long to name the leg
+
+    def words(self) -> tuple[str, ...]:
+        return tuple(shlex.split(self.argv))
+
+    def outcome(self, rc: int, out: str, err: str) -> tuple[int, str, str]:
+        """A run's exit code, stdout and stderr in the form the leg pins."""
+        if self.out.startswith("sha256:"):
+            out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+        return rc, out, err
+
+    def pinned(self) -> tuple[int, str, str]:
+        return self.rc, self.out, self.err
 
 
-# numtheory verbs that need no sympy, each with what it prints
-NUMTHEORY = {
-    "outer-bound": _outer_bound_leg(100000),
-    "outer-bound at 997^2": _outer_bound_leg(994009),
-    "diophantine": (["numtheory", "diophantine", "--part", "A"],
-                    "part A, bound 1000000: q in {3, 5, 17}\n"
-                    "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n"
-                    "  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
-                    "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n"),
-    "zsigmondy": (["numtheory", "zsigmondy", "2", "4"],
-                  "least primitive prime divisor of 2^4 - 1: 5\n"),
-    "zsigmondy by the order search": (["numtheory", "zsigmondy", "1000003", "60"],
-                                      "least primitive prime divisor of 1000003^60 - 1: 61\n"),
-    "zsigmondy by rho": (["numtheory", "zsigmondy", "13", "19"],
-                         "least primitive prime divisor of 13^19 - 1: 12865927\n"),
-    "zsigmondy by elliptic curves": (["numtheory", "zsigmondy", "43", "23"],
-                                     "least primitive prime divisor of 43^23 - 1: "
-                                     "11264087821629961\n"),
-    "torus": (["numtheory", "torus", "A", "1", "7"],
-              "family A, n = 1, q = 7:\n"
-              "  T1: order 8, l(2) exception (N2_QPLUS1_POW2)\n"
-              "  T2: order 6, l(1) not applicable\n"),
+def _cycles(f, n: int) -> str:
+    """The permutation x -> f(x) of range(n) in canonical cycle notation on
+    the points 1..n."""
+    seen, out = set(), ""
+    for x in range(n):
+        if x not in seen and f(x) != x:
+            c = [x]
+            while f(c[-1]) != x:
+                c.append(f(c[-1]))
+            seen.update(c)
+            out += "(" + " ".join(str(y + 1) for y in c) + ")"
+    return out
+
+
+def frobenius_file(p: int, k: int) -> str:
+    """The group file of the Frobenius group p:k, generated by x -> x + 1 and
+    x -> a x on Z/p, a of order k mod p."""
+    a = next(a for a in range(2, p) if pow(a, k, p) == 1)
+    return f"degree {p}\n{_cycles(lambda x: (x + 1) % p, p)}\n{_cycles(lambda x: a * x % p, p)}\n"
+
+
+def _psl2_73() -> str:
+    """PSL(2,73) on the projective line, the point at infinity last:
+    x -> x + 1, x -> a^2 x for a primitive root a, and x -> -1/x."""
+    p = 73
+    a = next(a for a in range(2, p) if pow(a, 36, p) != 1 and pow(a, 24, p) != 1)
+    gens = (lambda x: x if x == p else (x + 1) % p, lambda x: x if x == p else a * a * x % p,
+            lambda x: p if x == 0 else 0 if x == p else -pow(x, -1, p) % p)
+    return f"degree {p + 1}\n" + "".join(_cycles(g, p + 1) + "\n" for g in gens)
+
+
+def _c2_group(n: int) -> str:
+    """The group file of C2^n, by n disjoint transpositions."""
+    return f"degree {2 * n}\n" + "".join(f"({2 * i + 1} {2 * i + 2})\n" for i in range(n))
+
+
+def _c2_table(n: int) -> str:
+    """The table file of C2^n, by hand: class x is the product of the
+    transpositions (2i+1 2i+2) over the bits i of x, and row y is
+    x -> (-1)^|x & y|."""
+    size = 1 << n
+    classes = [{"size": 1, "order": 2 if x else 1, "centralizer": size,
+                "rep": "".join(f"({2 * i + 1} {2 * i + 2})" for i in range(n) if x >> i & 1)
+                or "()", "powers": [0, x] if x else [0]} for x in range(size)]
+    rows = [[{"m": 2, "c": [[0, (-1) ** (x & y).bit_count(), 1]]} for x in range(size)]
+            for y in range(size)]
+    return json.dumps({"format": "chartab/1", "group": f"C2^{n}", "order": size,
+                       "exponent": 2, "seed": 0, "classes": classes, "rows": rows})
+
+
+def _edited(name: str, edit) -> str:
+    """The pinned table file `name`, its JSON object changed by edit."""
+    obj = json.loads((TABLES / name).read_text(encoding="utf-8"))
+    edit(obj)
+    return json.dumps(obj)
+
+
+# The files the legs read, by name: a function that writes the text, or the
+# words of a run in the same directory that writes it (by its --out, or else
+# as its stdout).
+FILES = {
+    "A5.tbl": lambda: (TABLES / "A5.tbl").read_text(encoding="utf-8"),
+    "c60.txt": lambda: "degree 12\nname A5\n(1 2 3 4 5)(6 7 8)(9 10 11 12)\n",
+    "c60.tbl": "table c60.txt --out c60.tbl",
+    "c5.txt": lambda: "degree 5\nname A5\n(1 2 3 4 5)\n",
+    "c2_16.txt": lambda: _c2_group(16),
+    "c2_6.txt": lambda: _c2_group(6),
+    "c2_6.tbl": "table c2_6.txt",
+    "c2_7.tbl": lambda: _c2_table(7),
+    # both named frob, after the file's stem
+    "251/frob.txt": lambda: frobenius_file(251, 5),
+    "251/frob.tbl": "table 251/frob.txt",
+    "229/frob.txt": lambda: frobenius_file(229, 4),
+    "229/frob.tbl": "table 229/frob.txt",
+    "psl.txt": _psl2_73,
+    "psl.tbl": "table psl.txt",
+    "den2.tbl": lambda: _edited("PSU_3_4_.tbl",
+                                lambda t: t["rows"][1][1]["c"][0].__setitem__(2, 2)),
+    # A5's involution (2 3)(4 5), spelled as `table` never writes it
+    "rep.tbl": lambda: _edited("A5.tbl", lambda t: t["classes"][1].update(rep="(4 5)(2 3)")),
+    "a5swap.tbl": lambda: _edited("A5.tbl", lambda t: (
+        t["classes"][3].update(powers=[0, 3, 3, 3, 3]),
+        t["classes"][4].update(powers=[0, 4, 4, 4, 4]))),
 }
-# every TORUS_STRIDE-th pinned torus digest, in sorted key order
-TORUS_STRIDE = 8
+
+
+def write_files(d: Path) -> None:
+    """Write into d each file of FILES that a function writes."""
+    for name, source in FILES.items():
+        if callable(source):
+            (d / name).parent.mkdir(exist_ok=True)
+            (d / name).write_text(source(), encoding="utf-8")
+
+
+README = "the README's example"
+
+
+def _readme_legs() -> list[Leg]:
+    """A leg for each `$ charzeros ...` example in README.md, inside a fence:
+    its output runs to the next `$` line or the end of the fence."""
+    examples, argv, in_fence = [], None, False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_fence, argv = not in_fence, None
+        elif in_fence and line.startswith("$ charzeros "):
+            argv, out = line[len("$ charzeros "):], []
+            examples.append((argv, out))
+        elif argv:
+            out.append(line)
+    return [Leg(argv, 0, "\n".join(out).rstrip("\n") + "\n", README) for argv, out in examples]
+
+
+TOP_USAGE = ("usage: charzeros [-h]\n"
+             "                 {build,table,verify,zeros,star,classify,suite,numtheory} ...\n")
+ZSIGMONDY_USAGE = "usage: charzeros numtheory zsigmondy [-h] [--format {text,json}] q n\n"
+NO_PPD = ("error: no primitive prime divisor of 2^100000 - 1 is at most 13107200001, "
+          "and Phi_100000(2) is over the 1024-bit cap\n")
+OVER_CEILING = "malformed table file: 128 classes exceed the class ceiling 64\n"
+GALOIS = [f"galois 7: class {c} -> {c}: rows 1, 2 break chi(g^7) = sigma_7(chi(g))" for c in (3, 4)]
+UNBOUNDED = "once factored all of Phi_n(q) and never finished"
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"  # as the CLI writes JSON
+
+
+def _outer_bound(bound: int, timeout: int | None = None, why: str = "") -> Leg:
+    return Leg(f"numtheory outer-bound --bound {bound} --format json", 0,
+               _json({"bound": bound, "ok": True, "violations": []}), why, timeout=timeout)
+
+
+def _zsigmondy(q: int, n: int, p: int, why: str, timeout: int) -> Leg:
+    return Leg(f"numtheory zsigmondy {q} {n}", 0,
+               f"least primitive prime divisor of {q}^{n} - 1: {p}\n", why, timeout=timeout)
+
+
+def _verified(name: str, group: str, classes: int) -> Leg:
+    return Leg(f"verify {name}", 0, f"{group}: table ok ({classes} classes, orthogonality "
+               "exact)\n", "the computed table verifies")
+
+
+def _named_a5(name: str, why: str, star: str) -> tuple[Leg, ...]:
+    """classify and star on the file `name` of a group that calls itself A5
+    and is not: A5's facts need every one of them met."""
+    why = f"not the registry's A5: {why}"
+    return (Leg(f"classify {name}", 0, "A5: faithful single-vanishing-class degrees [] (no "
+                f"expected entry)\n  {why}\n  group has no expected entry; no comparison "
+                "performed\n", "a group named A5 gets none of A5's facts: classify compares "
+                "nothing"),
+            Leg(f"star {name}", 2, "", "nor A5's outer-order bound", err="error: no "
+                f"outer-order bound known for 'A5' ({why}); pass out_order explicitly\n"),
+            Leg(f"star {name} --out-order 2", 0, star, "with the bound given, star answers"))
+
+
+# Every leg, by its name, or else its words.  The README's examples come
+# first, as README.md prints them.
+LEGS = {leg.name or leg.argv: leg for leg in (
+    *_readme_legs(),
+    Leg("build 3.A6", 0, "sha256:f0cfba00dbcc33e9b8eb58a429d41e6cd63ba053d1f63ac9459938a08e11e115",
+        "the registry's data, read from the installed package"),
+    Leg("classify 3.A6:2_3", 0,
+        "sha256:0e1c2c363391b45682aebc2749ad118de8ee7691b0aa8b2cff6dee58b0bb1891",
+        "the registry's data, read from the installed package"),
+    Leg("table c60.txt --out c60.tbl", 0, "wrote c60.tbl (A5: order 60, 60 classes)\n",
+        "a group file may name a C60 A5"),
+    *_named_a5("c60.txt", "expected a simple group",
+               "sha256:8a478aeab383673538f16647e49160274dde0c3bcc646c5b4d0f7213a9395346"),
+    *_named_a5("c60.tbl", "expected a simple group",
+               "sha256:8a478aeab383673538f16647e49160274dde0c3bcc646c5b4d0f7213a9395346"),
+    *_named_a5("c5.txt", "order 5 != expected 60",
+               "sha256:e95440509eeb83b456a20bf03dd94681d508cc49f28c8e588976882bbccbb663"),
+    Leg("numtheory outer-bound --format json", 0,
+        _json({"bound": 10**6, "ok": True, "violations": []}), "the default bound of 10^6"),
+    Leg("numtheory outer-bound --bound 500", 0, "both inequalities hold for every prime power "
+        "q <= 500 in their domains (A: q > 11; B: odd q >= 7)\n", "the text form"),
+    _outer_bound(500, why="the JSON form"),
+    _outer_bound(100000, why="below the sweep's run of squares"),
+    _outer_bound(994009, why="the powers of 997 join the sweep's run of squares"),
+    _outer_bound(10**7, 5, "the ceiling of 10^7, swept in bounded time"),
+    *(Leg(f"numtheory outer-bound --bound {b}{f}", 2, "", 'an error, not a vacuous "holds"',
+          err=f"error: bound must be >= 2, got {b}\n")
+      for b in ("-5", "0", "1") for f in ("", " --format json")),
+    Leg("numtheory diophantine --part A", 0, "part A, bound 1000000: q in {3, 5, 17}\n"
+        "  q = 3: q-1 = 2^1, q+1 = 2^2 3^0\n  q = 5: q-1 = 2^2, q+1 = 2^1 3^1\n"
+        "  q = 17: q-1 = 2^4, q+1 = 2^1 3^2\n", "part A to its default bound"),
+    Leg(f"numtheory diophantine --part C --bound {10**4000} --format json", 0,
+        "sha256:454fbd8157db2a1c2ed2417e0489856901b7e6da30c55c8ea0289cb24bea1af4",
+        "only q of the right shape reach the prime-power test", timeout=10,
+        name="numtheory diophantine --part C --bound 10^4000 --format json"),
+    _zsigmondy(1000003, 60, 61, UNBOUNDED, 5),
+    _zsigmondy(10000000019, 97, 3299, UNBOUNDED, 5),
+    _zsigmondy(13, 19, 12865927, "none is below 10^7: rho finds it", 5),
+    _zsigmondy(43, 23, 11264087821629961, "a 54-bit prime beside a 67-bit one, which the "
+               "elliptic curves split after rho", 10),
+    Leg("numtheory zsigmondy 2 100000", 1, "", "past the search limit and the size cap",
+        err=NO_PPD, timeout=5),
+    Leg("numtheory zsigmondy 2 100000 --format json", 1, "", "one line in either format",
+        err=NO_PPD),
+    Leg("numtheory torus E8 8 1000003 --format json", 0,
+        "sha256:80854421c704fc6c632ad1bdc5fcfd6843470c03d955468fc385dae6097bc02c", UNBOUNDED,
+        timeout=5),
+    Leg("numtheory torus A 1000 2 --format json", 0,
+        "sha256:7d2642e95380f814e43b59ddb5eb18b2b4c0386954841cd5714ea3aaf781c411", UNBOUNDED,
+        timeout=5),
+    Leg("numtheory torus A 100000 2", 1, "", "a torus order over the 1024-bit cap",
+        err="error: family A at n = 100000, q = 2 has a torus order of more than 1024 bits\n"),
+    Leg("numtheory zsigmondy 2 4 extra", 2, "", "words the command's parser leaves over go to "
+        "the top parser", err=TOP_USAGE + "charzeros: error: unrecognized arguments: extra\n"),
+    Leg("numtheory zsigmondy --help", 0, ZSIGMONDY_USAGE + "\npositional arguments:\n  q\n  n\n"
+        "\noptions:\n  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n", "help is the command's own"),
+    Leg("table c2_16.txt", 1, "", "C2^16, 65536 classes: the scan stops at the ceiling",
+        err="error: more than 64 conjugacy classes exceed the budget 64\n", timeout=5),
+    Leg("table c2_6.txt", 0,
+        "sha256:b0d987a773143ed500ae5e714a6e11be967d6160d92ffa86244025b066289a69",
+        "C2^6, 64 classes: the split starts from one 64-dimensional block", timeout=10),
+    _verified("c2_6.tbl", "c2_6", 64),
+    Leg("verify c2_7.tbl", 1, "", "C2^7, over the ceiling: refused on load, before verify's "
+        "cubic work", err="c2_7.tbl: " + OVER_CEILING, timeout=5),
+    *(Leg(f"{verb} c2_7.tbl", 1, "", "refused by every read verb", err="error: " + OVER_CEILING)
+      for verb in ("zeros", "star", "classify")),
+    Leg("table 251/frob.txt", 0,
+        "sha256:a776e06720aa70ff7db06ed444776b9d216ea33815205bc7ae3bbc126e7b8b92",
+        "251:5, 55 classes: a first split of 51 roots, one 5-dimensional eigenspace",
+        timeout=5),
+    _verified("251/frob.tbl", "frob", 55),
+    Leg("table 229/frob.txt", 0,
+        "sha256:32e0f8cb37f9f1053ab57cc0d840878acd97d44ae0a7fbc61cebee97ecaf597b",
+        "229:4, 61 classes: 57 rows of one Galois orbit, one lifted, 56 permuted", timeout=5),
+    _verified("229/frob.tbl", "frob", 61),
+    Leg("table psl.txt", 0,
+        "sha256:f60b0907d74afd2e28b5cd8315541d59daee3cbfda700e025f9bf21c320765af",
+        "PSL(2,73): order 194,472, near the order budget; 39 classes", timeout=5),
+    _verified("psl.tbl", "psl", 39),
+    Leg("verify --format json den2.tbl", 1, "", "entries are cyclotomic integers",
+        err="den2.tbl: malformed table file: a coefficient must be an integer: denominator 1\n"),
+    *(Leg(f"{verb} C6 --row {row}", 2, "", "a row outside the table is a usage error",
+          err=f"error: row {row} out of range 0..5\n")
+      for verb in ("zeros", "star") for row in ("99", "6", "-1")),
+    *(Leg(f"star PSL(2,5){row} --out-order {bound}", 2, "", "|Out| >= 1, with or without --row",
+          err=f"error: out_order must be >= 1, got {bound}\n")
+      for bound in ("0", "-1") for row in (" --row 1", "")),
+    Leg("table A5.tbl --seed 5", 0,
+        "sha256:409b47cdb2c876f81ba7230edaa31f16ad456547c9bfb4cfa5f63406b850e5dd",
+        "`table` records the --seed it is given, for a table file too"),
+    Leg("verify --format json rep.tbl", 1, "", "a representative loads only in canonical form",
+        err="rep.tbl: malformed table file: not in canonical cycle notation: '(4 5)(2 3)'\n"),
+    # 5A and 5B each sent to itself by every unit: rows and columns are
+    # orthonormal, but sigma_7 swaps 5A's and 5B's values
+    *(Leg(f"verify{f} a5swap.tbl", 1, _json({"group": "A5", "ok": False, "violations": GALOIS})
+          if f else "", "the Galois law breaks", err="".join(f"A5: {v}\n" for v in GALOIS))
+      for f in ("", " --format json")),
+    *(Leg(f"{verb} a5swap.tbl", 1, "", "refused by every read verb",
+          err=f"error: malformed table file: {GALOIS[0]}\n")
+      for verb in ("zeros", "star", "classify")),
+    Leg("suite --format json --dir suite", 0,
+        "sha256:9740d80ad672dd069b3d4121fb3173bde5b0b413f1fc74a2c656bd629e9fca8d",
+        "each report record is a JSON object of its fields"),
+    Leg("-c 'from charzeros.fields import gf; gf(2, 10)'", 0, "",
+        "the largest allowed field builds in bounded time", timeout=10, name="F_1024"),
+)}
+
+
+def plan(legs) -> dict[tuple[str, ...], str | None]:
+    """The words of each run that the legs make, or that writes a file of
+    FILES they read, in an order that writes each file before a run reads
+    it; each with the file its stdout is saved as, if any."""
+    steps: dict[tuple[str, ...], str | None] = {}
+
+    def add(words, makes=None):
+        for word in words:
+            if word != makes and isinstance(FILES.get(word), str):
+                add(tuple(shlex.split(FILES[word])), word)
+        save = None if makes in words else makes
+        if save or words not in steps:
+            steps[words] = save
+
+    for leg in legs:
+        add(leg.words())
+    return steps
+
+
+def mismatches(runs: dict[tuple[str, ...], tuple[int, str, str] | None]) -> list[str]:
+    """The legs whose run, in runs by its words, is not what the leg pins;
+    None is a run that did not finish within the leg's timeout."""
+    problems = []
+    for name, leg in LEGS.items():
+        got = runs[leg.words()]
+        if got is None:
+            problems.append(f"{name}: no answer within {leg.timeout} s")
+        elif leg.outcome(*got) != leg.pinned():
+            problems.append(f"{name}: {leg.outcome(*got)!r:.200}; pinned {leg.pinned()!r:.200}")
+    return problems
+
 
 # The SHA-256 of the JSON list of sorted [q, f], one for each prime power
 # q = p^f <= 100000 (9700 of them), as sympy's primes give them.
@@ -119,6 +389,8 @@ numtheory._outer_bound_failures = lambda qs, f: calls.extend((q, f) for q in qs)
 numtheory.outer_bound_sweep(100000)
 print(json.dumps(hashlib.sha256(json.dumps(sorted(calls)).encode()).hexdigest()))
 """
+# every TORUS_STRIDE-th pinned torus digest, in sorted key order
+TORUS_STRIDE = 8
 
 # The `charzeros` modules that each statement leaves loaded in a fresh
 # interpreter: a process imports only the modules its caller uses.
@@ -152,18 +424,24 @@ print(json.dumps([name for name in charzeros.__all__ if name not in listed
                       importlib.import_module(getattr(charzeros, name).__module__), name)]))
 """
 
-# Runs `charzeros.cli.main` on each argv of the JSON list sys.argv[1] in this
-# process; prints each op's exit code and stdout SHA-256, and whether sympy
-# was loaded at the end.
+# Runs each [words, file] of the JSON list sys.argv[1] in this process, in
+# order: `charzeros.cli.main` on the words, or the Python statement after
+# "-c"; saves stdout as the file, if one is named.  Prints each run's exit
+# code, stdout and stderr, and whether sympy was loaded at the end.
 CHILD = """
-import contextlib, hashlib, io, json, sys
+import contextlib, io, json, sys
 from charzeros.cli import main
 out = []
-for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
-    out.append({"rc": rc, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()})
+for argv, save in json.loads(sys.argv[1]):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
+        if argv[0] == "-c":
+            exec(argv[1], {})
+        rc = 0 if argv[0] == "-c" else main(argv)
+    if save:
+        with open(save, "w", encoding="utf-8") as f:
+            f.write(buf.getvalue())
+    out.append([rc, buf.getvalue(), err.getvalue()])
 print(json.dumps({"outputs": out, "sympy": "sympy" in sys.modules}))
 """
 
@@ -237,10 +515,12 @@ def _on_path(name: str) -> str | None:
     return None
 
 
-def _run(python: str, argvs: list[list[str]], hashseed: str, child: str = CHILD) -> dict | list:
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
-    proc = subprocess.run([python, *ENCODING_GUARD, "-c", child, json.dumps(argvs)],
-                          capture_output=True, text=True, timeout=600, env=env, cwd=ROOT)
+def _run(python: str, steps: list, hashseed: str, child: str = CHILD,
+         cwd: Path = ROOT) -> dict | list:
+    env = {**os.environ, **ENV, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": hashseed}
+    proc = subprocess.run([python, *ENCODING_GUARD, "-c", child, json.dumps(steps)],
+                          capture_output=True, text=True, encoding="utf-8", timeout=600,
+                          env=env, cwd=cwd)
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()
         raise RuntimeError(tail[-1] if tail else f"exit {proc.returncode}")
@@ -259,49 +539,51 @@ def misread_names(python: str) -> list[str]:
     return _run(python, [], "0", NAMES_CHILD)
 
 
+def _digests(python: str) -> list[str]:
+    """The read verbs on the pinned tables, and every TORUS_STRIDE-th torus
+    op, whose exit code or stdout SHA-256 differ from `digests.json`."""
+    digests = json.loads((PINNED / "digests.json").read_text(encoding="utf-8"))["outputs"]
+    torus = sorted(k for k in digests if k.startswith("torus/"))
+    keys = sorted(digests.keys() - set(torus)) + torus[::TORUS_STRIDE]
+    res = _run(python, [[["numtheory", "torus", *arg.split(), "--format", "json"]
+                         if verb == "torus" else [verb, str(TABLES / arg)], None]
+                        for verb, arg in (k.split("/", 1) for k in keys)], "0")
+    problems = ["the pinned read verbs and torus ops loaded sympy"] if res["sympy"] else []
+    for k, (rc, out, _) in zip(keys, res["outputs"]):
+        sha = hashlib.sha256(out.encode()).hexdigest()
+        if {"rc": rc, "sha256": sha} != digests[k]:
+            problems.append(f"{k}: exit {rc}, stdout {sha[:12]}; pinned exit "
+                            f"{digests[k]['rc']}, stdout {digests[k]['sha256'][:12]}")
+    return problems
+
+
 def check(python: str) -> list[str]:
     """The mismatches of one interpreter against the pinned files."""
     problems = []
     want = {p.name: p.read_bytes() for p in TABLES.iterdir()}
     for hashseed in ("0", "1"):
         with tempfile.TemporaryDirectory() as d:
-            res = _run(python, [["suite", "--seed", "0", "--dir", d]], hashseed)
+            res = _run(python, [[["suite", "--seed", "0", "--dir", d], None]], hashseed)
             got = {p.name: p.read_bytes() for p in Path(d).iterdir()}
-        if res["outputs"][0]["rc"] != 0:
-            problems.append(f"suite exit {res['outputs'][0]['rc']} (PYTHONHASHSEED={hashseed})")
+        if res["outputs"][0][0] != 0:
+            problems.append(f"suite exit {res['outputs'][0][0]} (PYTHONHASHSEED={hashseed})")
         differ = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
         if differ:
             problems.append(f"suite files differ (PYTHONHASHSEED={hashseed}): {', '.join(differ)}")
         if res["sympy"]:
             problems.append("suite loaded sympy")
-    digests = json.loads((PINNED / "digests.json").read_text())["outputs"]
-    keys = [f"{verb}/{f}" for f in sorted(n for n in want if n.endswith(".tbl")) for verb in VERBS]
-    res = _run(python, [[k.split("/")[0], str(TABLES / k.split("/")[1])] for k in keys], "0")
-    problems += [f"{k}: exit {got['rc']}, stdout {got['sha256'][:12]}; pinned exit "
-                 f"{digests[k]['rc']}, stdout {digests[k]['sha256'][:12]}"
-                 for k, got in zip(keys, res["outputs"]) if got != digests[k]]
+    problems += _digests(python)
+    steps = plan(LEGS.values())
+    with tempfile.TemporaryDirectory() as d:
+        write_files(Path(d))
+        res = _run(python, [[list(words), save] for words, save in steps.items()], "0", cwd=d)
+    problems += mismatches(dict(zip(steps, map(tuple, res["outputs"]))))
     if res["sympy"]:
-        problems.append("read verbs loaded sympy")
-    for verb, (argv, out) in NUMTHEORY.items():
-        res = _run(python, [argv], "0")
-        got, want_sha = res["outputs"][0], hashlib.sha256(out.encode()).hexdigest()
-        if got != {"rc": 0, "sha256": want_sha}:
-            problems.append(f"{verb}: exit {got['rc']}, stdout {got['sha256'][:12]}; "
-                            f"want exit 0, stdout {want_sha[:12]}")
-        if res["sympy"]:
-            problems.append(f"{verb} loaded sympy")
+        problems.append("the legs loaded sympy")
     got = _run(python, [], "0", SWEEP_CHILD)
     if got != SWEEP_SHA256:
         problems.append(f"outer-bound sweep to 100000 hands over points {got[:12]}; "
                         f"want {SWEEP_SHA256[:12]}")
-    keys = sorted(k for k in digests if k.startswith("torus/"))[::TORUS_STRIDE]
-    res = _run(python, [["numtheory", "torus", *k.split("/")[1].split(), "--format", "json"]
-                        for k in keys], "0")
-    problems += [f"{k}: exit {got['rc']}, stdout {got['sha256'][:12]}; pinned exit "
-                 f"{digests[k]['rc']}, stdout {digests[k]['sha256'][:12]}"
-                 for k, got in zip(keys, res["outputs"]) if got != digests[k]]
-    if res["sympy"]:
-        problems.append("torus loaded sympy")
     for statement, want in IMPORTS.items():
         got = loaded(python, statement)
         if got != want:
@@ -317,7 +599,35 @@ def check(python: str) -> list[str]:
     return problems
 
 
+def smoke(script: str) -> list[str]:
+    """The legs that the console script `script` does not pass, each run
+    within its timeout in a fresh directory."""
+    runs = {}
+    timeouts = {leg.words(): leg.timeout for leg in LEGS.values()}
+    with tempfile.TemporaryDirectory() as d:
+        write_files(Path(d))
+        for words, save in plan(LEGS.values()).items():
+            cmd = [sys.executable, *words] if words[0] == "-c" else [script, *words]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, text=True, encoding="utf-8",
+                                      timeout=timeouts.get(words) or 600, cwd=d,
+                                      env={**os.environ, **ENV})
+            except subprocess.TimeoutExpired:
+                runs[words] = None
+                continue
+            runs[words] = proc.returncode, proc.stdout, proc.stderr
+            if save:
+                (Path(d) / save).write_text(proc.stdout, encoding="utf-8")
+    return mismatches(runs)
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--script"]:
+        problems = smoke(argv[1])
+        print(f"{argv[1]}: {len(LEGS)} legs, " + (f"{len(problems)} mismatches" if problems
+                                                   else "ok"))
+        print("".join(f"  {p}\n" for p in problems), end="")
+        return 1 if problems else 0
     pythons = argv or [exe for exe in map(_on_path, NAMES) if exe]
     failed = checked = 0
     for python in pythons:
