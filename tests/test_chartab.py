@@ -737,6 +737,23 @@ def test_work_once_per_entry_object_is_only_a_cache(corpus, get_table):
         assert chartab._sorted_rows(rows) == list(t.rows), name
 
 
+def test_frobenius_251_5_table_is_pinned(check_legs):
+    # x -> x + 1 and x -> a x on Z/251, a of order 5: the first split meets
+    # the whole 55-dimensional space with 51 roots, where the 5-dimensional
+    # eigenspace of the linear characters is read from a 4-dimensional
+    # quotient, and every other eigenspace is a line.  `table` on the file
+    # prints the same bytes as before the split used Krylov vectors
+    check_legs("table 251/frob.txt")
+
+
+def test_frobenius_229_4_table_is_pinned(check_legs):
+    # order 916 and 61 classes, near the class ceiling: the 57 classes of
+    # order 229 form one Galois family, and the 57 rows of degree 4 one Galois
+    # orbit, so 4 rows are lifted by transforms, one per orbit, and 57 are
+    # permuted.  `table` prints the same bytes as when every row was lifted
+    check_legs("table 229/frob.txt")
+
+
 def _reference_lift(group):
     """The table of `group` with every row lifted by discrete Fourier
     transforms, at the least class of each Galois family of classes, from the

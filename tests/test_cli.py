@@ -175,6 +175,10 @@ def test_table_file_reps_only_in_canonical_form(tmp_path, capsys):
         assert (rc, out) == (1, "") and "malformed table file" in err, (rep, err)
 
 
+def test_table_of_a_table_file_records_the_given_seed(check_legs):
+    check_legs("table A5.tbl --seed 5")
+
+
 def test_table_of_a_pinned_table_file_is_that_file(capsys):
     # a table file read back and written again is the same bytes
     files = sorted(PINNED_TABLES.glob("*.tbl"))
@@ -193,6 +197,13 @@ def test_table_file_verdicts_read_verified_tables(tmp_path, capsys):
         assert (rc, out) == (1, ""), verb
         assert err.startswith("error: ") and err.count("\n") == 1, (verb, err)
         assert "row-orth" in err, verb
+
+
+def test_power_maps_breaking_the_galois_law_fail_every_read_verb(check_legs):
+    # 5A and 5B each sent to itself by every unit: the file loads, and its
+    # rows and columns are orthonormal, but sigma_7 swaps 5A's and 5B's values
+    check_legs("verify a5swap.tbl", "verify --format json a5swap.tbl",
+               *(f"{verb} a5swap.tbl" for verb in ("zeros", "star", "classify")))
 
 
 def test_os_errors_exit_2(tmp_path, capsys):
@@ -265,6 +276,14 @@ def test_class_ceiling_stops_the_scan(tmp_path, capsys, monkeypatch):
     got = run(capsys, *leg.words())
     assert time.perf_counter() - start < 1
     assert leg.outcome(*got) == leg.pinned()
+
+
+def test_class_ceiling_holds_for_table_files(check_legs):
+    # no table the program computes has more than 64 classes, and verify
+    # grows as the cube of the class count, so a table file over the
+    # ceiling is refused on load, before any entry is read
+    check_legs("verify c2_6.tbl",
+               *(f"{verb} c2_7.tbl" for verb in ("verify", "zeros", "star", "classify")))
 
 
 def test_retyped_copy_of_a_seen_entry_is_refused(tmp_path, capsys):
@@ -459,6 +478,16 @@ def test_registry_ops_compute_one_table(tmp_path, capsys, monkeypatch):
     assert sorted(calls()) == ["A5", "SL(2,5)"]
 
 
+def test_registry_facts_need_the_registry_order(check_legs):
+    # a file may call any group A5; A5's facts apply only to a table that
+    # meets them all, so neither C5 nor C60 (order 60, not simple), as a
+    # group file or as a verified table file, gets them
+    check_legs("table c60.txt --out c60.tbl",
+               *(f"{verb} {name}{bound}" for name in ("c5.txt", "c60.txt", "c60.tbl")
+                 for verb, bound in (("classify", ""), ("star", ""),
+                                     ("star", " --out-order 2"))))
+
+
 def test_nameless_group_file_is_named_after_its_stem(tmp_path, capsys):
     f = tmp_path / "d7.txt"
     f.write_text("degree 7\n(1 2 3 4 5 6 7)\n(2 7)(3 6)(4 5)\n")
@@ -570,16 +599,20 @@ def test_suite_json_matches_the_text_report(capsys):
     assert (rep["seed"], rep["ok"], rep["survey"]["ok"]) == (0, True, True)
 
 
+SUITE_JSON = LEGS["suite --format json --dir suite"]
+
+
 @pytest.mark.parametrize("argv, digest", [
     (["star", "Sz(8)", "--format", "json"],
      "f449f8f57f69375ebc449aadfaac30e0b7988eb435e38afb4589f2a64a6f8bac"),
     (["classify", "PSL(2,5)", "--format", "json"],
      "9c054aa6c31fb775bd89f467a05712a23f443bd95ec8f08d0c09507e1162ee64"),
+    (list(SUITE_JSON.words()), SUITE_JSON.out.removeprefix("sha256:")),
 ])
-def test_json_reports_keep_their_bytes(capsys, argv, digest):
+def test_json_reports_keep_their_bytes(run_words, argv, digest):
     # each report record is written as a JSON object of its fields, the
     # survey's entries included, never as an array of its values
-    rc, out, err = run(capsys, *argv)
+    rc, out, err = run_words(argv)
     assert (rc, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -604,6 +637,11 @@ def test_zeros_json_row(capsys):
     assert order == 3
 
 
+def test_zeros_row_out_of_range(check_legs):
+    check_legs(*(f"{verb} C6 --row {row}" for verb in ("zeros", "star")
+                 for row in ("99", "6", "-1")))
+
+
 def test_star_single_row(capsys):
     rc, out, _ = run(capsys, "star", "PSL(2,5)", "--row", "3")
     assert rc == 0
@@ -615,6 +653,12 @@ def test_star_out_order_override(capsys):
     rc, out, _ = run(capsys, "star", "PSL(2,5)", "--row", "4",
                      "--out-order", "1")
     assert rc == 0 and "star fails" in out
+
+
+def test_star_out_order_below_one_is_refused(check_legs):
+    # |Out| >= 1, so a smaller bound is a usage error, with or without --row
+    check_legs(*(f"star PSL(2,5){row} --out-order {bound}" for bound in ("0", "-1")
+                 for row in (" --row 1", "")))
 
 
 def test_star_survey_json(capsys):
@@ -720,6 +764,11 @@ def test_numtheory_diophantine_json(capsys):
     assert obj["part"] == "C" and obj["values"] == [3]
 
 
+def test_numtheory_outer_bound(check_legs):
+    check_legs("numtheory outer-bound --bound 500",
+               "numtheory outer-bound --bound 500 --format json")
+
+
 def test_numtheory_outer_bound_violations(capsys, monkeypatch):
     failing = {(13, "A"), (9, "B"), (27, "B")}
     monkeypatch.setattr(numtheory, "_outer_bound_failures", lambda qs, f: [
@@ -744,6 +793,12 @@ def test_numtheory_outer_bound_ceiling(capsys, monkeypatch):
                            "--bound", "10000000000", "--format", fmt)
         assert (rc, out) == (2, "")
         assert err == "error: bound must be <= 10000000, got 10000000000\n"
+
+
+def test_numtheory_outer_bound_floor(check_legs):
+    # these once exited 0 with "both inequalities hold for every prime power q <= -5"
+    check_legs(*(f"numtheory outer-bound --bound {bound}{fmt}" for bound in ("-5", "0", "1")
+                 for fmt in ("", " --format json")))
 
 
 def test_numtheory_zsigmondy(capsys):
@@ -779,6 +834,13 @@ def test_numtheory_torus_json(capsys):
     assert rc == 0 and json.loads(out)[1] == {
         "label": "T2", "order": 4, "zsig_n": 1, "zsig_prime": None,
         "zsig_exception": None}  # l(1) not applicable
+
+
+def test_numtheory_refusal_is_one_line(check_legs):
+    # past the search limit and the size cap: exit 1, one stderr line that
+    # names the limits, nothing on stdout
+    check_legs("numtheory zsigmondy 2 100000", "numtheory zsigmondy 2 100000 --format json",
+               "numtheory torus A 100000 2")
 
 
 def test_usage_errors(capsys):
@@ -856,6 +918,9 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """, ""),
+    # and, as the table of legs pins them:
+    *((list(LEGS[name].words()), *LEGS[name].pinned())
+      for name in ("numtheory zsigmondy 2 4 extra", "numtheory zsigmondy --help")),
 ]
 
 

@@ -2,7 +2,7 @@
 process through `cli.main`; and what the table must hold."""
 import pytest
 
-from check_interpreters import LEGS, README, plan, write_files
+from check_interpreters import LEGS
 from charzeros import cli
 
 # The legs that CI times on the installed console script, with their limits
@@ -18,30 +18,9 @@ TIMED = {
 }
 
 
-@pytest.fixture(scope="session")
-def legs_dir(tmp_path_factory):
-    """A directory holding the files of FILES, and the runs made in it so
-    far, by their words: each run is made once."""
-    d = tmp_path_factory.mktemp("legs")
-    write_files(d)
-    return d, {}
-
-
 @pytest.mark.parametrize("name", LEGS)
-def test_leg(name, legs_dir, capsys, monkeypatch):
-    d, runs = legs_dir
-    monkeypatch.chdir(d)
-    monkeypatch.setenv("COLUMNS", "80")
-    for words, save in plan([LEGS[name]]).items():
-        if words not in runs:
-            if words[0] == "-c":
-                exec(words[1], {})
-            rc = 0 if words[0] == "-c" else cli.main(list(words))
-            runs[words] = rc, *capsys.readouterr()
-        if save:
-            (d / save).write_text(runs[words][1], encoding="utf-8")
-    leg = LEGS[name]
-    assert leg.outcome(*runs[leg.words()]) == leg.pinned()
+def test_leg(name, check_legs):
+    check_legs(name)
 
 
 def test_the_table_covers_each_command_exit_code_and_timed_leg():
@@ -52,4 +31,3 @@ def test_the_table_covers_each_command_exit_code_and_timed_leg():
             if not any(w[:len(words)] == words for w in answered)] == []
     assert {1, 2} <= {leg.rc for leg in LEGS.values()}
     assert {name: LEGS[name].timeout for name in TIMED if name in LEGS} == TIMED
-    assert sum(leg.why == README for leg in LEGS.values()) == 6

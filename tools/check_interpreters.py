@@ -344,8 +344,8 @@ LEGS = {leg.name or leg.argv: leg for leg in (
 )}
 
 
-def plan(legs) -> dict[tuple[str, ...], str | None]:
-    """The words of each run that the legs make, or that writes a file of
+def plan(runs) -> dict[tuple[str, ...], str | None]:
+    """The words of each of the runs, and of each run that writes a file of
     FILES they read, in an order that writes each file before a run reads
     it; each with the file its stdout is saved as, if any."""
     steps: dict[tuple[str, ...], str | None] = {}
@@ -358,8 +358,8 @@ def plan(legs) -> dict[tuple[str, ...], str | None]:
         if save or words not in steps:
             steps[words] = save
 
-    for leg in legs:
-        add(leg.words())
+    for words in runs:
+        add(words)
     return steps
 
 
@@ -573,7 +573,7 @@ def check(python: str) -> list[str]:
         if res["sympy"]:
             problems.append("suite loaded sympy")
     problems += _digests(python)
-    steps = plan(LEGS.values())
+    steps = plan(leg.words() for leg in LEGS.values())
     with tempfile.TemporaryDirectory() as d:
         write_files(Path(d))
         res = _run(python, [[list(words), save] for words, save in steps.items()], "0", cwd=d)
@@ -606,7 +606,7 @@ def smoke(script: str) -> list[str]:
     timeouts = {leg.words(): leg.timeout for leg in LEGS.values()}
     with tempfile.TemporaryDirectory() as d:
         write_files(Path(d))
-        for words, save in plan(LEGS.values()).items():
+        for words, save in plan(leg.words() for leg in LEGS.values()).items():
             cmd = [sys.executable, *words] if words[0] == "-c" else [script, *words]
             try:
                 proc = subprocess.run(cmd, capture_output=True, text=True, encoding="utf-8",
