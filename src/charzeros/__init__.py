@@ -22,30 +22,6 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CharacterTable",
-    "Group",
-    "build",
-    "burnside_check",
-    "character_table",
-    "classify_one_class",
-    "diophantine_solutions",
-    "format_group_file",
-    "outer_bound_sweep",
-    "parse_group_file",
-    "registry_names",
-    "simple_one_class_survey",
-    "star_check",
-    "star_survey",
-    "table_from_text",
-    "table_to_text",
-    "torus_orders",
-    "two_prime_degree_check",
-    "vanishing_classes",
-    "verify_table",
-    "zsigmondy",
-]
-
 # the submodule that each public name is read from
 _HOME = {name: module for module, names in {
     "chartab": ("CharacterTable", "character_table", "table_from_text", "table_to_text",
@@ -56,6 +32,7 @@ _HOME = {name: module for module, names in {
     "vanishing": ("burnside_check", "classify_one_class", "simple_one_class_survey",
                   "star_check", "star_survey", "two_prime_degree_check", "vanishing_classes"),
 }.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

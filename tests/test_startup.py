@@ -8,9 +8,6 @@ Each run-time check runs in a fresh interpreter, since this one has all of
 them loaded already; a static check reads every module's imports."""
 import ast
 import importlib
-import json
-import os
-import subprocess
 import sys
 import typing
 from pathlib import Path
@@ -25,51 +22,32 @@ SRC = str(Path(charzeros.__file__).parents[1])
 ROOT = Path(__file__).resolve().parents[1]
 TABLES = ROOT / "perfbench" / "pinned" / "tables"
 
-# Runs each argv of sys.argv[1] through main in turn; prints whether sympy and
-# dataclasses were loaded after the import and after each op, and each op's
-# exit code and stdout.
-CHILD = """
-import contextlib, io, json, sys
-import charzeros
-loaded = ["sympy" in sys.modules]
-dataclasses = ["dataclasses" in sys.modules]
-from charzeros.cli import main
-results = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        rc = main(argv)
-    results.append([rc, out.getvalue()])
-    loaded.append("sympy" in sys.modules)
-    dataclasses.append("dataclasses" in sys.modules)
-print(json.dumps({"loaded": loaded, "dataclasses": dataclasses, "results": results}))
-"""
 
-
-def _fresh(argvs):
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+def _fresh(argvs, child=check_interpreters.CHILD):
+    """The tool's child run on argvs: each run's [exit code, stdout, stderr],
+    and which of dataclasses and sympy were loaded after `import charzeros`
+    and after each run."""
+    return check_interpreters._run(sys.executable, [[argv, None] for argv in argvs], "0", child)
 
 
 def _here(capsys, argvs):
     out = []
     for argv in argvs:
         rc = main(argv)
-        out.append([rc, capsys.readouterr().out])
+        out.append([rc, *capsys.readouterr()])
     return out
 
 
 def test_read_verbs_start_without_sympy(capsys):
+    # reading a table needs no computer algebra: neither `import charzeros`
+    # nor a read verb on a table file loads sympy
     argvs = [[verb, str(TABLES / name)]
              for name in ("PSU_3_4_.tbl", "3_A6_2_3.tbl")
              for verb in ("verify", "zeros", "star", "classify")]
     child = _fresh(argvs)
-    assert child["loaded"] == [False] * (1 + len(argvs))
-    assert child["results"] == _here(capsys, argvs)
-    assert all(rc == 0 for rc, _ in child["results"])
+    assert child["loaded"] == [[]] * (1 + len(argvs))
+    assert child["outputs"] == _here(capsys, argvs)
+    assert all(rc == 0 for rc, _, _ in child["outputs"])
 
 
 def test_no_verb_loads_sympy(tmp_path, capsys):
@@ -84,17 +62,17 @@ def test_no_verb_loads_sympy(tmp_path, capsys):
              ["numtheory", "zsigmondy", "2", "10"],
              ["numtheory", "torus", "E8", "8", "2"]]
     child = _fresh(argvs)
-    assert child["loaded"] == [False] * 8
-    assert child["results"][0] == [0, (TABLES / "A5.tbl").read_text()]
-    assert child["results"][1] == _here(capsys, argvs[1:2])[0]
-    assert child["results"][2] == [0, (TABLES / "report.txt").read_text()]
+    assert child["loaded"] == [[]] * 8
+    assert child["outputs"][0] == [0, (TABLES / "A5.tbl").read_text(), ""]
+    assert child["outputs"][1] == _here(capsys, argvs[1:2])[0]
+    assert child["outputs"][2] == [0, (TABLES / "report.txt").read_text(), ""]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == \
         {p.name: p.read_bytes() for p in TABLES.iterdir()}
-    assert child["results"][3:] == [
+    assert child["outputs"][3:] == [
         [0, "both inequalities hold for every prime power q <= 1000 in their "
-            "domains (A: q > 11; B: odd q >= 7)\n"],
-        list(check_interpreters.LEGS["numtheory diophantine --part A"].pinned()[:2]),
-        [0, "least primitive prime divisor of 2^10 - 1: 11\n"],
+            "domains (A: q > 11; B: odd q >= 7)\n", ""],
+        list(check_interpreters.LEGS["numtheory diophantine --part A"].pinned()),
+        [0, "least primitive prime divisor of 2^10 - 1: 11\n", ""],
         _here(capsys, argvs[6:])[0]]
 
 
@@ -103,12 +81,9 @@ def test_numtheory_examples_with_sympy_blocked():
     # sympy at all
     legs = [check_interpreters.LEGS[f"numtheory {example}"]
             for example in ("zsigmondy 2 4", "torus A 1 7")]
-    blocked = "import sys; sys.modules['sympy'] = None\n" + CHILD
-    argvs = json.dumps([leg.words() for leg in legs])
-    proc = subprocess.run([sys.executable, "-c", blocked, argvs], capture_output=True, text=True,
-                          timeout=60, env={**os.environ, "PYTHONPATH": SRC})
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["results"] == [list(leg.pinned()[:2]) for leg in legs]
+    blocked = "import sys; sys.modules['sympy'] = None\n" + check_interpreters.CHILD
+    child = _fresh([leg.words() for leg in legs], blocked)
+    assert child["outputs"] == [list(leg.pinned()) for leg in legs]
 
 
 def _imports(path: Path) -> set[str]:
@@ -174,11 +149,13 @@ def test_numtheory_is_the_leaf_of_the_import_graph():
 
 
 def test_verify_and_table_start_without_dataclasses(capsys):
+    # every record is a named tuple: neither verify nor table loads
+    # dataclasses, which would pull in inspect and ast
     argvs = [["verify", str(TABLES / "PSU_3_4_.tbl")], ["table", "A5"]]
     child = _fresh(argvs)
-    assert child["dataclasses"] == [False, False, False]
-    assert child["results"] == _here(capsys, argvs)
-    assert [rc for rc, _ in child["results"]] == [0, 0]
+    assert child["loaded"] == [[], [], []]
+    assert child["outputs"] == _here(capsys, argvs)
+    assert [rc for rc, _, _ in child["outputs"]] == [0, 0]
 
 
 @pytest.mark.parametrize("statement", check_interpreters.IMPORTS)

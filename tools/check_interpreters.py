@@ -19,7 +19,10 @@ a file opened without its encoding named fails, and must give:
   `perfbench/pinned/tables` byte for byte; for the read verbs on each
   pinned table and every TORUS_STRIDE-th torus key, the exit code and
   stdout SHA-256 of `perfbench/pinned/digests.json`;
-- no sympy loaded by any of these;
+- neither sympy nor dataclasses loaded by any of these.  They run in one
+  child program (CHILD), which imports charzeros and then runs words through
+  `cli.main`, and reports which of the two are loaded after the import and
+  after each run; tests/test_startup.py reads the same child;
 - the sweep's points (SWEEP_CHILD), the modules each statement of IMPORTS
   loads, the public names (NAMES_CHILD) and the parse of each argv of
   DISPATCH: where a change between versions of memoryview slicing, of
@@ -424,12 +427,16 @@ print(json.dumps([name for name in charzeros.__all__ if name not in listed
                       importlib.import_module(getattr(charzeros, name).__module__), name)]))
 """
 
-# Runs each [words, file] of the JSON list sys.argv[1] in this process, in
-# order: `charzeros.cli.main` on the words, or the Python statement after
-# "-c"; saves stdout as the file, if one is named.  Prints each run's exit
-# code, stdout and stderr, and whether sympy was loaded at the end.
+# Imports charzeros, then runs each [words, file] of the JSON list sys.argv[1]
+# in this process, in order: `charzeros.cli.main` on the words, or the Python
+# statement after "-c"; saves stdout as the file, if one is named.  Prints
+# each run's exit code, stdout and stderr, and which of dataclasses and sympy
+# were loaded after the import and after each run.
 CHILD = """
 import contextlib, io, json, sys
+import charzeros
+loaded = lambda: [m for m in ("dataclasses", "sympy") if m in sys.modules]
+report = [loaded()]
 from charzeros.cli import main
 out = []
 for argv, save in json.loads(sys.argv[1]):
@@ -442,7 +449,8 @@ for argv, save in json.loads(sys.argv[1]):
         with open(save, "w", encoding="utf-8") as f:
             f.write(buf.getvalue())
     out.append([rc, buf.getvalue(), err.getvalue()])
-print(json.dumps({"outputs": out, "sympy": "sympy" in sys.modules}))
+    report.append(loaded())
+print(json.dumps({"outputs": out, "loaded": report}))
 """
 
 
@@ -527,6 +535,11 @@ def _run(python: str, steps: list, hashseed: str, child: str = CHILD,
     return json.loads(proc.stdout)
 
 
+def _unwanted(res: dict, runs: str) -> list[str]:
+    """A problem if dataclasses or sympy was loaded by the end of a CHILD run."""
+    return [f"{runs} loaded {' and '.join(res['loaded'][-1])}"] if res["loaded"][-1] else []
+
+
 def loaded(python: str, statement: str) -> list[str]:
     """The `charzeros` modules loaded after statement, run alone in a fresh
     interpreter."""
@@ -548,7 +561,7 @@ def _digests(python: str) -> list[str]:
     res = _run(python, [[["numtheory", "torus", *arg.split(), "--format", "json"]
                          if verb == "torus" else [verb, str(TABLES / arg)], None]
                         for verb, arg in (k.split("/", 1) for k in keys)], "0")
-    problems = ["the pinned read verbs and torus ops loaded sympy"] if res["sympy"] else []
+    problems = _unwanted(res, "the pinned read verbs and torus ops")
     for k, (rc, out, _) in zip(keys, res["outputs"]):
         sha = hashlib.sha256(out.encode()).hexdigest()
         if {"rc": rc, "sha256": sha} != digests[k]:
@@ -570,16 +583,14 @@ def check(python: str) -> list[str]:
         differ = sorted(n for n in want.keys() | got.keys() if want.get(n) != got.get(n))
         if differ:
             problems.append(f"suite files differ (PYTHONHASHSEED={hashseed}): {', '.join(differ)}")
-        if res["sympy"]:
-            problems.append("suite loaded sympy")
+        problems += _unwanted(res, f"suite (PYTHONHASHSEED={hashseed})")
     problems += _digests(python)
     steps = plan(leg.words() for leg in LEGS.values())
     with tempfile.TemporaryDirectory() as d:
         write_files(Path(d))
         res = _run(python, [[list(words), save] for words, save in steps.items()], "0", cwd=d)
     problems += mismatches(dict(zip(steps, map(tuple, res["outputs"]))))
-    if res["sympy"]:
-        problems.append("the legs loaded sympy")
+    problems += _unwanted(res, "the legs")
     got = _run(python, [], "0", SWEEP_CHILD)
     if got != SWEEP_SHA256:
         problems.append(f"outer-bound sweep to 100000 hands over points {got[:12]}; "
