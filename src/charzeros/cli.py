@@ -52,6 +52,7 @@ from .numtheory import (
     zsigmondy,
 )
 from .vanishing import (
+    SurveyReport,
     burnside_check,
     classify_one_class,
     simple_one_class_survey,
@@ -191,17 +192,39 @@ def _cmd_classify(args) -> int:
     return 1 if rep.match is False else 0
 
 
-def _suite_table(name: str, max_order: int) -> CharacterTable:
-    return build(name, max_order=max_order)[1]
+def _suite_group(name: str, max_order: int, seed: int):
+    """A suite worker's work on one group, as plain values: its report row,
+    failure lines, table file text and simple-group survey entries."""
+    try:
+        t = build(name, max_order=max_order)[1]
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{name}: {exc}") from None
+    burn = burnside_check(t)
+    two = two_prime_degree_check(t)
+    cls = classify_one_class(t)
+    failures = [f"{name}: degree-{t.degree(i)} row {i} never vanishes"
+                for i in burn.violations]
+    if not two.ok:
+        failures.append(f"{name}: unexcused two-prime-degree row with a single vanishing class")
+    if cls.match is False:
+        failures.append(f"{name}: one-class degrees {list(cls.observed)} != "
+                        f"expected {list(cls.expected)}")
+    simple = is_simple(t) and any(t.degree(i) > 1 for i in range(len(t.rows)))
+    row = {"group": name, "order": t.order, "classes": len(t.classes),
+           "table_ok": True, "burnside_ok": burn.ok, "two_prime_ok": two.ok,
+           "classify": cls.match,
+           "star_degrees": sorted({r.degree for r in star_survey(t) if r.holds})}
+    return (row, failures, table_to_text(t, seed),
+            simple_one_class_survey([t]).entries if simple else ())
 
 
 def _suite_rows(args, failures: list[str]):
-    """The suite's report rows, group by group in name order.  The tables are
-    built in worker processes, one per usable CPU, the largest group first so
-    that the long builds start at once; the reports and file writes stay
-    here.  The first failing group in name order raises, as in a serial run;
-    a worker that dies raises ChildProcessError instead of leaving the suite
-    waiting for it."""
+    """The suite's report rows, group by group in name order.  Each group is
+    built and reported in a worker process, one per usable CPU, the largest
+    group first so that the long builds start at once; the parent writes the
+    files and collects the results in name order.  The first failing group in
+    name order raises, as in a serial run; a worker that dies raises
+    ChildProcessError instead of leaving the suite waiting for it."""
     import multiprocessing  # only the suite starts processes
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -213,45 +236,25 @@ def _suite_rows(args, failures: list[str]):
     pool = ProcessPoolExecutor(min(cpus, len(names)),
                                mp_context=multiprocessing.get_context(start))
     try:
-        pending = {name: pool.submit(_suite_table, name, args.max_order)
+        pending = {name: pool.submit(_suite_group, name, args.max_order, args.seed)
                    for name in sorted(names, key=lambda n: -find_recipe(n).order)}
         rows = []
-        simple_tables = []
+        entries = []
         for name in names:
             try:
-                t = pending[name].result()
+                row, lines, text, survey = pending[name].result()
             except BrokenProcessPool:
                 raise ChildProcessError(
                     f"a worker process died; the table of {name} was not built") from None
-            except BudgetExceeded as exc:
-                raise BudgetExceeded(f"{name}: {exc}") from None
-            burn = burnside_check(t)
-            two = two_prime_degree_check(t)
-            cls = classify_one_class(t)
-            held = sorted({r.degree for r in star_survey(t) if r.holds})
-            if not burn.ok:
-                failures.extend(f"{name}: degree-{t.degree(i)} row {i} never vanishes"
-                                for i in burn.violations)
-            if not two.ok:
-                failures.append(f"{name}: unexcused two-prime-degree row "
-                                f"with a single vanishing class")
-            if cls.match is False:
-                failures.append(
-                    f"{name}: one-class degrees {list(cls.observed)} != "
-                    f"expected {list(cls.expected)}")
-            if is_simple(t) and any(t.degree(i) > 1 for i in range(len(t.rows))):
-                simple_tables.append(t)
-            rows.append({
-                "group": name, "order": t.order, "classes": len(t.classes),
-                "table_ok": True, "burnside_ok": burn.ok, "two_prime_ok": two.ok,
-                "classify": cls.match, "star_degrees": held,
-            })
+            rows.append(row)
+            failures.extend(lines)
+            entries.extend(survey)
             if args.dir:
                 fname = "".join(c if c.isalnum() else "_" for c in name) + ".tbl"
-                (Path(args.dir) / fname).write_text(table_to_text(t, args.seed), encoding="utf-8")
+                (Path(args.dir) / fname).write_text(text, encoding="utf-8")
     finally:
         pool.shutdown(cancel_futures=True)
-    survey = simple_one_class_survey(simple_tables)
+    survey = SurveyReport(tuple(entries))
     for e in survey.entries:
         if not e.ok:
             failures.append(f"{e.group}: survey violation: one-class degrees "

@@ -30,6 +30,9 @@ ring Z[C_m] and reduced once, serves the orthogonality checks of a table
 that fails `chartab.verify_table`: an accepted table has its inner products
 decided modulo a prime instead.
 
+Unpickling a value, and so a table, fails: a value refuses attribute writes.
+Move a table between processes with `chartab.table_to_text` and `table_from_text`.
+
 Nothing in the package needs computer algebra.  An order m is factored by
 `numtheory.trial_factor`; the `numtheory` module docstring states the
 package's one policy for primes and factoring.  A table file's entry has its m compared with the
@@ -120,10 +123,6 @@ class CycloNum:
     def __setattr__(self, *a):
         raise AttributeError("CycloNum is immutable")
 
-    def __reduce__(self):
-        # a pickled value is canonical already: it is rebuilt without reduction
-        return _canonical, (self.order, self.coeffs)
-
     # -- structure ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -210,10 +209,6 @@ def serial_terms(obj) -> tuple[int, tuple[int, ...]]:
             raise ValueError("a coefficient must be an integer: denominator 1")
         flat += e, c
     return m, tuple(flat)
-
-
-def _canonical(order: int, coeffs: dict[int, int]) -> CycloNum:
-    return CycloNum(order, coeffs, reduced=True)
 
 
 def hermitian_sum(xs, ys, weights) -> CycloNum:

@@ -1,7 +1,6 @@
 import json
 import math
 import operator
-import pickle
 import random
 import re
 from pathlib import Path
@@ -508,23 +507,6 @@ def test_distinct_entries_index_by_value_as_well_as_identity(get_table):
         again = rebuilt(t)
         assert chartab._distinct_entries(again) == chartab._distinct_entries(t), t.group
         assert verify_table(again) == verify_table(t), t.group
-
-
-def test_tables_cross_a_pickle_unchanged(corpus, get_table, monkeypatch):
-    # the suite's worker processes send each table to the parent by pickle;
-    # an entry is canonical already, so it is rebuilt without reduction
-    dumped = {name: pickle.dumps(get_table(name)) for name in corpus}
-
-    def refused(*args):
-        raise AssertionError("_reduce called")
-
-    monkeypatch.setattr(cyclo, "_reduce", refused)
-    for name in corpus:
-        t, back = get_table(name), pickle.loads(dumped[name])
-        assert (back.rows, back.classes) == (t.rows, t.classes), name
-        assert table_to_text(back, 0) == table_to_text(t, 0), name
-    with pytest.raises(AttributeError, match="immutable"):
-        back.rows[-1][-1].coeffs = {}
 
 
 def test_verify_rejects_a_class_map_that_is_not_a_size_preserving_permutation(get_table):

@@ -19,6 +19,7 @@ from charzeros import chartab, cli, numtheory
 from charzeros.chartab import table_from_text, table_to_text, verify_table
 from charzeros.cli import main
 from charzeros.constructions import registry
+from charzeros.cyclo import CycloNum
 from charzeros.groupcore import Group, parse_group_file
 from charzeros.vanishing import BurnsideReport
 from check_interpreters import DISPATCH, FILES, LEGS, TOP_USAGE, ZSIGMONDY_USAGE
@@ -580,6 +581,22 @@ def test_suite_without_fork_or_cpu_affinity(capsys, monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert run(capsys, "suite") == expected
     assert expected[0] == 0 and multiprocessing.active_children() == []
+
+
+def test_suite_sends_no_table_between_processes(tmp_path, capsys, monkeypatch):
+    # each worker builds and reports its group and returns plain values and
+    # the table's text, so the suite needs no table value to cross a process
+    def refused(self, protocol):
+        raise TypeError("a CycloNum was pickled")
+
+    monkeypatch.setattr(CycloNum, "__reduce_ex__", refused)
+    rc, out, err = run(capsys, "suite", "--seed", "0", "--dir", str(tmp_path))
+    assert (rc, out, err) == (0, (PINNED_TABLES / "report.txt").read_text(), "")
+    pinned = sorted(PINNED_TABLES.iterdir())
+    assert sorted(f.name for f in tmp_path.iterdir()) == [f.name for f in pinned]
+    for f in pinned:
+        assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
+    assert multiprocessing.active_children() == []
 
 
 def test_suite_json_matches_the_text_report(capsys):

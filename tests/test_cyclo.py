@@ -130,6 +130,13 @@ def test_constructors():
     assert CycloNum(4, {1: 1, 5: 1}) == zeta(4, 1, 2)
 
 
+def test_values_are_immutable():
+    v = zeta(5)
+    with pytest.raises(AttributeError, match="immutable"):
+        v.coeffs = {}
+    assert v.coeffs == {1: 1}
+
+
 def test_roots_of_unity_relations():
     for n in range(2, 13):
         assert CycloNum(n, {t: 1 for t in range(n)}).is_zero(), n
