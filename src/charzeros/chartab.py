@@ -55,10 +55,11 @@ found by trial.  l is the first candidate that `numtheory.is_prime`
 accepts.  The `numtheory` module docstring states which numbers are
 factored, and how.
 
-A table file is read in one pass (`table_from_text`).  Its class data is
-checked first, the class count against `groupcore.MAX_CLASSES` before the
-rest.  Each distinct entry is then built once and shared by its cells, so
-`verify_table` finds the distinct entries by object identity.
+A table file is read in one pass (`_load`).  Its class data is checked
+first, the class count against `groupcore.MAX_CLASSES` before the rest.
+Each distinct entry is then built once and shared by its cells, so
+`verify_table`, run once, finds the distinct entries by object identity.
+`table_from_text` gives only a table that passes, rows in canonical order.
 
 A table, its class summaries and a verify report are immutable named tuples:
 `t._replace(rows=...)` derives an edited copy, which `verify_table` checks
@@ -775,12 +776,13 @@ def _table_class(c) -> TableClass:
                       powers=tuple(_typed(x, int) for x in _typed(c["powers"], list)))
 
 
-def table_from_text(text: str) -> CharacterTable:
+def _load(text: str) -> tuple[CharacterTable, TableReport]:
     """The table a file holds.  Only what `table_to_text` could have written
     loads, up to JSON spacing and key order.  Every entry has its shape and
     JSON types checked (`cyclo.serial_terms`) and its m compared with the
     exponent; each distinct (m, terms) is then tested for canonical form and
-    built once (`CycloNum.from_terms`), and its cells share the value."""
+    built once (`CycloNum.from_terms`), and its cells share the value.  Returned
+    with its `verify_table` report; if that passes, rows out of order raise."""
     try:
         obj = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an over-long integer literal
@@ -816,5 +818,18 @@ def table_from_text(text: str) -> CharacterTable:
         raise
     except (LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise TableFileError(str(exc)) from None
-    return CharacterTable(group=group, order=order, exponent=exponent,
-                          classes=classes, rows=tuple(rows))
+    t = CharacterTable(group=group, order=order, exponent=exponent,
+                       classes=classes, rows=tuple(rows))
+    report = verify_table(t)
+    for i, (a, b) in enumerate(zip(t.rows, _sorted_rows(t.rows) if report.ok else t.rows)):
+        if a is not b:  # a failed table stays as filed, for verify's row numbers
+            raise TableFileError(f"row {i}: not in canonical order")
+    return t, report
+
+
+def table_from_text(text: str) -> CharacterTable:
+    """The table a file holds, once `verify_table` passes it (`_load`)."""
+    t, report = _load(text)
+    if not report.ok:
+        raise TableFileError(report.violations[0])
+    return t

@@ -25,11 +25,11 @@ from .chartab import (
     CharacterTable,
     Degenerate,
     TableFileError,
+    _load,
     character_table,
     is_simple,
     table_from_text,
     table_to_text,
-    verify_table,
 )
 from .constructions import (
     RegistryError,
@@ -78,7 +78,7 @@ def _emit(text: str, out: str | None, summary: str | None = None) -> None:
 
 def _obtain_table(target: str, max_order: int) -> CharacterTable:
     """Registry name: the table `build` validated.  File: a table file if it
-    starts with '{', which must pass verify_table, otherwise a group file to
+    starts with '{', which loads only if it passes verify, else a group file to
     compute from, named after the file stem if it has no name line (a stem
     such as A5 gets A5's facts only if the table meets them, as any name)."""
     if target in registry_names():
@@ -90,11 +90,7 @@ def _obtain_table(target: str, max_order: int) -> CharacterTable:
             f"known groups: {', '.join(sorted(registry_names()))}")
     text = p.read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
-        t = table_from_text(text)
-        rep = verify_table(t)
-        if not rep.ok:
-            raise TableFileError(rep.violations[0])
-        return t
+        return table_from_text(text)
     g = parse_group_file(text, max_order=max_order)
     if g.name is None:
         g.name = p.stem
@@ -120,11 +116,10 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     try:
-        t = table_from_text(Path(args.file).read_text(encoding="utf-8"))
+        t, rep = _load(Path(args.file).read_text(encoding="utf-8"))
     except (TableFileError, UnicodeDecodeError) as exc:
         print(f"{args.file}: malformed table file: {exc}", file=sys.stderr)
         return 1
-    rep = verify_table(t)
     if args.format == "json":
         sys.stdout.write(_json({"group": t.group, "ok": rep.ok,
                                 "violations": list(rep.violations)}))

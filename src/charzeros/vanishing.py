@@ -1,15 +1,15 @@
 """Vanishing-class predicates on exact character tables.
 
-Everything here works on verified tables: which classes a row vanishes on,
-whether a faithful row vanishes only on elements of one fixed prime-power
-order within the outer-automorphism bound and with a compatible centre,
-whether every nonlinear row vanishes somewhere, which single-vanishing-class
-rows carry degrees with two distinct prime factors, and how the observed
-single-vanishing-class rows compare against the registry's expected results.
-A report reads a registry entry only through `constructions.bind`, once per
-call, which gives none to a table that fails the entry's facts.  Every report
-is an immutable named tuple; `_asdict()` gives its fields as a dict, but not
-recursively: a survey's entries stay named tuples.
+Everything here works on verified tables, as `table_from_text` loads them:
+which classes a row vanishes on, whether a faithful row vanishes only on
+elements of one fixed prime-power order within the outer-automorphism bound
+and with a compatible centre, whether every nonlinear row vanishes somewhere,
+which single-vanishing-class rows carry degrees with two distinct prime
+factors, and how the observed single-vanishing-class rows compare against the
+registry's expected results.  A report reads a registry entry only through
+`constructions.bind`, once per call, which gives none to a table that fails
+the entry's facts.  Every report is a named tuple; `_asdict()` gives its
+fields as a dict, but not recursively: a survey's entries stay named tuples.
 """
 from math import lcm
 from typing import NamedTuple

@@ -9,11 +9,13 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+import charzeros
 from charzeros import chartab, cyclo, groupcore
 from charzeros.chartab import (
     TableFileError,
     _check_classes,
     _krylov,
+    _load,
     _rep_order,
     character_table,
     is_faithful,
@@ -25,7 +27,7 @@ from charzeros.chartab import (
 from charzeros.constructions import build
 from charzeros.cyclo import CycloNum
 from charzeros.groupcore import BudgetExceeded, format_group_file, parse_group_file, pinv
-from check_interpreters import frobenius_file
+from check_interpreters import FILES, GALOIS, frobenius_file
 from helpers import brute_galois_law, brute_min_poly_degree, brute_orth_violations, pmul
 
 SMALL = ["C1", "C2", "C5", "C6", "C12", "A5", "SL(2,5)", "PGL(2,5)", "PSL(2,7)"]
@@ -397,7 +399,7 @@ def test_a5_power_maps_breaking_the_galois_law_are_rejected():
     assert [c["powers"] for c in obj["classes"][3:]] == [[0, 3, 4, 4, 3], [0, 4, 3, 3, 4]]
     obj["classes"][3]["powers"] = [0, 3, 3, 3, 3]
     obj["classes"][4]["powers"] = [0, 4, 4, 4, 4]
-    rep = verify_table(table_from_text(json.dumps(obj)))
+    rep = _load(json.dumps(obj))[1]
     assert rep == chartab.TableReport(False, (
         "galois 7: class 3 -> 3: rows 1, 2 break chi(g^7) = sigma_7(chi(g))",
         "galois 7: class 4 -> 4: rows 1, 2 break chi(g^7) = sigma_7(chi(g))"))
@@ -411,10 +413,10 @@ def test_verify_agrees_with_the_brute_law_on_power_map_mutations():
                  "PSL(2,11)", "PSL(2,13)"]:
         for obj in _power_map_mutations(_pinned(name)):
             try:
-                t = table_from_text(json.dumps(obj))
+                t, rep = _load(json.dumps(obj))
             except TableFileError:
                 continue
-            ok = verify_table(t).ok
+            ok = rep.ok
             assert ok == (brute_galois_law(t) and brute_orth_violations(t) == []), name
             outcomes.append(ok)
     assert outcomes.count(False) >= 10 and outcomes.count(True) >= 3, outcomes
@@ -903,8 +905,8 @@ def test_file_rejections(get_table):
     obj = json.loads(table_to_text(t))
     obj["rows"][1][1]["c"][0][1] += 1  # still parses, not canonical any more?
     # a coefficient change keeps canonical form; it must fail verification
-    tampered = table_from_text(json.dumps(obj))
-    assert not verify_table(tampered).ok
+    tampered = _load(json.dumps(obj))[1]
+    assert not tampered.ok
     obj = json.loads(table_to_text(t))
     obj["rows"][1][1]["c"][0][2] = 0  # a zero denominator
     with pytest.raises(TableFileError):
@@ -917,6 +919,18 @@ def test_file_rejections(get_table):
     obj["classes"][1]["size"] = 2  # breaks size * centralizer == order
     with pytest.raises(TableFileError):
         table_from_text(json.dumps(obj))
+
+
+def test_loaded_tables_have_passed_verify():
+    # the library loader refuses what `verify` refuses: a5swap.tbl parses and
+    # its rows and columns are orthonormal, but it breaks the Galois law, and
+    # a5rows.tbl passes every check of verify_table with two rows swapped
+    for name, error in (("a5swap.tbl", GALOIS[0]), ("a5rows.tbl", "row 1: not in canonical order"),
+                        ("den2.tbl", "a coefficient must be an integer: denominator 1"),
+                        ("rep.tbl", "not in canonical cycle notation: '(4 5)(2 3)'")):
+        with pytest.raises(TableFileError) as exc:
+            charzeros.table_from_text(FILES[name]())
+        assert str(exc.value) == error, name
 
 
 def test_file_fields_need_the_written_json_types(get_table):

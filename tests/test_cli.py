@@ -207,6 +207,32 @@ def test_power_maps_breaking_the_galois_law_fail_every_read_verb(check_legs):
                *(f"{verb} a5swap.tbl" for verb in ("zeros", "star", "classify")))
 
 
+def test_rows_out_of_canonical_order_fail_every_read_verb(check_legs):
+    # A5's rows 1 and 4 swapped: the table verifies, but its row numbers are
+    # not those of the table `table` writes
+    check_legs("verify a5rows.tbl", "verify --format json a5rows.tbl",
+               *(f"{verb} a5rows.tbl" for verb in ("zeros", "star", "classify")))
+
+
+def test_each_read_verb_verifies_a_table_once(monkeypatch, capsys):
+    # the loader is the one gate: no caller verifies a table again
+    verify = chartab.verify_table
+    calls = []
+
+    def counted(t):
+        calls.append(t.group)
+        return verify(t)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("charzeros")]:
+        if getattr(module, "verify_table", None) is verify:
+            monkeypatch.setattr(module, "verify_table", counted)
+    a5 = str(PINNED_TABLES / "A5.tbl")
+    for argv in (["verify", a5], ["zeros", a5], ["classify", "A5"]):
+        calls.clear()
+        assert run(capsys, *argv)[0] == 0, argv
+        assert calls == ["A5"], argv
+
+
 def test_os_errors_exit_2(tmp_path, capsys):
     d = str(tmp_path)
     for argv in (["verify", d], ["build", "A5", "--out", d], ["table", "C2", "--out", d]):

@@ -167,6 +167,9 @@ FILES = {
     "a5swap.tbl": lambda: _edited("A5.tbl", lambda t: (
         t["classes"][3].update(powers=[0, 3, 3, 3, 3]),
         t["classes"][4].update(powers=[0, 4, 4, 4, 4]))),
+    # A5's rows 1 and 4 swapped: the same table, out of canonical row order
+    "a5rows.tbl": lambda: _edited("A5.tbl", lambda t: t["rows"].__setitem__(
+        slice(1, 5, 3), [t["rows"][4], t["rows"][1]])),
 }
 
 
@@ -202,6 +205,7 @@ ZSIGMONDY_USAGE = "usage: charzeros numtheory zsigmondy [-h] [--format {text,jso
 NO_PPD = ("error: no primitive prime divisor of 2^100000 - 1 is at most 13107200001, "
           "and Phi_100000(2) is over the 1024-bit cap\n")
 OVER_CEILING = "malformed table file: 128 classes exceed the class ceiling 64\n"
+ROW_ORDER = "malformed table file: row 1: not in canonical order\n"
 GALOIS = [f"galois 7: class {c} -> {c}: rows 1, 2 break chi(g^7) = sigma_7(chi(g))" for c in (3, 4)]
 UNBOUNDED = "once factored all of Phi_n(q) and never finished"
 
@@ -338,6 +342,11 @@ LEGS = {leg.name or leg.argv: leg for leg in (
       for f in ("", " --format json")),
     *(Leg(f"{verb} a5swap.tbl", 1, "", "refused by every read verb",
           err=f"error: malformed table file: {GALOIS[0]}\n")
+      for verb in ("zeros", "star", "classify")),
+    *(Leg(f"verify{f} a5rows.tbl", 1, "", "rows out of canonical order: zeros would number "
+          "the degree-5 row as row 1", err="a5rows.tbl: " + ROW_ORDER)
+      for f in ("", " --format json")),
+    *(Leg(f"{verb} a5rows.tbl", 1, "", "refused by every read verb", err="error: " + ROW_ORDER)
       for verb in ("zeros", "star", "classify")),
     Leg("suite --format json --dir suite", 0,
         "sha256:9740d80ad672dd069b3d4121fb3173bde5b0b413f1fc74a2c656bd629e9fca8d",
